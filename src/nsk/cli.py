@@ -69,6 +69,19 @@ class RunConfig:
     norms: tuple | None = None
 
 
+def _number(value, key: str) -> float:
+    """``value`` as a finite float; JSON admits ``NaN`` and ``Infinity``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be finite")
+    return x
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config; any unknown key aborts."""
     try:
@@ -83,27 +96,17 @@ def parse_config(text: str) -> RunConfig:
     missing = [k for k in _MODEL_KEYS if k not in doc]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
-    for k in _MODEL_KEYS:
-        if not isinstance(doc[k], (int, float)) or isinstance(doc[k], bool):
-            raise ConfigError(f"{k} must be a number")
-    if doc["n"] != int(doc["n"]):
+    vals = {k: _number(doc[k], k) for k in _MODEL_KEYS}
+    if vals["n"] != int(vals["n"]):
         raise ConfigError("n must be an integer >= 2")
-    model = ModelParams(
-        n=int(doc["n"]),
-        gamma=float(doc["gamma"]),
-        kappa=float(doc["kappa"]),
-        mu=float(doc["mu"]),
-        rho_plus=float(doc["rho_plus"]),
-        rho_b=float(doc["rho_b"]),
-        u_minus=float(doc["u_minus"]),
-    )
-    cfg = RunConfig(model=model)
+    vals["n"] = int(vals["n"])
+    cfg = RunConfig(model=ModelParams(**vals))
     if "tol" in doc:
-        cfg.tol = float(doc["tol"])
+        cfg.tol = _number(doc["tol"], "tol")
         if cfg.tol <= 0.0:
             raise ConfigError("tol must be positive")
     if "max_iter" in doc:
-        cfg.max_iter = int(doc["max_iter"])
+        cfg.max_iter = int(_number(doc["max_iter"], "max_iter"))
         if cfg.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
     if "grid" in doc:
@@ -114,23 +117,23 @@ def parse_config(text: str) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config key: grid.{unknown[0]}")
         if "points_per_unit_alpha" in gdoc:
-            cfg.points_per_unit_alpha = float(gdoc["points_per_unit_alpha"])
+            cfg.points_per_unit_alpha = _number(gdoc["points_per_unit_alpha"], "grid.points_per_unit_alpha")
             if cfg.points_per_unit_alpha <= 0.0:
                 raise ConfigError("grid.points_per_unit_alpha must be positive")
         if "R_max" in gdoc:
-            cfg.R_max = float(gdoc["R_max"])
+            cfg.R_max = _number(gdoc["R_max"], "grid.R_max")
             if cfg.R_max <= 1.0:
                 raise ConfigError("grid.R_max must exceed 1")
         if "max_nodes" in gdoc:
-            cfg.max_nodes = int(gdoc["max_nodes"])
+            cfg.max_nodes = int(_number(gdoc["max_nodes"], "grid.max_nodes"))
         if "growth" in gdoc:
-            cfg.growth = float(gdoc["growth"])
+            cfg.growth = _number(gdoc["growth"], "grid.growth")
             if cfg.growth <= 1.0:
                 raise ConfigError("grid.growth must exceed 1")
     if "kappas" in doc:
         if not isinstance(doc["kappas"], list) or not doc["kappas"]:
             raise ConfigError("kappas must be a non-empty array")
-        cfg.kappas = tuple(float(k) for k in doc["kappas"])
+        cfg.kappas = tuple(_number(k, "kappas") for k in doc["kappas"])
     if "norms" in doc:
         if not isinstance(doc["norms"], list):
             raise ConfigError("norms must be an array")

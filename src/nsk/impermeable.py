@@ -88,13 +88,12 @@ def solve_impermeable(
     grid: RadialGrid,
     tol: float = 1e-10,
     max_iter: int = 200,
-    backend: str = "auto",
 ):
     """Fixed-point solve; returns ``(PerturbationField, SolverReport)``."""
     if params.u_minus != 0.0:
         raise ConfigError("impermeable solver requires u_minus = 0")
     kp = kernel_params(params)
-    A, Adr = assemble_operators(grid, kp, params.kappa, backend=backend)
+    op = assemble_operators(grid, kp, params.kappa)
     phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, grid.nodes)
     phi = np.asarray(phi_b, dtype=float).copy()
 
@@ -104,7 +103,7 @@ def solve_impermeable(
     iterations = 0
     nvals = nonlinearity_impermeable(params.gamma, params.rho_plus, phi)
     for iterations in range(1, max_iter + 1):
-        phi_new = phi_b + A @ nvals
+        phi_new = phi_b + op.apply(nvals)[0]
         if np.any(params.rho_plus + phi_new <= 0.0):
             raise PositivityError("density lost positivity during iteration")
         new_update = float(np.max(np.abs(phi_new - phi)))
@@ -119,7 +118,7 @@ def solve_impermeable(
             converged = True
             break
 
-    phi_r = phi_b_r + Adr @ nvals
+    phi_r = phi_b_r + op.apply(nvals)[1]
     res = ode_residual_impermeable(grid, phi, phi_r, params)
     field = PerturbationField(
         grid=grid,

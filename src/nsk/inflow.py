@@ -88,13 +88,12 @@ def solve_inflow_outflow(
     grid: RadialGrid,
     tol: float = 1e-10,
     max_iter: int = 200,
-    backend: str = "auto",
 ):
     """Fixed-point solve; returns ``(StationarySolution, SolverReport)``."""
     if params.u_minus == 0.0:
         raise ConfigError("inflow/outflow solver requires u_minus != 0")
     kp = kernel_params(params)
-    A, Adr = assemble_operators(grid, kp, params.kappa, backend=backend)
+    op = assemble_operators(grid, kp, params.kappa)
     phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, grid.nodes)
     phi_b = np.asarray(phi_b, dtype=float)
     phi_b_r = np.asarray(phi_b_r, dtype=float)
@@ -108,8 +107,9 @@ def solve_inflow_outflow(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         rhs = svals + nonlinearity_inflow(params, grid, phi, phi_r)
-        phi_new = phi_b + A @ rhs
-        phi_r_new = phi_b_r + Adr @ rhs
+        a_rhs, adr_rhs = op.apply(rhs)
+        phi_new = phi_b + a_rhs
+        phi_r_new = phi_b_r + adr_rhs
         if np.any(params.rho_plus + phi_new <= 0.0):
             raise PositivityError("density lost positivity during iteration")
         new_update = max(

@@ -86,6 +86,9 @@ class ModelParams:
     u_minus: float
 
     def __post_init__(self) -> None:
+        for name in ("n", "gamma", "kappa", "mu", "rho_plus", "rho_b", "u_minus"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if int(self.n) != self.n or self.n < 2:
             raise ConfigError("n must be an integer >= 2")
         if self.gamma < 1.0:

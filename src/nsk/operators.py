@@ -1,301 +1,178 @@
-r"""Discrete Green-kernel integral operators (the hot kernels).
+r"""Discrete Green-kernel integral operators, applied in O(M) time and memory.
 
-For a grid ``r_0 < ... < r_{M-1}`` this module assembles the Nystrom
-matrices ``A`` and ``Adr`` such that
+For a grid ``r_0 < ... < r_{M-1}`` the Nystrom operators
 
 .. math::
     (A f)_i \approx \frac{1}{\kappa}\int_1^{R} G(r_i, s) f(s) s^{n-1} ds,
     \qquad
-    (A_{dr} f)_i \approx \frac{1}{\kappa}\int_1^{R} \partial_r G(r_i, s) f(s) s^{n-1} ds.
+    (A_{dr} f)_i \approx \frac{1}{\kappa}\int_1^{R} \partial_r G(r_i, s) f(s) s^{n-1} ds
 
-``G(r, \cdot)`` has a kink at ``s = r`` (and ``\partial_r G`` a jump), so
-plain composite Simpson across the diagonal loses its order.  Row ``i``
-therefore carries its own quadrature weights, built by panel-splitting the
-rule at ``s = r_i``; at the diagonal node the derivative kernel uses the
-matching one-sided branch on each side.
+are applied without forming the ``M x M`` matrices.
 
-Assembly is O(M^2) with an ``exp`` per entry and dominates solve time, so
-it is the numba-compiled hot path.  A pure-numpy implementation of the
-same arithmetic serves as fallback and cross-check; select with the
-``NSK_NUMBA`` environment variable (``0``/``false`` disables numba,
-anything else or unset tries numba first).  ``benchmarks/bench_assembly.py``
-compares the two.
+*Quadrature.*  ``G(r_i, \cdot)`` has a kink at ``s = r_i`` (and
+``\partial_r G`` a jump), so row ``i`` splits composite Simpson there:
+``[r_0, r_i]`` is paired from node 0 and, for odd ``i``, closed by a 3-node
+stub over ``[r_{i-1}, r_i]``; ``[r_i, r_{M-1}]`` is paired from node ``i``.
+So for ``j > i`` the row weights are exactly those of a global vector
+``wr[i % 2]`` (composite Simpson over ``[r_{i % 2}, r_{M-1}]``), and for
+``j < i`` those of a global vector ``wl`` (the full panels paired from
+node 0), except at ``j = i-2, i-1`` on odd rows.  At the diagonal node the
+two segments' weights stay apart, to pair with the one-sided derivative
+branches.
+
+*Kernel.*  In the scaled form of :mod:`nsk.kernel`,
+
+.. math::
+    G(r,s) = -(rs)^{-\nu}\Bigl[\hat I_\nu(\alpha m)\hat K_\nu(\alpha M)
+        e^{-\alpha|r-s|}
+        + c_2 \hat K_\nu(\alpha r) e^{-\alpha(r-1)}\,
+              \hat K_\nu(\alpha s) e^{-\alpha(s-1)}\Bigr],
+
+a product of a function of ``m = min(r,s)`` and one of ``M = max(r,s)``,
+plus a rank-1 reflection term.  A row's sum over ``j < i`` is therefore one
+forward recurrence ``L_i = d_i (L_{i-1} + x_{i-1})`` with decay factors
+``d_i = exp(-alpha (r_i - r_{i-1})) <= 1``, so nothing overflows even for
+``alpha ~ 1e3``; the sum over ``j > i`` is a backward recurrence, one per
+pairing parity; the reflection term is a prefix plus a suffix sum.
+``Adr`` reuses the same sums with ``\hat K_{\nu+1}``, ``\hat I_{\nu+1}`` as
+target factors.
+
+*Near field.*  What the global vectors miss is a sparse matrix with entries
+at ``j = i-2 .. i+1``: the diagonal, the odd-row stub corrections, and the
+quadratic stubs that replace the single-interval trapezoids of row 1 (left)
+and row ``M-2`` (right), whose O(h^3) local error would otherwise dominate
+the wall residual.  Those stubs borrow the node just across the diagonal,
+evaluated on the continued branch of their side, which is smooth there.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from scipy import special as _sp
 
 from .errors import ConfigError
-from .grid import RadialGrid, segment_weights
+from .grid import RadialGrid, _panel_weights, _tail_stub_weights, segment_weights
 from .kernel import KernelParams
 
-__all__ = ["assemble_operators", "backend_name", "split_weight_rows"]
-
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("NSK_NUMBA", "auto").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
-_NUMBA_ASSEMBLE = None
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _assemble_numba(nodes, ivn, kvn, ivn1, kvn1, rpow, snm1, alpha, c2, inv_kappa):
-            M = nodes.size
-            A = np.zeros((M, M))
-            Adr = np.zeros((M, M))
-            wrow = np.zeros(M)
-            for i in range(M):
-                for j in range(M):
-                    wrow[j] = 0.0
-                # left segment [0..i], paired from 0; stub lands at [i-1, i]
-                count = i
-                if count == 1:
-                    h = nodes[1] - nodes[0]
-                    wrow[0] += 0.5 * h
-                    wrow[1] += 0.5 * h
-                elif count >= 2:
-                    k = 0
-                    while i - k >= 2:
-                        h0 = nodes[k + 1] - nodes[k]
-                        h1 = nodes[k + 2] - nodes[k + 1]
-                        wrow[k] += (h0 + h1) * (2.0 * h0 - h1) / (6.0 * h0)
-                        wrow[k + 1] += (h0 + h1) ** 3 / (6.0 * h0 * h1)
-                        wrow[k + 2] += (h0 + h1) * (2.0 * h1 - h0) / (6.0 * h1)
-                        k += 2
-                    if k == i - 1:
-                        h0 = nodes[i - 1] - nodes[i - 2]
-                        h1 = nodes[i] - nodes[i - 1]
-                        wrow[i - 2] += -(h1**3) / (6.0 * h0 * (h0 + h1))
-                        wrow[i - 1] += h1 * (3.0 * h0 + h1) / (6.0 * h0)
-                        wrow[i] += h1 * (2.0 * h1 + 3.0 * h0) / (6.0 * (h0 + h1))
-                wl = wrow[i]
-                wrow[i] = 0.0
-                # right segment [i..M-1], paired from i; stub lands at [M-2, M-1]
-                count = M - 1 - i
-                if count == 1:
-                    h = nodes[M - 1] - nodes[M - 2]
-                    wrow[M - 2] += 0.5 * h
-                    wrow[M - 1] += 0.5 * h
-                elif count >= 2:
-                    k = i
-                    while (M - 1) - k >= 2:
-                        h0 = nodes[k + 1] - nodes[k]
-                        h1 = nodes[k + 2] - nodes[k + 1]
-                        wrow[k] += (h0 + h1) * (2.0 * h0 - h1) / (6.0 * h0)
-                        wrow[k + 1] += (h0 + h1) ** 3 / (6.0 * h0 * h1)
-                        wrow[k + 2] += (h0 + h1) * (2.0 * h1 - h0) / (6.0 * h1)
-                        k += 2
-                    if k == M - 2:
-                        h0 = nodes[M - 2] - nodes[M - 3]
-                        h1 = nodes[M - 1] - nodes[M - 2]
-                        wrow[M - 3] += -(h1**3) / (6.0 * h0 * (h0 + h1))
-                        wrow[M - 2] += h1 * (3.0 * h0 + h1) / (6.0 * h0)
-                        wrow[M - 1] += h1 * (2.0 * h1 + 3.0 * h0) / (6.0 * (h0 + h1))
-                wr = wrow[i]
-                wrow[i] = 0.0
-
-                ri = nodes[i]
-                rpi = rpow[i]
-                for j in range(M):
-                    if j == i:
-                        continue
-                    w = wrow[j]
-                    sj = nodes[j]
-                    rpj = rpow[j]
-                    e2 = np.exp(-alpha * (ri + sj - 2.0))
-                    if ri >= sj:
-                        e1 = np.exp(-alpha * (ri - sj))
-                        g = -rpi * rpj * (ivn[j] * kvn[i] * e1 + c2 * kvn[i] * kvn[j] * e2)
-                        gdr = alpha * rpi * rpj * (
-                            ivn[j] * kvn1[i] * e1 + c2 * kvn[j] * kvn1[i] * e2
-                        )
-                    else:
-                        e1 = np.exp(-alpha * (sj - ri))
-                        g = -rpi * rpj * (ivn[i] * kvn[j] * e1 + c2 * kvn[i] * kvn[j] * e2)
-                        gdr = -alpha * rpi * rpj * (
-                            ivn1[i] * kvn[j] * e1 - c2 * kvn1[i] * kvn[j] * e2
-                        )
-                    scale = w * snm1[j] * inv_kappa
-                    A[i, j] = g * scale
-                    Adr[i, j] = gdr * scale
-                e2 = np.exp(-alpha * (2.0 * ri - 2.0))
-                gii = -rpi * rpi * (ivn[i] * kvn[i] + c2 * kvn[i] * kvn[i] * e2)
-                gdr_right = alpha * rpi * rpi * (ivn[i] * kvn1[i] + c2 * kvn[i] * kvn1[i] * e2)
-                gdr_left = -alpha * rpi * rpi * (ivn1[i] * kvn[i] - c2 * kvn1[i] * kvn[i] * e2)
-                scale = snm1[i] * inv_kappa
-                A[i, i] = gii * (wl + wr) * scale
-                Adr[i, i] = (wl * gdr_right + wr * gdr_left) * scale
-            return A, Adr
-
-        _NUMBA_ASSEMBLE = _assemble_numba
-    except ImportError:  # pragma: no cover - numba present in normal installs
-        _NUMBA_ASSEMBLE = None
+__all__ = ["GreenOperator", "assemble_operators", "backend_name"]
 
 
 def backend_name() -> str:
-    return "numba" if _NUMBA_ASSEMBLE is not None else "numpy"
+    return "semiseparable"
 
 
-def split_weight_rows(nodes: np.ndarray):
-    """Per-target split-Simpson weights.
-
-    Returns ``(W, wl, wr)``: ``W[i, j]`` is the weight of node ``j`` in row
-    ``i`` for ``j != i`` (``W[i, i] = 0``); ``wl[i]`` / ``wr[i]`` are the
-    separate contributions of node ``i`` from the left and right segments,
-    needed to pair the one-sided derivative-kernel values at the diagonal.
-    """
-    M = nodes.size
-    W = np.zeros((M, M))
-    wl = np.zeros(M)
-    wr = np.zeros(M)
-    for i in range(M):
-        row = W[i]
-        segment_weights(nodes, 0, i, row)
-        wl[i] = row[i]
-        row[i] = 0.0
-        segment_weights(nodes, i, M - 1, row)
-        wr[i] = row[i]
-        row[i] = 0.0
-    return W, wl, wr
+def _sweep(decay: list, x: np.ndarray) -> np.ndarray:
+    """``out[i] = sum_{j<i} x[j] decay[j+1] ... decay[i]`` (``decay[0]`` unused)."""
+    xs = x.tolist()
+    out = [0.0] * len(xs)
+    acc = 0.0
+    for i in range(1, len(xs)):
+        acc = decay[i] * (acc + xs[i - 1])
+        out[i] = acc
+    return np.array(out)
 
 
-def _branch_values(nodes, ivn, kvn, ivn1, kvn1, rpow, alpha, c2, i, j, branch):
-    """(G, dG/dr) at ``(r_i, s_j)`` from one analytic branch.
-
-    ``branch="lower"`` is the ``s <= r`` expression, ``"upper"`` the
-    ``s >= r`` one; either may be evaluated across the diagonal as the
-    smooth continuation of its side (the positive exponent is clamped:
-    beyond it the companion factor is an exact zero anyway).
-    """
-    ri, sj = nodes[i], nodes[j]
-    rp2 = rpow[i] * rpow[j]
-    e2 = np.exp(-alpha * (ri + sj - 2.0))
-    if branch == "lower":
-        e1 = np.exp(min(-alpha * (ri - sj), 600.0))
-        g = -rp2 * (ivn[j] * kvn[i] * e1 + c2 * kvn[i] * kvn[j] * e2)
-        gdr = alpha * rp2 * (ivn[j] * kvn1[i] * e1 + c2 * kvn[j] * kvn1[i] * e2)
-    else:
-        e1 = np.exp(min(-alpha * (sj - ri), 600.0))
-        g = -rp2 * (ivn[i] * kvn[j] * e1 + c2 * kvn[i] * kvn[j] * e2)
-        gdr = -alpha * rp2 * (ivn1[i] * kvn[j] * e1 - c2 * kvn1[i] * kvn[j] * e2)
-    return g, gdr
+def _sum_before(x: np.ndarray) -> np.ndarray:
+    """``out[i] = sum_{j<i} x[j]``."""
+    out = np.zeros_like(x)
+    np.cumsum(x[:-1], out=out[1:])
+    return out
 
 
-def _endpoint_corrections(A, Adr, nodes, ivn, kvn, ivn1, kvn1, rpow, snm1, alpha, c2, inv_kappa):
-    """Upgrade the two single-interval trapezoid segments to quadratic stubs.
+class GreenOperator:
+    """``A`` and ``Adr`` on one grid as O(M) data; ``apply(f)`` gives ``(A f, Adr f)``."""
 
-    Row 1's left segment and row M-2's right segment span one interval, so
-    the generic split rule falls back to a trapezoid whose O(h^3) local
-    error dominates the wall residual.  Borrowing the node just across the
-    diagonal - evaluated on the *continued* branch, which is smooth there -
-    restores quadratic exactness without crossing the kink.
-    """
-    M = nodes.size
-    if M < 4:
-        return
-    bv = lambda i, j, br: _branch_values(nodes, ivn, kvn, ivn1, kvn1, rpow, alpha, c2, i, j, br)
+    def __init__(self, grid: RadialGrid, kp: KernelParams, kappa: float):
+        if kappa <= 0.0:
+            raise ConfigError("kappa must be positive")
+        r = grid.nodes
+        M = r.size
+        a = kp.alpha
+        c2 = kp.c2
+        v = kp.nu.nu
+        iv, kv = _sp.ive(v, a * r), _sp.kve(v, a * r)
+        iv1, kv1 = _sp.ive(v + 1.0, a * r), _sp.kve(v + 1.0, a * r)
+        rp = r ** (-v)
+        src = rp * r ** (grid.n - 1) / kappa
+        e2 = np.exp(-a * (r - 1.0))
+        h = np.diff(r)
+        decay = np.exp(-a * h)
+        self._down = [0.0] + decay.tolist()
+        self._up = [0.0] + decay[::-1].tolist()
+        self._odd = np.arange(M) % 2 == 1
 
-    # row 1, segment [x0, x1], nodes (x0, x1, x2)
-    h0 = nodes[1] - nodes[0]
-    h1 = nodes[2] - nodes[1]
-    a0 = h0 * (2.0 * h0 + 3.0 * h1) / (6.0 * (h0 + h1))
-    a1 = h0 * (h0 + 3.0 * h1) / (6.0 * h1)
-    a2 = -(h0**3) / (6.0 * h1 * (h0 + h1))
-    g0, gdr0 = bv(1, 0, "lower")
-    g1, gdr1 = bv(1, 1, "lower")  # diagonal: lower branch == right-sided derivative
-    g2, gdr2 = bv(1, 2, "lower")
-    A[1, 0] += (a0 - 0.5 * h0) * g0 * snm1[0] * inv_kappa
-    A[1, 1] += (a1 - 0.5 * h0) * g1 * snm1[1] * inv_kappa
-    A[1, 2] += a2 * g2 * snm1[2] * inv_kappa
-    Adr[1, 0] += (a0 - 0.5 * h0) * gdr0 * snm1[0] * inv_kappa
-    Adr[1, 1] += (a1 - 0.5 * h0) * gdr1 * snm1[1] * inv_kappa
-    Adr[1, 2] += a2 * gdr2 * snm1[2] * inv_kappa
+        # global weights: panel k on nodes k..k+2, stub k over [r_{k+1}, r_{k+2}]
+        p0, p1, p2 = _panel_weights(h[:-1], h[1:])
+        s0, s1, s2 = _tail_stub_weights(h[:-1], h[1:])
+        wl = np.zeros(M)
+        k = np.arange(0, M - 2, 2)
+        wl[k] += p0[k]
+        wl[k + 1] += p1[k]
+        wl[k + 2] += p2[k]
+        wr = np.zeros((2, M))
+        segment_weights(r, 0, M - 1, wr[0])
+        segment_weights(r, 1, M - 1, wr[1])
 
-    # row M-2, segment [x_{M-2}, x_{M-1}], nodes (x_{M-3}, x_{M-2}, x_{M-1})
-    i = M - 2
-    h0 = nodes[i] - nodes[i - 1]
-    h1 = nodes[i + 1] - nodes[i]
-    b0 = -(h1**3) / (6.0 * h0 * (h0 + h1))
-    b1 = h1 * (3.0 * h0 + h1) / (6.0 * h0)
-    b2 = h1 * (2.0 * h1 + 3.0 * h0) / (6.0 * (h0 + h1))
-    g0, gdr0 = bv(i, i - 1, "upper")
-    g1, gdr1 = bv(i, i, "upper")  # diagonal: upper branch == left-sided derivative
-    g2, gdr2 = bv(i, i + 1, "upper")
-    A[i, i - 1] += b0 * g0 * snm1[i - 1] * inv_kappa
-    A[i, i] += (b1 - 0.5 * h1) * g1 * snm1[i] * inv_kappa
-    A[i, i + 1] += (b2 - 0.5 * h1) * g2 * snm1[i + 1] * inv_kappa
-    Adr[i, i - 1] += b0 * gdr0 * snm1[i - 1] * inv_kappa
-    Adr[i, i] += (b1 - 0.5 * h1) * gdr1 * snm1[i] * inv_kappa
-    Adr[i, i + 1] += (b2 - 0.5 * h1) * gdr2 * snm1[i + 1] * inv_kappa
+        # source-side factors of the four sums, target-side factors of A and Adr
+        self._lo = wl * iv * src
+        self._hi = wr * kv * src
+        self._refl_lo = wl * kv * e2 * src
+        self._refl_hi = wr * kv * e2 * src
+        self._target_a = (-rp * kv, -rp * iv, -rp * c2 * kv * e2)
+        self._target_dr = (a * rp * kv1, -a * rp * iv1, a * rp * c2 * kv1 * e2)
+
+        # near field on top of the global sums: (rows, cols, weights, lower branch?)
+        wdl = np.zeros(M)  # diagonal weight from the left segment ...
+        wdl[2::2] = p2[0::2]
+        wdl[3::2] = s2[1::2]
+        wdr = np.zeros(M)  # ... and from the right segment
+        wdr[:-2] = p0
+        odd = np.arange(3, M, 2)
+        p0_next = np.append(p0, [0.0, 0.0])  # no full panel starts at M-2 or M-1
+        near = [
+            (odd, odd - 2, s0[odd - 2], True),  # the left stub of an odd row replaces ...
+            (odd, odd - 1, s1[odd - 2] - p0_next[odd - 1], True),  # ... the panel wl has there
+        ]
+        if M >= 4:
+            # row 1: quadratic through r_0..r_2 over [r_0, r_1], a tail stub mirrored
+            a2, wdl[1], row1_w0 = _tail_stub_weights(h[1], h[0])
+            wdr[-2] = s1[-1]  # row M-2: the tail stub; its weight at r_{M-1} is wr's
+            near += [([1], [2], [a2], True), ([M - 2], [M - 3], [s0[-1]], False)]
+        else:  # M = 3: both single intervals stay trapezoids
+            wdl[1] = row1_w0 = 0.5 * h[0]
+            wdr[-2] = 0.5 * h[-1]
+        idx = np.arange(M)
+        near += [([1], [0], [row1_w0 - wl[0]], True), (idx, idx, wdl, True), (idx, idx, wdr, False)]
+
+        i = np.concatenate([np.asarray(t[0]) for t in near])
+        j = np.concatenate([np.asarray(t[1]) for t in near])
+        w = np.concatenate([np.asarray(t[2], dtype=float) for t in near])
+        lower = np.concatenate([np.full(len(t[0]), t[3]) for t in near])
+        mn, mx = np.where(lower, j, i), np.where(lower, i, j)
+        # the two continued-branch entries have a positive exponent: clamp it against overflow
+        e1 = np.exp(np.minimum(-a * (r[mx] - r[mn]), 600.0))
+        e12 = e2[i] * e2[j]
+        g = -(iv[mn] * kv[mx] * e1 + c2 * kv[i] * kv[j] * e12)
+        gdr = a * (np.where(lower, kv1[i] * iv[j], -iv1[i] * kv[j]) * e1 + c2 * kv1[i] * kv[j] * e12)
+        scale = w * rp[i] * src[j]
+        self._near = (M, i, j, g * scale, gdr * scale)
+
+    def apply(self, f) -> tuple:
+        """``(A f, Adr f)`` for samples ``f`` on the grid nodes."""
+        f = np.asarray(f, dtype=float)
+        lo = _sweep(self._down, self._lo * f)
+        hi0, hi1 = (_sweep(self._up, (w * f)[::-1])[::-1] for w in self._hi)
+        after0, after1 = (_sum_before((w * f)[::-1])[::-1] for w in self._refl_hi)
+        hi = np.where(self._odd, hi1, hi0)
+        refl = _sum_before(self._refl_lo * f) + np.where(self._odd, after1, after0)
+        M, i, j, g, gdr = self._near
+        fj = f[j]
+        (a_lo, a_hi, a_refl), (d_lo, d_hi, d_refl) = self._target_a, self._target_dr
+        af = a_lo * lo + a_hi * hi + a_refl * refl + np.bincount(i, g * fj, minlength=M)
+        adrf = d_lo * lo + d_hi * hi + d_refl * refl + np.bincount(i, gdr * fj, minlength=M)
+        return af, adrf
 
 
-def _assemble_numpy(nodes, ivn, kvn, ivn1, kvn1, rpow, snm1, alpha, c2, inv_kappa):
-    W, wl, wr = split_weight_rows(nodes)
-    R = nodes[:, None]
-    S = nodes[None, :]
-    E1 = np.exp(-alpha * np.abs(R - S))
-    E2 = np.exp(-alpha * (R + S - 2.0))
-    rp2 = rpow[:, None] * rpow[None, :]
-    lower = R >= S  # target to the right of the source
-    iv_min = np.where(lower, ivn[None, :], ivn[:, None])
-    kv_max = np.where(lower, kvn[:, None], kvn[None, :])
-    G = -rp2 * (iv_min * kv_max * E1 + c2 * (kvn[:, None] * kvn[None, :]) * E2)
-    Gdr = np.where(
-        lower,
-        alpha * rp2 * (ivn[None, :] * kvn1[:, None] * E1 + c2 * kvn[None, :] * kvn1[:, None] * E2),
-        -alpha * rp2 * (ivn1[:, None] * kvn[None, :] * E1 - c2 * kvn1[:, None] * kvn[None, :] * E2),
-    )
-    scale = W * snm1[None, :] * inv_kappa
-    A = G * scale
-    Adr = Gdr * scale
-    idx = np.arange(nodes.size)
-    e2d = np.exp(-alpha * (2.0 * nodes - 2.0))
-    rp2d = rpow * rpow
-    gii = -rp2d * (ivn * kvn + c2 * kvn * kvn * e2d)
-    gdr_right = alpha * rp2d * (ivn * kvn1 + c2 * kvn * kvn1 * e2d)
-    gdr_left = -alpha * rp2d * (ivn1 * kvn - c2 * kvn1 * kvn * e2d)
-    dscale = snm1 * inv_kappa
-    A[idx, idx] = gii * (wl + wr) * dscale
-    Adr[idx, idx] = (wl * gdr_right + wr * gdr_left) * dscale
-    return A, Adr
-
-
-def assemble_operators(grid: RadialGrid, kp: KernelParams, kappa: float, backend: str = "auto"):
-    """Assemble ``(A, Adr)`` for the fixed-point map on ``grid``.
-
-    ``backend`` is ``"auto"`` (numba when available), ``"numba"``, or
-    ``"numpy"``.
-    """
-    if kappa <= 0.0:
-        raise ConfigError("kappa must be positive")
-    nodes = grid.nodes
-    a = kp.alpha
-    v = kp.nu.nu
-    x = a * nodes
-    ivn = _sp.ive(v, x)
-    kvn = _sp.kve(v, x)
-    ivn1 = _sp.ive(v + 1.0, x)
-    kvn1 = _sp.kve(v + 1.0, x)
-    rpow = nodes ** (-v)
-    snm1 = nodes ** (grid.n - 1)
-    args = (nodes, ivn, kvn, ivn1, kvn1, rpow, snm1, a, kp.c2, 1.0 / kappa)
-    if backend == "auto":
-        backend = backend_name()
-    if backend == "numba":
-        if _NUMBA_ASSEMBLE is None:
-            raise ConfigError("numba backend requested but numba is unavailable/disabled")
-        A, Adr = _NUMBA_ASSEMBLE(*args)
-    elif backend == "numpy":
-        A, Adr = _assemble_numpy(*args)
-    else:
-        raise ConfigError("backend must be 'auto', 'numba', or 'numpy'")
-    _endpoint_corrections(A, Adr, *args)
-    return A, Adr
+def assemble_operators(grid: RadialGrid, kp: KernelParams, kappa: float) -> GreenOperator:
+    """The fixed-point map's integral operators on ``grid``, as a :class:`GreenOperator`."""
+    return GreenOperator(grid, kp, kappa)

@@ -129,7 +129,6 @@ def cross_validate(
     tol: float,
     node_count: int | None = None,
     points_per_unit_alpha: float = 24.0,
-    backend: str = "auto",
 ):
     """Run both impermeable solvers and compare on the kernel solver's grid.
 
@@ -139,7 +138,7 @@ def cross_validate(
     grid = build_grid(
         params.n, alpha, points_per_unit_alpha=points_per_unit_alpha, decay=EXPONENTIAL, growth=1.04
     )
-    field, report = solve_impermeable(params, grid, tol=1e-12, max_iter=400, backend=backend)
+    field, report = solve_impermeable(params, grid, tol=1e-12, max_iter=400)
     R_max = auto_r_max(params.n, alpha, EXPONENTIAL)
     if node_count is None:
         node_count = _fd_resolution(alpha, params.rho_b, R_max, tol)

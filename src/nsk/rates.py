@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -158,39 +156,20 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     if cfg.mode == SINGULAR:
         profile = integrate_profile(cfg.base.gamma, cfg.base.rho_plus, cfg.base.rho_b)
 
-    threads = os.environ.get("NSK_THREADS", "")
-    workers = int(threads) if threads.strip() else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(cfg.kappas)))
-
-    rows: list = [None] * len(cfg.kappas)
-    profiles: list = [None] * len(cfg.kappas)
-
-    def task(idx_kappa):
-        idx, kappa = idx_kappa
+    result = RateStudyResult(mode=cfg.mode, rows=[], limit=profile)
+    for kappa in cfg.kappas:
         try:
             row, prof = _solve_one(cfg, kappa, profile)
         except SolverError as exc:
             row = RateRow(kappa=kappa, errors={}, nodes=0, iterations=0, failed=str(exc))
-            prof = None
-        return idx, row, prof
-
-    items = list(enumerate(cfg.kappas))
-    if workers == 1:
-        results = map(task, items)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, items))
-    for idx, row, prof in results:
-        rows[idx] = row
-        profiles[idx] = prof
-
-    result = RateStudyResult(mode=cfg.mode, rows=rows, limit=profile)
-    result.profiles = [p for p in profiles if p is not None]
+        else:
+            result.profiles.append(prof)
+        result.rows.append(row)
 
     norm_keys = list(cfg.norms)
     if cfg.mode == SINGULAR and "l2_value" in cfg.norms:
         norm_keys.append(L2Y_KEY)
-    good = [row for row in rows if row.failed is None]
+    good = [row for row in result.rows if row.failed is None]
     for key in norm_keys:
         ks = np.array([row.kappa for row in good])
         es = np.array([row.errors[key] for row in good])

@@ -64,6 +64,29 @@ class TestParseConfig:
         assert cfg.R_max == 31.0
         assert cfg.max_nodes == 10000
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "key",
+        list(VALID)
+        + ["tol", "max_iter", "kappas"]
+        + ["grid." + k for k in ("points_per_unit_alpha", "R_max", "max_nodes", "growth")],
+    )
+    def test_non_finite_number_exits_2(self, key, value, tmp_path, capsys):
+        # json.loads accepts NaN and +-Infinity; each must end as a config error, not an
+        # exception out of dispatch (a traceback) or a solver failure
+        doc = dict(VALID)
+        if key.startswith("grid."):
+            doc["grid"] = {key[5:]: "@"}
+        elif key == "kappas":
+            doc["kappas"] = [0.1, "@", 0.01, 0.001]
+        else:
+            doc[key] = "@"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc).replace('"@"', value))
+        for argv in (["solve", "impermeable"], ["rate-study", "--mode", "fixed", "--out", str(tmp_path)]):
+            assert dispatch(argv + ["--config", str(path)]) == 2
+            assert "must be finite" in capsys.readouterr().err
+
     def test_rate_keys(self):
         doc = dict(VALID, kappas=[0.1, 0.01], norms=["sup"])
         cfg = parse_config(json.dumps(doc))

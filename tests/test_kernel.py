@@ -85,6 +85,10 @@ class TestModelParams:
             (dict(kappa=0.0), "kappa must be"),
             (dict(mu=-1.0), "mu must be"),
             (dict(rho_plus=0.0), "rho_plus must be"),
+            (dict(rho_b=float("nan")), "rho_b must be finite"),
+            (dict(kappa=float("inf")), "kappa must be finite"),
+            (dict(u_minus=float("-inf")), "u_minus must be finite"),
+            (dict(n=float("nan")), "n must be finite"),
         ],
     )
     def test_invariants(self, kwargs, msg):

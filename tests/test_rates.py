@@ -77,15 +77,6 @@ class TestRun:
         assert res.limit is not None
         assert "l2_value_y" in res.slopes
 
-    def test_threads_env_does_not_change_results(self, monkeypatch):
-        cfg = RateStudyConfig(mode=FIXED, kappas=SHORT_KAPPAS, base=base_params(-1.0))
-        monkeypatch.setenv("NSK_THREADS", "1")
-        seq = run_rate_study(cfg)
-        monkeypatch.setenv("NSK_THREADS", "4")
-        par = run_rate_study(cfg)
-        for a, b in zip(seq.rows, par.rows):
-            assert a.errors == b.errors
-
 
 class TestEmit:
     def test_artifact_files(self, tmp_path):
