@@ -2,7 +2,7 @@
 
 Subcommands: ``bessel``, ``kernel``, ``solve``, ``limit-profile``,
 ``rate-study``, ``verify``.  Exit codes: 0 success, 2 configuration error,
-3 solver non-convergence, 64 unknown subcommand (1 for a failed verify).
+3 solver failure, 64 unknown subcommand (1 for a failed verify).
 All numeric output uses 17 significant digits, so identical inputs yield
 byte-identical files.
 """
@@ -29,7 +29,6 @@ from .kernel import (
     INFLOW,
     ModelParams,
     OUTFLOW,
-    enthalpy_h_prime,
     green,
     green_dr,
     green_dr_left,
@@ -38,7 +37,6 @@ from .kernel import (
 )
 from .limit import integrate_profile
 from .oracle import cross_validate
-from .residuals import ode_residual_impermeable, ode_residual_inflow_outflow
 
 __all__ = ["parse_config", "dispatch", "main"]
 
@@ -50,6 +48,7 @@ EXIT_USAGE = 64
 _MODEL_KEYS = ("n", "gamma", "kappa", "mu", "rho_plus", "rho_b", "u_minus")
 _GRID_KEYS = ("points_per_unit_alpha", "R_max", "max_nodes", "growth")
 _TOP_KEYS = _MODEL_KEYS + ("tol", "max_iter", "grid", "kappas", "norms")
+_REGIME_RULE = {IMPERMEABLE: "u_minus = 0", INFLOW: "u_minus > 0", OUTFLOW: "u_minus < 0"}
 
 
 def _fmt(x: float) -> str:
@@ -152,10 +151,9 @@ def _read_config(path: str) -> RunConfig:
 
 
 def _build_grid_for(cfg: RunConfig, decay: str):
-    alpha = math.sqrt(enthalpy_h_prime(cfg.model.gamma, cfg.model.rho_plus) / cfg.model.kappa)
     return build_grid(
         cfg.model.n,
-        alpha,
+        kernel_params(cfg.model).alpha,
         points_per_unit_alpha=cfg.points_per_unit_alpha,
         R_max=cfg.R_max,
         decay=decay,
@@ -241,56 +239,40 @@ def _cmd_solve(argv):
     a = p.parse_args(argv)
     cfg = _read_config(a.config)
     model = cfg.model
-    if a.regime == IMPERMEABLE and model.u_minus != 0.0:
-        raise ConfigError("impermeable requires u_minus = 0")
-    if a.regime == INFLOW and model.u_minus <= 0.0:
-        raise ConfigError("inflow requires u_minus > 0")
-    if a.regime == OUTFLOW and model.u_minus >= 0.0:
-        raise ConfigError("outflow requires u_minus < 0")
+    if model.regime != a.regime:
+        raise ConfigError(f"{a.regime} requires {_REGIME_RULE[a.regime]}")
 
     if a.regime == IMPERMEABLE:
         grid = _build_grid_for(cfg, EXPONENTIAL)
         fieldv, report = solve_impermeable(model, grid, tol=cfg.tol, max_iter=cfg.max_iter)
-        res = ode_residual_impermeable(grid, fieldv.phi, fieldv.phi_r, model)
-        res = np.nan_to_num(res, nan=0.0)
-        if a.out:
-            _write_csv(
-                a.out,
-                ["r", "rho", "rho_r", "phi", "residual"],
-                [grid.nodes, model.rho_plus + fieldv.phi, fieldv.phi_r, fieldv.phi, res],
-            )
+        header = ["r", "rho", "rho_r", "phi"]
+        columns = [grid.nodes, model.rho_plus + fieldv.phi, fieldv.phi_r, fieldv.phi]
         summary = {
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "final_update_sup": report.final_update_sup,
-            "ode_residual_sup": report.ode_residual_sup,
             "sup_norm": fieldv.sup_norm,
             "decay_rate_fit": None if np.isnan(fieldv.decay_rate_fit) else fieldv.decay_rate_fit,
         }
     else:
         grid = _build_grid_for(cfg, ALGEBRAIC)
         sol, report = solve_inflow_outflow(model, grid, tol=cfg.tol, max_iter=cfg.max_iter)
-        res = ode_residual_inflow_outflow(grid, sol.rho, sol.rho_r, model)
-        res = np.nan_to_num(res, nan=0.0)
         phi = sol.rho - model.rho_plus
-        if a.out:
-            _write_csv(
-                a.out,
-                ["r", "rho", "rho_r", "u", "phi", "residual"],
-                [grid.nodes, sol.rho, sol.rho_r, sol.u, phi, res],
-            )
+        header = ["r", "rho", "rho_r", "u", "phi"]
+        columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, phi]
         wv = grid.nodes ** (2 * (model.n - 1))
         wd = grid.nodes ** (2 * model.n - 1)
         summary = {
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "final_update_sup": report.final_update_sup,
-            "ode_residual_sup": report.ode_residual_sup,
             "rho_minus": sol.rho_minus,
             "mass_flux": sol.mass_flux,
             "weighted_sup_value": float(np.max(wv * np.abs(phi))),
             "weighted_sup_derivative": float(np.max(wd * np.abs(sol.rho_r))),
         }
+    if a.out:
+        _write_csv(a.out, header + ["residual"], columns + [np.nan_to_num(report.residual, nan=0.0)])
+    summary.update(
+        converged=report.converged,
+        iterations=report.iterations,
+        final_update_sup=report.final_update_sup,
+        ode_residual_sup=report.ode_residual_sup,
+    )
     if not report.converged:
         raise SolverError(f"no convergence in {report.iterations} iterations")
     print(json.dumps(summary, sort_keys=True))
@@ -340,6 +322,9 @@ def _cmd_rate_study(argv):
         max_iter=max(cfg.max_iter, 400),
     )
     result = rates_mod.run_rate_study(study)
+    failed = sum(row.failed is not None for row in result.rows)
+    if failed:
+        sys.stderr.write(f"warning: {failed} of {len(result.rows)} kappa rows failed\n")
     rates_mod.emit_outputs(result, a.out)
     print(
         json.dumps(
@@ -357,8 +342,6 @@ def _cmd_verify(argv):
     p.add_argument("--tol", type=float, default=1e-6)
     a = p.parse_args(argv)
     cfg = _read_config(a.config)
-    if cfg.model.u_minus != 0.0:
-        raise ConfigError("verify impermeable requires u_minus = 0")
     sup_diff, passed = cross_validate(cfg.model, a.tol)
     print(json.dumps({"sup_diff": sup_diff, "pass": passed}))
     return EXIT_OK if passed else 1

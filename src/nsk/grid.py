@@ -157,16 +157,11 @@ class RadialGrid:
             h0 = x[ks + 1] - x[ks]
             h1 = x[ks + 2] - x[ks + 1]
             f0, f1, f2 = f[ks], f[ks + 1], f[ks + 2]
-            part[ks] = (
-                h0 * (2.0 * h0 + 3.0 * h1) / (6.0 * (h0 + h1)) * f0
-                + h0 * (h0 + 3.0 * h1) / (6.0 * h1) * f1
-                - h0**3 / (6.0 * h1 * (h0 + h1)) * f2
-            )
-            part[ks + 1] = (
-                -(h1**3) / (6.0 * h0 * (h0 + h1)) * f0
-                + h1 * (3.0 * h0 + h1) / (6.0 * h0) * f1
-                + h1 * (2.0 * h1 + 3.0 * h0) / (6.0 * (h0 + h1)) * f2
-            )
+            # the first interval is the mirror image of a tail stub
+            v2, v1, v0 = _tail_stub_weights(h1, h0)
+            part[ks] = v0 * f0 + v1 * f1 + v2 * f2
+            w0, w1, w2 = _tail_stub_weights(h0, h1)
+            part[ks + 1] = w0 * f0 + w1 * f1 + w2 * f2
         if m % 2 == 1:
             j = m - 1
             w0, w1, w2 = _tail_stub_weights(x[j] - x[j - 1], x[j + 1] - x[j])

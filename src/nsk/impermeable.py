@@ -16,12 +16,14 @@ The perturbation ``phi = rho - rho_plus`` is the fixed point of
 
 iterated from ``phi = phi_b`` (the first Picard iterate).  The map is a
 contraction for small boundary data; rather than estimating the smallness
-threshold, divergence is detected at runtime (sup-update growing five
-iterations in a row).
+threshold, :func:`fixed_point` detects divergence at runtime (a non-finite
+update, or the sup-update growing five iterations in a row).  The
+inflow/outflow solver runs the same loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,7 @@ class SolverReport:
     final_update_sup: float
     ode_residual_sup: float
     converged: bool
+    residual: np.ndarray  # ODE residual per node, NaN at the two end nodes
 
 
 def nonlinearity_impermeable(gamma: float, rho_plus: float, phi):
@@ -83,6 +86,37 @@ def nonlinearity_impermeable(gamma: float, rho_plus: float, phi):
     return float(out) if np.ndim(phi) == 0 else out
 
 
+def fixed_point(step, state: tuple, rho_plus: float, tol: float, max_iter: int):
+    """Picard iteration ``state <- step(*state)`` on a tuple of arrays.
+
+    ``state[0]`` is the density perturbation and must keep
+    ``rho_plus + state[0] > 0``; the update is the sup over every
+    component.  Stops once the update is at most ``tol``, or after
+    ``max_iter`` steps; raises on a non-finite update or one that grew five
+    times in a row.  Returns ``(state, iterations, update, converged)``.
+    """
+    update = np.inf
+    grow = 0
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        new = step(*state)
+        if np.any(rho_plus + new[0] <= 0.0):
+            raise PositivityError("density lost positivity during iteration")
+        diffs = [float(np.max(np.abs(a - b))) for a, b in zip(new, state)]
+        if not all(map(math.isfinite, diffs)):
+            raise NonContractionError(f"non-finite update at iteration {iterations}")
+        new_update = max(diffs)
+        grow = grow + 1 if new_update > update else 0
+        if grow >= 5:
+            raise NonContractionError(
+                f"sup-update grew for 5 consecutive iterations (last {new_update:.3e})"
+            )
+        state, update = new, new_update
+        if update <= tol:
+            return state, iterations, update, True
+    return state, iterations, update, False
+
+
 def solve_impermeable(
     params: ModelParams,
     grid: RadialGrid,
@@ -95,30 +129,14 @@ def solve_impermeable(
     kp = kernel_params(params)
     op = assemble_operators(grid, kp, params.kappa)
     phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, grid.nodes)
-    phi = np.asarray(phi_b, dtype=float).copy()
 
-    converged = False
-    update = np.inf
-    grow = 0
-    iterations = 0
-    nvals = nonlinearity_impermeable(params.gamma, params.rho_plus, phi)
-    for iterations in range(1, max_iter + 1):
-        phi_new = phi_b + op.apply(nvals)[0]
-        if np.any(params.rho_plus + phi_new <= 0.0):
-            raise PositivityError("density lost positivity during iteration")
-        new_update = float(np.max(np.abs(phi_new - phi)))
-        grow = grow + 1 if new_update > update else 0
-        if grow >= 5:
-            raise NonContractionError(
-                f"sup-update grew for 5 consecutive iterations (last {new_update:.3e})"
-            )
-        phi, update = phi_new, new_update
-        nvals = nonlinearity_impermeable(params.gamma, params.rho_plus, phi)
-        if update <= tol:
-            converged = True
-            break
+    def step(phi):
+        return (phi_b + op.apply(nonlinearity_impermeable(params.gamma, params.rho_plus, phi))[0],)
 
-    phi_r = phi_b_r + op.apply(nvals)[1]
+    (phi,), iterations, update, converged = fixed_point(
+        step, (np.asarray(phi_b, dtype=float),), params.rho_plus, tol, max_iter
+    )
+    phi_r = phi_b_r + op.apply(nonlinearity_impermeable(params.gamma, params.rho_plus, phi))[1]
     res = ode_residual_impermeable(grid, phi, phi_r, params)
     field = PerturbationField(
         grid=grid,
@@ -136,6 +154,7 @@ def solve_impermeable(
         final_update_sup=update,
         ode_residual_sup=residual_sup(res),
         converged=converged,
+        residual=res,
     )
     return field, report
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonContractionError, PositivityError
+from .errors import ConfigError, PositivityError
 from .grid import RadialGrid
-from .impermeable import SolverReport, nonlinearity_impermeable
+from .impermeable import SolverReport, fixed_point, nonlinearity_impermeable
 from .kernel import ModelParams, kernel_params, lifting_phi_b
 from .operators import assemble_operators
 from .residuals import ode_residual_inflow_outflow, residual_sup
@@ -99,32 +99,13 @@ def solve_inflow_outflow(
     phi_b_r = np.asarray(phi_b_r, dtype=float)
     svals = source_term(params.n, params.u_minus, grid.nodes)
 
-    phi = phi_b.copy()
-    phi_r = phi_b_r.copy()
-    converged = False
-    update = np.inf
-    grow = 0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        rhs = svals + nonlinearity_inflow(params, grid, phi, phi_r)
-        a_rhs, adr_rhs = op.apply(rhs)
-        phi_new = phi_b + a_rhs
-        phi_r_new = phi_b_r + adr_rhs
-        if np.any(params.rho_plus + phi_new <= 0.0):
-            raise PositivityError("density lost positivity during iteration")
-        new_update = max(
-            float(np.max(np.abs(phi_new - phi))), float(np.max(np.abs(phi_r_new - phi_r)))
-        )
-        grow = grow + 1 if new_update > update else 0
-        if grow >= 5:
-            raise NonContractionError(
-                f"sup-update grew for 5 consecutive iterations (last {new_update:.3e})"
-            )
-        phi, phi_r, update = phi_new, phi_r_new, new_update
-        if update <= tol:
-            converged = True
-            break
+    def step(phi, phi_r):
+        a_rhs, adr_rhs = op.apply(svals + nonlinearity_inflow(params, grid, phi, phi_r))
+        return phi_b + a_rhs, phi_b_r + adr_rhs
 
+    (phi, phi_r), iterations, update, converged = fixed_point(
+        step, (phi_b, phi_b_r), params.rho_plus, tol, max_iter
+    )
     rho = params.rho_plus + phi
     rho_minus = float(rho[0])
     mass_flux = rho_minus * params.u_minus
@@ -138,5 +119,6 @@ def solve_inflow_outflow(
         final_update_sup=update,
         ode_residual_sup=residual_sup(res),
         converged=converged,
+        residual=res,
     )
     return solution, report

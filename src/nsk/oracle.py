@@ -23,7 +23,7 @@ from scipy.linalg import solve_banded
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
 from .grid import EXPONENTIAL, auto_r_max, build_grid
-from .kernel import ModelParams, enthalpy_h, enthalpy_h_prime
+from .kernel import ModelParams, enthalpy_h, enthalpy_h_prime, kernel_params
 from .impermeable import solve_impermeable
 
 __all__ = ["fd_nodes", "solve_fd", "cross_validate"]
@@ -134,7 +134,7 @@ def cross_validate(
 
     Returns ``(sup_diff, passed)`` with ``passed = sup_diff <= tol``.
     """
-    alpha = math.sqrt(enthalpy_h_prime(params.gamma, params.rho_plus) / params.kappa)
+    alpha = kernel_params(params).alpha
     grid = build_grid(
         params.n, alpha, points_per_unit_alpha=points_per_unit_alpha, decay=EXPONENTIAL, growth=1.04
     )

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .grid import EXPONENTIAL, build_grid
 from .impermeable import solve_impermeable
-from .kernel import ModelParams, enthalpy_h_prime
+from .kernel import ModelParams, kernel_params
 from .limit import LimitProfile, integrate_profile, rescale_to_r
 
 __all__ = [
@@ -119,10 +119,9 @@ def _solve_one(cfg: RateStudyConfig, kappa: float, profile: LimitProfile | None)
     base = cfg.base
     rho_b = base.rho_b if cfg.mode == FIXED else base.rho_b / math.sqrt(kappa)
     params = replace(base, kappa=kappa, rho_b=rho_b, u_minus=0.0)
-    alpha = math.sqrt(enthalpy_h_prime(params.gamma, params.rho_plus) / kappa)
     grid = build_grid(
         params.n,
-        alpha,
+        kernel_params(params).alpha,
         points_per_unit_alpha=cfg.points_per_unit_alpha,
         decay=EXPONENTIAL,
         growth=cfg.growth,
@@ -170,6 +169,11 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     if cfg.mode == SINGULAR and "l2_value" in cfg.norms:
         norm_keys.append(L2Y_KEY)
     good = [row for row in result.rows if row.failed is None]
+    if len(good) < 4:
+        raise SolverError(
+            f"only {len(good)} of {len(result.rows)} kappa rows solved; "
+            "a slope fit needs at least 4"
+        )
     for key in norm_keys:
         ks = np.array([row.kappa for row in good])
         es = np.array([row.errors[key] for row in good])

@@ -3,11 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsk import ConfigError, bessel_i
 from nsk.bessel import BesselOrder
-from nsk.cli import dispatch, parse_config
+from nsk.cli import RunConfig, dispatch, parse_config
 
 VALID = {
     "n": 3,
@@ -96,6 +99,47 @@ class TestParseConfig:
             parse_config(json.dumps(dict(VALID, norms=[])))
 
 
+_KEYS = list(VALID) + ["tol", "max_iter", "grid", "kappas", "norms", "x"]
+_GRID_KEYS = ["points_per_unit_alpha", "R_max", "max_nodes", "growth", "x"]
+_NUMBERS = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 1, 2, 3, -1, 0.5, 1e-10, 1e300]),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS + _GRID_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_VALUE = _NUMBERS | _JSON | st.lists(_NUMBERS, max_size=5) | st.dictionaries(
+    st.sampled_from(_GRID_KEYS), _NUMBERS, max_size=4
+)
+
+
+@st.composite
+def _config_documents(draw):
+    # mostly near-valid objects, so that the checks after the model keys are reached
+    kind = draw(st.sampled_from(["any", "model", "valid+option", "valid+option"]))
+    if kind == "any":
+        return draw(_JSON)
+    if kind == "model":
+        return {k: draw(_NUMBERS) for k in VALID}
+    options = st.sampled_from(["tol", "max_iter", "grid", "kappas", "norms"])
+    return dict(VALID, **draw(st.dictionaries(options, _VALUE, min_size=1, max_size=2)))
+
+
+class TestConfigProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_config_documents())
+    def test_any_json_parses_or_raises_config_error(self, doc):
+        try:
+            cfg = parse_config(json.dumps(doc))
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+
+
 class TestDispatch:
     def test_unknown_subcommand(self, capsys):
         assert dispatch(["frobnicate"]) == 64
@@ -146,8 +190,12 @@ class TestDispatch:
         assert dispatch(["solve", "inflow", "--config", cfg]) == 2
         assert "inflow requires u_minus > 0" in capsys.readouterr().err
         assert dispatch(["solve", "outflow", "--config", cfg]) == 2
+        assert "outflow requires u_minus < 0" in capsys.readouterr().err
         cfg2 = write_config(tmp_path, dict(VALID, u_minus=0.05), "c2.json")
         assert dispatch(["solve", "impermeable", "--config", cfg2]) == 2
+        assert "impermeable requires u_minus = 0" in capsys.readouterr().err
+        assert dispatch(["verify", "impermeable", "--config", cfg2]) == 2
+        assert "requires u_minus = 0" in capsys.readouterr().err
 
     def test_solve_inflow_summary(self, tmp_path, capsys):
         doc = dict(VALID, kappa=1.0, u_minus=0.05, rho_b=0.0)
@@ -164,6 +212,30 @@ class TestDispatch:
         cfg = write_config(tmp_path, doc)
         assert dispatch(["solve", "impermeable", "--config", cfg]) == 3
         assert "solver error" in capsys.readouterr().err
+
+    def test_non_finite_iterate_exits_3(self, tmp_path, capsys):
+        # r**(n-1) overflows for this n: the first update is NaN and must stop the
+        # iteration at once instead of running max_iter sweeps on NaN
+        cfg = write_config(tmp_path, dict(VALID, n=1000000, kappa=0.1, rho_b=-0.1))
+        with np.errstate(all="ignore"):
+            assert dispatch(["solve", "impermeable", "--config", cfg]) == 3
+        assert "non-finite update at iteration 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho_b, solved", [(20.0, 3), (60.0, 1)])
+    def test_rate_study_too_few_rows_exits_3(self, rho_b, solved, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(VALID, kappa=1.0, rho_b=rho_b))
+        argv = ["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert f"only {solved} of 7 kappa rows solved" in err
+
+    def test_rate_study_reports_failed_rows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(VALID, kappa=1.0, rho_b=8.0))
+        argv = ["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert dispatch(argv) == 0
+        captured = capsys.readouterr()
+        assert "2 of 7 kappa rows failed" in captured.err
+        assert sorted(json.loads(captured.out)) == ["l2_derivative", "l2_value", "sup"]
 
     def test_limit_profile(self, tmp_path, capsys):
         out = tmp_path / "lp.csv"

@@ -132,6 +132,49 @@ class TestSolve:
         assert not report.converged
 
 
+class TestFixedPoint:
+    """Each stopping rule of the shared Picard loop, on a synthetic map."""
+
+    def test_converges_to_fixed_point(self):
+        (x,), iterations, update, converged = imp_mod.fixed_point(
+            lambda x: (0.5 * x + 1.0,), (np.zeros(3),), 1.0, 1e-12, 100
+        )
+        assert converged and update <= 1e-12
+        assert np.allclose(x, 2.0, atol=1e-11)
+        assert iterations < 100
+
+    def test_positivity_lost(self):
+        with pytest.raises(PositivityError):
+            imp_mod.fixed_point(lambda x: (x - 2.0,), (np.zeros(3),), 1.0, 1e-12, 100)
+
+    def test_five_growing_updates(self):
+        steps = []
+
+        def doubling(x):
+            steps.append(1)
+            return (2.0 * x + 1.0,)
+
+        with pytest.raises(NonContractionError, match="grew for 5"):
+            imp_mod.fixed_point(doubling, (np.zeros(3),), 1e6, 1e-12, 100)
+        # updates 1, 2, 4, ...: the first sets the baseline, five more grow
+        assert len(steps) == 6
+
+    def test_non_finite_update(self):
+        with pytest.raises(NonContractionError, match="non-finite update at iteration 1"):
+            imp_mod.fixed_point(
+                lambda x, y: (x, np.full(3, np.nan)), (np.zeros(3), np.zeros(3)), 1.0, 1e-12, 100
+            )
+
+    def test_max_iter_unconverged(self):
+        (x,), iterations, update, converged = imp_mod.fixed_point(
+            lambda x: (0.5 * x + 1.0,), (np.zeros(3),), 1.0, 1e-12, 3
+        )
+        assert not converged
+        assert iterations == 3
+        assert update == pytest.approx(0.25, rel=1e-15)
+        assert np.all(x == 1.75)
+
+
 class TestDecayDiagnostics:
     def test_pure_exponential(self):
         p = params_with(kappa=0.25)  # alpha = 2

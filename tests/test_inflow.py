@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import nsk.inflow as inflow_mod
 from nsk import (
     ConfigError,
     ModelParams,
+    NonContractionError,
     PositivityError,
     build_grid,
     nonlinearity_inflow,
@@ -94,6 +96,15 @@ class TestSolve:
     def test_requires_flow(self):
         with pytest.raises(ConfigError):
             solve_inflow_outflow(params_with(u_minus=0.0), flow_grid())
+
+    def test_divergence_detector(self, monkeypatch):
+        # an artificially amplifying nonlinearity must trip the growth guard
+        def amplifier(params, grid, phi, phi_r):
+            return -4.0 * np.asarray(phi)
+
+        monkeypatch.setattr(inflow_mod, "nonlinearity_inflow", amplifier)
+        with pytest.raises(NonContractionError, match="grew for 5"):
+            inflow_mod.solve_inflow_outflow(params_with(rho_b=-0.1), build_grid(3, 1.0), max_iter=100)
 
     def test_mass_flux_identity(self):
         for u in (0.05, -0.05):
