@@ -74,9 +74,7 @@ class BesselOrder:
 
     @classmethod
     def from_dimension(cls, n: int) -> "BesselOrder":
-        if n < 2:
-            raise DomainError("dimension n must be >= 2")
-        return cls(int(n) - 2)
+        return cls(n - 2)
 
     def shifted(self, k: int = 1) -> "BesselOrder":
         """Order ``nu + k`` (used for the derivative identities)."""
@@ -91,6 +89,13 @@ def _check_positive(x):
     if np.any(x <= 0.0) or np.any(~np.isfinite(x)):
         raise DomainError("argument x must be positive and finite")
     return x
+
+
+def check_finite(val, what: str):
+    """``val``, or ``RangeError`` if any entry is not finite (scaled scipy values are NaN past ~1e9)."""
+    if np.any(~np.isfinite(val)):
+        raise RangeError(f"{what} is not finite at this argument")
+    return val
 
 
 def _scalarize(x, val):
@@ -124,15 +129,15 @@ def bessel_k(order: BesselOrder, x) -> float | np.ndarray:
 
 
 def bessel_i_scaled(order: BesselOrder, x) -> float | np.ndarray:
-    """Exponentially scaled ``e^{-x} I_nu(x)``; finite for all x > 0."""
+    """Exponentially scaled ``e^{-x} I_nu(x)``; O(1), or ``RangeError`` where scipy fails."""
     xa = _check_positive(x)
-    return _scalarize(x, _sp.ive(order.nu, xa))
+    return _scalarize(x, check_finite(_sp.ive(order.nu, xa), "scaled I_nu"))
 
 
 def bessel_k_scaled(order: BesselOrder, x) -> float | np.ndarray:
-    """Exponentially scaled ``e^{x} K_nu(x)``; finite for all x > 0."""
+    """Exponentially scaled ``e^{x} K_nu(x)``; O(1), or ``RangeError`` where scipy fails."""
     xa = _check_positive(x)
-    return _scalarize(x, _sp.kve(order.nu, xa))
+    return _scalarize(x, check_finite(_sp.kve(order.nu, xa), "scaled K_nu"))
 
 
 def weighted_basis(order: BesselOrder, alpha: float, r, kind: str, scaled: bool = False):

@@ -1,10 +1,12 @@
-"""Command-line interface; the only module doing I/O.
+"""Command-line interface: the one gate for input from outside the program.
 
 Subcommands: ``bessel``, ``kernel``, ``solve``, ``limit-profile``,
 ``rate-study``, ``verify``.  Exit codes: 0 success, 2 configuration error,
-3 solver failure, 64 unknown subcommand (1 for a failed verify).
-All numeric output uses 17 significant digits, so identical inputs yield
-byte-identical files.
+3 solver failure, 64 unknown subcommand (1 for a failed verify).  Every
+config number and float flag passes ``_number`` once; range rules live in
+the types that own them.  Files are written here and, for ``rate-study``,
+by ``nsk.rates.emit_outputs``, with 17 significant digits throughout, so
+identical inputs yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
 from .errors import ConfigError, NskError, SolverError
-from .grid import ALGEBRAIC, EXPONENTIAL, build_grid
+from .grid import ALGEBRAIC, EXPONENTIAL, MAX_NODES_DEFAULT, build_grid
 from .impermeable import solve_impermeable
 from .inflow import solve_inflow_outflow
 from .kernel import (
@@ -37,6 +40,7 @@ from .kernel import (
 )
 from .limit import integrate_profile
 from .oracle import cross_validate
+from .rates import _fmt
 
 __all__ = ["parse_config", "dispatch", "main"]
 
@@ -48,24 +52,31 @@ EXIT_USAGE = 64
 _MODEL_KEYS = ("n", "gamma", "kappa", "mu", "rho_plus", "rho_b", "u_minus")
 _GRID_KEYS = ("points_per_unit_alpha", "R_max", "max_nodes", "growth")
 _TOP_KEYS = _MODEL_KEYS + ("tol", "max_iter", "grid", "kappas", "norms")
+_INTEGER_KEYS = ("n", "max_iter", "max_nodes")
 _REGIME_RULE = {IMPERMEABLE: "u_minus = 0", INFLOW: "u_minus > 0", OUTFLOW: "u_minus < 0"}
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass
 class RunConfig:
+    """Solver settings around the model; the rules of knobs no other type owns."""
+
     model: ModelParams
     tol: float = 1e-10
     max_iter: int = 200
     points_per_unit_alpha: float = 10.0
     R_max: float | None = None
-    max_nodes: int = 2_000_000
+    max_nodes: int = MAX_NODES_DEFAULT
     growth: float = 1.06
-    kappas: tuple | None = None
-    norms: tuple | None = None
+    kappas: tuple = tuple(10.0 ** (-1.0 - 0.5 * k) for k in range(7))
+    norms: tuple = rates_mod.NORM_KEYS
+
+    def __post_init__(self) -> None:
+        if self.tol <= 0.0:
+            raise ConfigError("tol must be positive")
+        if self.max_iter < 1:
+            raise ConfigError("max_iter must be at least 1")
+        if self.points_per_unit_alpha <= 0.0:
+            raise ConfigError("grid.points_per_unit_alpha must be positive")
 
 
 def _number(value, key: str) -> float:
@@ -79,6 +90,18 @@ def _number(value, key: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{key} must be finite")
     return x
+
+
+def _integer(value, key: str) -> int:
+    x = _number(value, key)
+    if x != int(x):
+        raise ConfigError(f"{key} must be an integer")
+    return int(x)
+
+
+def _numbers(doc: dict, keys, prefix: str = "") -> dict:
+    """Each of ``keys`` present in ``doc``: an int if it counts something, else a float."""
+    return {k: (_integer if k in _INTEGER_KEYS else _number)(doc[k], prefix + k) for k in keys if k in doc}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -95,19 +118,8 @@ def parse_config(text: str) -> RunConfig:
     missing = [k for k in _MODEL_KEYS if k not in doc]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
-    vals = {k: _number(doc[k], k) for k in _MODEL_KEYS}
-    if vals["n"] != int(vals["n"]):
-        raise ConfigError("n must be an integer >= 2")
-    vals["n"] = int(vals["n"])
-    cfg = RunConfig(model=ModelParams(**vals))
-    if "tol" in doc:
-        cfg.tol = _number(doc["tol"], "tol")
-        if cfg.tol <= 0.0:
-            raise ConfigError("tol must be positive")
-    if "max_iter" in doc:
-        cfg.max_iter = int(_number(doc["max_iter"], "max_iter"))
-        if cfg.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
+    model = ModelParams(**_numbers(doc, _MODEL_KEYS))
+    options = _numbers(doc, ("tol", "max_iter"))
     if "grid" in doc:
         gdoc = doc["grid"]
         if not isinstance(gdoc, dict):
@@ -115,31 +127,15 @@ def parse_config(text: str) -> RunConfig:
         unknown = [k for k in gdoc if k not in _GRID_KEYS]
         if unknown:
             raise ConfigError(f"unknown config key: grid.{unknown[0]}")
-        if "points_per_unit_alpha" in gdoc:
-            cfg.points_per_unit_alpha = _number(gdoc["points_per_unit_alpha"], "grid.points_per_unit_alpha")
-            if cfg.points_per_unit_alpha <= 0.0:
-                raise ConfigError("grid.points_per_unit_alpha must be positive")
-        if "R_max" in gdoc:
-            cfg.R_max = _number(gdoc["R_max"], "grid.R_max")
-            if cfg.R_max <= 1.0:
-                raise ConfigError("grid.R_max must exceed 1")
-        if "max_nodes" in gdoc:
-            cfg.max_nodes = int(_number(gdoc["max_nodes"], "grid.max_nodes"))
-        if "growth" in gdoc:
-            cfg.growth = _number(gdoc["growth"], "grid.growth")
-            if cfg.growth <= 1.0:
-                raise ConfigError("grid.growth must exceed 1")
+        options.update(_numbers(gdoc, _GRID_KEYS, "grid."))
+    for key in ("kappas", "norms"):
+        if key in doc and not isinstance(doc[key], list):
+            raise ConfigError(f"{key} must be an array")
     if "kappas" in doc:
-        if not isinstance(doc["kappas"], list) or not doc["kappas"]:
-            raise ConfigError("kappas must be a non-empty array")
-        cfg.kappas = tuple(_number(k, "kappas") for k in doc["kappas"])
+        options["kappas"] = tuple(_number(k, "kappas") for k in doc["kappas"])
     if "norms" in doc:
-        if not isinstance(doc["norms"], list):
-            raise ConfigError("norms must be an array")
-        if not doc["norms"]:
-            raise ConfigError("no norms selected")
-        cfg.norms = tuple(str(k) for k in doc["norms"])
-    return cfg
+        options["norms"] = tuple(str(k) for k in doc["norms"])
+    return RunConfig(model=model, **options)
 
 
 def _read_config(path: str) -> RunConfig:
@@ -177,22 +173,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise _ArgError(message)
 
+    def parse_args(self, argv):  # noqa: D102 - float flags pass the config gate
+        ns = super().parse_args(argv)
+        for action in self._actions:
+            if action.type is float:
+                _number(getattr(ns, action.dest), action.option_strings[0])
+        return ns
+
 
 def _parse_nu(text: str) -> BesselOrder:
-    s = text.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        if den.strip() not in ("1", "2"):
-            raise ConfigError("--nu must be an integer or half-integer (e.g. 1/2)")
-        two_nu = int(num) * (2 // int(den))
-    else:
-        val = float(s)
-        two_nu = int(round(2.0 * val))
-        if abs(2.0 * val - two_nu) > 0.0:
-            raise ConfigError("--nu must be an integer or half-integer")
-    if two_nu < 0:
-        raise ConfigError("--nu must be >= 0")
-    return BesselOrder(two_nu)
+    """``--nu`` as ``2``, ``1.5`` or ``3/2``: a non-negative integer or half-integer."""
+    try:
+        # a decimal goes through float, so a huge exponent cannot stall Fraction
+        two_nu = 2 * Fraction(text if "/" in text else float(text))
+        float(two_nu)  # the order must fit a float
+    except (ValueError, OverflowError, ZeroDivisionError):
+        two_nu = None
+    if two_nu is None or two_nu.denominator != 1 or two_nu < 0:
+        raise ConfigError("--nu must be a non-negative integer or half-integer, e.g. 2, 1.5 or 3/2")
+    return BesselOrder(int(two_nu))
 
 
 def _cmd_bessel(argv):
@@ -265,6 +264,8 @@ def _cmd_solve(argv):
             "weighted_sup_value": float(np.max(wv * np.abs(phi))),
             "weighted_sup_derivative": float(np.max(wd * np.abs(sol.rho_r))),
         }
+    if not report.converged:
+        raise SolverError(f"no convergence in {report.iterations} iterations")
     if a.out:
         _write_csv(a.out, header + ["residual"], columns + [np.nan_to_num(report.residual, nan=0.0)])
     summary.update(
@@ -273,8 +274,6 @@ def _cmd_solve(argv):
         final_update_sup=report.final_update_sup,
         ode_residual_sup=report.ode_residual_sup,
     )
-    if not report.converged:
-        raise SolverError(f"no convergence in {report.iterations} iterations")
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -287,10 +286,6 @@ def _cmd_limit_profile(argv):
     p.add_argument("--y-max", type=float, default=60.0)
     p.add_argument("--out")
     a = p.parse_args(argv)
-    if a.gamma < 1.0:
-        raise ConfigError("gamma must be >= 1")
-    if a.rho_plus <= 0.0:
-        raise ConfigError("rho_plus must be positive")
     prof = integrate_profile(a.gamma, a.rho_plus, a.rho_b0, y_max=a.y_max)
     if a.out:
         _write_csv(
@@ -307,15 +302,11 @@ def _cmd_rate_study(argv):
     p.add_argument("--out", required=True)
     a = p.parse_args(argv)
     cfg = _read_config(a.config)
-    kappas = cfg.kappas
-    if kappas is None:
-        kappas = tuple(10.0 ** (-1.0 - 0.5 * k) for k in range(7))
-    norms = cfg.norms if cfg.norms is not None else rates_mod.NORM_KEYS
     study = rates_mod.RateStudyConfig(
         mode=a.mode,
-        kappas=kappas,
+        kappas=cfg.kappas,
         base=replace(cfg.model, u_minus=0.0),
-        norms=norms,
+        norms=cfg.norms,
         points_per_unit_alpha=max(cfg.points_per_unit_alpha, 16.0),
         growth=min(cfg.growth, 1.05),
         tol=cfg.tol,

@@ -33,6 +33,7 @@ EXPONENTIAL = "exponential"
 ALGEBRAIC = "algebraic"
 
 MAX_NODES_DEFAULT = 2_000_000
+H_MAX = 0.5  # spacing cap far from the wall
 
 
 def _panel_weights(h0: float, h1: float):
@@ -103,24 +104,18 @@ class RadialGrid:
     n: int
     R_max: float
 
-    def __post_init__(self) -> None:
-        if self.nodes.ndim != 1 or self.nodes.size < 3:
-            raise ConfigError("grid needs at least 3 nodes")
-        if self.nodes[0] != 1.0:
-            raise ConfigError("grid must start at r = 1")
-        if np.any(np.diff(self.nodes) <= 0.0):
-            raise ConfigError("grid nodes must be strictly increasing")
-        if np.any(self.weights <= 0.0):
-            raise ConfigError("quadrature weights must be positive")
-
     @classmethod
     def from_nodes(cls, nodes, n: int) -> "RadialGrid":
+        """The grid on ``nodes``; every grid is built here, so its rules live here."""
         nodes = np.ascontiguousarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ConfigError("grid needs at least 3 nodes")
         if nodes[0] != 1.0 or np.any(np.diff(nodes) <= 0.0):
             raise ConfigError("grid nodes must start at 1 and increase strictly")
-        return cls(nodes=nodes, weights=composite_weights(nodes), n=int(n), R_max=float(nodes[-1]))
+        weights = composite_weights(nodes)
+        if np.any(weights <= 0.0):
+            raise ConfigError("quadrature weights must be positive")
+        return cls(nodes=nodes, weights=weights, n=int(n), R_max=float(nodes[-1]))
 
     @property
     def size(self) -> int:
@@ -198,7 +193,6 @@ def build_grid(
     R_max: float | None = None,
     decay: str = EXPONENTIAL,
     growth: float = 1.06,
-    h_max: float = 0.5,
     max_nodes: int = MAX_NODES_DEFAULT,
 ) -> RadialGrid:
     """Graded grid for a problem with decay scale ``1/alpha`` at the wall."""
@@ -210,6 +204,7 @@ def build_grid(
         R_max = auto_r_max(n, alpha, decay)
     if R_max <= 1.0:
         raise ConfigError("R_max must exceed 1")
+    h_max = H_MAX
     if decay == ALGEBRAIC:
         # keep the kernel peak resolved where the algebraic source still matters
         h_max = min(h_max, 0.35 / alpha)

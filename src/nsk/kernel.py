@@ -48,12 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .bessel import BesselOrder
+from .bessel import BesselOrder, check_finite
 from .errors import ConfigError, DomainError
 
 __all__ = [
     "ModelParams",
     "KernelParams",
+    "check_pressure_law",
     "enthalpy_h",
     "enthalpy_h_prime",
     "kernel_params",
@@ -67,6 +68,14 @@ __all__ = [
 IMPERMEABLE = "impermeable"
 INFLOW = "inflow"
 OUTFLOW = "outflow"
+
+
+def check_pressure_law(gamma: float, rho_plus: float) -> None:
+    """Domain of the polytropic law ``P = rho^gamma`` about the far field: ``gamma >= 1``, ``rho_plus > 0``."""
+    if gamma < 1.0:
+        raise ConfigError("gamma must be >= 1")
+    if rho_plus <= 0.0:
+        raise ConfigError("rho_plus must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,16 +98,13 @@ class ModelParams:
         for name in ("n", "gamma", "kappa", "mu", "rho_plus", "rho_b", "u_minus"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        if int(self.n) != self.n or self.n < 2:
-            raise ConfigError("n must be an integer >= 2")
-        if self.gamma < 1.0:
-            raise ConfigError("gamma must be >= 1")
+        if self.n < 2:
+            raise ConfigError("n must be >= 2")
+        check_pressure_law(self.gamma, self.rho_plus)
         if self.kappa <= 0.0:
             raise ConfigError("kappa must be positive")
         if self.mu < 0.0:
             raise ConfigError("mu must be >= 0")
-        if self.rho_plus <= 0.0:
-            raise ConfigError("rho_plus must be positive")
 
     @property
     def regime(self) -> str:
@@ -203,7 +209,7 @@ def green(kp: KernelParams, r: float, s: float) -> float:
     lo, hi = (s, r) if r >= s else (r, s)
     t1 = _sp.ive(v, a * lo) * _sp.kve(v, a * hi) * math.exp(-a * (hi - lo))
     t2 = kp.c2 * _sp.kve(v, a * r) * _sp.kve(v, a * s) * math.exp(-a * (r + s - 2.0))
-    return -((r * s) ** (-v)) * (t1 + t2)
+    return check_finite(-((r * s) ** (-v)) * (t1 + t2), "G(r, s)")
 
 
 def green_dr_right(kp: KernelParams, r: float, s: float) -> float:
@@ -216,10 +222,11 @@ def green_dr_right(kp: KernelParams, r: float, s: float) -> float:
     e1 = math.exp(-a * (r - s))
     e2 = math.exp(-a * (r + s - 2.0))
     kvp1_r = _sp.kve(v + 1.0, a * r)
-    return (
+    return check_finite(
         a
         * ((r * s) ** (-v))
-        * (_sp.ive(v, a * s) * kvp1_r * e1 + kp.c2 * _sp.kve(v, a * s) * kvp1_r * e2)
+        * (_sp.ive(v, a * s) * kvp1_r * e1 + kp.c2 * _sp.kve(v, a * s) * kvp1_r * e2),
+        "dG/dr",
     )
 
 
@@ -233,10 +240,11 @@ def green_dr_left(kp: KernelParams, r: float, s: float) -> float:
     e1 = math.exp(-a * (s - r))
     e2 = math.exp(-a * (r + s - 2.0))
     kv_s = _sp.kve(v, a * s)
-    return (
+    return check_finite(
         -a
         * ((r * s) ** (-v))
-        * (_sp.ive(v + 1.0, a * r) * kv_s * e1 - kp.c2 * _sp.kve(v + 1.0, a * r) * kv_s * e2)
+        * (_sp.ive(v + 1.0, a * r) * kv_s * e1 - kp.c2 * _sp.kve(v + 1.0, a * r) * kv_s * e2),
+        "dG/dr",
     )
 
 

@@ -34,7 +34,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, NoRootError, SolverError
 from .grid import RadialGrid
-from .kernel import enthalpy_h_prime
+from .kernel import check_pressure_law, enthalpy_h_prime
 
 __all__ = [
     "LimitProfile",
@@ -46,6 +46,8 @@ __all__ = [
 
 TAIL_SWITCH = 1e-8  # hand over to the linearized tail below this amplitude
 PROFILE_FLOOR = 1e-14  # stored samples stop once the profile is this flat
+STEP_CONTROL = 1e-12  # local RK45 tolerance
+BRACKET_FACTOR = 1e6  # rho_- is sought in [rho_+/BRACKET_FACTOR, rho_+ * BRACKET_FACTOR]
 
 
 def potential_w(gamma: float, rho_plus: float, x):
@@ -74,9 +76,7 @@ def _manifold_slope(gamma: float, rho_plus: float, x: float) -> float:
     return math.sqrt(2.0 * max(potential_w(gamma, rho_plus, x), 0.0))
 
 
-def solve_rho_minus(
-    gamma: float, rho_plus: float, rho_b0: float, bracket_factor: float = 1e6
-) -> float:
+def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
     """Boundary value ``rho_-``: root of ``-sgn(x-rho_+) sqrt(2W(x)) = rho_b0``.
 
     Bisection to absolute tolerance 1e-13.  The bracket is expanded away
@@ -92,7 +92,7 @@ def solve_rho_minus(
         hi = rho_plus * 1.125
         while _manifold_slope(gamma, rho_plus, hi) < target:
             hi *= 2.0
-            if hi > rho_plus * bracket_factor:
+            if hi > rho_plus * BRACKET_FACTOR:
                 raise NoRootError("slope exceeds the attainable stable-manifold range")
         lo = rho_plus
     else:
@@ -100,7 +100,7 @@ def solve_rho_minus(
         lo = rho_plus * 0.875
         while _manifold_slope(gamma, rho_plus, lo) < target:
             lo *= 0.5
-            if lo < rho_plus / bracket_factor:
+            if lo < rho_plus / BRACKET_FACTOR:
                 raise NoRootError("slope exceeds the attainable stable-manifold range")
         hi = rho_plus
     for _ in range(200):
@@ -166,15 +166,17 @@ def integrate_profile(
     rho_plus: float,
     rho_b0: float,
     y_max: float = 60.0,
-    step_control: float = 1e-12,
 ) -> LimitProfile:
     """Integrate the reduced ODE ``rho_y = -sgn(rho-rho_+) sqrt(2W(rho))``.
 
     Adaptive embedded Runge-Kutta (RK45) from ``rho(0) = rho_-`` with local
-    tolerance ``step_control``; once ``|rho - rho_+|`` drops below the
+    tolerance ``STEP_CONTROL``; once ``|rho - rho_+|`` drops below the
     handover threshold the exact linearized tail continues the profile.
-    Stored samples stop at ``y_max`` or once the profile is flat to 1e-14.
+    Stored samples stop at ``y_max > 0`` or once the profile is flat to 1e-14.
     """
+    check_pressure_law(gamma, rho_plus)
+    if y_max <= 0.0:
+        raise DomainError("y_max must be positive")
     rate = math.sqrt(enthalpy_h_prime(gamma, rho_plus))
     rho_minus = solve_rho_minus(gamma, rho_plus, rho_b0)
     if rho_b0 == 0.0:
@@ -208,8 +210,8 @@ def integrate_profile(
         (0.0, y_max),
         [rho_minus],
         method="RK45",
-        rtol=step_control,
-        atol=step_control * abs(rho_minus - rho_plus) + 1e-300,
+        rtol=STEP_CONTROL,
+        atol=STEP_CONTROL * abs(rho_minus - rho_plus) + 1e-300,
         events=near_equilibrium,
         dense_output=True,
         max_step=0.25 / rate,
@@ -228,7 +230,9 @@ def integrate_profile(
     else:
         y_floor = y_switch
     y_end = min(y_max, max(y_floor, y_switch))
-    y_tail = np.linspace(y_switch, y_end, max(int((y_end - y_switch) / dy), 2))
+    # a single sample when the integration reached y_max before the handover
+    count = max(int((y_end - y_switch) / dy), 2) if y_end > y_switch else 1
+    y_tail = np.linspace(y_switch, y_end, count)
     rho_tail = rho_plus + amp * np.exp(-rate * (y_tail - y_switch))
 
     y_all = np.concatenate([y_rk, y_tail])

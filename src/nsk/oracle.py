@@ -28,6 +28,8 @@ from .impermeable import solve_impermeable
 
 __all__ = ["fd_nodes", "solve_fd", "cross_validate"]
 
+MAX_NEWTON = 60
+
 
 def fd_nodes(node_count: int, R_max: float) -> np.ndarray:
     return np.linspace(1.0, R_max, node_count)
@@ -38,7 +40,6 @@ def solve_fd(
     node_count: int,
     R_max: float,
     newton_tol: float = 1e-12,
-    max_newton: int = 60,
 ) -> np.ndarray:
     """Density samples on ``fd_nodes(node_count, R_max)``.
 
@@ -67,7 +68,7 @@ def solve_fd(
     inv_h2 = 1.0 / h**2
     drift = (params.n - 1) / r
     last_res = np.inf
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         F = np.empty(M)
         # interior rows: central second and first differences
         F[1:-1] = kappa * (
@@ -104,7 +105,7 @@ def solve_fd(
         if np.max(np.abs(step)) <= 1e-14 * max(1.0, float(np.max(np.abs(rho)))):
             # residual sits at its roundoff floor (~eps/h^2); the iterate is done
             return rho
-    raise NewtonDivergenceError(f"no convergence in {max_newton} Newton steps (residual {res:.3e})")
+    raise NewtonDivergenceError(f"no convergence in {MAX_NEWTON} Newton steps (residual {res:.3e})")
 
 
 def _fd_resolution(alpha: float, rho_b: float, R_max: float, tol: float) -> int:
@@ -124,24 +125,19 @@ def _fd_resolution(alpha: float, rho_b: float, R_max: float, tol: float) -> int:
     return min(max(count, 2000), 1_000_000)
 
 
-def cross_validate(
-    params: ModelParams,
-    tol: float,
-    node_count: int | None = None,
-    points_per_unit_alpha: float = 24.0,
-):
+def cross_validate(params: ModelParams, tol: float):
     """Run both impermeable solvers and compare on the kernel solver's grid.
 
-    Returns ``(sup_diff, passed)`` with ``passed = sup_diff <= tol``.
+    Returns ``(sup_diff, passed)`` with ``passed = sup_diff <= tol``; ``tol``
+    must be positive, since it sets the FD resolution.
     """
+    if tol <= 0.0:
+        raise ConfigError("tol must be positive")
     alpha = kernel_params(params).alpha
-    grid = build_grid(
-        params.n, alpha, points_per_unit_alpha=points_per_unit_alpha, decay=EXPONENTIAL, growth=1.04
-    )
+    grid = build_grid(params.n, alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
     field, report = solve_impermeable(params, grid, tol=1e-12, max_iter=400)
     R_max = auto_r_max(params.n, alpha, EXPONENTIAL)
-    if node_count is None:
-        node_count = _fd_resolution(alpha, params.rho_b, R_max, tol)
+    node_count = _fd_resolution(alpha, params.rho_b, R_max, tol)
     rho_fd = solve_fd(params, node_count, R_max, newton_tol=1e-10)
     rho_fd_on_grid = CubicSpline(fd_nodes(node_count, R_max), rho_fd)(grid.nodes)
     sup_diff = float(np.max(np.abs((params.rho_plus + field.phi) - rho_fd_on_grid)))

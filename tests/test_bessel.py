@@ -122,6 +122,17 @@ class TestSecondKind:
         assert bessel_k_scaled(ZERO, 800.0) > 0.0
 
 
+@pytest.mark.parametrize("fn", [bessel_i_scaled, bessel_k_scaled])
+@pytest.mark.parametrize("order", [ZERO, HALF, ONE, THREE_HALVES, TWO])
+def test_scaled_forms_refuse_non_finite_values(fn, order):
+    # scipy's ive/kve return NaN past x ~ 1.08e9; that must not pass as a value
+    assert math.isfinite(fn(order, 1.0e9))
+    with pytest.raises(RangeError):
+        fn(order, 1.0e10)
+    with pytest.raises(RangeError):
+        fn(order, np.array([1.0, 1.0e10]))
+
+
 class TestIdentities:
     def test_wronskian(self):
         # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x

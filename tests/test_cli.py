@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -90,13 +91,29 @@ class TestParseConfig:
             assert dispatch(argv + ["--config", str(path)]) == 2
             assert "must be finite" in capsys.readouterr().err
 
-    def test_rate_keys(self):
+    def test_integer_keys(self):
+        doc = dict(VALID, n=3.0, max_iter=7.0, grid={"max_nodes": 1e4})
+        cfg = parse_config(json.dumps(doc))
+        assert [cfg.model.n, cfg.max_iter, cfg.max_nodes] == [3, 7, 10000]
+        assert all(type(v) is int for v in (cfg.model.n, cfg.max_iter, cfg.max_nodes))
+        for key, doc in (
+            ("n", dict(VALID, n=2.5)),
+            ("max_iter", dict(VALID, max_iter=1.5)),
+            ("grid.max_nodes", dict(VALID, grid={"max_nodes": 2.5})),
+        ):
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                parse_config(json.dumps(doc))
+
+    def test_rate_keys(self, tmp_path, capsys):
         doc = dict(VALID, kappas=[0.1, 0.01], norms=["sup"])
         cfg = parse_config(json.dumps(doc))
         assert cfg.kappas == (0.1, 0.01)
         assert cfg.norms == ("sup",)
-        with pytest.raises(ConfigError, match="no norms selected"):
-            parse_config(json.dumps(dict(VALID, norms=[])))
+        # the rate study owns these rules; the subcommand that reads the keys refuses them
+        argv = ["rate-study", "--mode", "fixed", "--out", str(tmp_path / "o"), "--config"]
+        for extra, msg in (({"norms": []}, "no norms selected"), ({"kappas": []}, "at least 4 kappa")):
+            assert dispatch(argv + [write_config(tmp_path, dict(VALID, **extra))]) == 2
+            assert msg in capsys.readouterr().err
 
 
 _KEYS = list(VALID) + ["tol", "max_iter", "grid", "kappas", "norms", "x"]
@@ -140,7 +157,76 @@ class TestConfigProperty:
         assert isinstance(cfg, RunConfig)
 
 
+@pytest.fixture
+def deadline():
+    """Fail, rather than stall the suite, if the test takes more than 5 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# argv up to the flag under test; "@" is replaced by the path of a VALID config
+_FLAG_ARGV = {
+    "--x": ["bessel", "--nu", "1/2"],
+    "--r": ["kernel", "--config", "@", "--s", "2"],
+    "--s": ["kernel", "--config", "@", "--r", "2"],
+    "--gamma": ["limit-profile", "--rho-plus", "1", "--rho-b0", "-0.1"],
+    "--rho-plus": ["limit-profile", "--gamma", "2", "--rho-b0", "-0.1"],
+    "--rho-b0": ["limit-profile", "--gamma", "2", "--rho-plus", "1"],
+    "--y-max": ["limit-profile", "--gamma", "2", "--rho-plus", "1", "--rho-b0", "-0.1"],
+    "--tol": ["verify", "impermeable", "--config", "@"],
+}
+_MALFORMED = [
+    pytest.param(_FLAG_ARGV[flag] + [f"{flag}={v}"], {}, f"{flag} must be finite", id=f"{flag}={v}")
+    for flag in _FLAG_ARGV
+    for v in ("nan", "inf", "-inf")
+] + [
+    pytest.param(_FLAG_ARGV["--y-max"] + ["--y-max=0"], {}, "y_max must be positive", id="--y-max=0"),
+    pytest.param(_FLAG_ARGV["--tol"] + ["--tol=0"], {}, "tol must be positive", id="--tol=0"),
+    pytest.param(_FLAG_ARGV["--tol"] + ["--tol=-1"], {}, "tol must be positive", id="--tol=-1"),
+    pytest.param(["bessel", "--x", "1", "--nu", "abc"], {}, "--nu must be", id="--nu=abc"),
+    pytest.param(["bessel", "--x", "1", "--nu", "inf"], {}, "--nu must be", id="--nu=inf"),
+    pytest.param(
+        _FLAG_ARGV["--x"] + ["--x=1e10", "--scaled"], {}, "scaled I_nu is not finite", id="--x=1e10"
+    ),
+    pytest.param(_FLAG_ARGV["--r"] + ["--r=1e9"], {}, "G(r, s) is not finite", id="--r=1e9"),
+    pytest.param(
+        ["solve", "impermeable", "--config", "@"], {"max_iter": 1.5}, "max_iter must be an integer",
+        id="max_iter=1.5",
+    ),
+    pytest.param(
+        ["solve", "impermeable", "--config", "@"], {"grid": {"max_nodes": 2.5}},
+        "grid.max_nodes must be an integer", id="max_nodes=2.5",
+    ),
+]
+
+
 class TestDispatch:
+    @pytest.mark.parametrize("argv, extra, message", _MALFORMED)
+    def test_malformed_input_exits_2(self, argv, extra, message, tmp_path, capsys, deadline):
+        # every malformed flag or key ends in exit 2 naming it: no traceback, no hang,
+        # no NaN printed with exit 0
+        cfg = write_config(tmp_path, dict(VALID, **extra))
+        assert dispatch([cfg if a == "@" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("text", ["3/2", "1.5", " 3/2 ", "6/4", "15e-1"])
+    def test_bessel_order_forms(self, text, capsys):
+        assert dispatch(["bessel", "--nu", text, "--x", "2.0"]) == 0
+        assert float(capsys.readouterr().out) == bessel_i(BesselOrder(3), 2.0)
+
+    @pytest.mark.parametrize("text", ["3/4", "-1/2", "1/0", "1.5/1", "nan", "1e400", "1e308"])
+    def test_bessel_order_refused(self, text, capsys):
+        assert dispatch(["bessel", f"--nu={text}", "--x", "2.0"]) == 2
+        assert "--nu must be" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         assert dispatch(["frobnicate"]) == 64
         assert "usage" in capsys.readouterr().err
@@ -212,6 +298,13 @@ class TestDispatch:
         cfg = write_config(tmp_path, doc)
         assert dispatch(["solve", "impermeable", "--config", cfg]) == 3
         assert "solver error" in capsys.readouterr().err
+
+    def test_unconverged_solve_writes_no_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(VALID, max_iter=1))
+        out = tmp_path / "sol.csv"
+        assert dispatch(["solve", "impermeable", "--config", cfg, "--out", str(out)]) == 3
+        assert "no convergence in 1 iterations" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_iterate_exits_3(self, tmp_path, capsys):
         # r**(n-1) overflows for this n: the first update is NaN and must stop the

@@ -19,6 +19,7 @@ from nsk import (
     DomainError,
     KernelParams,
     ModelParams,
+    RangeError,
     enthalpy_h,
     enthalpy_h_prime,
     green,
@@ -269,3 +270,10 @@ class TestGreenDerivative:
         for r in (5.0, 8.0, 12.0):
             bound = 2.0 * math.exp(-2.0 * (r - s)) / (r * s)
             assert abs(green_dr(kp, r, s)) <= bound
+
+    def test_non_finite_values_refused(self):
+        # alpha*r past ~1.08e9 makes scipy's scaled Bessel factors NaN
+        kp = kp_from(3, 10.0)
+        for fn, r, s in ((green, 1e9, 2.0), (green_dr_right, 1e9, 2.0), (green_dr_left, 2.0, 1e9)):
+            with pytest.raises(RangeError):
+                fn(kp, r, s)

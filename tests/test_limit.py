@@ -122,6 +122,14 @@ class TestProfile:
             prof = integrate_profile(1.4, 1.0, rho_b0)
             assert abs(prof.slope(0.0) - rho_b0) <= 1e-12
 
+    def test_short_y_max(self):
+        # y_max before the handover to the linearized tail: the samples stop at y_max
+        for y_max in (1e-3, 1.0, 5.0):
+            prof = integrate_profile(2.0, 1.0, -0.1, y_max=y_max)
+            assert prof.y_nodes[-1] == y_max and np.all(np.diff(prof.y_nodes) > 0.0)
+            exact = gamma2_exact(-0.1, prof.y_nodes)
+            assert np.max(np.abs(prof.rho_bar - exact)) <= 1e-9
+
     def test_energy_conservation(self):
         for gamma, rho_b0 in ((1.0, -0.1), (1.4, 0.08), (2.0, -0.05)):
             prof = integrate_profile(gamma, 1.0, rho_b0)
