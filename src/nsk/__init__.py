@@ -1,7 +1,7 @@
 """Stationary Navier-Stokes-Korteweg profiles on the exterior domain r > 1.
 
-Solvers for the impermeable-wall, inflow, and outflow boundary regimes of
-the spherically symmetric stationary NSK system, a finite-difference
+One solver for the impermeable-wall, inflow, and outflow boundary regimes
+of the spherically symmetric stationary NSK system, a finite-difference
 oracle, the vanishing-capillarity limit profile, and a kappa-sweep rate
 study reproducing the theoretical convergence orders.
 """
@@ -21,14 +21,6 @@ from .errors import (
     WindowEmptyError,
 )
 from .grid import RadialGrid, build_grid
-from .impermeable import (
-    PerturbationField,
-    SolverReport,
-    decay_diagnostics,
-    nonlinearity_impermeable,
-    solve_impermeable,
-)
-from .inflow import StationarySolution, nonlinearity_inflow, solve_inflow_outflow, source_term
 from .kernel import (
     KernelParams,
     ModelParams,
@@ -45,6 +37,15 @@ from .limit import LimitProfile, integrate_profile, potential_w, rescale_to_r, s
 from .operators import assemble_operators, backend_name
 from .oracle import cross_validate, fd_nodes, solve_fd
 from .rates import RateStudyConfig, RateStudyResult, emit_outputs, fit_loglog, run_rate_study
+from .stationary import (
+    SolverReport,
+    StationarySolution,
+    decay_diagnostics,
+    nonlinearity,
+    pressure_remainder,
+    solve_stationary,
+    source_term,
+)
 
 __version__ = "0.1.0"
 
@@ -60,7 +61,6 @@ __all__ = [
     "NoRootError",
     "NonContractionError",
     "NskError",
-    "PerturbationField",
     "PositivityError",
     "RadialGrid",
     "RangeError",
@@ -91,15 +91,14 @@ __all__ = [
     "integrate_profile",
     "kernel_params",
     "lifting_phi_b",
-    "nonlinearity_impermeable",
-    "nonlinearity_inflow",
+    "nonlinearity",
     "potential_w",
+    "pressure_remainder",
     "rescale_to_r",
     "run_rate_study",
     "solve_fd",
-    "solve_impermeable",
-    "solve_inflow_outflow",
     "solve_rho_minus",
+    "solve_stationary",
     "source_term",
     "weighted_basis",
 ]

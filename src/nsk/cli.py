@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,10 +23,8 @@ import numpy as np
 
 from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
-from .errors import ConfigError, NskError, SolverError
+from .errors import ConfigError, NskError, SolverError, WindowEmptyError
 from .grid import ALGEBRAIC, EXPONENTIAL, MAX_NODES_DEFAULT, build_grid
-from .impermeable import solve_impermeable
-from .inflow import solve_inflow_outflow
 from .kernel import (
     IMPERMEABLE,
     INFLOW,
@@ -41,6 +39,7 @@ from .kernel import (
 from .limit import integrate_profile
 from .oracle import cross_validate
 from .rates import _fmt
+from .stationary import decay_diagnostics, solve_stationary
 
 __all__ = ["parse_config", "dispatch", "main"]
 
@@ -146,13 +145,14 @@ def _read_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _build_grid_for(cfg: RunConfig, decay: str):
+def _build_grid_for(cfg: RunConfig):
+    """The solve grid: exponential decay at the wall, algebraic under a flow."""
     return build_grid(
         cfg.model.n,
         kernel_params(cfg.model).alpha,
         points_per_unit_alpha=cfg.points_per_unit_alpha,
         R_max=cfg.R_max,
-        decay=decay,
+        decay=EXPONENTIAL if cfg.model.regime == IMPERMEABLE else ALGEBRAIC,
         growth=cfg.growth,
         max_nodes=cfg.max_nodes,
     )
@@ -241,18 +241,19 @@ def _cmd_solve(argv):
     if model.regime != a.regime:
         raise ConfigError(f"{a.regime} requires {_REGIME_RULE[a.regime]}")
 
+    grid = _build_grid_for(cfg)
+    sol, report = solve_stationary(model, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    if not report.converged:
+        raise SolverError(f"no convergence in {report.iterations} iterations")
     if a.regime == IMPERMEABLE:
-        grid = _build_grid_for(cfg, EXPONENTIAL)
-        fieldv, report = solve_impermeable(model, grid, tol=cfg.tol, max_iter=cfg.max_iter)
         header = ["r", "rho", "rho_r", "phi"]
-        columns = [grid.nodes, model.rho_plus + fieldv.phi, fieldv.phi_r, fieldv.phi]
-        summary = {
-            "sup_norm": fieldv.sup_norm,
-            "decay_rate_fit": None if np.isnan(fieldv.decay_rate_fit) else fieldv.decay_rate_fit,
-        }
+        columns = [grid.nodes, sol.rho, sol.rho_r, sol.phi]
+        try:
+            decay_rate_fit = decay_diagnostics(sol, kernel_params(model))[0]
+        except WindowEmptyError:
+            decay_rate_fit = None
+        summary = {"sup_norm": float(np.max(np.abs(sol.phi))), "decay_rate_fit": decay_rate_fit}
     else:
-        grid = _build_grid_for(cfg, ALGEBRAIC)
-        sol, report = solve_inflow_outflow(model, grid, tol=cfg.tol, max_iter=cfg.max_iter)
         phi = sol.rho - model.rho_plus
         header = ["r", "rho", "rho_r", "u", "phi"]
         columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, phi]
@@ -264,8 +265,6 @@ def _cmd_solve(argv):
             "weighted_sup_value": float(np.max(wv * np.abs(phi))),
             "weighted_sup_derivative": float(np.max(wd * np.abs(sol.rho_r))),
         }
-    if not report.converged:
-        raise SolverError(f"no convergence in {report.iterations} iterations")
     if a.out:
         _write_csv(a.out, header + ["residual"], columns + [np.nan_to_num(report.residual, nan=0.0)])
     summary.update(
@@ -305,7 +304,7 @@ def _cmd_rate_study(argv):
     study = rates_mod.RateStudyConfig(
         mode=a.mode,
         kappas=cfg.kappas,
-        base=replace(cfg.model, u_minus=0.0),
+        base=cfg.model,
         norms=cfg.norms,
         points_per_unit_alpha=max(cfg.points_per_unit_alpha, 16.0),
         growth=min(cfg.growth, 1.05),

@@ -32,7 +32,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, NoRootError, SolverError
+from .bessel import check_finite
+from .errors import DomainError, NoRootError, RangeError, SolverError
 from .grid import RadialGrid
 from .kernel import check_pressure_law, enthalpy_h_prime
 
@@ -57,7 +58,9 @@ def potential_w(gamma: float, rho_plus: float, x):
     ``\frac{\gamma}{\gamma-1}[(x^\gamma - \rho_+^\gamma)/\gamma
     - \rho_+^{\gamma-1}(x - \rho_+)]`` otherwise; evaluated through
     ``log1p``/``expm1`` so the quadratic vanishing at ``rho_+`` survives
-    cancellation.
+    cancellation.  ``W`` may overflow to ``inf`` far from ``rho_+``; a
+    pressure scale ``rho_+^gamma`` beyond the double range raises
+    ``RangeError``.
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
@@ -66,8 +69,10 @@ def potential_w(gamma: float, rho_plus: float, x):
     if gamma == 1.0:
         out = rho_plus * ((1.0 + d) * np.log1p(d) - d)
     else:
-        tpow = np.expm1(gamma * np.log1p(d))  # (x/rho_+)^gamma - 1
-        out = rho_plus**gamma * (gamma / (gamma - 1.0)) * (tpow / gamma - d)
+        with np.errstate(over="ignore"):
+            scale = check_finite(np.float64(rho_plus) ** gamma, "rho_plus**gamma")
+            tpow = np.expm1(gamma * np.log1p(d))  # (x/rho_+)^gamma - 1
+            out = scale * (gamma / (gamma - 1.0)) * (tpow / gamma - d)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -117,6 +122,12 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
                 lo = mid
         if hi - lo <= 1e-13:
             break
+    if rho_plus in (lo, hi):
+        # the bracket never came off rho_plus: the root is not resolved
+        raise RangeError(
+            "rho_- lies within the 1e-13 bisection tolerance of rho_plus: "
+            "|rho_b0| is too small for the tail rate sqrt(h'(rho_plus))"
+        )
     return 0.5 * (lo + hi)
 
 
@@ -171,8 +182,8 @@ def integrate_profile(
 
     Adaptive embedded Runge-Kutta (RK45) from ``rho(0) = rho_-`` with local
     tolerance ``STEP_CONTROL``; once ``|rho - rho_+|`` drops below the
-    handover threshold the exact linearized tail continues the profile.
-    Stored samples stop at ``y_max > 0`` or once the profile is flat to 1e-14.
+    handover threshold the exact linearized tail continues the profile (from
+    ``y = 0`` when ``rho_-`` already lies below it).  Stored samples stop at ``y_max > 0`` or once the profile is flat to 1e-14.
     """
     check_pressure_law(gamma, rho_plus)
     if y_max <= 0.0:
@@ -194,36 +205,38 @@ def integrate_profile(
             tail_rate=rate,
         )
 
-    sgn = -1.0 if rho_b0 > 0.0 else 1.0  # sign of rho_bar - rho_plus
-
-    def rhs(_y, u):
-        return -sgn * _manifold_slope(gamma, rho_plus, u[0])
-
-    def near_equilibrium(_y, u):
-        return abs(u[0] - rho_plus) - TAIL_SWITCH
-
-    near_equilibrium.terminal = True
-    near_equilibrium.direction = -1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, y_max),
-        [rho_minus],
-        method="RK45",
-        rtol=STEP_CONTROL,
-        atol=STEP_CONTROL * abs(rho_minus - rho_plus) + 1e-300,
-        events=near_equilibrium,
-        dense_output=True,
-        max_step=0.25 / rate,
-    )
-    if not sol.success:
-        raise SolverError(f"profile integration failed: {sol.message}")
-    y_switch = float(sol.t[-1])
-    amp = float(sol.y[0, -1]) - rho_plus
-
     dy = 0.002 / rate
-    y_rk = np.arange(0.0, y_switch, dy)
-    rho_rk = sol.sol(y_rk)[0] if y_rk.size else np.empty(0)
+    y_switch, amp = 0.0, rho_minus - rho_plus
+    y_rk = rho_rk = np.empty(0)
+    if abs(amp) > TAIL_SWITCH:  # otherwise rho_- already lies on the linearized tail
+        sgn = -1.0 if rho_b0 > 0.0 else 1.0  # sign of rho_bar - rho_plus
+
+        def rhs(_y, u):
+            return -sgn * _manifold_slope(gamma, rho_plus, u[0])
+
+        def near_equilibrium(_y, u):
+            return abs(u[0] - rho_plus) - TAIL_SWITCH
+
+        near_equilibrium.terminal = True
+        near_equilibrium.direction = -1
+
+        sol = solve_ivp(
+            rhs,
+            (0.0, y_max),
+            [rho_minus],
+            method="RK45",
+            rtol=STEP_CONTROL,
+            atol=STEP_CONTROL * abs(amp) + 1e-300,
+            events=near_equilibrium,
+            dense_output=True,
+            max_step=0.25 / rate,
+        )
+        if not sol.success:
+            raise SolverError(f"profile integration failed: {sol.message}")
+        y_switch = float(sol.t[-1])
+        amp = float(sol.y[0, -1]) - rho_plus
+        y_rk = np.arange(0.0, y_switch, dy)
+        rho_rk = sol.sol(y_rk)[0] if y_rk.size else np.empty(0)
     # analytic tail continues down to the sample floor (or y_max)
     if abs(amp) > 0.0:
         y_floor = y_switch + math.log(abs(amp) / PROFILE_FLOOR) / rate

@@ -24,7 +24,7 @@ from scipy.linalg import solve_banded
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
 from .grid import EXPONENTIAL, auto_r_max, build_grid
 from .kernel import ModelParams, enthalpy_h, enthalpy_h_prime, kernel_params
-from .impermeable import solve_impermeable
+from .stationary import solve_stationary
 
 __all__ = ["fd_nodes", "solve_fd", "cross_validate"]
 
@@ -49,7 +49,7 @@ def solve_fd(
     independent of the kernel module.
     """
     if params.u_minus != 0.0:
-        raise ConfigError("oracle covers the impermeable problem only (u_minus = 0)")
+        raise ConfigError("the FD oracle covers the impermeable wall only: it requires u_minus = 0")
     if node_count < 100:
         raise ConfigError("node_count must be at least 100")
     r = fd_nodes(node_count, R_max)
@@ -126,19 +126,20 @@ def _fd_resolution(alpha: float, rho_b: float, R_max: float, tol: float) -> int:
 
 
 def cross_validate(params: ModelParams, tol: float):
-    """Run both impermeable solvers and compare on the kernel solver's grid.
+    """Run the FD oracle and the kernel solver at the wall; compare on the kernel grid.
 
+    ``solve_fd`` runs first, so its ``u_minus = 0`` rule refuses a flow.
     Returns ``(sup_diff, passed)`` with ``passed = sup_diff <= tol``; ``tol``
     must be positive, since it sets the FD resolution.
     """
     if tol <= 0.0:
         raise ConfigError("tol must be positive")
     alpha = kernel_params(params).alpha
-    grid = build_grid(params.n, alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
-    field, report = solve_impermeable(params, grid, tol=1e-12, max_iter=400)
     R_max = auto_r_max(params.n, alpha, EXPONENTIAL)
     node_count = _fd_resolution(alpha, params.rho_b, R_max, tol)
     rho_fd = solve_fd(params, node_count, R_max, newton_tol=1e-10)
+    grid = build_grid(params.n, alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
+    sol, _ = solve_stationary(params, grid, tol=1e-12, max_iter=400)
     rho_fd_on_grid = CubicSpline(fd_nodes(node_count, R_max), rho_fd)(grid.nodes)
-    sup_diff = float(np.max(np.abs((params.rho_plus + field.phi) - rho_fd_on_grid)))
+    sup_diff = float(np.max(np.abs(sol.rho - rho_fd_on_grid)))
     return sup_diff, bool(sup_diff <= tol)

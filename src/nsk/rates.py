@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .grid import EXPONENTIAL, build_grid
-from .impermeable import solve_impermeable
 from .kernel import ModelParams, kernel_params
 from .limit import LimitProfile, integrate_profile, rescale_to_r
+from .stationary import solve_stationary
 
 __all__ = [
     "FIXED",
@@ -56,7 +56,7 @@ L2Y_KEY = "l2_value_y"
 class RateStudyConfig:
     mode: str
     kappas: tuple
-    base: ModelParams  # rho_b read as the fixed slope, or as rho_b^0 in singular mode
+    base: ModelParams  # rho_b: the fixed slope, or rho_b^0 in singular mode; solved at u_minus = 0
     norms: tuple = NORM_KEYS
     points_per_unit_alpha: float = 16.0
     growth: float = 1.05
@@ -126,14 +126,14 @@ def _solve_one(cfg: RateStudyConfig, kappa: float, profile: LimitProfile | None)
         decay=EXPONENTIAL,
         growth=cfg.growth,
     )
-    fieldv, report = solve_impermeable(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    sol, report = solve_stationary(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
     if cfg.mode == FIXED:
-        diff = fieldv.phi
-        diff_r = fieldv.phi_r
+        diff = sol.phi
+        diff_r = sol.rho_r
     else:
         y = (grid.nodes - 1.0) / math.sqrt(kappa)
-        diff = (params.rho_plus + fieldv.phi) - rescale_to_r(profile, kappa, grid)
-        diff_r = fieldv.phi_r - profile.slope(y) / math.sqrt(kappa)
+        diff = sol.rho - rescale_to_r(profile, kappa, grid)
+        diff_r = sol.rho_r - profile.slope(y) / math.sqrt(kappa)
     errors = {}
     if "l2_value" in cfg.norms:
         errors["l2_value"] = grid.weighted_l2_norm(diff)
@@ -147,7 +147,7 @@ def _solve_one(cfg: RateStudyConfig, kappa: float, profile: LimitProfile | None)
     row = RateRow(
         kappa=kappa, errors=errors, nodes=grid.size, iterations=report.iterations
     )
-    return row, (kappa, grid.nodes.copy(), params.rho_plus + fieldv.phi)
+    return row, (kappa, grid.nodes.copy(), sol.rho)
 
 
 def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:

@@ -17,8 +17,7 @@ from .kernel import ModelParams, enthalpy_h
 
 __all__ = [
     "hermite_second_derivative",
-    "ode_residual_impermeable",
-    "ode_residual_inflow_outflow",
+    "ode_residual",
     "residual_sup",
 ]
 
@@ -60,21 +59,13 @@ def hermite_second_derivative(nodes: np.ndarray, f: np.ndarray, fp: np.ndarray) 
     return out
 
 
-def ode_residual_impermeable(grid: RadialGrid, phi: np.ndarray, phi_r: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Residual of ``kappa (phi_rr + (n-1)/r phi_r) = h(rho) - h(rho_+)``."""
-    r = grid.nodes
-    phi_rr = hermite_second_derivative(r, phi, phi_r)
-    rhs = enthalpy_h(params.gamma, params.rho_plus + phi) - enthalpy_h(params.gamma, params.rho_plus)
-    return params.kappa * (phi_rr + (params.n - 1) / r * phi_r) - rhs
-
-
-def ode_residual_inflow_outflow(
-    grid: RadialGrid, rho: np.ndarray, rho_r: np.ndarray, params: ModelParams
-) -> np.ndarray:
+def ode_residual(grid: RadialGrid, rho: np.ndarray, rho_r: np.ndarray, params: ModelParams) -> np.ndarray:
     """Residual of the integro-differential density equation.
 
     The right side combines viscous transport, pressure, kinetic, and the
     nonlocal tail term; the tail integral is recomputed from the profile.
+    Every term but the pressure carries ``u_-``, so at the impermeable wall
+    this is ``kappa (rho_rr + (n-1)/r rho_r) - (h(rho) - h(rho_+))``.
     """
     r = grid.nodes
     n = params.n

@@ -28,8 +28,7 @@ from nsk import (
     potential_w,
     run_rate_study,
     solve_fd,
-    solve_impermeable,
-    solve_inflow_outflow,
+    solve_stationary,
 )
 from nsk.bessel import BesselOrder
 from nsk.grid import ALGEBRAIC
@@ -84,7 +83,7 @@ def test_criterion_3_oracle_equivalence():
     for p in (cases[3], cases[4]):
         kp = kernel_params(p)
         grid = build_grid(p.n, kp.alpha, points_per_unit_alpha=24.0, growth=1.04)
-        field, _ = solve_impermeable(p, grid, tol=1e-12)
+        field, _ = solve_stationary(p, grid, tol=1e-12)
         exact = lifting_phi_b(kp, p.rho_b, grid.nodes)[0]
         closed_ok &= float(np.max(np.abs(field.phi - exact))) <= 1e-7
         R = grid.R_max
@@ -198,7 +197,7 @@ def test_criterion_6_inflow_outflow_suite():
     tol = 1e-6
     grid = build_grid(3, 1.0, points_per_unit_alpha=40.0, decay=ALGEBRAIC, growth=1.03)
     p = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=0.05)
-    sol, rep = solve_inflow_outflow(p, grid, tol=tol)
+    sol, rep = solve_stationary(p, grid, tol=tol)
     flux = sol.rho * sol.u * grid.measure()
     flux_err = float(np.max(np.abs(flux - sol.mass_flux)) / abs(sol.mass_flux))
     scale = max(1.0, float(np.max(np.abs(sol.rho - p.rho_plus))))
@@ -210,20 +209,20 @@ def test_criterion_6_inflow_outflow_suite():
             n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0,
             rho_b=-0.04 * s, u_minus=0.1 * math.sqrt(s),
         )
-        sols, _ = solve_inflow_outflow(ps, grid, tol=tol)
+        sols, _ = solve_stationary(ps, grid, tol=tol)
         data = abs(ps.rho_b) + ps.u_minus**2
         ratios.append(float(np.max(grid.nodes**4 * np.abs(sols.rho - 1.0))) / data)
     linear_ok = max(ratios) / min(ratios) <= 2.0 and all(np.isfinite(ratios))
 
     p_euler = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=0.0, rho_plus=1.0, rho_b=-0.02, u_minus=0.05)
-    _, rep_euler = solve_inflow_outflow(p_euler, grid, tol=tol)
+    _, rep_euler = solve_stationary(p_euler, grid, tol=tol)
 
     p_imp = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.05, u_minus=0.0)
-    f_imp, _ = solve_impermeable(p_imp, grid, tol=1e-12)
+    f_imp, _ = solve_stationary(p_imp, grid, tol=1e-12)
     diffs = []
     for u in (1e-2, 1e-3, 1e-4):
         pu = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.05, u_minus=u)
-        su, _ = solve_inflow_outflow(pu, grid, tol=1e-12)
+        su, _ = solve_stationary(pu, grid, tol=1e-12)
         diffs.append(float(np.max(np.abs(su.rho - 1.0 - f_imp.phi))))
     cu = [d / u for d, u in zip(diffs, (1e-2, 1e-3, 1e-4))]
     continuity_ok = max(cu) / min(cu) <= 2.0 and diffs[0] > diffs[1] > diffs[2]
@@ -264,7 +263,7 @@ def test_criterion_8_impermeable_decay_envelope():
     p = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
     kp = kernel_params(p)
     grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
-    field, report = solve_impermeable(p, grid)
+    field, report = solve_stationary(p, grid)
     sigma, c_fit = decay_diagnostics(field, kp)
     ok = report.converged and sigma >= 0.9 * kp.alpha and np.isfinite(c_fit) and c_fit > 0.0
     detail = f"sigma_fit={sigma:.4f} (>= {0.9 * kp.alpha}), C_fit={c_fit:.3f}"

@@ -204,6 +204,21 @@ _MALFORMED = [
         ["solve", "impermeable", "--config", "@"], {"grid": {"max_nodes": 2.5}},
         "grid.max_nodes must be an integer", id="max_nodes=2.5",
     ),
+    pytest.param(
+        ["solve", "inflow", "--config", "@"], {"u_minus": 1e300}, "source term", id="u_minus=1e300"
+    ),
+    pytest.param(
+        _FLAG_ARGV["--gamma"] + ["--gamma=1e300"], {}, "within the 1e-13 bisection tolerance",
+        id="--gamma=1e300",
+    ),
+    pytest.param(
+        _FLAG_ARGV["--rho-plus"] + ["--rho-plus=1e300"], {}, "rho_plus**gamma is not finite",
+        id="--rho-plus=1e300",
+    ),
+    pytest.param(
+        ["limit-profile", "--gamma", "1e3", "--rho-plus", "2", "--rho-b0=-0.1"], {},
+        "within the 1e-13 bisection tolerance", id="--gamma=1e3",
+    ),
 ]
 
 

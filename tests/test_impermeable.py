@@ -1,26 +1,32 @@
-"""Impermeable-wall solver: fixed point, boundary data, decay diagnostics."""
+"""The impermeable wall, the ``u_minus = 0`` case of ``nsk.stationary``.
+
+Fixed point, boundary data, decay diagnostics, the wall invariants of the
+one nonlinearity, and the shared Picard driver on synthetic maps.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-import nsk.impermeable as imp_mod
+import nsk.stationary as stationary_mod
 from nsk import (
-    ConfigError,
     ModelParams,
     NonContractionError,
     PositivityError,
+    StationarySolution,
     WindowEmptyError,
     build_grid,
     decay_diagnostics,
     kernel_params,
     lifting_phi_b,
-    nonlinearity_impermeable,
-    solve_impermeable,
+    nonlinearity,
+    pressure_remainder,
+    solve_stationary,
+    source_term,
 )
-from nsk.impermeable import PerturbationField
 from nsk.operators import assemble_operators
+from nsk.stationary import fixed_point
 
 
 def params_with(**kw):
@@ -29,34 +35,40 @@ def params_with(**kw):
     return ModelParams(**base)
 
 
+def wall_solution(grid, phi, phi_r):
+    """A wall solution (``u = 0``, ``rho_plus = 1``) carrying the given perturbation."""
+    rho = 1.0 + phi
+    return StationarySolution(grid, phi, rho, phi_r, np.zeros_like(phi), 0.0, float(rho[0]))
+
+
 class TestNonlinearity:
     def test_zero_at_origin(self):
         for gamma in (1.0, 1.4, 2.0):
-            assert nonlinearity_impermeable(gamma, 0.7, 0.0) == 0.0
+            assert pressure_remainder(gamma, 0.7, 0.0) == 0.0
 
     def test_isothermal_value(self):
-        assert nonlinearity_impermeable(1.0, 1.0, 1.0) == pytest.approx(
+        assert pressure_remainder(1.0, 1.0, 1.0) == pytest.approx(
             math.log(2.0) - 1.0, rel=1e-14
         )
 
     def test_vanishes_for_affine_enthalpy(self):
         # gamma = 2 makes h affine, so the remainder is identically zero
-        assert nonlinearity_impermeable(2.0, 1.0, 0.5) == 0.0
+        assert pressure_remainder(2.0, 1.0, 0.5) == 0.0
 
     def test_quadratic_near_zero(self):
-        vals = [abs(nonlinearity_impermeable(1.4, 1.0, eps)) for eps in (1e-3, 5e-4)]
+        vals = [abs(pressure_remainder(1.4, 1.0, eps)) for eps in (1e-3, 5e-4)]
         assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.05)
 
     def test_positivity_guard(self):
         with pytest.raises(PositivityError):
-            nonlinearity_impermeable(1.0, 1.0, -1.0)
+            pressure_remainder(1.0, 1.0, -1.0)
 
 
 class TestSolve:
     def test_zero_data_converges_immediately(self):
         p = params_with(rho_b=0.0)
         grid = build_grid(3, kernel_params(p).alpha)
-        field, report = solve_impermeable(p, grid)
+        field, report = solve_stationary(p, grid)
         assert report.converged and report.iterations == 1
         assert np.all(field.phi == 0.0)
 
@@ -64,79 +76,86 @@ class TestSolve:
         p = params_with(gamma=2.0, rho_b=-0.05)
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha)
-        field, report = solve_impermeable(p, grid)
+        field, report = solve_stationary(p, grid)
         phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, grid.nodes)
         assert report.converged and report.iterations == 1
         assert np.max(np.abs(field.phi - phi_b)) <= 1e-14
-        assert np.max(np.abs(field.phi_r - phi_b_r)) <= 1e-14
+        assert np.max(np.abs(field.rho_r - phi_b_r)) <= 1e-14
 
     def test_fixed_point_defect_below_tolerance(self):
         p = params_with()
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
         tol = 1e-10
-        field, report = solve_impermeable(p, grid, tol=tol)
+        field, report = solve_stationary(p, grid, tol=tol)
         op = assemble_operators(grid, kp, p.kappa)
         phi_b, _ = lifting_phi_b(kp, p.rho_b, grid.nodes)
-        t_phi = phi_b + op.apply(nonlinearity_impermeable(p.gamma, p.rho_plus, field.phi))[0]
+        t_phi = phi_b + op.apply(pressure_remainder(p.gamma, p.rho_plus, field.phi))[0]
         assert np.max(np.abs(field.phi - t_phi)) <= tol
 
     def test_neumann_boundary_value(self):
         for p in (params_with(), params_with(n=2, gamma=1.4, kappa=0.2, rho_b=-0.03)):
             grid = build_grid(p.n, kernel_params(p).alpha, points_per_unit_alpha=16.0)
             tol = 1e-10
-            field, report = solve_impermeable(p, grid, tol=tol)
-            assert abs(field.phi_r[0] - p.rho_b) <= 10.0 * tol
+            field, report = solve_stationary(p, grid, tol=tol)
+            assert abs(field.rho_r[0] - p.rho_b) <= 10.0 * tol
 
     def test_ode_residual(self):
         p = params_with()
         grid = build_grid(3, kernel_params(p).alpha, points_per_unit_alpha=40.0, growth=1.03)
         tol = 1e-6
-        field, report = solve_impermeable(p, grid, tol=tol)
-        assert report.ode_residual_sup <= 10.0 * tol * max(1.0, field.sup_norm)
+        field, report = solve_stationary(p, grid, tol=tol)
+        assert report.ode_residual_sup <= 10.0 * tol * max(1.0, float(np.max(np.abs(field.phi))))
 
     def test_linear_response_to_small_data(self):
         grid = build_grid(3, 1.0, points_per_unit_alpha=16.0)
-        f1, _ = solve_impermeable(params_with(rho_b=-0.1), grid)
-        f2, _ = solve_impermeable(params_with(rho_b=-0.05), grid)
-        assert 1.8 <= f1.sup_norm / f2.sup_norm <= 2.2
+        f1, _ = solve_stationary(params_with(rho_b=-0.1), grid)
+        f2, _ = solve_stationary(params_with(rho_b=-0.05), grid)
+        assert 1.8 <= np.max(np.abs(f1.phi)) / np.max(np.abs(f2.phi)) <= 2.2
 
     def test_positive_density_enforced(self):
         # rho_b > 0 pulls the profile toward vacuum; large data must fail loudly
         p = params_with(rho_b=5.0)
         grid = build_grid(3, 1.0)
         with pytest.raises(PositivityError):
-            solve_impermeable(p, grid)
+            solve_stationary(p, grid)
 
     def test_divergence_detector(self, monkeypatch):
         # an artificially amplifying nonlinearity must trip the growth guard
-        def amplifier(gamma, rho_plus, phi):
+        def amplifier(params, grid, phi, phi_r):
             return -4.0 * np.asarray(phi)
 
-        monkeypatch.setattr(imp_mod, "nonlinearity_impermeable", amplifier)
+        monkeypatch.setattr(stationary_mod, "nonlinearity", amplifier)
         p = params_with()
         grid = build_grid(3, 1.0)
         with pytest.raises(NonContractionError):
-            imp_mod.solve_impermeable(p, grid, max_iter=100)
-
-    def test_rejects_flow_regimes(self):
-        p = params_with(u_minus=0.2)
-        grid = build_grid(3, 1.0)
-        with pytest.raises(ConfigError):
-            solve_impermeable(p, grid)
+            solve_stationary(p, grid, max_iter=100)
 
     def test_max_iter_reports_unconverged(self):
         p = params_with(rho_b=-0.5)
         grid = build_grid(3, 1.0)
-        field, report = solve_impermeable(p, grid, tol=1e-14, max_iter=2)
+        field, report = solve_stationary(p, grid, tol=1e-14, max_iter=2)
         assert not report.converged
+
+    def test_wall_is_the_zero_velocity_case(self):
+        # every flow term carries u_minus: at u_minus = 0 the one nonlinearity is the
+        # pressure remainder bit for bit, the source vanishes and nothing flows
+        p = params_with(mu=2.0, gamma=1.4)
+        grid = build_grid(3, 1.0, points_per_unit_alpha=16.0)
+        phi = -0.3 * np.exp(-(grid.nodes - 1.0)) * np.cos(grid.nodes)
+        phi_r = np.gradient(phi, grid.nodes)
+        assert np.array_equal(nonlinearity(p, grid, phi, phi_r), pressure_remainder(p.gamma, p.rho_plus, phi))
+        assert np.all(source_term(p.n, 0.0, grid.nodes) == 0.0)
+        sol, report = solve_stationary(p, grid)
+        assert report.converged and np.any(sol.phi != 0.0)
+        assert np.all(sol.u == 0.0) and sol.mass_flux == 0.0
 
 
 class TestFixedPoint:
     """Each stopping rule of the shared Picard loop, on a synthetic map."""
 
     def test_converges_to_fixed_point(self):
-        (x,), iterations, update, converged = imp_mod.fixed_point(
+        (x,), iterations, update, converged = fixed_point(
             lambda x: (0.5 * x + 1.0,), (np.zeros(3),), 1.0, 1e-12, 100
         )
         assert converged and update <= 1e-12
@@ -145,7 +164,7 @@ class TestFixedPoint:
 
     def test_positivity_lost(self):
         with pytest.raises(PositivityError):
-            imp_mod.fixed_point(lambda x: (x - 2.0,), (np.zeros(3),), 1.0, 1e-12, 100)
+            fixed_point(lambda x: (x - 2.0,), (np.zeros(3),), 1.0, 1e-12, 100)
 
     def test_five_growing_updates(self):
         steps = []
@@ -155,18 +174,18 @@ class TestFixedPoint:
             return (2.0 * x + 1.0,)
 
         with pytest.raises(NonContractionError, match="grew for 5"):
-            imp_mod.fixed_point(doubling, (np.zeros(3),), 1e6, 1e-12, 100)
+            fixed_point(doubling, (np.zeros(3),), 1e6, 1e-12, 100)
         # updates 1, 2, 4, ...: the first sets the baseline, five more grow
         assert len(steps) == 6
 
     def test_non_finite_update(self):
         with pytest.raises(NonContractionError, match="non-finite update at iteration 1"):
-            imp_mod.fixed_point(
+            fixed_point(
                 lambda x, y: (x, np.full(3, np.nan)), (np.zeros(3), np.zeros(3)), 1.0, 1e-12, 100
             )
 
     def test_max_iter_unconverged(self):
-        (x,), iterations, update, converged = imp_mod.fixed_point(
+        (x,), iterations, update, converged = fixed_point(
             lambda x: (0.5 * x + 1.0,), (np.zeros(3),), 1.0, 1e-12, 3
         )
         assert not converged
@@ -181,8 +200,7 @@ class TestDecayDiagnostics:
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha)
         phi = np.exp(-2.0 * grid.nodes)
-        field = PerturbationField(grid, phi, -2.0 * phi, float(phi.max()), np.nan)
-        sigma, _ = decay_diagnostics(field, kp)
+        sigma, _ = decay_diagnostics(wall_solution(grid, phi, -2.0 * phi), kp)
         assert sigma == pytest.approx(2.0, rel=1e-6)
 
     def test_lifting_tail_rate(self):
@@ -191,8 +209,7 @@ class TestDecayDiagnostics:
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
         phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, grid.nodes)
-        field = PerturbationField(grid, phi_b, phi_b_r, float(np.max(np.abs(phi_b))), np.nan)
-        sigma, c_fit = decay_diagnostics(field, kp)
+        sigma, c_fit = decay_diagnostics(wall_solution(grid, phi_b, phi_b_r), kp)
         assert 0.95 * kp.alpha <= sigma <= 1.05 * kp.alpha
         assert np.isfinite(c_fit) and c_fit > 0.0
 
@@ -200,16 +217,15 @@ class TestDecayDiagnostics:
         p = params_with()
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
-        field, _ = solve_impermeable(p, grid)
+        field, _ = solve_stationary(p, grid)
         sigma, c_fit = decay_diagnostics(field, kp)
         assert sigma >= 0.9 * kp.alpha
         assert np.isfinite(c_fit)
-        assert field.decay_rate_fit == pytest.approx(sigma)
 
     def test_empty_window(self):
         p = params_with(rho_b=0.0)
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha)
-        field, _ = solve_impermeable(p, grid)
+        field, _ = solve_stationary(p, grid)
         with pytest.raises(WindowEmptyError):
             decay_diagnostics(field, kp)

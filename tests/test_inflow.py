@@ -1,20 +1,22 @@
-"""Inflow/outflow solver: mass flux, weighted decay, and term-level oracle."""
+"""Inflow and outflow, the ``u_minus != 0`` cases of ``nsk.stationary``.
+
+Mass flux, weighted decay, and a term-level oracle of the one nonlinearity.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-import nsk.inflow as inflow_mod
+import nsk.stationary as stationary_mod
 from nsk import (
-    ConfigError,
     ModelParams,
     NonContractionError,
     PositivityError,
+    RangeError,
     build_grid,
-    nonlinearity_inflow,
-    solve_impermeable,
-    solve_inflow_outflow,
+    nonlinearity,
+    solve_stationary,
     source_term,
 )
 from nsk.grid import ALGEBRAIC, RadialGrid
@@ -42,19 +44,23 @@ class TestSourceTerm:
         assert np.all(s >= 0.0)
         assert np.all(np.diff(s) < 0.0)
 
+    def test_overflow_raises_range_error(self):
+        with pytest.raises(RangeError, match="source term"):
+            source_term(3, 1e300, np.array([1.0, 2.0]))
+
 
 class TestNonlinearity:
     def test_zero_field_gives_zero(self):
         p = params_with(u_minus=0.3, mu=2.0)
         g = flow_grid()
         z = np.zeros(g.size)
-        assert np.all(nonlinearity_inflow(p, g, z, z) == 0.0)
+        assert np.all(nonlinearity(p, g, z, z) == 0.0)
 
     def test_zero_field_inviscid(self):
         p = params_with(u_minus=0.3, mu=0.0)
         g = flow_grid()
         z = np.zeros(g.size)
-        assert np.all(nonlinearity_inflow(p, g, z, z) == 0.0)
+        assert np.all(nonlinearity(p, g, z, z) == 0.0)
 
     def test_constant_field_kills_kinetic_ratio(self):
         # gamma=2 removes the pressure remainder; a constant field then
@@ -62,7 +68,7 @@ class TestNonlinearity:
         p = params_with(u_minus=0.2, mu=0.0, gamma=2.0)
         g = flow_grid()
         c = np.full(g.size, 0.04)
-        assert np.max(np.abs(nonlinearity_inflow(p, g, c, np.zeros(g.size)))) <= 1e-15
+        assert np.max(np.abs(nonlinearity(p, g, c, np.zeros(g.size)))) <= 1e-15
 
     def test_term_by_term_oracle(self):
         # phi = 0.01 e^{-r}: values frozen from a 40-digit evaluation of the
@@ -79,7 +85,7 @@ class TestNonlinearity:
         g = RadialGrid.from_nodes(nodes, 3)
         phi = 0.01 * np.exp(-g.nodes)
         p = params_with(u_minus=0.1)
-        nvals = nonlinearity_inflow(p, g, phi, -phi)
+        nvals = nonlinearity(p, g, phi, -phi)
         for r, expect in frozen.items():
             i = int(round((r - 1.0) / 0.005))
             assert nvals[i] == pytest.approx(expect, abs=2e-12)
@@ -89,27 +95,23 @@ class TestNonlinearity:
         g = flow_grid()
         bad = np.full(g.size, -2.0)
         with pytest.raises(PositivityError):
-            nonlinearity_inflow(p, g, bad, np.zeros(g.size))
+            nonlinearity(p, g, bad, np.zeros(g.size))
 
 
 class TestSolve:
-    def test_requires_flow(self):
-        with pytest.raises(ConfigError):
-            solve_inflow_outflow(params_with(u_minus=0.0), flow_grid())
-
     def test_divergence_detector(self, monkeypatch):
         # an artificially amplifying nonlinearity must trip the growth guard
         def amplifier(params, grid, phi, phi_r):
             return -4.0 * np.asarray(phi)
 
-        monkeypatch.setattr(inflow_mod, "nonlinearity_inflow", amplifier)
+        monkeypatch.setattr(stationary_mod, "nonlinearity", amplifier)
         with pytest.raises(NonContractionError, match="grew for 5"):
-            inflow_mod.solve_inflow_outflow(params_with(rho_b=-0.1), build_grid(3, 1.0), max_iter=100)
+            solve_stationary(params_with(rho_b=-0.1), build_grid(3, 1.0), max_iter=100)
 
     def test_mass_flux_identity(self):
         for u in (0.05, -0.05):
             p = params_with(u_minus=u, rho_b=-0.02)
-            sol, rep = solve_inflow_outflow(p, flow_grid())
+            sol, rep = solve_stationary(p, flow_grid())
             assert rep.converged
             flux = sol.rho * sol.u * sol.grid.measure()
             assert np.max(np.abs(flux - sol.mass_flux)) <= 1e-12 * abs(sol.mass_flux)
@@ -117,7 +119,7 @@ class TestSolve:
 
     def test_weighted_decay_envelope(self):
         p = params_with(u_minus=0.05, rho_b=0.0)
-        sol, _ = solve_inflow_outflow(p, flow_grid())
+        sol, _ = solve_stationary(p, flow_grid())
         phi = sol.rho - p.rho_plus
         w = sol.grid.nodes ** (2 * (p.n - 1))
         assert np.max(w * np.abs(phi)) <= 10.0 * (abs(p.rho_b) + p.u_minus**2)
@@ -128,7 +130,7 @@ class TestSolve:
         ratios_v, ratios_d = [], []
         for scale in (1.0, 0.5, 0.25, 0.125):
             p = params_with(rho_b=-0.04 * scale, u_minus=0.1 * math.sqrt(scale))
-            sol, _ = solve_inflow_outflow(p, g)
+            sol, _ = solve_stationary(p, g)
             phi = sol.rho - p.rho_plus
             data = abs(p.rho_b) + p.u_minus**2
             ratios_v.append(np.max(g.nodes**4 * np.abs(phi)) / data)
@@ -138,7 +140,7 @@ class TestSolve:
 
     def test_outflow_velocity_bounds(self):
         p = params_with(u_minus=-0.05)
-        sol, _ = solve_inflow_outflow(p, flow_grid())
+        sol, _ = solve_stationary(p, flow_grid())
         scaled = np.abs(sol.u) * sol.grid.measure() / abs(p.u_minus)
         assert np.all(scaled >= 0.5)
         assert np.all(scaled <= 2.0)
@@ -147,7 +149,7 @@ class TestSolve:
         p = params_with(u_minus=0.05, rho_b=-0.02)
         g = flow_grid(ppua=40.0)
         tol = 1e-6
-        sol, rep = solve_inflow_outflow(p, g, tol=tol)
+        sol, rep = solve_stationary(p, g, tol=tol)
         scale = max(1.0, float(np.max(np.abs(sol.rho - p.rho_plus))))
         assert rep.ode_residual_sup <= 10.0 * tol * scale
 
@@ -155,8 +157,8 @@ class TestSolve:
         g = flow_grid()
         p0 = params_with(mu=0.0, u_minus=0.05, rho_b=-0.02)
         p1 = params_with(mu=1e-6, u_minus=0.05, rho_b=-0.02)
-        s0, r0 = solve_inflow_outflow(p0, g, tol=1e-12)
-        s1, r1 = solve_inflow_outflow(p1, g, tol=1e-12)
+        s0, r0 = solve_stationary(p0, g, tol=1e-12)
+        s1, r1 = solve_stationary(p1, g, tol=1e-12)
         assert r0.converged and r1.converged
         sup = float(np.max(np.abs(s0.rho - p0.rho_plus)))
         assert np.max(np.abs(s0.rho - s1.rho)) <= 1e-4 * sup
@@ -164,12 +166,12 @@ class TestSolve:
     def test_vanishing_velocity_recovers_impermeable(self):
         g = flow_grid()
         pi = params_with(u_minus=0.0, rho_b=-0.05)
-        fi, _ = solve_impermeable(pi, g, tol=1e-12)
+        fi, _ = solve_stationary(pi, g, tol=1e-12)
         ratios = []
         prev = None
         for u in (1e-2, 1e-3, 1e-4):
             pu = params_with(u_minus=u, rho_b=-0.05)
-            su, _ = solve_inflow_outflow(pu, g, tol=1e-12)
+            su, _ = solve_stationary(pu, g, tol=1e-12)
             diff = float(np.max(np.abs(su.rho - pi.rho_plus - fi.phi)))
             ratios.append(diff / u)
             if prev is not None:

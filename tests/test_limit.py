@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from nsk import (
     DomainError,
     NoRootError,
+    RangeError,
     build_grid,
     enthalpy_h,
     integrate_profile,
@@ -72,6 +73,10 @@ class TestPotential:
         with pytest.raises(DomainError):
             potential_w(1.4, 1.0, 0.0)
 
+    def test_pressure_scale_overflow(self):
+        with pytest.raises(RangeError, match="rho_plus\\*\\*gamma"):
+            potential_w(2.0, 1e300, 1e300)
+
 
 class TestRhoMinus:
     def test_zero_slope(self):
@@ -104,6 +109,14 @@ class TestRhoMinus:
         with pytest.raises(NoRootError):
             solve_rho_minus(1.0, 1.0, 2.0)
 
+    def test_unresolved_root(self):
+        # tail rate sqrt(h'(2)) = 5e151 at gamma = 1e3: rho_- - rho_plus is about
+        # 2e-153, far below the bisection tolerance
+        with pytest.raises(RangeError, match="bisection tolerance"):
+            solve_rho_minus(1e3, 2.0, -0.1)
+        with pytest.raises(RangeError, match="bisection tolerance"):
+            solve_rho_minus(2.0, 1.0, 1e-15)
+
 
 class TestProfile:
     def test_flat_for_zero_slope(self):
@@ -129,6 +142,16 @@ class TestProfile:
             assert prof.y_nodes[-1] == y_max and np.all(np.diff(prof.y_nodes) > 0.0)
             exact = gamma2_exact(-0.1, prof.y_nodes)
             assert np.max(np.abs(prof.rho_bar - exact)) <= 1e-9
+
+    def test_boundary_value_inside_tail_band(self):
+        # |rho_- - rho_plus| below the handover threshold: the profile is the
+        # linearized tail from y = 0, also for a far y_max; rho_- itself is
+        # resolved to the 1e-13 bisection tolerance
+        for y_max in (60.0, 1e7):
+            prof = integrate_profile(2.0, 1.0, -1e-10, y_max=y_max)
+            assert prof.tail_start == 0.0
+            exact = gamma2_exact(-1e-10, prof.y_nodes)
+            assert np.max(np.abs(prof.rho_bar - exact)) <= 1e-13
 
     def test_energy_conservation(self):
         for gamma, rho_b0 in ((1.0, -0.1), (1.4, 0.08), (2.0, -0.05)):
