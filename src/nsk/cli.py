@@ -254,15 +254,14 @@ def _cmd_solve(argv):
             decay_rate_fit = None
         summary = {"sup_norm": float(np.max(np.abs(sol.phi))), "decay_rate_fit": decay_rate_fit}
     else:
-        phi = sol.rho - model.rho_plus
         header = ["r", "rho", "rho_r", "u", "phi"]
-        columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, phi]
+        columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, sol.phi]
         wv = grid.nodes ** (2 * (model.n - 1))
         wd = grid.nodes ** (2 * model.n - 1)
         summary = {
             "rho_minus": sol.rho_minus,
             "mass_flux": sol.mass_flux,
-            "weighted_sup_value": float(np.max(wv * np.abs(phi))),
+            "weighted_sup_value": float(np.max(wv * np.abs(sol.phi))),
             "weighted_sup_derivative": float(np.max(wd * np.abs(sol.rho_r))),
         }
     if a.out:

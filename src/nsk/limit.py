@@ -26,6 +26,7 @@ arbitrarily large ``y``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,13 @@ def potential_w(gamma: float, rho_plus: float, x):
 def _manifold_slope(gamma: float, rho_plus: float, x: float) -> float:
     """``sqrt(2 W(x))``, the magnitude of the stable-manifold slope."""
     return math.sqrt(2.0 * max(potential_w(gamma, rho_plus, x), 0.0))
+
+
+def _signed_slope(gamma: float, rho_plus: float, x) -> np.ndarray:
+    """``-sgn(x - rho_+) sqrt(2 W(x))``, the stable-manifold slope at each ``x``."""
+    x = np.asarray(x, dtype=float)
+    w = np.maximum(potential_w(gamma, rho_plus, x), 0.0)
+    return -np.sign(x - rho_plus) * np.sqrt(2.0 * w)
 
 
 def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
@@ -166,9 +174,7 @@ class LimitProfile:
 
     def slope(self, y) -> np.ndarray:
         """``rho_bar_y(y)`` from the stable-manifold relation at ``rho_bar(y)``."""
-        vals = np.atleast_1d(self.evaluate(y))
-        w = np.maximum(potential_w(self.gamma, self.rho_plus, vals), 0.0)
-        out = -np.sign(vals - self.rho_plus) * np.sqrt(2.0 * w)
+        out = _signed_slope(self.gamma, self.rho_plus, np.atleast_1d(self.evaluate(y)))
         return out if np.ndim(y) else float(out[0])
 
 
@@ -190,6 +196,15 @@ def integrate_profile(
         raise DomainError("y_max must be positive")
     rate = math.sqrt(enthalpy_h_prime(gamma, rho_plus))
     rho_minus = solve_rho_minus(gamma, rho_plus, rho_b0)
+    dy = 0.002 / rate
+    # The profile's slope peaks at |rho_b0| at the wall, so PCHIP's cubic
+    # coefficients (slope differences over dy^2) are bounded by
+    # 4 |rho_b0| / dy^2; refuse a sample spacing where that bound overflows.
+    if dy < 2.0 * math.sqrt(abs(rho_b0) / sys.float_info.max):
+        raise RangeError(
+            f"tail rate sqrt(h'(rho_plus)) = {rate:.3e} is too large to sample a "
+            f"profile of boundary slope {rho_b0:.3e}"
+        )
     if rho_b0 == 0.0:
         y = np.array([0.0, 0.5 * y_max, y_max])
         flat = np.full(3, rho_plus)
@@ -205,10 +220,16 @@ def integrate_profile(
             tail_rate=rate,
         )
 
-    dy = 0.002 / rate
     y_switch, amp = 0.0, rho_minus - rho_plus
     y_rk = rho_rk = np.empty(0)
     if abs(amp) > TAIL_SWITCH:  # otherwise rho_- already lies on the linearized tail
+        # RK45 squares slopes (at most |rho_b0|, and stage differences of
+        # them) in units of its tolerance STEP_CONTROL |amp|; keep that finite.
+        if 4.0 * abs(rho_b0) > math.sqrt(sys.float_info.max) * STEP_CONTROL * abs(amp):
+            raise RangeError(
+                f"boundary slope {rho_b0:.3e} is too steep for the step control "
+                f"at amplitude rho_- - rho_plus = {amp:.3e}"
+            )
         sgn = -1.0 if rho_b0 > 0.0 else 1.0  # sign of rho_bar - rho_plus
 
         def rhs(_y, u):
@@ -250,12 +271,10 @@ def integrate_profile(
 
     y_all = np.concatenate([y_rk, y_tail])
     rho_all = np.concatenate([rho_rk, rho_tail])
-    w = np.maximum(potential_w(gamma, rho_plus, rho_all), 0.0)
-    slope_all = -np.sign(rho_all - rho_plus) * np.sqrt(2.0 * w)
     return LimitProfile(
         y_nodes=y_all,
         rho_bar=rho_all,
-        rho_bar_y=slope_all,
+        rho_bar_y=_signed_slope(gamma, rho_plus, rho_all),
         rho_minus_limit=rho_minus,
         gamma=gamma,
         rho_plus=rho_plus,

@@ -219,6 +219,17 @@ _MALFORMED = [
         ["limit-profile", "--gamma", "1e3", "--rho-plus", "2", "--rho-b0=-0.1"], {},
         "within the 1e-13 bisection tolerance", id="--gamma=1e3",
     ),
+] + [
+    pytest.param(
+        ["limit-profile", "--gamma", "1e3", "--rho-plus", "2", f"--rho-b0={b}"], {},
+        "is too large to sample", id=f"--rho-b0={b}",
+    )
+    for b in ("-1e150", "-1e139")
+] + [
+    pytest.param(
+        ["limit-profile", "--gamma", "300", "--rho-plus", "2", "--rho-b0=-1e150"], {},
+        "too steep for the step control", id="--gamma=300",
+    ),
 ]
 
 

@@ -11,6 +11,8 @@ import pytest
 import nsk.stationary as stationary_mod
 from nsk import (
     ModelParams,
+    enthalpy_h,
+    enthalpy_h_prime,
     NonContractionError,
     PositivityError,
     RangeError,
@@ -89,6 +91,36 @@ class TestNonlinearity:
         for r, expect in frozen.items():
             i = int(round((r - 1.0) / 0.005))
             assert nvals[i] == pytest.approx(expect, abs=2e-12)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("u_minus", [0.0, 0.05, -0.05])
+    def test_forcing_matches_term_by_term_right_side(self, u_minus, n, gamma):
+        # S + N + h'(rho_+) phi is the right side of the density equation,
+        # written here term by term: transport, h(rho) - h(rho_+), kinetic, tail
+        p = params_with(n=n, gamma=gamma, u_minus=u_minus)
+        g = flow_grid(n=n)
+        rng = np.random.default_rng(n)
+        phi = rng.uniform(-0.05, 0.05, g.size)
+        phi_r = rng.uniform(-0.05, 0.05, g.size)
+        r = g.nodes
+        rho = p.rho_plus + phi
+        rho1 = rho[0]
+        rnm1 = g.measure()
+        tail = g.reverse_cumulative(phi_r**2 / (rnm1 * rho**4))
+        expect = (
+            p.mu * rho1 * u_minus * phi_r / (rnm1 * rho**3)
+            + enthalpy_h(gamma, rho)
+            - enthalpy_h(gamma, p.rho_plus)
+            + rho1**2 * u_minus**2 / (2.0 * r ** (2 * (n - 1)) * rho**2)
+            - p.mu * rho1 * u_minus * tail
+        )
+        got = (
+            source_term(n, u_minus, r)
+            + nonlinearity(p, g, phi, phi_r)
+            + enthalpy_h_prime(gamma, p.rho_plus) * phi
+        )
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_positivity_guard(self):
         p = params_with()

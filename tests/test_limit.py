@@ -1,6 +1,7 @@
 """Vanishing-capillarity limit profile: potential, root, trajectory, rescale."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -182,6 +183,18 @@ class TestProfile:
             m = (prof.y_nodes >= 4.0 / rate) & (prof.y_nodes <= 9.0 / rate)
             slope = np.polyfit(prof.y_nodes[m], np.log(prof.rho_bar[m] - rho_plus), 1)[0]
             assert -slope == pytest.approx(rate, rel=0.02)
+
+    def test_huge_tail_rate(self):
+        # at rate 2e76 the samples, 1e-79 apart, still give finite PCHIP
+        # coefficients; at rate 5e151 the spacing is refused before sampling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = integrate_profile(500.0, 2.0, -1e70)
+            assert prof.tail_rate == pytest.approx(2.0228e76, rel=1e-4)
+            assert prof.slope(0.0) == pytest.approx(-1e70, rel=1e-6)
+            assert np.all(np.isfinite(prof.evaluate(0.5 * (prof.y_nodes[:-1] + prof.y_nodes[1:]))))
+        with pytest.raises(RangeError, match="too large to sample"):
+            integrate_profile(1e3, 2.0, -1e150)
 
 
 class TestRescale:
