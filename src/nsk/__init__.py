@@ -6,7 +6,7 @@ oracle, the vanishing-capillarity limit profile, and a kappa-sweep rate
 study reproducing the theoretical convergence orders.
 """
 
-from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled, weighted_basis
+from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
 from .errors import (
     ConfigError,
     DomainError,
@@ -100,5 +100,4 @@ __all__ = [
     "solve_rho_minus",
     "solve_stationary",
     "source_term",
-    "weighted_basis",
 ]

@@ -15,9 +15,11 @@ the exponentially scaled variants
 which stay O(1) over the whole argument range.  Kernel code combines the
 growing ``I`` factors with decaying ``K`` factors; doing that in scaled form
 with explicit exponent bookkeeping is what keeps products finite for
-arguments in the hundreds, where the unscaled functions overflow.
+arguments in the hundreds, where the unscaled functions overflow.  This is
+the package's one route to ``scipy.special``: every Bessel value the kernel
+uses is checked finite here.
 
-The weighted basis functions
+The weighted functions
 
 .. math::
     (\alpha r)^{-\nu} I_\nu(\alpha r), \qquad (\alpha r)^{-\nu} K_\nu(\alpha r)
@@ -49,7 +51,6 @@ __all__ = [
     "bessel_k",
     "bessel_i_scaled",
     "bessel_k_scaled",
-    "weighted_basis",
 ]
 
 
@@ -86,14 +87,14 @@ class BesselOrder:
 
 def _check_positive(x):
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(~np.isfinite(x)):
+    if not ((x > 0.0) & (x < np.inf)).all():
         raise DomainError("argument x must be positive and finite")
     return x
 
 
 def check_finite(val, what: str):
     """``val``, or ``RangeError`` if any entry is not finite (scaled scipy values are NaN past ~1e9)."""
-    if np.any(~np.isfinite(val)):
+    if not np.isfinite(val).all():
         raise RangeError(f"{what} is not finite at this argument")
     return val
 
@@ -138,31 +139,3 @@ def bessel_k_scaled(order: BesselOrder, x) -> float | np.ndarray:
     """Exponentially scaled ``e^{x} K_nu(x)``; O(1), or ``RangeError`` where scipy fails."""
     xa = _check_positive(x)
     return _scalarize(x, check_finite(_sp.kve(order.nu, xa), "scaled K_nu"))
-
-
-def weighted_basis(order: BesselOrder, alpha: float, r, kind: str, scaled: bool = False):
-    """Weighted radial basis ``(alpha*r)^{-nu} I_nu(alpha*r)`` or the K form.
-
-    Parameters
-    ----------
-    kind : {"first", "second"}
-        "first" selects the ``I`` (growing) solution, "second" the ``K``
-        (decaying) one.
-    scaled : bool
-        If true, the Bessel factor is the exponentially scaled variant, so
-        the result carries an implicit ``e^{+alpha r}`` ("first") or
-        ``e^{-alpha r}`` ("second") that the caller accounts for.
-    """
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
-    ra = np.asarray(r, dtype=float)
-    if np.any(ra < 1.0):
-        raise DomainError("radius r must be >= 1")
-    z = alpha * ra
-    if kind == "first":
-        f = bessel_i_scaled(order, z) if scaled else bessel_i(order, z)
-    elif kind == "second":
-        f = bessel_k_scaled(order, z) if scaled else bessel_k(order, z)
-    else:
-        raise DomainError("kind must be 'first' or 'second'")
-    return _scalarize(r, np.asarray(z, dtype=float) ** (-order.nu) * f)

@@ -25,6 +25,10 @@ class GridSizeError(ConfigError):
     """Grid construction would exceed the configured node cap."""
 
 
+class NoRootError(ConfigError):
+    """Requested boundary slope is outside the attainable range."""
+
+
 class SolverError(NskError):
     """Base class for runtime solver failures."""
 
@@ -39,10 +43,6 @@ class PositivityError(SolverError):
 
 class NewtonDivergenceError(SolverError):
     """Newton iteration failed to converge."""
-
-
-class NoRootError(SolverError):
-    """Requested boundary slope is outside the attainable range."""
 
 
 class WindowEmptyError(SolverError):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, GridSizeError
 
-__all__ = ["RadialGrid", "build_grid", "composite_weights", "segment_weights"]
+__all__ = ["RadialGrid", "build_grid", "composite_weights"]
 
 EXPONENTIAL = "exponential"
 ALGEBRAIC = "algebraic"
@@ -55,22 +55,19 @@ def _tail_stub_weights(h0: float, h1: float):
     return w0, w1, w2
 
 
-def segment_weights(nodes: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
-    """Accumulate composite-Simpson weights for ``[nodes[a], nodes[b]]`` into ``out``.
+def composite_weights(nodes: np.ndarray) -> np.ndarray:
+    """Quadrature weights for ``integral_{nodes[0]}^{nodes[-1]} f(r) dr``.
 
-    Panels are paired from ``a``; an odd interval count is closed by a
-    3-point quadratic over the final interval (a trapezoid if the segment
-    has a single interval and no third node is available inside it).
+    Panels are paired from ``nodes[0]``; an odd interval count is closed by a
+    3-point quadratic over the final interval (a trapezoid if there is a
+    single interval and no third node).
     """
-    count = b - a
-    if count <= 0:
-        return
-    if count == 1:
-        h = nodes[a + 1] - nodes[a]
-        out[a] += 0.5 * h
-        out[a + 1] += 0.5 * h
-        return
-    k = a
+    out = np.zeros_like(nodes)
+    b = len(nodes) - 1
+    if b == 1:
+        out[:] = 0.5 * (nodes[1] - nodes[0])
+        return out
+    k = 0
     while b - k >= 2:
         w0, w1, w2 = _panel_weights(nodes[k + 1] - nodes[k], nodes[k + 2] - nodes[k + 1])
         out[k] += w0
@@ -82,13 +79,7 @@ def segment_weights(nodes: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
         out[b - 2] += w0
         out[b - 1] += w1
         out[b] += w2
-
-
-def composite_weights(nodes: np.ndarray) -> np.ndarray:
-    """Quadrature weights for ``integral_{nodes[0]}^{nodes[-1]} f(r) dr``."""
-    w = np.zeros_like(nodes)
-    segment_weights(nodes, 0, len(nodes) - 1, w)
-    return w
+    return out
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,13 @@ pulling the exponentials out gives the overflow-free representation
         + c_2\, \hat K_\nu(\alpha r)\hat K_\nu(\alpha s) e^{-\alpha(r+s-2)}\Bigr],
     \qquad c_2 = \frac{\hat I_{\nu+1}(\alpha)}{\hat K_{\nu+1}(\alpha)},
 
-with ``m = \min(r,s)``, ``M = \max(r,s)``.  Internally a value is a
-(mantissa, exponent-of-e) pair - the mantissa is the bracketed hat product,
-the exponent is ``-alpha|r-s|`` resp. ``-alpha(r+s-2)`` - collapsed to a
-float only in the final expression.  Both exponents are nonpositive on
-``r, s >= 1``, so the collapse never overflows even for ``alpha ~ 1e3``.
+with ``m = \min(r,s)``, ``M = \max(r,s)``.  :func:`kernel_factors` gives
+the per-radius factors (the four hat values, ``r^{-\nu}`` and
+``e^{-\alpha(r-1)}``), every Bessel value through :mod:`nsk.bessel`;
+:func:`kernel_branches` is the one place they are combined, for the
+pointwise functions here and for :mod:`nsk.operators` alike.  Both
+exponents ``-alpha|r-s|`` and ``-alpha(r+s-2)`` are nonpositive on
+``r, s >= 1``, so nothing overflows even for ``alpha ~ 1e3``.
 
 ``\partial_r G`` is discontinuous across the diagonal; the one-sided values
 are exposed separately and their jump is ``1/r^{n-1}`` (the variation-of-
@@ -44,11 +46,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import special as _sp
 
-from .bessel import BesselOrder, check_finite
+from .bessel import BesselOrder, bessel_i_scaled, bessel_k_scaled
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -58,6 +60,9 @@ __all__ = [
     "enthalpy_h",
     "enthalpy_h_prime",
     "kernel_params",
+    "KernelFactors",
+    "kernel_factors",
+    "kernel_branches",
     "lifting_phi_b",
     "green",
     "green_dr",
@@ -124,11 +129,15 @@ class KernelParams:
     def n(self) -> int:
         return self.nu.two_nu + 2
 
+    @cached_property
+    def wall(self) -> "KernelFactors":
+        """The kernel factors at ``r = 1``."""
+        return kernel_factors(self, 1.0)
+
     @property
     def c2(self) -> float:
         """Reflection coefficient ``\\hat I_{nu+1}(alpha)/\\hat K_{nu+1}(alpha)``."""
-        v = self.nu.nu + 1.0
-        return _sp.ive(v, self.alpha) / _sp.kve(v, self.alpha)
+        return self.wall.iv1 / self.wall.kv1
 
 
 def enthalpy_h(gamma: float, rho) -> float | np.ndarray:
@@ -162,6 +171,48 @@ def kernel_params(params: ModelParams) -> KernelParams:
     return KernelParams(nu=BesselOrder.from_dimension(params.n), alpha=alpha)
 
 
+class KernelFactors:
+    """Per-radius factors of the scaled kernel at radii ``x``: ``x^{-nu}``,
+    ``e^{-alpha(x-1)}`` and, each computed on first use, ``\\hat I_nu``,
+    ``\\hat K_nu``, ``\\hat I_{nu+1}``, ``\\hat K_{nu+1}`` at ``alpha x``, which
+    :mod:`nsk.bessel` checks are finite."""
+
+    def __init__(self, kp: KernelParams, x: np.ndarray):
+        self.x, self._nu, self._ax = x, kp.nu, kp.alpha * x
+        self.rp = x ** (-kp.nu.nu)
+        self.e2 = np.exp(-kp.alpha * (x - 1.0))
+
+    iv = cached_property(lambda self: bessel_i_scaled(self._nu, self._ax))
+    kv = cached_property(lambda self: bessel_k_scaled(self._nu, self._ax))
+    iv1 = cached_property(lambda self: bessel_i_scaled(self._nu.shifted(), self._ax))
+    kv1 = cached_property(lambda self: bessel_k_scaled(self._nu.shifted(), self._ax))
+
+
+def kernel_factors(kp: KernelParams, x) -> KernelFactors:
+    """The kernel factors at radii ``x``, which must all be ``>= 1``."""
+    x = np.asarray(x, dtype=float)
+    if (x < 1.0).any():
+        raise DomainError("radii must be >= 1")
+    return KernelFactors(kp, x)
+
+
+def kernel_branches(kp: KernelParams, f: KernelFactors, i, j, lower):
+    """``(G, dG/dr) (x_i x_j)^nu`` at index pairs ``(i, j)`` of the table ``f``.
+
+    Where ``lower`` the ``s <= r`` branch, else the ``r <= s`` one; across the
+    diagonal each gives its branch's smooth continuation, whose positive
+    exponent is clamped at 600 against overflow.
+    """
+    a = kp.alpha
+    c2 = kp.c2
+    mn, mx = np.where(lower, j, i), np.where(lower, i, j)
+    e1 = np.exp(np.minimum(-a * (f.x[mx] - f.x[mn]), 600.0))
+    e12 = f.e2[i] * f.e2[j]
+    g = -(f.iv[mn] * f.kv[mx] * e1 + c2 * f.kv[i] * f.kv[j] * e12)
+    gdr = a * (np.where(lower, f.kv1[i] * f.iv[j], -f.iv1[i] * f.kv[j]) * e1 + c2 * f.kv1[i] * f.kv[j] * e12)
+    return g, gdr
+
+
 def lifting_phi_b(kp: KernelParams, rho_b: float, r):
     r"""Lifting function absorbing the Neumann data, and its r-derivative.
 
@@ -173,29 +224,26 @@ def lifting_phi_b(kp: KernelParams, rho_b: float, r):
     ``\phi_b = -(\rho_b/\alpha) r^{-\nu} (\hat K_\nu(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``
     and ``\phi_b' = \rho_b r^{-\nu} (\hat K_{\nu+1}(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``.
     """
-    ra = np.asarray(r, dtype=float)
-    if np.any(ra < 1.0):
-        raise DomainError("radius r must be >= 1")
+    f = kernel_factors(kp, r)
     if rho_b == 0.0:
-        z = np.zeros_like(ra)
         if np.ndim(r) == 0:
             return 0.0, 0.0
-        return z, z.copy()
+        return np.zeros_like(f.x), np.zeros_like(f.x)
     a = kp.alpha
-    v = kp.nu.nu
-    khat_den = _sp.kve(v + 1.0, a)
-    decay = np.exp(-a * (ra - 1.0))
-    rp = ra ** (-v)
-    val = -(rho_b / a) * rp * (_sp.kve(v, a * ra) / khat_den) * decay
-    der = rho_b * rp * (_sp.kve(v + 1.0, a * ra) / khat_den) * decay
+    khat_den = kp.wall.kv1
+    val = -(rho_b / a) * f.rp * (f.kv / khat_den) * f.e2
+    der = rho_b * f.rp * (f.kv1 / khat_den) * f.e2
     if np.ndim(r) == 0:
         return float(val), float(der)
     return val, der
 
 
-def _check_rs(r: float, s: float) -> None:
-    if r < 1.0 or s < 1.0:
-        raise DomainError("radii must be >= 1")
+def _at(kp: KernelParams, r: float, s: float, lower: bool):
+    """``(G, dG/dr)`` at ``(r, s)`` on one branch, from a two-radius factor table."""
+    f = kernel_factors(kp, [r, s])
+    g, gdr = kernel_branches(kp, f, 0, 1, lower)
+    rp2 = f.rp[0] * f.rp[1]
+    return float(g * rp2), float(gdr * rp2)
 
 
 def green(kp: KernelParams, r: float, s: float) -> float:
@@ -203,49 +251,21 @@ def green(kp: KernelParams, r: float, s: float) -> float:
 
     Symmetric, strictly negative, with homogeneous Neumann data at ``r=1``.
     """
-    _check_rs(r, s)
-    a = kp.alpha
-    v = kp.nu.nu
-    lo, hi = (s, r) if r >= s else (r, s)
-    t1 = _sp.ive(v, a * lo) * _sp.kve(v, a * hi) * math.exp(-a * (hi - lo))
-    t2 = kp.c2 * _sp.kve(v, a * r) * _sp.kve(v, a * s) * math.exp(-a * (r + s - 2.0))
-    return check_finite(-((r * s) ** (-v)) * (t1 + t2), "G(r, s)")
+    return _at(kp, r, s, r >= s)[0]
 
 
 def green_dr_right(kp: KernelParams, r: float, s: float) -> float:
     """One-sided ``d G/d r`` using the ``s <= r`` branch (limit from r > s)."""
-    _check_rs(r, s)
     if s > r:
         raise DomainError("right-sided derivative requires s <= r")
-    a = kp.alpha
-    v = kp.nu.nu
-    e1 = math.exp(-a * (r - s))
-    e2 = math.exp(-a * (r + s - 2.0))
-    kvp1_r = _sp.kve(v + 1.0, a * r)
-    return check_finite(
-        a
-        * ((r * s) ** (-v))
-        * (_sp.ive(v, a * s) * kvp1_r * e1 + kp.c2 * _sp.kve(v, a * s) * kvp1_r * e2),
-        "dG/dr",
-    )
+    return _at(kp, r, s, True)[1]
 
 
 def green_dr_left(kp: KernelParams, r: float, s: float) -> float:
     """One-sided ``d G/d r`` using the ``r <= s`` branch (limit from r < s)."""
-    _check_rs(r, s)
     if r > s:
         raise DomainError("left-sided derivative requires r <= s")
-    a = kp.alpha
-    v = kp.nu.nu
-    e1 = math.exp(-a * (s - r))
-    e2 = math.exp(-a * (r + s - 2.0))
-    kv_s = _sp.kve(v, a * s)
-    return check_finite(
-        -a
-        * ((r * s) ** (-v))
-        * (_sp.ive(v + 1.0, a * r) * kv_s * e1 - kp.c2 * _sp.kve(v + 1.0, a * r) * kv_s * e2),
-        "dG/dr",
-    )
+    return _at(kp, r, s, False)[1]
 
 
 def green_dr(kp: KernelParams, r: float, s: float) -> float:
@@ -256,4 +276,4 @@ def green_dr(kp: KernelParams, r: float, s: float) -> float:
     """
     if r == s:
         raise DomainError("dG/dr is discontinuous at r == s; use green_dr_left/right")
-    return green_dr_right(kp, r, s) if r > s else green_dr_left(kp, r, s)
+    return _at(kp, r, s, r > s)[1]

@@ -89,6 +89,10 @@ def _signed_slope(gamma: float, rho_plus: float, x) -> np.ndarray:
     return -np.sign(x - rho_plus) * np.sqrt(2.0 * w)
 
 
+def _unreachable(rho_b0: float) -> str:
+    return f"rho_b0 = {rho_b0:.3e} exceeds the slope range of the stable manifold"
+
+
 def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
     """Boundary value ``rho_-``: root of ``-sgn(x-rho_+) sqrt(2W(x)) = rho_b0``.
 
@@ -106,7 +110,7 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
         while _manifold_slope(gamma, rho_plus, hi) < target:
             hi *= 2.0
             if hi > rho_plus * BRACKET_FACTOR:
-                raise NoRootError("slope exceeds the attainable stable-manifold range")
+                raise NoRootError(_unreachable(rho_b0))
         lo = rho_plus
     else:
         # profile below rho_+, expand toward vacuum
@@ -114,7 +118,7 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
         while _manifold_slope(gamma, rho_plus, lo) < target:
             lo *= 0.5
             if lo < rho_plus / BRACKET_FACTOR:
-                raise NoRootError("slope exceeds the attainable stable-manifold range")
+                raise NoRootError(_unreachable(rho_b0))
         hi = rho_plus
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -241,17 +245,23 @@ def integrate_profile(
         near_equilibrium.terminal = True
         near_equilibrium.direction = -1
 
-        sol = solve_ivp(
-            rhs,
-            (0.0, y_max),
-            [rho_minus],
-            method="RK45",
-            rtol=STEP_CONTROL,
-            atol=STEP_CONTROL * abs(amp) + 1e-300,
-            events=near_equilibrium,
-            dense_output=True,
-            max_step=0.25 / rate,
-        )
+        try:
+            sol = solve_ivp(
+                rhs,
+                (0.0, y_max),
+                [rho_minus],
+                method="RK45",
+                rtol=STEP_CONTROL,
+                atol=STEP_CONTROL * abs(amp) + 1e-300,
+                events=near_equilibrium,
+                dense_output=True,
+                max_step=0.25 / rate,
+            )
+        except DomainError as exc:  # a trial stage stepped past the vacuum rho = 0
+            raise RangeError(
+                f"boundary slope rho_b0 = {rho_b0:.3e} is too steep: an RK45 stage "
+                "left the positive density range"
+            ) from exc
         if not sol.success:
             raise SolverError(f"profile integration failed: {sol.message}")
         y_switch = float(sol.t[-1])

@@ -48,11 +48,10 @@ evaluated on the continued branch of their side, which is smooth there.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import ConfigError
-from .grid import RadialGrid, _panel_weights, _tail_stub_weights, segment_weights
-from .kernel import KernelParams
+from .grid import RadialGrid, _panel_weights, _tail_stub_weights, composite_weights
+from .kernel import KernelParams, kernel_branches, kernel_factors
 
 __all__ = ["GreenOperator", "assemble_operators", "backend_name"]
 
@@ -89,12 +88,9 @@ class GreenOperator:
         M = r.size
         a = kp.alpha
         c2 = kp.c2
-        v = kp.nu.nu
-        iv, kv = _sp.ive(v, a * r), _sp.kve(v, a * r)
-        iv1, kv1 = _sp.ive(v + 1.0, a * r), _sp.kve(v + 1.0, a * r)
-        rp = r ** (-v)
+        f = kernel_factors(kp, r)
+        iv, kv, iv1, kv1, rp, e2 = f.iv, f.kv, f.iv1, f.kv1, f.rp, f.e2
         src = rp * r ** (grid.n - 1) / kappa
-        e2 = np.exp(-a * (r - 1.0))
         h = np.diff(r)
         decay = np.exp(-a * h)
         self._down = [0.0] + decay.tolist()
@@ -110,8 +106,8 @@ class GreenOperator:
         wl[k + 1] += p1[k]
         wl[k + 2] += p2[k]
         wr = np.zeros((2, M))
-        segment_weights(r, 0, M - 1, wr[0])
-        segment_weights(r, 1, M - 1, wr[1])
+        wr[0] = grid.weights
+        wr[1, 1:] = composite_weights(r[1:])
 
         # source-side factors of the four sums, target-side factors of A and Adr
         self._lo = wl * iv * src
@@ -148,12 +144,7 @@ class GreenOperator:
         j = np.concatenate([np.asarray(t[1]) for t in near])
         w = np.concatenate([np.asarray(t[2], dtype=float) for t in near])
         lower = np.concatenate([np.full(len(t[0]), t[3]) for t in near])
-        mn, mx = np.where(lower, j, i), np.where(lower, i, j)
-        # the two continued-branch entries have a positive exponent: clamp it against overflow
-        e1 = np.exp(np.minimum(-a * (r[mx] - r[mn]), 600.0))
-        e12 = e2[i] * e2[j]
-        g = -(iv[mn] * kv[mx] * e1 + c2 * kv[i] * kv[j] * e12)
-        gdr = a * (np.where(lower, kv1[i] * iv[j], -iv1[i] * kv[j]) * e1 + c2 * kv1[i] * kv[j] * e12)
+        g, gdr = kernel_branches(kp, f, i, j, lower)
         scale = w * rp[i] * src[j]
         self._near = (M, i, j, g * scale, gdr * scale)
 

@@ -131,14 +131,14 @@ def nonlinearity(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: 
     the grid's reverse cumulative rule.  Vanishes identically for constant
     ``phi`` with ``phi_r = 0``; equals the pressure remainder for ``u_- = 0``.
     """
-    rho = params.rho_plus + np.asarray(phi, dtype=float)
-    if np.any(rho <= 0.0):
-        raise PositivityError("phi + rho_plus must stay positive")
-    rho1 = rho[0]
+    pressure = pressure_remainder(params.gamma, params.rho_plus, phi)
     u = params.u_minus
+    if u == 0.0:
+        return pressure
+    rho = params.rho_plus + np.asarray(phi, dtype=float)
+    rho1 = rho[0]
     rnm1 = grid.measure()
     transport = params.mu * rho1 * u * phi_r / (rnm1 * rho**3)
-    pressure = pressure_remainder(params.gamma, params.rho_plus, phi)
     kinetic = source_term(params.n, u, grid.nodes) * (rho1**2 / rho**2 - 1.0)
     tail = grid.reverse_cumulative(phi_r**2 / (rnm1 * rho**4))
     return transport + pressure + kinetic - params.mu * rho1 * u * tail
@@ -178,7 +178,9 @@ def ode_residual(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: 
     """
     r = grid.nodes
     phi_rr = hermite_second_derivative(r, phi, phi_r)
-    forcing = source_term(params.n, params.u_minus, r) + nonlinearity(params, grid, phi, phi_r)
+    forcing = nonlinearity(params, grid, phi, phi_r)
+    if params.u_minus != 0.0:
+        forcing = source_term(params.n, params.u_minus, r) + forcing
     return (
         params.kappa * (phi_rr + (params.n - 1) / r * phi_r)
         - enthalpy_h_prime(params.gamma, params.rho_plus) * phi
@@ -268,8 +270,8 @@ def decay_diagnostics(solution: StationarySolution, kp: KernelParams):
     Least-squares slope of ``log|phi|`` on ``r`` in
     ``[1 + 2/alpha, R_max - 5/alpha]`` restricted to ``|phi| > 1e-13``;
     returns ``(sigma_fit, envelope_constant)`` with
-    ``C = max |phi| e^{sigma r} / |rho_b|`` and ``rho_b`` read off
-    ``phi_r(1)``.  Meant for the wall, whose profile carries an algebraic
+    ``C = max |phi| e^{sigma r} / |rho_b|`` (``inf`` once it exceeds the
+    double range) and ``rho_b`` read off ``phi_r(1)``.  Meant for the wall, whose profile carries an algebraic
     prefactor (``e^{-alpha r} r^{-(n-1)/2}``), so the fitted rate sits
     slightly above ``alpha``; the theory guarantees any rate below ``alpha``.
     """
@@ -285,5 +287,8 @@ def decay_diagnostics(solution: StationarySolution, kp: KernelParams):
     rho_b = solution.rho_r[0]
     if rho_b == 0.0:
         raise WindowEmptyError("zero boundary data; envelope constant undefined")
-    c_fit = float(np.max(absphi[mask] * np.exp(sigma * r[mask])) / abs(rho_b))
+    # in logs, so e^{sigma r} cannot overflow where the product does not; past
+    # alpha ~ 700 the constant itself leaves the double range and is inf
+    with np.errstate(over="ignore"):
+        c_fit = float(np.exp(np.max(np.log(absphi[mask]) + sigma * r[mask])) / abs(rho_b))
     return sigma, c_fit

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as _sp
 
-from nsk.grid import segment_weights
+from nsk.grid import composite_weights
 
 __all__ = ["dense_operators", "split_weight_rows"]
 
@@ -32,10 +32,9 @@ def split_weight_rows(nodes: np.ndarray):
     wr = np.zeros(M)
     for i in range(M):
         row = W[i]
-        segment_weights(nodes, 0, i, row)
+        row[: i + 1] = composite_weights(nodes[: i + 1])
         wl[i] = row[i]
-        row[i] = 0.0
-        segment_weights(nodes, i, M - 1, row)
+        row[i:] = composite_weights(nodes[i:])
         wr[i] = row[i]
         row[i] = 0.0
     return W, wl, wr

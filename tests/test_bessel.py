@@ -17,7 +17,6 @@ from nsk import (
     bessel_i_scaled,
     bessel_k,
     bessel_k_scaled,
-    weighted_basis,
 )
 
 mp.mp.dps = 40
@@ -175,34 +174,6 @@ class TestIdentities:
             for x in (20.0, 50.0, 200.0, 700.0):
                 assert abs(bessel_i_scaled(order, x) * math.sqrt(2.0 * math.pi * x) - 1.0) <= 0.1
                 assert abs(bessel_k_scaled(order, x) * math.sqrt(2.0 * x / math.pi) - 1.0) <= 0.1
-
-
-class TestWeightedBasis:
-    def test_trivial_weight(self):
-        assert weighted_basis(ZERO, 1.0, 1.0, "second") == pytest.approx(
-            bessel_k(ZERO, 1.0), rel=1e-14
-        )
-
-    def test_half_order_closed_forms(self):
-        # (alpha r)^{-1/2} K_{1/2}(alpha r) with alpha=2, r=3
-        expected = 6.0 ** -0.5 * math.sqrt(math.pi / 12.0) * math.exp(-6.0)
-        assert weighted_basis(HALF, 2.0, 3.0, "second") == pytest.approx(expected, rel=1e-13)
-        expected = 2.0 ** -0.5 * math.sqrt(2.0 / (2.0 * math.pi)) * math.sinh(2.0)
-        assert weighted_basis(HALF, 1.0, 2.0, "first") == pytest.approx(expected, rel=1e-13)
-
-    def test_second_kind_decreasing_in_r(self):
-        rs = np.linspace(1.0, 9.0, 30)
-        vals = weighted_basis(ONE, 1.5, rs, "second")
-        assert np.all(vals > 0.0)
-        assert np.all(np.diff(vals) < 0.0)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            weighted_basis(ZERO, -1.0, 2.0, "second")
-        with pytest.raises(DomainError):
-            weighted_basis(ZERO, 1.0, 0.5, "second")
-        with pytest.raises(DomainError):
-            weighted_basis(ZERO, 1.0, 2.0, "third")
 
 
 @settings(max_examples=60, deadline=None)

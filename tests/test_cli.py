@@ -195,7 +195,7 @@ _MALFORMED = [
     pytest.param(
         _FLAG_ARGV["--x"] + ["--x=1e10", "--scaled"], {}, "scaled I_nu is not finite", id="--x=1e10"
     ),
-    pytest.param(_FLAG_ARGV["--r"] + ["--r=1e9"], {}, "G(r, s) is not finite", id="--r=1e9"),
+    pytest.param(_FLAG_ARGV["--r"] + ["--r=1e9"], {}, "scaled I_nu is not finite", id="--r=1e9"),
     pytest.param(
         ["solve", "impermeable", "--config", "@"], {"max_iter": 1.5}, "max_iter must be an integer",
         id="max_iter=1.5",
@@ -206,6 +206,14 @@ _MALFORMED = [
     ),
     pytest.param(
         ["solve", "inflow", "--config", "@"], {"u_minus": 1e300}, "source term", id="u_minus=1e300"
+    ),
+    pytest.param(
+        ["solve", "impermeable", "--config", "@"], {"kappa": 1e-17, "rho_b": -0.1},
+        "scaled I_nu is not finite", id="kappa=1e-17",
+    ),
+    pytest.param(
+        ["solve", "impermeable", "--config", "@"], {"n": 1000000, "kappa": 0.1, "rho_b": -0.1},
+        "scaled K_nu is not finite", id="n=1e6",
     ),
     pytest.param(
         _FLAG_ARGV["--gamma"] + ["--gamma=1e300"], {}, "within the 1e-13 bisection tolerance",
@@ -229,6 +237,14 @@ _MALFORMED = [
     pytest.param(
         ["limit-profile", "--gamma", "300", "--rho-plus", "2", "--rho-b0=-1e150"], {},
         "too steep for the step control", id="--gamma=300",
+    ),
+    pytest.param(
+        ["limit-profile", "--gamma", "1", "--rho-plus", "2", "--rho-b0=-1e20"], {},
+        "rho_b0 = -1.000e+20 exceeds the slope range", id="--rho-b0=-1e20",
+    ),
+    pytest.param(
+        ["limit-profile", "--gamma", "300", "--rho-plus", "2", "--rho-b0=-1e60"], {},
+        "rho_b0 = -1.000e+60 is too steep", id="--rho-b0=-1e60",
     ),
 ]
 
@@ -333,12 +349,19 @@ class TestDispatch:
         assert not out.exists()
 
     def test_non_finite_iterate_exits_3(self, tmp_path, capsys):
-        # r**(n-1) overflows for this n: the first update is NaN and must stop the
-        # iteration at once instead of running max_iter sweeps on NaN
-        cfg = write_config(tmp_path, dict(VALID, n=1000000, kappa=0.1, rho_b=-0.1))
+        # the transport and tail terms overflow for this mu: the second update is NaN
+        # and must stop the iteration at once instead of running max_iter sweeps on NaN
+        cfg = write_config(tmp_path, dict(VALID, mu=1e300, u_minus=0.05))
         with np.errstate(all="ignore"):
-            assert dispatch(["solve", "impermeable", "--config", cfg]) == 3
-        assert "non-finite update at iteration 1" in capsys.readouterr().err
+            assert dispatch(["solve", "inflow", "--config", cfg]) == 3
+        assert "non-finite update at iteration 2" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_kappa_wall_solve_is_warning_free(self, tmp_path, capsys):
+        # alpha ~ 3e7: the decay envelope constant leaves the double range quietly
+        cfg = write_config(tmp_path, dict(VALID, kappa=1e-15, rho_b=-0.1))
+        assert dispatch(["solve", "impermeable", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
 
     @pytest.mark.parametrize("rho_b, solved", [(20.0, 3), (60.0, 1)])
     def test_rate_study_too_few_rows_exits_3(self, rho_b, solved, tmp_path, capsys):

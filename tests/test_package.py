@@ -1,7 +1,9 @@
-"""The package's public name list."""
+"""The package's public name list and its one route to scipy.special."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +22,27 @@ def test_every_module_name_resolves(module):
     names = getattr(mod, "__all__", [])
     assert [name for name in names if not hasattr(mod, name)] == []
     assert len(set(names)) == len(names)
+
+
+def _uses_scipy_special(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[:2] == ["scipy", "special"] for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if parts[:2] == ["scipy", "special"]:
+                return True
+            if parts == ["scipy"] and any(a.name == "special" for a in node.names):
+                return True
+        elif isinstance(node, ast.Attribute):
+            if node.attr == "special" and isinstance(node.value, ast.Name) and node.value.id == "scipy":
+                return True
+    return False
+
+
+def test_scipy_special_only_in_bessel():
+    # every Bessel value goes through nsk.bessel, which checks it is finite
+    src = Path(nsk.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if _uses_scipy_special(ast.parse(p.read_text())))
+    assert users == ["bessel.py"]
