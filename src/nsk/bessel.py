@@ -51,6 +51,7 @@ __all__ = [
     "bessel_k",
     "bessel_i_scaled",
     "bessel_k_scaled",
+    "check_finite",
 ]
 
 

@@ -34,7 +34,7 @@ class SolverError(NskError):
 
 
 class NonContractionError(SolverError):
-    """Fixed-point iteration diverged (update grew repeatedly)."""
+    """Fixed-point iteration diverged or did not converge within its iteration cap."""
 
 
 class PositivityError(SolverError):

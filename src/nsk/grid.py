@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, GridSizeError
 
-__all__ = ["RadialGrid", "build_grid", "composite_weights"]
+__all__ = ["RadialGrid", "build_grid", "composite_weights", "panel_weights", "tail_stub_weights"]
 
 EXPONENTIAL = "exponential"
 ALGEBRAIC = "algebraic"
@@ -36,7 +36,7 @@ MAX_NODES_DEFAULT = 2_000_000
 H_MAX = 0.5  # spacing cap far from the wall
 
 
-def _panel_weights(h0: float, h1: float):
+def panel_weights(h0: float, h1: float):
     """Quadratic-exact weights for one Simpson panel with spacings h0, h1."""
     w0 = (h0 + h1) * (2.0 * h0 - h1) / (6.0 * h0)
     w1 = (h0 + h1) ** 3 / (6.0 * h0 * h1)
@@ -44,7 +44,7 @@ def _panel_weights(h0: float, h1: float):
     return w0, w1, w2
 
 
-def _tail_stub_weights(h0: float, h1: float):
+def tail_stub_weights(h0: float, h1: float):
     """Integral over the last interval of the quadratic through 3 nodes.
 
     Nodes at ``-h0, 0, h1``; integration over ``[0, h1]``.
@@ -69,13 +69,13 @@ def composite_weights(nodes: np.ndarray) -> np.ndarray:
         return out
     k = 0
     while b - k >= 2:
-        w0, w1, w2 = _panel_weights(nodes[k + 1] - nodes[k], nodes[k + 2] - nodes[k + 1])
+        w0, w1, w2 = panel_weights(nodes[k + 1] - nodes[k], nodes[k + 2] - nodes[k + 1])
         out[k] += w0
         out[k + 1] += w1
         out[k + 2] += w2
         k += 2
     if k == b - 1:
-        w0, w1, w2 = _tail_stub_weights(nodes[b - 1] - nodes[b - 2], nodes[b] - nodes[b - 1])
+        w0, w1, w2 = tail_stub_weights(nodes[b - 1] - nodes[b - 2], nodes[b] - nodes[b - 1])
         out[b - 2] += w0
         out[b - 1] += w1
         out[b] += w2
@@ -144,13 +144,13 @@ class RadialGrid:
             h1 = x[ks + 2] - x[ks + 1]
             f0, f1, f2 = f[ks], f[ks + 1], f[ks + 2]
             # the first interval is the mirror image of a tail stub
-            v2, v1, v0 = _tail_stub_weights(h1, h0)
+            v2, v1, v0 = tail_stub_weights(h1, h0)
             part[ks] = v0 * f0 + v1 * f1 + v2 * f2
-            w0, w1, w2 = _tail_stub_weights(h0, h1)
+            w0, w1, w2 = tail_stub_weights(h0, h1)
             part[ks + 1] = w0 * f0 + w1 * f1 + w2 * f2
         if m % 2 == 1:
             j = m - 1
-            w0, w1, w2 = _tail_stub_weights(x[j] - x[j - 1], x[j + 1] - x[j])
+            w0, w1, w2 = tail_stub_weights(x[j] - x[j - 1], x[j + 1] - x[j])
             part[j] = w0 * f[j - 1] + w1 * f[j] + w2 * f[j + 1]
         out = np.zeros(x.size)
         out[:-1] = np.cumsum(part[::-1])[::-1]

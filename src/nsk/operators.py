@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .grid import RadialGrid, _panel_weights, _tail_stub_weights, composite_weights
+from .grid import RadialGrid, composite_weights, panel_weights, tail_stub_weights
 from .kernel import KernelParams, kernel_branches, kernel_factors
 
 __all__ = ["GreenOperator", "assemble_operators", "backend_name"]
@@ -98,8 +98,8 @@ class GreenOperator:
         self._odd = np.arange(M) % 2 == 1
 
         # global weights: panel k on nodes k..k+2, stub k over [r_{k+1}, r_{k+2}]
-        p0, p1, p2 = _panel_weights(h[:-1], h[1:])
-        s0, s1, s2 = _tail_stub_weights(h[:-1], h[1:])
+        p0, p1, p2 = panel_weights(h[:-1], h[1:])
+        s0, s1, s2 = tail_stub_weights(h[:-1], h[1:])
         wl = np.zeros(M)
         k = np.arange(0, M - 2, 2)
         wl[k] += p0[k]
@@ -131,7 +131,7 @@ class GreenOperator:
         ]
         if M >= 4:
             # row 1: quadratic through r_0..r_2 over [r_0, r_1], a tail stub mirrored
-            a2, wdl[1], row1_w0 = _tail_stub_weights(h[1], h[0])
+            a2, wdl[1], row1_w0 = tail_stub_weights(h[1], h[0])
             wdr[-2] = s1[-1]  # row M-2: the tail stub; its weight at r_{M-1} is wr's
             near += [([1], [2], [a2], True), ([M - 2], [M - 3], [s0[-1]], False)]
         else:  # M = 3: both single intervals stay trapezoids

@@ -44,6 +44,7 @@ __all__ = [
     "fit_loglog",
     "run_rate_study",
     "emit_outputs",
+    "format_float",
 ]
 
 FIXED = "fixed"
@@ -189,7 +190,7 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     return result
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
     """17 significant digits: the round-trip form used in every output file."""
     return format(float(x), ".17g")
 
@@ -208,8 +209,8 @@ def emit_outputs(result: RateStudyResult, out_dir) -> list:
         for row in result.rows:
             if row.failed is not None:
                 continue
-            cells = [_fmt(row.kappa)]
-            cells += [_fmt(row.errors[k]) for k in norm_keys]
+            cells = [format_float(row.kappa)]
+            cells += [format_float(row.errors[k]) for k in norm_keys]
             cells += [str(row.nodes), str(row.iterations), "1" if row.excluded else "0"]
             fh.write(",".join(cells) + "\n")
 
@@ -218,14 +219,14 @@ def emit_outputs(result: RateStudyResult, out_dir) -> list:
         fh.write("series,kappa,x,value\n")
         for kappa, nodes, rho in result.profiles:
             for r, v in zip(nodes, rho):
-                fh.write(f"rho_kappa,{_fmt(kappa)},{_fmt(r)},{_fmt(v)}\n")
+                fh.write(f"rho_kappa,{format_float(kappa)},{format_float(r)},{format_float(v)}\n")
             if result.mode == SINGULAR:
                 ys = (nodes - 1.0) / math.sqrt(kappa)
                 for y, v in zip(ys, rho):
-                    fh.write(f"rho_kappa_y,{_fmt(kappa)},{_fmt(y)},{_fmt(v)}\n")
+                    fh.write(f"rho_kappa_y,{format_float(kappa)},{format_float(y)},{format_float(v)}\n")
         if result.mode == SINGULAR and result.limit is not None:
             for y, v in zip(result.limit.y_nodes, result.limit.rho_bar):
-                fh.write(f"rho_bar,0,{_fmt(y)},{_fmt(v)}\n")
+                fh.write(f"rho_bar,0,{format_float(y)},{format_float(v)}\n")
 
     summary = out / "summary.json"
     payload = {

@@ -27,7 +27,8 @@ With the Green operator ``A`` and its derivative ``A_r`` the pair
 iterated from the lifting ``(phi_b, phi_b_r)``.  The map is a contraction
 for small data; rather than estimating the smallness threshold,
 :func:`fixed_point` detects divergence at runtime (a non-finite update, or
-the sup-update growing five iterations in a row).  The boundary density
+the sup-update growing five iterations in a row), and a solve still
+unconverged after ``max_iter`` sweeps raises as well.  The boundary density
 ``rho(1)`` is an output, read off the converged iterate, which is also the
 value entering ``N``.  Away from the wall the source decays algebraically,
 so flow profiles decay like ``r^{-2(n-1)}`` while the wall profile decays
@@ -89,7 +90,6 @@ class SolverReport:
     iterations: int
     final_update_sup: float
     ode_residual_sup: float
-    converged: bool
     residual: np.ndarray  # ODE residual per node, NaN at the two end nodes
 
 
@@ -199,18 +199,19 @@ def fixed_point(step, state: tuple, rho_plus: float, tol: float, max_iter: int):
 
     ``state[0]`` is the density perturbation and must keep
     ``rho_plus + state[0] > 0``; the update is the sup over every
-    component.  Stops once the update is at most ``tol``, or after
-    ``max_iter`` steps; raises on a non-finite update or one that grew five
-    times in a row.  Returns ``(state, iterations, update, converged)``.
+    component.  Stops once the update is at most ``tol``; raises on a
+    non-finite update, one that grew five times in a row, or once
+    ``max_iter`` steps did not converge.  Returns ``(state, iterations, update)``.
     """
     update = np.inf
     grow = 0
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        new = step(*state)
-        if np.any(rho_plus + new[0] <= 0.0):
-            raise PositivityError("density lost positivity during iteration")
-        diffs = [float(np.max(np.abs(a - b))) for a, b in zip(new, state)]
+        # a diverging iterate overflows to inf/NaN; the finiteness rule below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = step(*state)
+            if np.any(rho_plus + new[0] <= 0.0):
+                raise PositivityError("density lost positivity during iteration")
+            diffs = [float(np.max(np.abs(a - b))) for a, b in zip(new, state)]
         if not all(map(math.isfinite, diffs)):
             raise NonContractionError(f"non-finite update at iteration {iterations}")
         new_update = max(diffs)
@@ -221,8 +222,8 @@ def fixed_point(step, state: tuple, rho_plus: float, tol: float, max_iter: int):
             )
         state, update = new, new_update
         if update <= tol:
-            return state, iterations, update, True
-    return state, iterations, update, False
+            return state, iterations, update
+    raise NonContractionError(f"no convergence in {max_iter} iterations (last update {update:.3e})")
 
 
 def solve_stationary(
@@ -243,7 +244,7 @@ def solve_stationary(
         a_rhs, adr_rhs = op.apply(svals + nonlinearity(params, grid, phi, phi_r))
         return phi_b + a_rhs, phi_b_r + adr_rhs
 
-    (phi, phi_r), iterations, update, converged = fixed_point(
+    (phi, phi_r), iterations, update = fixed_point(
         step, (phi_b, phi_b_r), params.rho_plus, tol, max_iter
     )
     rho = params.rho_plus + phi
@@ -258,7 +259,6 @@ def solve_stationary(
         iterations=iterations,
         final_update_sup=update,
         ode_residual_sup=residual_sup(res),
-        converged=converged,
         residual=res,
     )
     return solution, report

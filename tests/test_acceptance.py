@@ -8,32 +8,21 @@ import math
 
 import numpy as np
 
-from nsk import (
+from nsk.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
+from nsk.grid import ALGEBRAIC, build_grid
+from nsk.kernel import (
+    KernelParams,
     ModelParams,
-    RateStudyConfig,
-    bessel_i,
-    bessel_i_scaled,
-    bessel_k,
-    bessel_k_scaled,
-    build_grid,
-    cross_validate,
-    decay_diagnostics,
-    fd_nodes,
     green,
     green_dr_left,
     green_dr_right,
-    integrate_profile,
     kernel_params,
     lifting_phi_b,
-    potential_w,
-    run_rate_study,
-    solve_fd,
-    solve_stationary,
 )
-from nsk.bessel import BesselOrder
-from nsk.grid import ALGEBRAIC
-from nsk.oracle import _fd_resolution
-from nsk.rates import FIXED, SINGULAR
+from nsk.limit import integrate_profile, potential_w
+from nsk.oracle import _fd_resolution, cross_validate, fd_nodes, solve_fd
+from nsk.rates import FIXED, SINGULAR, RateStudyConfig, run_rate_study
+from nsk.stationary import decay_diagnostics, solve_stationary
 
 RATE_KAPPAS = tuple(10.0 ** (-1.0 - 0.5 * k) for k in range(7))  # 1e-1 .. 1e-4
 
@@ -128,8 +117,6 @@ def test_criterion_4_bessel_identities():
         worst_closed = max(worst_closed, abs(k_scaled / k_half - 1.0))
         worst_closed = max(worst_closed, abs(bessel_i(BesselOrder(1), x) / i_half - 1.0))
     # dimension-3 kernel closed forms built on the half-integer functions
-    from nsk import KernelParams
-
     for a in (0.5, 1.0, 40.0, 1000.0):
         kp = KernelParams(nu=BesselOrder(1), alpha=a)
         for r, s in ((1.0, 1.0), (2.0, 1.3), (1.5, 4.0)):
@@ -215,7 +202,7 @@ def test_criterion_6_inflow_outflow_suite():
     linear_ok = max(ratios) / min(ratios) <= 2.0 and all(np.isfinite(ratios))
 
     p_euler = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=0.0, rho_plus=1.0, rho_b=-0.02, u_minus=0.05)
-    _, rep_euler = solve_stationary(p_euler, grid, tol=tol)
+    solve_stationary(p_euler, grid, tol=tol)  # mu = 0 converges: an unconverged solve raises
 
     p_imp = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.05, u_minus=0.0)
     f_imp, _ = solve_stationary(p_imp, grid, tol=1e-12)
@@ -227,16 +214,10 @@ def test_criterion_6_inflow_outflow_suite():
     cu = [d / u for d, u in zip(diffs, (1e-2, 1e-3, 1e-4))]
     continuity_ok = max(cu) / min(cu) <= 2.0 and diffs[0] > diffs[1] > diffs[2]
 
-    ok = (
-        flux_err <= 1e-12
-        and residual_ok
-        and linear_ok
-        and rep_euler.converged
-        and continuity_ok
-    )
+    ok = flux_err <= 1e-12 and residual_ok and linear_ok and continuity_ok
     detail = (
         f"flux={flux_err:.1e}, residual={rep.ode_residual_sup:.1e} (bar {10 * tol:.0e}), "
-        f"linearity x{max(ratios) / min(ratios):.2f}, mu=0 converged={rep_euler.converged}, "
+        f"linearity x{max(ratios) / min(ratios):.2f}, "
         f"u->0 C range x{max(cu) / min(cu):.2f}"
     )
     _report(6, "inflow/outflow suite", ok, detail)
@@ -263,8 +244,8 @@ def test_criterion_8_impermeable_decay_envelope():
     p = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
     kp = kernel_params(p)
     grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
-    field, report = solve_stationary(p, grid)
+    field, _ = solve_stationary(p, grid)
     sigma, c_fit = decay_diagnostics(field, kp)
-    ok = report.converged and sigma >= 0.9 * kp.alpha and np.isfinite(c_fit) and c_fit > 0.0
+    ok = sigma >= 0.9 * kp.alpha and np.isfinite(c_fit) and c_fit > 0.0
     detail = f"sigma_fit={sigma:.4f} (>= {0.9 * kp.alpha}), C_fit={c_fit:.3f}"
     _report(8, "exponential decay envelope", ok, detail)

@@ -9,15 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nsk import (
-    BesselOrder,
-    DomainError,
-    RangeError,
-    bessel_i,
-    bessel_i_scaled,
-    bessel_k,
-    bessel_k_scaled,
-)
+from nsk.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
+from nsk.errors import DomainError, RangeError
 
 mp.mp.dps = 40
 

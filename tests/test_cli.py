@@ -4,14 +4,13 @@ import json
 import math
 import signal
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsk import ConfigError, bessel_i
-from nsk.bessel import BesselOrder
+from nsk.bessel import BesselOrder, bessel_i
 from nsk.cli import RunConfig, dispatch, parse_config
+from nsk.errors import ConfigError
 
 VALID = {
     "n": 3,
@@ -22,6 +21,8 @@ VALID = {
     "rho_b": -1,
     "u_minus": 0,
 }
+# gamma = 3, rho_b = -20: the solves at kappa = 1, 0.5, 0.3 do not converge in 400 iterations
+UNCONVERGED = dict(VALID, gamma=3, kappa=1, rho_b=-20, kappas=[1, 0.5, 0.3, 0.2, 0.1])
 
 
 def write_config(tmp_path, doc, name="c.json"):
@@ -348,13 +349,14 @@ class TestDispatch:
         assert "no convergence in 1 iterations" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_iterate_exits_3(self, tmp_path, capsys):
         # the transport and tail terms overflow for this mu: the second update is NaN
-        # and must stop the iteration at once instead of running max_iter sweeps on NaN
+        # and must stop the iteration at once, without a warning, instead of running
+        # max_iter sweeps on NaN
         cfg = write_config(tmp_path, dict(VALID, mu=1e300, u_minus=0.05))
-        with np.errstate(all="ignore"):
-            assert dispatch(["solve", "inflow", "--config", cfg]) == 3
-        assert "non-finite update at iteration 2" in capsys.readouterr().err
+        assert dispatch(["solve", "inflow", "--config", cfg]) == 3
+        assert capsys.readouterr().err == "solver error: non-finite update at iteration 2\n"
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_kappa_wall_solve_is_warning_free(self, tmp_path, capsys):
@@ -378,6 +380,20 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert "2 of 7 kappa rows failed" in captured.err
         assert sorted(json.loads(captured.out)) == ["l2_derivative", "l2_value", "sup"]
+
+    def test_rate_study_unconverged_rows_fail(self, tmp_path, capsys):
+        # the three unconverged rows fail instead of being fitted
+        cfg = write_config(tmp_path, UNCONVERGED)
+        argv = ["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert dispatch(argv) == 3
+        assert "only 2 of 5 kappa rows solved" in capsys.readouterr().err
+
+    def test_verify_unconverged_solve_exits_3(self, tmp_path, capsys):
+        # a solver that ran out of iterations is a solver failure, not a failed comparison
+        cfg = write_config(tmp_path, UNCONVERGED)
+        assert dispatch(["verify", "impermeable", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no convergence in 400 iterations" in captured.err
 
     def test_limit_profile(self, tmp_path, capsys):
         out = tmp_path / "lp.csv"

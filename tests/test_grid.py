@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsk import ConfigError, GridSizeError, RadialGrid, build_grid
-from nsk.grid import ALGEBRAIC, EXPONENTIAL, auto_r_max
+from nsk.errors import ConfigError, GridSizeError
+from nsk.grid import ALGEBRAIC, EXPONENTIAL, RadialGrid, auto_r_max, build_grid
 
 
 class TestBuild:

@@ -10,23 +10,19 @@ import numpy as np
 import pytest
 
 import nsk.stationary as stationary_mod
-from nsk import (
-    ModelParams,
-    NonContractionError,
-    PositivityError,
+from nsk.errors import NonContractionError, PositivityError, WindowEmptyError
+from nsk.grid import build_grid
+from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
+from nsk.operators import assemble_operators
+from nsk.stationary import (
     StationarySolution,
-    WindowEmptyError,
-    build_grid,
     decay_diagnostics,
-    kernel_params,
-    lifting_phi_b,
+    fixed_point,
     nonlinearity,
     pressure_remainder,
     solve_stationary,
     source_term,
 )
-from nsk.operators import assemble_operators
-from nsk.stationary import fixed_point
 
 
 def params_with(**kw):
@@ -69,7 +65,7 @@ class TestSolve:
         p = params_with(rho_b=0.0)
         grid = build_grid(3, kernel_params(p).alpha)
         field, report = solve_stationary(p, grid)
-        assert report.converged and report.iterations == 1
+        assert report.iterations == 1
         assert np.all(field.phi == 0.0)
 
     def test_affine_enthalpy_solution_is_the_lifting(self):
@@ -78,7 +74,7 @@ class TestSolve:
         grid = build_grid(3, kp.alpha)
         field, report = solve_stationary(p, grid)
         phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, grid.nodes)
-        assert report.converged and report.iterations == 1
+        assert report.iterations == 1
         assert np.max(np.abs(field.phi - phi_b)) <= 1e-14
         assert np.max(np.abs(field.rho_r - phi_b_r)) <= 1e-14
 
@@ -134,8 +130,8 @@ class TestSolve:
     def test_max_iter_reports_unconverged(self):
         p = params_with(rho_b=-0.5)
         grid = build_grid(3, 1.0)
-        field, report = solve_stationary(p, grid, tol=1e-14, max_iter=2)
-        assert not report.converged
+        with pytest.raises(NonContractionError, match="no convergence in 2 iterations"):
+            solve_stationary(p, grid, tol=1e-14, max_iter=2)
 
     def test_wall_is_the_zero_velocity_case(self):
         # every flow term carries u_minus: at u_minus = 0 the one nonlinearity is the
@@ -146,8 +142,8 @@ class TestSolve:
         phi_r = np.gradient(phi, grid.nodes)
         assert np.array_equal(nonlinearity(p, grid, phi, phi_r), pressure_remainder(p.gamma, p.rho_plus, phi))
         assert np.all(source_term(p.n, 0.0, grid.nodes) == 0.0)
-        sol, report = solve_stationary(p, grid)
-        assert report.converged and np.any(sol.phi != 0.0)
+        sol, _ = solve_stationary(p, grid)
+        assert np.any(sol.phi != 0.0)
         assert np.all(sol.u == 0.0) and sol.mass_flux == 0.0
 
 
@@ -155,10 +151,10 @@ class TestFixedPoint:
     """Each stopping rule of the shared Picard loop, on a synthetic map."""
 
     def test_converges_to_fixed_point(self):
-        (x,), iterations, update, converged = fixed_point(
+        (x,), iterations, update = fixed_point(
             lambda x: (0.5 * x + 1.0,), (np.zeros(3),), 1.0, 1e-12, 100
         )
-        assert converged and update <= 1e-12
+        assert update <= 1e-12
         assert np.allclose(x, 2.0, atol=1e-11)
         assert iterations < 100
 
@@ -185,13 +181,17 @@ class TestFixedPoint:
             )
 
     def test_max_iter_unconverged(self):
-        (x,), iterations, update, converged = fixed_point(
-            lambda x: (0.5 * x + 1.0,), (np.zeros(3),), 1.0, 1e-12, 3
-        )
-        assert not converged
-        assert iterations == 3
-        assert update == pytest.approx(0.25, rel=1e-15)
-        assert np.all(x == 1.75)
+        iterates = []
+
+        def halving(x):
+            iterates.append(0.5 * x + 1.0)
+            return (iterates[-1],)
+
+        # updates 1, 0.5, 0.25: three steps, none at most tol
+        with pytest.raises(NonContractionError, match=r"no convergence in 3 iterations \(last update 2\.500e-01\)"):
+            fixed_point(halving, (np.zeros(3),), 1.0, 1e-12, 3)
+        assert len(iterates) == 3
+        assert np.all(iterates[-1] == 1.75)
 
 
 class TestDecayDiagnostics:

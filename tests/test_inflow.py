@@ -9,19 +9,10 @@ import numpy as np
 import pytest
 
 import nsk.stationary as stationary_mod
-from nsk import (
-    ModelParams,
-    enthalpy_h,
-    enthalpy_h_prime,
-    NonContractionError,
-    PositivityError,
-    RangeError,
-    build_grid,
-    nonlinearity,
-    solve_stationary,
-    source_term,
-)
-from nsk.grid import ALGEBRAIC, RadialGrid
+from nsk.errors import NonContractionError, PositivityError, RangeError
+from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
+from nsk.kernel import ModelParams, enthalpy_h, enthalpy_h_prime
+from nsk.stationary import nonlinearity, solve_stationary, source_term
 
 
 def params_with(**kw):
@@ -143,8 +134,7 @@ class TestSolve:
     def test_mass_flux_identity(self):
         for u in (0.05, -0.05):
             p = params_with(u_minus=u, rho_b=-0.02)
-            sol, rep = solve_stationary(p, flow_grid())
-            assert rep.converged
+            sol, _ = solve_stationary(p, flow_grid())
             flux = sol.rho * sol.u * sol.grid.measure()
             assert np.max(np.abs(flux - sol.mass_flux)) <= 1e-12 * abs(sol.mass_flux)
             assert sol.rho_minus == sol.rho[0]
@@ -189,9 +179,8 @@ class TestSolve:
         g = flow_grid()
         p0 = params_with(mu=0.0, u_minus=0.05, rho_b=-0.02)
         p1 = params_with(mu=1e-6, u_minus=0.05, rho_b=-0.02)
-        s0, r0 = solve_stationary(p0, g, tol=1e-12)
-        s1, r1 = solve_stationary(p1, g, tol=1e-12)
-        assert r0.converged and r1.converged
+        s0, _ = solve_stationary(p0, g, tol=1e-12)
+        s1, _ = solve_stationary(p1, g, tol=1e-12)
         sup = float(np.max(np.abs(s0.rho - p0.rho_plus)))
         assert np.max(np.abs(s0.rho - s1.rho)) <= 1e-4 * sup
 

@@ -14,12 +14,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nsk import (
-    ConfigError,
-    DomainError,
+from nsk.bessel import BesselOrder
+from nsk.errors import ConfigError, DomainError, RangeError
+from nsk.kernel import (
     KernelParams,
     ModelParams,
-    RangeError,
     enthalpy_h,
     enthalpy_h_prime,
     green,
@@ -29,7 +28,6 @@ from nsk import (
     kernel_params,
     lifting_phi_b,
 )
-from nsk.bessel import BesselOrder
 
 mp.mp.dps = 40
 

@@ -8,17 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nsk import (
-    DomainError,
-    NoRootError,
-    RangeError,
-    build_grid,
-    enthalpy_h,
-    integrate_profile,
-    potential_w,
-    rescale_to_r,
-    solve_rho_minus,
-)
+from nsk.errors import DomainError, NoRootError, RangeError
+from nsk.grid import build_grid
+from nsk.kernel import enthalpy_h
+from nsk.limit import integrate_profile, potential_w, rescale_to_r, solve_rho_minus
 
 mp.mp.dps = 40
 

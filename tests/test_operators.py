@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from dense_operators import dense_operators, split_weight_rows
 
-from nsk import ModelParams, RadialGrid, build_grid, green, green_dr, kernel_params
-from nsk.grid import ALGEBRAIC
+from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
+from nsk.kernel import ModelParams, green, green_dr, kernel_params
 from nsk.operators import assemble_operators
 
 

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from nsk import (
-    ConfigError,
-    ModelParams,
-    cross_validate,
-    fd_nodes,
-    kernel_params,
-    lifting_phi_b,
-    solve_fd,
-)
+from nsk.errors import ConfigError
+from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
+from nsk.oracle import cross_validate, fd_nodes, solve_fd
 
 
 def params_with(**kw):

@@ -1,8 +1,11 @@
-"""The package's public name list and its one route to scipy.special."""
+"""The package's public name lists and its one route to scipy.special."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,10 +13,12 @@ import pytest
 import nsk
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in nsk.__all__ if not hasattr(nsk, name)]
-    assert missing == []
-    assert len(set(nsk.__all__)) == len(nsk.__all__)
+def test_import_nsk_loads_no_submodule():
+    # the root re-exports nothing, so importing it pulls in no module and no scipy
+    probe = "import sys, nsk; print(sorted(m for m in sys.modules if m.startswith(('nsk.', 'scipy'))))"
+    env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(nsk.__path__)])

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from nsk import ConfigError, ModelParams, RateStudyConfig, emit_outputs, fit_loglog, run_rate_study
-from nsk.rates import FIXED, SINGULAR
+from nsk.errors import ConfigError
+from nsk.kernel import ModelParams
+from nsk.rates import FIXED, SINGULAR, RateStudyConfig, emit_outputs, fit_loglog, run_rate_study
 
 
 def base_params(rho_b):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from nsk import build_grid
+from nsk.grid import build_grid
 from nsk.stationary import hermite_second_derivative, residual_sup
 
 
