@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -35,7 +36,6 @@ from scipy.interpolate import PchipInterpolator
 
 from .bessel import check_finite
 from .errors import DomainError, NoRootError, RangeError, SolverError
-from .grid import RadialGrid
 from .kernel import check_pressure_law, enthalpy_h_prime
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "potential_w",
     "solve_rho_minus",
     "integrate_profile",
-    "rescale_to_r",
 ]
 
 TAIL_SWITCH = 1e-8  # hand over to the linearized tail below this amplitude
@@ -77,70 +76,48 @@ def potential_w(gamma: float, rho_plus: float, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _manifold_slope(gamma: float, rho_plus: float, x: float) -> float:
-    """``sqrt(2 W(x))``, the magnitude of the stable-manifold slope."""
-    return math.sqrt(2.0 * max(potential_w(gamma, rho_plus, x), 0.0))
-
-
-def _signed_slope(gamma: float, rho_plus: float, x) -> np.ndarray:
+def _manifold_slope(gamma: float, rho_plus: float, x) -> np.ndarray:
     """``-sgn(x - rho_+) sqrt(2 W(x))``, the stable-manifold slope at each ``x``."""
     x = np.asarray(x, dtype=float)
     w = np.maximum(potential_w(gamma, rho_plus, x), 0.0)
     return -np.sign(x - rho_plus) * np.sqrt(2.0 * w)
 
 
-def _unreachable(rho_b0: float) -> str:
-    return f"rho_b0 = {rho_b0:.3e} exceeds the slope range of the stable manifold"
-
-
 def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
     """Boundary value ``rho_-``: root of ``-sgn(x-rho_+) sqrt(2W(x)) = rho_b0``.
 
-    Bisection to absolute tolerance 1e-13.  The bracket is expanded away
-    from ``rho_+`` on the side dictated by the slope sign; if the requested
-    slope exceeds the attainable range before the bracket cap, there is no
-    connecting orbit and ``NoRootError`` is raised.
+    Bisection to absolute tolerance 1e-13 between ``near = rho_+``, where
+    the slope vanishes, and a ``far`` end that is first moved away from
+    ``rho_+`` (upward for ``rho_b0 < 0``, toward vacuum otherwise) until its
+    slope reaches ``|rho_b0|``; if the requested slope exceeds the
+    attainable range before the bracket cap, there is no connecting orbit
+    and ``NoRootError`` is raised.
     """
     if rho_b0 == 0.0:
         return rho_plus
     target = abs(rho_b0)
-    if rho_b0 < 0.0:
-        # profile above rho_+, expand upward
-        hi = rho_plus * 1.125
-        while _manifold_slope(gamma, rho_plus, hi) < target:
-            hi *= 2.0
-            if hi > rho_plus * BRACKET_FACTOR:
-                raise NoRootError(_unreachable(rho_b0))
-        lo = rho_plus
-    else:
-        # profile below rho_+, expand toward vacuum
-        lo = rho_plus * 0.875
-        while _manifold_slope(gamma, rho_plus, lo) < target:
-            lo *= 0.5
-            if lo < rho_plus / BRACKET_FACTOR:
-                raise NoRootError(_unreachable(rho_b0))
-        hi = rho_plus
+    upward = rho_b0 < 0.0  # the profile lies above rho_+
+    near, far = rho_plus, rho_plus * (1.125 if upward else 0.875)
+    factor = 2.0 if upward else 0.5
+    while abs(_manifold_slope(gamma, rho_plus, far)) < target:
+        far *= factor
+        if not rho_plus / BRACKET_FACTOR <= far <= rho_plus * BRACKET_FACTOR:
+            raise NoRootError(f"rho_b0 = {rho_b0:.3e} exceeds the slope range of the stable manifold")
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _manifold_slope(gamma, rho_plus, mid) < target:
-            if rho_b0 < 0.0:
-                lo = mid
-            else:
-                hi = mid
+        mid = 0.5 * (near + far)
+        if abs(_manifold_slope(gamma, rho_plus, mid)) < target:
+            near = mid
         else:
-            if rho_b0 < 0.0:
-                hi = mid
-            else:
-                lo = mid
-        if hi - lo <= 1e-13:
+            far = mid
+        if abs(far - near) <= 1e-13:
             break
-    if rho_plus in (lo, hi):
+    if near == rho_plus:
         # the bracket never came off rho_plus: the root is not resolved
         raise RangeError(
             "rho_- lies within the 1e-13 bisection tolerance of rho_plus: "
             "|rho_b0| is too small for the tail rate sqrt(h'(rho_plus))"
         )
-    return 0.5 * (lo + hi)
+    return 0.5 * (near + far)
 
 
 @dataclass
@@ -156,11 +133,12 @@ class LimitProfile:
     tail_start: float  # y beyond which the linearized tail is used
     tail_amplitude: float  # rho_bar(tail_start) - rho_plus
     tail_rate: float  # sqrt(h'(rho_plus))
-    _interp: PchipInterpolator | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self._interp is None and self.y_nodes.size >= 2:
-            self._interp = PchipInterpolator(self.y_nodes, self.rho_bar, extrapolate=False)
+    @cached_property
+    def _interp(self) -> PchipInterpolator | None:
+        if self.y_nodes.size < 2:
+            return None
+        return PchipInterpolator(self.y_nodes, self.rho_bar, extrapolate=False)
 
     def evaluate(self, y) -> np.ndarray:
         """``rho_bar(y)`` for any ``y >= 0`` (tail formula beyond the samples)."""
@@ -178,7 +156,7 @@ class LimitProfile:
 
     def slope(self, y) -> np.ndarray:
         """``rho_bar_y(y)`` from the stable-manifold relation at ``rho_bar(y)``."""
-        out = _signed_slope(self.gamma, self.rho_plus, np.atleast_1d(self.evaluate(y)))
+        out = _manifold_slope(self.gamma, self.rho_plus, np.atleast_1d(self.evaluate(y)))
         return out if np.ndim(y) else float(out[0])
 
 
@@ -234,10 +212,6 @@ def integrate_profile(
                 f"boundary slope {rho_b0:.3e} is too steep for the step control "
                 f"at amplitude rho_- - rho_plus = {amp:.3e}"
             )
-        sgn = -1.0 if rho_b0 > 0.0 else 1.0  # sign of rho_bar - rho_plus
-
-        def rhs(_y, u):
-            return -sgn * _manifold_slope(gamma, rho_plus, u[0])
 
         def near_equilibrium(_y, u):
             return abs(u[0] - rho_plus) - TAIL_SWITCH
@@ -247,7 +221,7 @@ def integrate_profile(
 
         try:
             sol = solve_ivp(
-                rhs,
+                lambda _y, u: _manifold_slope(gamma, rho_plus, u),
                 (0.0, y_max),
                 [rho_minus],
                 method="RK45",
@@ -269,10 +243,7 @@ def integrate_profile(
         y_rk = np.arange(0.0, y_switch, dy)
         rho_rk = sol.sol(y_rk)[0] if y_rk.size else np.empty(0)
     # analytic tail continues down to the sample floor (or y_max)
-    if abs(amp) > 0.0:
-        y_floor = y_switch + math.log(abs(amp) / PROFILE_FLOOR) / rate
-    else:
-        y_floor = y_switch
+    y_floor = y_switch + math.log(abs(amp) / PROFILE_FLOOR) / rate
     y_end = min(y_max, max(y_floor, y_switch))
     # a single sample when the integration reached y_max before the handover
     count = max(int((y_end - y_switch) / dy), 2) if y_end > y_switch else 1
@@ -284,7 +255,7 @@ def integrate_profile(
     return LimitProfile(
         y_nodes=y_all,
         rho_bar=rho_all,
-        rho_bar_y=_signed_slope(gamma, rho_plus, rho_all),
+        rho_bar_y=_manifold_slope(gamma, rho_plus, rho_all),
         rho_minus_limit=rho_minus,
         gamma=gamma,
         rho_plus=rho_plus,
@@ -293,14 +264,3 @@ def integrate_profile(
         tail_rate=rate,
     )
 
-
-def rescale_to_r(profile: LimitProfile, kappa: float, grid: RadialGrid) -> np.ndarray:
-    """``rho_bar^kappa(r) = rho_bar((r-1)/sqrt(kappa))`` at the grid nodes.
-
-    Monotone cubic interpolation inside the sampled range; the exponential
-    tail formula covers any radius beyond it.
-    """
-    if kappa <= 0.0:
-        raise DomainError("kappa must be positive")
-    y = (grid.nodes - 1.0) / math.sqrt(kappa)
-    return profile.evaluate(y)

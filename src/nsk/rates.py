@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .grid import EXPONENTIAL, build_grid
 from .kernel import ModelParams, kernel_params
-from .limit import LimitProfile, integrate_profile, rescale_to_r
+from .limit import LimitProfile, integrate_profile
 from .stationary import solve_stationary
 
 __all__ = [
@@ -133,7 +133,7 @@ def _solve_one(cfg: RateStudyConfig, kappa: float, profile: LimitProfile | None)
         diff_r = sol.rho_r
     else:
         y = (grid.nodes - 1.0) / math.sqrt(kappa)
-        diff = sol.rho - rescale_to_r(profile, kappa, grid)
+        diff = sol.rho - profile.evaluate(y)
         diff_r = sol.rho_r - profile.slope(y) / math.sqrt(kappa)
     errors = {}
     if "l2_value" in cfg.norms:

@@ -26,9 +26,11 @@ With the Green operator ``A`` and its derivative ``A_r`` the pair
 
 iterated from the lifting ``(phi_b, phi_b_r)``.  The map is a contraction
 for small data; rather than estimating the smallness threshold,
-:func:`fixed_point` detects divergence at runtime (a non-finite update, or
-the sup-update growing five iterations in a row), and a solve still
-unconverged after ``max_iter`` sweeps raises as well.  The boundary density
+:func:`fixed_point` measures the contraction at runtime: it raises on a
+non-finite update, and from the sixth sweep on whenever the observed rate
+``q`` of the sup-update is at least 1 or too slow to reach the tolerance
+within ``max_iter`` sweeps; a solve still unconverged after ``max_iter``
+sweeps raises as well.  The boundary density
 ``rho(1)`` is an output, read off the converged iterate, which is also the
 value entering ``N``.  Away from the wall the source decays algebraically,
 so flow profiles decay like ``r^{-2(n-1)}`` while the wall profile decays
@@ -198,13 +200,16 @@ def fixed_point(step, state: tuple, rho_plus: float, tol: float, max_iter: int):
     """Picard iteration ``state <- step(*state)`` on a tuple of arrays.
 
     ``state[0]`` is the density perturbation and must keep
-    ``rho_plus + state[0] > 0``; the update is the sup over every
-    component.  Stops once the update is at most ``tol``; raises on a
-    non-finite update, one that grew five times in a row, or once
-    ``max_iter`` steps did not converge.  Returns ``(state, iterations, update)``.
+    ``rho_plus + state[0] > 0``; the update ``u_k`` of sweep ``k`` is the
+    sup over every component.  Stops once the update is at most ``tol``.
+    Raises on a non-finite update; from sweep 6 on, when the observed
+    contraction ``q = (u_k / u_{k-5})^{1/5}`` is at least 1 or
+    ``u_k q^{max_iter-k} > tol``, i.e. it cannot reach ``tol`` within
+    ``max_iter`` sweeps; and once ``max_iter`` sweeps did not converge.
+    Returns ``(state, iterations, update)``.
     """
     update = np.inf
-    grow = 0
+    updates = []
     for iterations in range(1, max_iter + 1):
         # a diverging iterate overflows to inf/NaN; the finiteness rule below reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -214,15 +219,17 @@ def fixed_point(step, state: tuple, rho_plus: float, tol: float, max_iter: int):
             diffs = [float(np.max(np.abs(a - b))) for a, b in zip(new, state)]
         if not all(map(math.isfinite, diffs)):
             raise NonContractionError(f"non-finite update at iteration {iterations}")
-        new_update = max(diffs)
-        grow = grow + 1 if new_update > update else 0
-        if grow >= 5:
-            raise NonContractionError(
-                f"sup-update grew for 5 consecutive iterations (last {new_update:.3e})"
-            )
-        state, update = new, new_update
+        state, update = new, max(diffs)
         if update <= tol:
             return state, iterations, update
+        updates.append(update)
+        if 6 <= iterations < max_iter:
+            q = (update / updates[-6]) ** 0.2
+            if q >= 1.0 or update * q ** (max_iter - iterations) > tol:
+                raise NonContractionError(
+                    f"contraction q = {q:.3f} per iteration at iteration {iterations} "
+                    f"(update {update:.3e}) cannot reach {tol:.1e} within {max_iter} iterations"
+                )
     raise NonContractionError(f"no convergence in {max_iter} iterations (last update {update:.3e})")
 
 

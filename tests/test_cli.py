@@ -21,7 +21,7 @@ VALID = {
     "rho_b": -1,
     "u_minus": 0,
 }
-# gamma = 3, rho_b = -20: the solves at kappa = 1, 0.5, 0.3 do not converge in 400 iterations
+# gamma = 3, rho_b = -20: the solves at kappa = 1, 0.5, 0.3 stall and cannot converge in 400 iterations
 UNCONVERGED = dict(VALID, gamma=3, kappa=1, rho_b=-20, kappas=[1, 0.5, 0.3, 0.2, 0.1])
 
 
@@ -393,7 +393,7 @@ class TestDispatch:
         cfg = write_config(tmp_path, UNCONVERGED)
         assert dispatch(["verify", "impermeable", "--config", cfg]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "no convergence in 400 iterations" in captured.err
+        assert captured.out == "" and "cannot reach 1.0e-12 within 400 iterations" in captured.err
 
     def test_limit_profile(self, tmp_path, capsys):
         out = tmp_path / "lp.csv"

@@ -127,6 +127,22 @@ class TestSolve:
         with pytest.raises(NonContractionError):
             solve_stationary(p, grid, max_iter=100)
 
+    def test_stalled_solve_fails_within_ten_sweeps(self, monkeypatch):
+        # kappa = 1 row of a rate study whose update stalls near 4.9 (q about 0.97)
+        p = params_with(gamma=3.0, rho_b=-20.0)
+        grid = build_grid(3, kernel_params(p).alpha, points_per_unit_alpha=16.0, growth=1.05)
+        sweeps = []
+        real_nonlinearity = stationary_mod.nonlinearity
+
+        def counted(*args):
+            sweeps.append(1)
+            return real_nonlinearity(*args)
+
+        monkeypatch.setattr(stationary_mod, "nonlinearity", counted)
+        with pytest.raises(NonContractionError, match="cannot reach 1.0e-10 within 400 iterations"):
+            solve_stationary(p, grid, max_iter=400)
+        assert len(sweeps) <= 10
+
     def test_max_iter_reports_unconverged(self):
         p = params_with(rho_b=-0.5)
         grid = build_grid(3, 1.0)
@@ -169,10 +185,43 @@ class TestFixedPoint:
             steps.append(1)
             return (2.0 * x + 1.0,)
 
-        with pytest.raises(NonContractionError, match="grew for 5"):
+        with pytest.raises(NonContractionError, match=r"q = 2\.000 per iteration at iteration 6"):
             fixed_point(doubling, (np.zeros(3),), 1e6, 1e-12, 100)
-        # updates 1, 2, 4, ...: the first sets the baseline, five more grow
+        # updates 1, 2, 4, ...: the rate q = 2 is first measured at sweep 6
         assert len(steps) == 6
+
+    def test_two_cycle(self):
+        steps = []
+
+        def flip(x):
+            steps.append(1)
+            return (1.0 - x,)
+
+        # 0, 1, 0, 1, ...: every update is 1, so q = 1 and nothing contracts
+        with pytest.raises(NonContractionError, match=r"q = 1\.000 per iteration at iteration 6 \(update 1\.000e\+00\)"):
+            fixed_point(flip, (np.zeros(3),), 1.0, 1e-12, 400)
+        assert len(steps) == 6
+
+    def test_slow_contraction_fails_early(self):
+        steps = []
+
+        def slow(x):
+            steps.append(1)
+            return (0.99 * x + 1.0,)
+
+        # q = 0.99 would leave an update near 0.37 after 100 sweeps, far above tol
+        with pytest.raises(NonContractionError, match=r"q = 0\.990 .* cannot reach 1\.0e-12 within 100 iterations"):
+            fixed_point(slow, (np.zeros(3),), 1.0, 1e-12, 100)
+        assert len(steps) == 6
+
+    def test_fast_enough_contraction_runs_to_convergence(self):
+        # q = 0.9 reaches 1e-12 within 400 sweeps: the update 0.9^(k-1) first
+        # drops to tol at sweep 264, as it did without the rate rule
+        (x,), iterations, update = fixed_point(
+            lambda x: (0.9 * x + 1.0,), (np.zeros(3),), 1.0, 1e-12, 400
+        )
+        assert iterations == 264 and update <= 1e-12
+        assert np.allclose(x, 10.0, atol=1e-10)
 
     def test_non_finite_update(self):
         with pytest.raises(NonContractionError, match="non-finite update at iteration 1"):

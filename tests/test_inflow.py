@@ -128,7 +128,7 @@ class TestSolve:
             return -4.0 * np.asarray(phi)
 
         monkeypatch.setattr(stationary_mod, "nonlinearity", amplifier)
-        with pytest.raises(NonContractionError, match="grew for 5"):
+        with pytest.raises(NonContractionError, match="at iteration 6"):
             solve_stationary(params_with(rho_b=-0.1), build_grid(3, 1.0), max_iter=100)
 
     def test_mass_flux_identity(self):

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from nsk.errors import DomainError, NoRootError, RangeError
 from nsk.grid import build_grid
 from nsk.kernel import enthalpy_h
-from nsk.limit import integrate_profile, potential_w, rescale_to_r, solve_rho_minus
+from nsk.limit import integrate_profile, potential_w, solve_rho_minus
 
 mp.mp.dps = 40
 
@@ -20,6 +20,23 @@ def gamma2_exact(rho_b0, y):
     # for gamma=2, rho_plus=1 the reduced flow is linear:
     # rho(y) = 1 - (rho_b0/sqrt(2)) e^{-sqrt(2) y}
     return 1.0 - (rho_b0 / math.sqrt(2.0)) * np.exp(-math.sqrt(2.0) * np.asarray(y))
+
+
+def isothermal_root(level, lo, hi):
+    """Root of ``W(x) = x log x - x + 1 = level`` in ``[lo, hi]``: 40-digit bisection.
+
+    ``W`` is the potential for ``gamma = 1``, ``rho_plus = 1``, so the root is
+    ``rho_-`` for the boundary slope ``rho_b0`` with ``rho_b0^2 / 2 = level``.
+    """
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    above_at_lo = lo * mp.log(lo) - lo + 1 > level
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if (mid * mp.log(mid) - mid + 1 > level) == above_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
 
 
 class TestPotential:
@@ -78,16 +95,23 @@ class TestRhoMinus:
 
     def test_isothermal_root(self):
         # bisection oracle on x log x - x + 1 = 0.005 (40-digit arithmetic)
-        lo, hi = mp.mpf(1), mp.mpf(2)
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if mid * mp.log(mid) - mid + 1 < mp.mpf("0.005"):
-                lo = mid
-            else:
-                hi = mid
-        expected = float((lo + hi) / 2)
+        expected = isothermal_root(mp.mpf("0.005"), 1, 2)
         assert expected == pytest.approx(1.1016531353, rel=1e-9)
         assert solve_rho_minus(1.0, 1.0, -0.1) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rho_b0, lo, hi, approx_root",
+        [
+            (0.1, "1e-6", 1, 0.90168),  # below rho_plus, above the first far end 0.875
+            (1.4, "1e-6", 1, 2.9266e-3),  # far end 0.875 halved nine times
+            (-3.0, 1, 16, 5.2767),  # far end 1.125 doubled three times
+        ],
+    )
+    def test_isothermal_root_either_side(self, rho_b0, lo, hi, approx_root):
+        # both bracket directions against the 40-digit oracle at level rho_b0^2 / 2
+        expected = isothermal_root(mp.mpf(rho_b0) ** 2 / 2, lo, hi)
+        assert expected == pytest.approx(approx_root, rel=1e-4)
+        assert solve_rho_minus(1.0, 1.0, rho_b0) == pytest.approx(expected, abs=1e-12)
 
     def test_quadratic_root(self):
         assert solve_rho_minus(2.0, 1.0, -0.1) == pytest.approx(
@@ -194,19 +218,19 @@ class TestRescale:
     def test_identity_scaling(self):
         prof = integrate_profile(2.0, 1.0, -0.1)
         grid = build_grid(3, 2.0, R_max=9.0)
-        vals = rescale_to_r(prof, 1.0, grid)
+        vals = prof.evaluate((grid.nodes - 1.0) / math.sqrt(1.0))
         assert vals == pytest.approx(gamma2_exact(-0.1, grid.nodes - 1.0), abs=1e-9)
 
     def test_wall_value_is_rho_minus(self):
         prof = integrate_profile(1.4, 1.0, -0.07)
         grid = build_grid(3, 5.0, R_max=3.0)
-        vals = rescale_to_r(prof, 0.25, grid)
+        vals = prof.evaluate((grid.nodes - 1.0) / math.sqrt(0.25))
         assert vals[0] == pytest.approx(prof.rho_minus_limit, abs=1e-12)
 
     def test_layer_compression(self):
         prof = integrate_profile(2.0, 1.0, -0.1)
         grid = build_grid(3, 5.0, R_max=3.0)
-        vals = rescale_to_r(prof, 0.04, grid)
+        vals = prof.evaluate((grid.nodes - 1.0) / math.sqrt(0.04))
         i = int(np.argmin(np.abs(grid.nodes - 1.2)))
         expect = gamma2_exact(-0.1, (grid.nodes[i] - 1.0) / 0.2)
         assert vals[i] == pytest.approx(float(expect), abs=1e-9)
@@ -214,7 +238,7 @@ class TestRescale:
     def test_tail_extension_beyond_samples(self):
         prof = integrate_profile(2.0, 1.0, -0.1)
         grid = build_grid(3, 1.0, R_max=41.0)
-        vals = rescale_to_r(prof, 1e-4, grid)  # y up to 4e3, far past the samples
+        vals = prof.evaluate((grid.nodes - 1.0) / math.sqrt(1e-4))  # y up to 4e3, far past the samples
         assert vals[-1] == pytest.approx(1.0, abs=1e-13)
         assert np.all(np.isfinite(vals))
         assert vals == pytest.approx(gamma2_exact(-0.1, (grid.nodes - 1.0) / 1e-2), abs=1e-9)
