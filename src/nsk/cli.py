@@ -24,7 +24,7 @@ import numpy as np
 from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
 from .errors import ConfigError, NskError, SolverError, WindowEmptyError
-from .grid import ALGEBRAIC, EXPONENTIAL, MAX_NODES_DEFAULT, build_grid
+from .grid import ALGEBRAIC, EXPONENTIAL, MAX_NODES_DEFAULT, RadialGrid, build_grid
 from .kernel import (
     IMPERMEABLE,
     INFLOW,
@@ -41,7 +41,7 @@ from .oracle import cross_validate
 from .rates import format_float
 from .stationary import decay_diagnostics, solve_stationary
 
-__all__ = ["parse_config", "dispatch", "main"]
+__all__ = ["RunConfig", "parse_config", "dispatch", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,6 +76,18 @@ class RunConfig:
             raise ConfigError("max_iter must be at least 1")
         if self.points_per_unit_alpha <= 0.0:
             raise ConfigError("grid.points_per_unit_alpha must be positive")
+
+    def grid(self, model: ModelParams) -> RadialGrid:
+        """The solve grid for ``model``: exponential decay at the wall, algebraic under a flow."""
+        return build_grid(
+            model.n,
+            kernel_params(model).alpha,
+            points_per_unit_alpha=self.points_per_unit_alpha,
+            R_max=self.R_max,
+            decay=EXPONENTIAL if model.regime == IMPERMEABLE else ALGEBRAIC,
+            growth=self.growth,
+            max_nodes=self.max_nodes,
+        )
 
 
 def _number(value, key: str) -> float:
@@ -143,19 +155,6 @@ def _read_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return parse_config(text)
-
-
-def _build_grid_for(cfg: RunConfig):
-    """The solve grid: exponential decay at the wall, algebraic under a flow."""
-    return build_grid(
-        cfg.model.n,
-        kernel_params(cfg.model).alpha,
-        points_per_unit_alpha=cfg.points_per_unit_alpha,
-        R_max=cfg.R_max,
-        decay=EXPONENTIAL if cfg.model.regime == IMPERMEABLE else ALGEBRAIC,
-        growth=cfg.growth,
-        max_nodes=cfg.max_nodes,
-    )
 
 
 def _write_csv(path: str, header: list, columns: list) -> None:
@@ -241,7 +240,7 @@ def _cmd_solve(argv):
     if model.regime != a.regime:
         raise ConfigError(f"{a.regime} requires {_REGIME_RULE[a.regime]}")
 
-    grid = _build_grid_for(cfg)
+    grid = cfg.grid(model)
     sol, report = solve_stationary(model, grid, tol=cfg.tol, max_iter=cfg.max_iter)
     if a.regime == IMPERMEABLE:
         header = ["r", "rho", "rho_r", "phi"]
@@ -254,8 +253,8 @@ def _cmd_solve(argv):
     else:
         header = ["r", "rho", "rho_r", "u", "phi"]
         columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, sol.phi]
-        wv = grid.nodes ** (2 * (model.n - 1))
-        wd = grid.nodes ** (2 * model.n - 1)
+        wv = grid.power(2 * (model.n - 1))
+        wd = grid.power(2 * model.n - 1)
         summary = {
             "rho_minus": sol.rho_minus,
             "mass_flux": sol.mass_flux,
@@ -297,18 +296,7 @@ def _cmd_rate_study(argv):
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     a = p.parse_args(argv)
-    cfg = _read_config(a.config)
-    study = rates_mod.RateStudyConfig(
-        mode=a.mode,
-        kappas=cfg.kappas,
-        base=cfg.model,
-        norms=cfg.norms,
-        points_per_unit_alpha=max(cfg.points_per_unit_alpha, 16.0),
-        growth=min(cfg.growth, 1.05),
-        tol=cfg.tol,
-        max_iter=max(cfg.max_iter, 400),
-    )
-    result = rates_mod.run_rate_study(study)
+    result = rates_mod.run_rate_study(_read_config(a.config), a.mode)
     failed = sum(row.failed is not None for row in result.rows)
     if failed:
         sys.stderr.write(f"warning: {failed} of {len(result.rows)} kappa rows failed\n")

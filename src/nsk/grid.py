@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bessel import check_finite
 from .errors import ConfigError, GridSizeError
 
 __all__ = ["RadialGrid", "build_grid", "composite_weights", "panel_weights", "tail_stub_weights"]
@@ -112,9 +113,14 @@ class RadialGrid:
     def size(self) -> int:
         return self.nodes.size
 
+    def power(self, k: int) -> np.ndarray:
+        """``r^k`` at the nodes; ``RangeError`` once it leaves the double range."""
+        with np.errstate(over="ignore"):
+            return check_finite(self.nodes**k, f"r**{k} (n = {self.n})")
+
     def measure(self) -> np.ndarray:
         """``r^{n-1}`` at the nodes."""
-        return self.nodes ** (self.n - 1)
+        return self.power(self.n - 1)
 
     def integrate(self, f: np.ndarray) -> float:
         """``integral f(r) dr`` over the grid (no radial weight)."""

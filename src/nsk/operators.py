@@ -90,7 +90,7 @@ class GreenOperator:
         c2 = kp.c2
         f = kernel_factors(kp, r)
         iv, kv, iv1, kv1, rp, e2 = f.iv, f.kv, f.iv1, f.kv1, f.rp, f.e2
-        src = rp * r ** (grid.n - 1) / kappa
+        src = rp * grid.measure() / kappa
         h = np.diff(r)
         decay = np.exp(-a * h)
         self._down = [0.0] + decay.tolist()

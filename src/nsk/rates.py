@@ -29,8 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .grid import EXPONENTIAL, build_grid
-from .kernel import ModelParams, kernel_params
+from .grid import MAX_NODES_DEFAULT
 from .limit import LimitProfile, integrate_profile
 from .stationary import solve_stationary
 
@@ -38,7 +37,6 @@ __all__ = [
     "FIXED",
     "SINGULAR",
     "NORM_KEYS",
-    "RateStudyConfig",
     "RateRow",
     "RateStudyResult",
     "fit_loglog",
@@ -51,34 +49,6 @@ FIXED = "fixed"
 SINGULAR = "singular"
 NORM_KEYS = ("l2_value", "l2_derivative", "sup")
 L2Y_KEY = "l2_value_y"
-
-
-@dataclass(frozen=True)
-class RateStudyConfig:
-    mode: str
-    kappas: tuple
-    base: ModelParams  # rho_b: the fixed slope, or rho_b^0 in singular mode; solved at u_minus = 0
-    norms: tuple = NORM_KEYS
-    points_per_unit_alpha: float = 16.0
-    growth: float = 1.05
-    tol: float = 1e-10
-    max_iter: int = 400
-
-    def __post_init__(self) -> None:
-        if self.mode not in (FIXED, SINGULAR):
-            raise ConfigError("mode must be 'fixed' or 'singular'")
-        if len(self.norms) == 0:
-            raise ConfigError("no norms selected")
-        for k in self.norms:
-            if k not in NORM_KEYS:
-                raise ConfigError(f"unknown norm key: {k}")
-        ks = np.asarray(self.kappas, dtype=float)
-        if ks.size < 4:
-            raise ConfigError("need at least 4 kappa values for a slope fit")
-        if np.any(ks <= 0.0):
-            raise ConfigError("kappa values must be positive")
-        if np.any(np.diff(ks) >= 0.0):
-            raise ConfigError("kappa values must be strictly decreasing")
 
 
 @dataclass
@@ -116,19 +86,13 @@ def fit_loglog(x, y):
     return slope, stderr, intercept
 
 
-def _solve_one(cfg: RateStudyConfig, kappa: float, profile: LimitProfile | None):
-    base = cfg.base
-    rho_b = base.rho_b if cfg.mode == FIXED else base.rho_b / math.sqrt(kappa)
-    params = replace(base, kappa=kappa, rho_b=rho_b, u_minus=0.0)
-    grid = build_grid(
-        params.n,
-        kernel_params(params).alpha,
-        points_per_unit_alpha=cfg.points_per_unit_alpha,
-        decay=EXPONENTIAL,
-        growth=cfg.growth,
-    )
+def _solve_one(cfg, mode: str, kappa: float, profile: LimitProfile | None):
+    base = cfg.model
+    rho_b = base.rho_b if mode == FIXED else base.rho_b / math.sqrt(kappa)
+    params = replace(base, kappa=kappa, rho_b=rho_b)
+    grid = cfg.grid(params)
     sol, report = solve_stationary(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
-    if cfg.mode == FIXED:
+    if mode == FIXED:
         diff = sol.phi
         diff_r = sol.rho_r
     else:
@@ -142,7 +106,13 @@ def _solve_one(cfg: RateStudyConfig, kappa: float, profile: LimitProfile | None)
         errors["l2_derivative"] = grid.weighted_l2_norm(diff_r)
     if "sup" in cfg.norms:
         errors["sup"] = float(np.max(np.abs(diff)))
-    if cfg.mode == SINGULAR and "l2_value" in cfg.norms:
+    for key, err in errors.items():
+        if not 0.0 < err < math.inf:
+            raise ConfigError(
+                f"the {key} error at kappa = {kappa!r} is {err}: "
+                "a log-log fit needs positive, finite errors"
+            )
+    if mode == SINGULAR and "l2_value" in cfg.norms:
         # exact change of variables r = 1 + sqrt(kappa) y
         errors[L2Y_KEY] = errors["l2_value"] * kappa ** (-0.25)
     row = RateRow(
@@ -151,15 +121,43 @@ def _solve_one(cfg: RateStudyConfig, kappa: float, profile: LimitProfile | None)
     return row, (kappa, grid.nodes.copy(), sol.rho)
 
 
-def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
-    profile = None
-    if cfg.mode == SINGULAR:
-        profile = integrate_profile(cfg.base.gamma, cfg.base.rho_plus, cfg.base.rho_b)
+def run_rate_study(cfg, mode: str) -> RateStudyResult:
+    """Sweep ``cfg.kappas`` in ``mode``; ``cfg`` is the run's :class:`nsk.cli.RunConfig`.
 
-    result = RateStudyResult(mode=cfg.mode, rows=[], limit=profile)
+    ``cfg.model.rho_b`` is the fixed slope, or ``rho_b^0`` in singular mode.  Every
+    row solves with ``points_per_unit_alpha >= 16``, ``growth <= 1.05`` and
+    ``max_iter >= 400``, on the default ``R_max`` and ``max_nodes``.
+    """
+    if len(cfg.norms) == 0:
+        raise ConfigError("no norms selected")
+    for k in cfg.norms:
+        if k not in NORM_KEYS:
+            raise ConfigError(f"unknown norm key: {k}")
+    ks = np.asarray(cfg.kappas, dtype=float)
+    if ks.size < 4:
+        raise ConfigError("need at least 4 kappa values for a slope fit")
+    if np.any(ks <= 0.0):
+        raise ConfigError("kappa values must be positive")
+    if np.any(np.diff(ks) >= 0.0):
+        raise ConfigError("kappa values must be strictly decreasing")
+    if cfg.model.u_minus != 0.0:
+        raise ConfigError("the rate study covers the impermeable wall only: it requires u_minus = 0")
+    cfg = replace(
+        cfg,
+        points_per_unit_alpha=max(cfg.points_per_unit_alpha, 16.0),
+        growth=min(cfg.growth, 1.05),
+        max_iter=max(cfg.max_iter, 400),
+        R_max=None,
+        max_nodes=MAX_NODES_DEFAULT,
+    )
+    profile = None
+    if mode == SINGULAR:
+        profile = integrate_profile(cfg.model.gamma, cfg.model.rho_plus, cfg.model.rho_b)
+
+    result = RateStudyResult(mode=mode, rows=[], limit=profile)
     for kappa in cfg.kappas:
         try:
-            row, prof = _solve_one(cfg, kappa, profile)
+            row, prof = _solve_one(cfg, mode, kappa, profile)
         except SolverError as exc:
             row = RateRow(kappa=kappa, errors={}, nodes=0, iterations=0, failed=str(exc))
         else:
@@ -167,7 +165,7 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
         result.rows.append(row)
 
     norm_keys = list(cfg.norms)
-    if cfg.mode == SINGULAR and "l2_value" in cfg.norms:
+    if mode == SINGULAR and "l2_value" in cfg.norms:
         norm_keys.append(L2Y_KEY)
     good = [row for row in result.rows if row.failed is None]
     if len(good) < 4:

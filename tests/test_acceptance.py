@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from nsk.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
+from nsk.cli import RunConfig
 from nsk.grid import ALGEBRAIC, build_grid
 from nsk.kernel import (
     KernelParams,
@@ -21,7 +22,7 @@ from nsk.kernel import (
 )
 from nsk.limit import integrate_profile, potential_w
 from nsk.oracle import _fd_resolution, cross_validate, fd_nodes, solve_fd
-from nsk.rates import FIXED, SINGULAR, RateStudyConfig, run_rate_study
+from nsk.rates import FIXED, SINGULAR, run_rate_study
 from nsk.stationary import decay_diagnostics, solve_stationary
 
 RATE_KAPPAS = tuple(10.0 ** (-1.0 - 0.5 * k) for k in range(7))  # 1e-1 .. 1e-4
@@ -34,8 +35,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_fixed_mode_rates():
     base = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-1.0, u_minus=0.0)
-    cfg = RateStudyConfig(mode=FIXED, kappas=RATE_KAPPAS, base=base)
-    res = run_rate_study(cfg)
+    res = run_rate_study(RunConfig(model=base, kappas=RATE_KAPPAS), FIXED)
     targets = {"l2_value": 0.75, "l2_derivative": 0.25, "sup": 0.50}
     detail = ", ".join(f"{k}={res.slopes[k][0]:.3f} (target {t})" for k, t in targets.items())
     ok = all(abs(res.slopes[k][0] - t) <= 0.05 for k, t in targets.items())
@@ -44,8 +44,7 @@ def test_criterion_1_fixed_mode_rates():
 
 def test_criterion_2_singular_mode_rates():
     base = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
-    cfg = RateStudyConfig(mode=SINGULAR, kappas=RATE_KAPPAS, base=base)
-    res = run_rate_study(cfg)
+    res = run_rate_study(RunConfig(model=base, kappas=RATE_KAPPAS), SINGULAR)
     targets = {"l2_value": 0.75, "l2_derivative": 0.25, "sup": 0.50, "l2_value_y": 0.50}
     detail = ", ".join(f"{k}={res.slopes[k][0]:.3f} (target {t})" for k, t in targets.items())
     ok = all(abs(res.slopes[k][0] - t) <= 0.05 for k, t in targets.items())

@@ -217,6 +217,23 @@ _MALFORMED = [
         "scaled K_nu is not finite", id="n=1e6",
     ),
     pytest.param(
+        ["solve", "inflow", "--config", "@"], {"n": 190, "kappa": 0.1, "rho_b": -0.01, "u_minus": 0.01},
+        "r**189 (n = 190) is not finite", id="inflow-n=190",
+    ),
+    pytest.param(
+        ["solve", "impermeable", "--config", "@"], {"n": 250, "kappa": 0.1, "rho_b": -0.01},
+        "r**249 (n = 250) is not finite", id="impermeable-n=250",
+    ),
+    pytest.param(
+        # the solve converges; the weight r^{2(n-1)} of the weighted sup-norm overflows
+        ["solve", "inflow", "--config", "@"], {"n": 150, "kappa": 0.1, "rho_b": -0.01, "u_minus": 0.01},
+        "r**298 (n = 150) is not finite", id="inflow-n=150",
+    ),
+    pytest.param(
+        ["rate-study", "--mode", "both", "--out", "o", "--config", "@"], {}, "invalid choice: 'both'",
+        id="--mode=both",
+    ),
+    pytest.param(
         _FLAG_ARGV["--gamma"] + ["--gamma=1e300"], {}, "within the 1e-13 bisection tolerance",
         id="--gamma=1e300",
     ),
@@ -325,6 +342,11 @@ class TestDispatch:
         assert "impermeable requires u_minus = 0" in capsys.readouterr().err
         assert dispatch(["verify", "impermeable", "--config", cfg2]) == 2
         assert "requires u_minus = 0" in capsys.readouterr().err
+        for mode in ("fixed", "singular"):
+            argv = ["rate-study", "--mode", mode, "--config", cfg2, "--out", str(tmp_path / "o")]
+            assert dispatch(argv) == 2
+            assert "covers the impermeable wall only: it requires u_minus = 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_solve_inflow_summary(self, tmp_path, capsys):
         doc = dict(VALID, kappa=1.0, u_minus=0.05, rho_b=0.0)
@@ -387,6 +409,30 @@ class TestDispatch:
         argv = ["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]
         assert dispatch(argv) == 3
         assert "only 2 of 5 kappa rows solved" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, rho_b", [("fixed", 0.0), ("singular", 0.0), ("fixed", -1e-300)])
+    def test_rate_study_zero_error_exits_2(self, mode, rho_b, tmp_path, capsys):
+        # log 0 has no slope: the study stops at the first row whose error is not positive
+        cfg = write_config(tmp_path, dict(VALID, kappa=1.0, rho_b=rho_b))
+        out = tmp_path / "o"
+        assert dispatch(["rate-study", "--mode", mode, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "the l2_value error at kappa = 0.1 is 0.0" in captured.err
+
+    def test_rate_study_resolution_floor(self, tmp_path, capsys):
+        # a coarser grid, a lower max_iter, R_max and max_nodes are all overridden by the study;
+        # its rows take at most 8 sweeps, so max_iter = 1 is what shows the max_iter floor
+        coarse = {"points_per_unit_alpha": 8, "growth": 1.2, "R_max": 30, "max_nodes": 1000}
+        configs = {"default": {}, "coarse": {"max_iter": 50, "grid": coarse}, "one": {"max_iter": 1}}
+        blobs = []
+        for tag, extra in configs.items():
+            cfg = write_config(tmp_path, dict(VALID, kappa=1.0, **extra), f"{tag}.json")
+            out = tmp_path / tag
+            assert dispatch(["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(out)]) == 0
+            names = ("rates.csv", "profiles.csv", "summary.json", "plot.gp")
+            blobs.append([capsys.readouterr().out] + [(out / n).read_bytes() for n in names])
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_verify_unconverged_solve_exits_3(self, tmp_path, capsys):
         # a solver that ran out of iterations is a solver failure, not a failed comparison

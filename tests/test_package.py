@@ -51,3 +51,25 @@ def test_scipy_special_only_in_bessel():
     src = Path(nsk.__file__).parent
     users = sorted(p.name for p in src.glob("*.py") if _uses_scipy_special(ast.parse(p.read_text())))
     assert users == ["bessel.py"]
+
+
+def _imports_cli(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[:2] == ["nsk", "cli"] for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import inside the package resolves against nsk
+            module = ".".join(p for p in ("nsk" if node.level else "", node.module or "") if p)
+            if module.split(".")[:2] == ["nsk", "cli"]:
+                return True
+            if module == "nsk" and any(a.name == "cli" for a in node.names):
+                return True
+    return False
+
+
+def test_no_module_imports_cli():
+    # nsk.cli is the top layer: the rate study reads the RunConfig it is handed
+    src = Path(nsk.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if _imports_cli(ast.parse(p.read_text())))
+    assert users == []

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from nsk.cli import RunConfig
 from nsk.errors import ConfigError
 from nsk.kernel import ModelParams
-from nsk.rates import FIXED, SINGULAR, RateStudyConfig, emit_outputs, fit_loglog, run_rate_study
+from nsk.rates import FIXED, SINGULAR, emit_outputs, fit_loglog, run_rate_study
 
 
 def base_params(rho_b):
@@ -33,34 +34,31 @@ class TestFit:
         assert stderr > 0.0
 
 
+def study(rho_b, mode, kappas=SHORT_KAPPAS, **options):
+    return run_rate_study(RunConfig(model=base_params(rho_b), kappas=kappas, **options), mode)
+
+
 class TestConfigValidation:
     def test_needs_four_kappas(self):
         with pytest.raises(ConfigError):
-            RateStudyConfig(mode=FIXED, kappas=(1e-1, 1e-2, 1e-3), base=base_params(-1.0))
+            study(-1.0, FIXED, kappas=(1e-1, 1e-2, 1e-3))
 
     def test_kappas_decreasing_positive(self):
         with pytest.raises(ConfigError):
-            RateStudyConfig(mode=FIXED, kappas=(1e-3, 1e-2, 1e-1, 1.0), base=base_params(-1.0))
+            study(-1.0, FIXED, kappas=(1e-3, 1e-2, 1e-1, 1.0))
         with pytest.raises(ConfigError):
-            RateStudyConfig(mode=FIXED, kappas=(1e-1, 1e-2, -1e-3, 1e-4), base=base_params(-1.0))
+            study(-1.0, FIXED, kappas=(1e-1, 1e-2, -1e-3, 1e-4))
 
     def test_norm_keys(self):
         with pytest.raises(ConfigError, match="no norms selected"):
-            RateStudyConfig(mode=FIXED, kappas=SHORT_KAPPAS, base=base_params(-1.0), norms=())
+            study(-1.0, FIXED, norms=())
         with pytest.raises(ConfigError):
-            RateStudyConfig(
-                mode=FIXED, kappas=SHORT_KAPPAS, base=base_params(-1.0), norms=("h1",)
-            )
-
-    def test_mode(self):
-        with pytest.raises(ConfigError):
-            RateStudyConfig(mode="both", kappas=SHORT_KAPPAS, base=base_params(-1.0))
+            study(-1.0, FIXED, norms=("h1",))
 
 
 class TestRun:
     def test_fixed_short_sweep(self):
-        cfg = RateStudyConfig(mode=FIXED, kappas=SHORT_KAPPAS, base=base_params(-1.0))
-        res = run_rate_study(cfg)
+        res = study(-1.0, FIXED)
         assert len(res.rows) == 4
         assert all(row.failed is None for row in res.rows)
         for key in ("l2_value", "l2_derivative", "sup"):
@@ -70,8 +68,7 @@ class TestRun:
         assert 0.55 <= res.slopes["l2_value"][0] <= 0.8
 
     def test_singular_short_sweep_includes_layer_norm(self):
-        cfg = RateStudyConfig(mode=SINGULAR, kappas=SHORT_KAPPAS, base=base_params(-0.1))
-        res = run_rate_study(cfg)
+        res = study(-0.1, SINGULAR)
         for row in res.rows:
             expect = row.errors["l2_value"] * row.kappa**-0.25
             assert row.errors["l2_value_y"] == pytest.approx(expect, rel=1e-12)
@@ -81,8 +78,7 @@ class TestRun:
 
 class TestEmit:
     def test_artifact_files(self, tmp_path):
-        cfg = RateStudyConfig(mode=SINGULAR, kappas=SHORT_KAPPAS, base=base_params(-0.1))
-        res = run_rate_study(cfg)
+        res = study(-0.1, SINGULAR)
         paths = emit_outputs(res, tmp_path / "out")
         names = sorted(p.name for p in paths)
         assert names == ["plot.gp", "profiles.csv", "rates.csv", "summary.json"]
@@ -97,10 +93,9 @@ class TestEmit:
         assert "rho_kappa_y," in prof
 
     def test_outputs_deterministic(self, tmp_path):
-        cfg = RateStudyConfig(mode=FIXED, kappas=SHORT_KAPPAS, base=base_params(-1.0))
         blobs = []
         for tag in ("a", "b"):
-            res = run_rate_study(cfg)
+            res = study(-1.0, FIXED)
             out = tmp_path / tag
             emit_outputs(res, out)
             blobs.append(b"".join((out / n).read_bytes() for n in
