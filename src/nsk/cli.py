@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
-from .errors import ConfigError, NskError, SolverError, WindowEmptyError
+from .errors import ConfigError, NskError, RangeError, SolverError, WindowEmptyError
 from .grid import ALGEBRAIC, EXPONENTIAL, MAX_NODES_DEFAULT, RadialGrid, build_grid
 from .kernel import (
     IMPERMEABLE,
@@ -229,6 +229,17 @@ def _cmd_kernel(argv):
     return EXIT_OK
 
 
+def _weighted_sup(grid, k: int, values: np.ndarray) -> float | None:
+    """``max r^k |values|`` over the grid, or ``None`` where it is beyond the double range."""
+    try:
+        weight = grid.power(k)
+    except RangeError:
+        return None
+    with np.errstate(over="ignore"):
+        sup = float(np.max(weight * np.abs(values)))
+    return sup if math.isfinite(sup) else None
+
+
 def _cmd_solve(argv):
     p = _Parser(prog="nsk solve")
     p.add_argument("regime", choices=(IMPERMEABLE, INFLOW, OUTFLOW))
@@ -245,24 +256,24 @@ def _cmd_solve(argv):
     if a.regime == IMPERMEABLE:
         header = ["r", "rho", "rho_r", "phi"]
         columns = [grid.nodes, sol.rho, sol.rho_r, sol.phi]
+    else:
+        header = ["r", "rho", "rho_r", "u", "phi"]
+        columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, sol.phi]
+    if a.out:
+        _write_csv(a.out, header + ["residual"], columns + [np.nan_to_num(report.residual, nan=0.0)])
+    if a.regime == IMPERMEABLE:
         try:
             decay_rate_fit = decay_diagnostics(sol, kernel_params(model))[0]
         except WindowEmptyError:
             decay_rate_fit = None
         summary = {"sup_norm": float(np.max(np.abs(sol.phi))), "decay_rate_fit": decay_rate_fit}
     else:
-        header = ["r", "rho", "rho_r", "u", "phi"]
-        columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, sol.phi]
-        wv = grid.power(2 * (model.n - 1))
-        wd = grid.power(2 * model.n - 1)
         summary = {
             "rho_minus": sol.rho_minus,
             "mass_flux": sol.mass_flux,
-            "weighted_sup_value": float(np.max(wv * np.abs(sol.phi))),
-            "weighted_sup_derivative": float(np.max(wd * np.abs(sol.rho_r))),
+            "weighted_sup_value": _weighted_sup(grid, 2 * (model.n - 1), sol.phi),
+            "weighted_sup_derivative": _weighted_sup(grid, 2 * model.n - 1, sol.rho_r),
         }
-    if a.out:
-        _write_csv(a.out, header + ["residual"], columns + [np.nan_to_num(report.residual, nan=0.0)])
     summary.update(
         converged=True,  # an unconverged solve raises; the key stays for readers of the JSON
         iterations=report.iterations,

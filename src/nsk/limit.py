@@ -13,29 +13,40 @@ potential ``W(x) = \int_{\rho_+}^x (h(t) - h(\rho_+)) dt``, and
 connecting orbit lies on the stable manifold
 
 .. math::
-    x_2 = -\operatorname{sgn}(x_1 - \rho_+)\sqrt{2 W(x_1)},
+    x_2 = s(x_1) = -\operatorname{sgn}(x_1 - \rho_+)\sqrt{2 W(x_1)},
 
-which turns the BVP into a scalar IVP: the boundary value ``rho_-`` is the
-root of the manifold relation at slope ``rho_b^0`` (bisection), and the
-profile follows by integrating the reduced first-order ODE.  Close to the
-equilibrium the integration hands over to the exact linearized tail
-``rho_+ + a e^{-\sqrt{h'(\rho_+)} y}``, which also extends evaluation to
-arbitrarily large ``y``.
+which turns the BVP into the scalar autonomous ODE ``\bar\rho_y = s(\bar\rho)``.
+The boundary value ``rho_-`` is the root of ``s(x) = rho_b^0`` (bisection).
+``W`` grows without bound above ``rho_+`` and rises to ``W(0^+) = \rho_+^\gamma``
+toward the vacuum, so ``rho_-`` exists exactly when
+``rho_b^0 < \sqrt{2\rho_+^\gamma}``.
+
+The profile is the inverse of the first integral
+
+.. math::
+    y(\rho) = \int_{\rho_-}^{\rho} \frac{dx}{s(x)},
+
+computed by Gauss-Legendre quadrature on panels that are geometric in
+``|x - \rho_+|`` near ``rho_+`` and in ``x`` far from it.  Near ``rho_+``
+the pole ``-1/(\sqrt{h'(\rho_+)}(x - \rho_+))`` of ``1/s`` is subtracted
+and its logarithm added in closed form.  Samples at uniform ``y`` solve
+``y(\rho) = y`` by Newton from the panel end below them.  Once
+``|\rho - \rho_+|`` reaches ``TAIL_SWITCH`` the exact linearized tail
+``rho_+ + a e^{-\sqrt{h'(\rho_+)} y}`` takes over, which also extends
+evaluation to arbitrarily large ``y``.  Between samples the profile is the
+cubic Hermite interpolant with the exact slopes ``s(\bar\rho)``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
+from numpy.polynomial.legendre import leggauss
 
 from .bessel import check_finite
-from .errors import DomainError, NoRootError, RangeError, SolverError
+from .errors import ConfigError, DomainError, NoRootError, RangeError
 from .kernel import check_pressure_law, enthalpy_h_prime
 
 __all__ = [
@@ -47,8 +58,12 @@ __all__ = [
 
 TAIL_SWITCH = 1e-8  # hand over to the linearized tail below this amplitude
 PROFILE_FLOOR = 1e-14  # stored samples stop once the profile is this flat
-STEP_CONTROL = 1e-12  # local RK45 tolerance
-BRACKET_FACTOR = 1e6  # rho_- is sought in [rho_+/BRACKET_FACTOR, rho_+ * BRACKET_FACTOR]
+ROOT_TOL = 1e-13  # absolute tolerance of the rho_- bisection
+PANELS_PER_OCTAVE = 16  # quadrature panels per halving of the distance to rho_+ (or to vacuum)
+NEWTON_STEPS = 4  # from the panel end below a sample, each step squares a ~1e-3 relative error
+MAX_SAMPLES = 1_000_000  # stored samples of one profile
+_CHUNK = 1 << 14  # samples inverted per vectorized Newton pass
+_GAUSS_X, _GAUSS_W = leggauss(8)  # per panel: ~1e-30 relative error at a panel ratio 2**(1/16)
 
 
 def potential_w(gamma: float, rho_plus: float, x):
@@ -58,18 +73,20 @@ def potential_w(gamma: float, rho_plus: float, x):
     ``\frac{\gamma}{\gamma-1}[(x^\gamma - \rho_+^\gamma)/\gamma
     - \rho_+^{\gamma-1}(x - \rho_+)]`` otherwise; evaluated through
     ``log1p``/``expm1`` so the quadratic vanishing at ``rho_+`` survives
-    cancellation.  ``W`` may overflow to ``inf`` far from ``rho_+``; a
-    pressure scale ``rho_+^gamma`` beyond the double range raises
-    ``RangeError``.
+    cancellation.  Where ``x/rho_+`` rounds to 0 both give the vacuum
+    value ``rho_+^gamma`` (``0 log 0 = 0`` for ``gamma = 1``).  ``W`` may
+    overflow to ``inf`` far above ``rho_+``; a pressure scale
+    ``rho_+^gamma`` beyond the double range raises ``RangeError``.
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise DomainError("x must be positive")
     d = xa / rho_plus - 1.0
-    if gamma == 1.0:
-        out = rho_plus * ((1.0 + d) * np.log1p(d) - d)
-    else:
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
+        if gamma == 1.0:
+            # (1 + d) log1p(d) is 0 where d rounds to -1, not 0 * (-inf)
+            out = rho_plus * ((1.0 + d) * np.log1p(np.where(d > -1.0, d, 0.0)) - d)
+        else:
             scale = check_finite(np.float64(rho_plus) ** gamma, "rho_plus**gamma")
             tpow = np.expm1(gamma * np.log1p(d))  # (x/rho_+)^gamma - 1
             out = scale * (gamma / (gamma - 1.0)) * (tpow / gamma - d)
@@ -77,39 +94,53 @@ def potential_w(gamma: float, rho_plus: float, x):
 
 
 def _manifold_slope(gamma: float, rho_plus: float, x) -> np.ndarray:
-    """``-sgn(x - rho_+) sqrt(2 W(x))``, the stable-manifold slope at each ``x``."""
+    """``s(x) = -sgn(x - rho_+) sqrt(2 W(x))``, the stable-manifold slope at each ``x``."""
     x = np.asarray(x, dtype=float)
     w = np.maximum(potential_w(gamma, rho_plus, x), 0.0)
-    return -np.sign(x - rho_plus) * np.sqrt(2.0 * w)
+    with np.errstate(over="ignore"):  # 2W beyond the double range is an infinite slope
+        return -np.sign(x - rho_plus) * np.sqrt(2.0 * w)
 
 
 def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
     """Boundary value ``rho_-``: root of ``-sgn(x-rho_+) sqrt(2W(x)) = rho_b0``.
 
-    Bisection to absolute tolerance 1e-13 between ``near = rho_+``, where
-    the slope vanishes, and a ``far`` end that is first moved away from
-    ``rho_+`` (upward for ``rho_b0 < 0``, toward vacuum otherwise) until its
-    slope reaches ``|rho_b0|``; if the requested slope exceeds the
-    attainable range before the bracket cap, there is no connecting orbit
-    and ``NoRootError`` is raised.
+    A root exists exactly when ``rho_b0 < sqrt(2 rho_+^gamma)``; larger
+    slopes raise ``NoRootError`` naming that bound.  Bisection to absolute
+    tolerance ``ROOT_TOL`` between ``near = rho_+``, where the slope
+    vanishes, and a ``far`` end moved away from ``rho_+`` (doubled for
+    ``rho_b0 < 0``, halved toward vacuum otherwise) until its slope reaches
+    ``|rho_b0|``.  A root the tolerance cannot resolve (within ``ROOT_TOL``
+    of ``rho_+`` or of the vacuum), or one past the overflow of ``2W``,
+    raises ``RangeError``.
     """
     if rho_b0 == 0.0:
         return rho_plus
     target = abs(rho_b0)
     upward = rho_b0 < 0.0  # the profile lies above rho_+
+    if not upward:
+        pressure = check_finite(np.float64(rho_plus) ** gamma, "rho_plus**gamma")
+        bound = math.sqrt(2.0 * pressure)
+        if rho_b0 >= bound:
+            raise NoRootError(
+                f"rho_b0 = {rho_b0:.6g} is not below sqrt(2 rho_plus**gamma) = {bound:.6g}, "
+                "the steepest slope of an orbit toward the vacuum"
+            )
     near, far = rho_plus, rho_plus * (1.125 if upward else 0.875)
     factor = 2.0 if upward else 0.5
     while abs(_manifold_slope(gamma, rho_plus, far)) < target:
+        if not upward and far < ROOT_TOL:
+            raise RangeError(
+                f"rho_- < {far:.3e} lies within the {ROOT_TOL:g} bisection tolerance of the vacuum: "
+                "rho_b0 is too close to sqrt(2 rho_plus**gamma)"
+            )
         far *= factor
-        if not rho_plus / BRACKET_FACTOR <= far <= rho_plus * BRACKET_FACTOR:
-            raise NoRootError(f"rho_b0 = {rho_b0:.3e} exceeds the slope range of the stable manifold")
     for _ in range(200):
         mid = 0.5 * (near + far)
         if abs(_manifold_slope(gamma, rho_plus, mid)) < target:
             near = mid
         else:
             far = mid
-        if abs(far - near) <= 1e-13:
+        if abs(far - near) <= ROOT_TOL:
             break
     if near == rho_plus:
         # the bracket never came off rho_plus: the root is not resolved
@@ -117,7 +148,77 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
             "rho_- lies within the 1e-13 bisection tolerance of rho_plus: "
             "|rho_b0| is too small for the tail rate sqrt(h'(rho_plus))"
         )
-    return 0.5 * (near + far)
+    root = 0.5 * (near + far)
+    if root < ROOT_TOL:
+        raise RangeError(f"rho_- = {root:.3e} lies within the {ROOT_TOL:g} bisection tolerance of the vacuum")
+    if not np.isfinite(_manifold_slope(gamma, rho_plus, far)):
+        raise RangeError(f"2 W(rho_-) overflows before the slope reaches rho_b0 = {rho_b0:.3e}")
+    return root
+
+
+def _geometric(a: float, b: float, gamma: float) -> np.ndarray:
+    """Points from ``a`` to ``b``, ``PANELS_PER_OCTAVE * gamma`` panels per factor of 2."""
+    count = max(math.ceil(PANELS_PER_OCTAVE * gamma * abs(math.log2(b / a))), 1)
+    return np.geomspace(a, b, count + 1)
+
+
+class _FirstIntegral:
+    """``y(rho) = int_{rho_-}^{rho} dx/s(x)`` from ``rho_-`` to ``rho_+ ± switch``, and its inverse.
+
+    Each quadrature panel spans about 1/23 of the scale on which ``1/s``
+    varies.  Near ``rho_+`` that scale is the distance to the pole, so the
+    panel ends are geometric in ``|x - rho_+|`` and the pole
+    ``-1/(rate (x - rho_+))`` is subtracted, its logarithm added in closed
+    form.  Above ``rho_+ + rho_+/(gamma - 1)`` the growth of ``x^gamma``
+    sets the scale ``x/gamma``, so the ends are geometric in ``x`` with
+    ratio ``2**(1/(16 gamma))``; below ``rho_+/2`` the branch point of ``W``
+    at the vacuum sets the scale ``x``, ratio ``2**(1/16)``.  There ``1/s``
+    is integrated as it is: above ``rho_+`` the pole term can exceed it by
+    many orders of magnitude.
+    """
+
+    def __init__(self, gamma: float, rho_plus: float, rho_minus: float, rate: float, switch: float):
+        self.gamma, self.rho_plus, self.rate = gamma, rho_plus, rate
+        sign = math.copysign(1.0, rho_minus - rho_plus)
+        d_minus = abs(rho_minus - rho_plus)
+        if sign > 0.0:
+            d_cross, far_octave = (rho_plus / (gamma - 1.0) if gamma > 1.0 else math.inf), gamma
+        else:
+            d_cross, far_octave = 0.5 * rho_plus, 1.0
+        near = rho_plus + sign * _geometric(max(min(d_minus, d_cross), switch), switch, 1.0)
+        far = _geometric(rho_minus, near[0], far_octave)[:-1] if d_minus > d_cross else np.empty(0)
+        self.ends = np.concatenate([far, near])
+        self.ends[0] = rho_minus
+        self.first_near = far.size  # index of the first panel that subtracts the pole
+        panels = np.arange(self.ends.size - 1)
+        steps = self._integral(self.ends[:-1], self.ends[1:], panels >= self.first_near)
+        self.y_ends = np.concatenate([[0.0], np.cumsum(steps)])
+
+    def _integral(self, a, b, near) -> np.ndarray:
+        """``int_a^b dx / s(x)`` by Gauss-Legendre, the pole subtracted where ``near``."""
+        half = 0.5 * (b - a)
+        x = (a + half)[:, None] + half[:, None] * _GAUSS_X
+        pole = np.where(near[:, None], 1.0 / (self.rate * (x - self.rho_plus)), 0.0)
+        smooth = half * ((1.0 / _manifold_slope(self.gamma, self.rho_plus, x) + pole) @ _GAUSS_W)
+        log_pole = np.log((b - self.rho_plus) / (a - self.rho_plus)) / self.rate
+        return smooth - np.where(near, log_pole, 0.0)
+
+    def invert(self, y: np.ndarray) -> np.ndarray:
+        """``rho`` with ``y(rho) = y`` for each ``y`` in ``[0, y_ends[-1]]``.
+
+        Newton on ``y_ends[j] + int_{ends[j]}^{rho} dx/s(x) = y`` from the
+        panel end ``j`` below ``y``, starting at the first-order step.
+        """
+        out = np.empty(y.size)
+        for lo in range(0, y.size, _CHUNK):
+            j = np.searchsorted(self.y_ends, y[lo : lo + _CHUNK], side="right") - 1
+            start, gap = self.ends[j], y[lo : lo + _CHUNK] - self.y_ends[j]
+            rho = start + _manifold_slope(self.gamma, self.rho_plus, start) * gap
+            for _ in range(NEWTON_STEPS):
+                defect = self._integral(start, rho, j >= self.first_near) - gap
+                rho = rho - defect * _manifold_slope(self.gamma, self.rho_plus, rho)
+            out[lo : lo + _CHUNK] = rho
+        return out
 
 
 @dataclass
@@ -134,19 +235,22 @@ class LimitProfile:
     tail_amplitude: float  # rho_bar(tail_start) - rho_plus
     tail_rate: float  # sqrt(h'(rho_plus))
 
-    @cached_property
-    def _interp(self) -> PchipInterpolator | None:
-        if self.y_nodes.size < 2:
-            return None
-        return PchipInterpolator(self.y_nodes, self.rho_bar, extrapolate=False)
+    def _hermite(self, y: np.ndarray) -> np.ndarray:
+        """Cubic Hermite interpolant of the samples and their exact slopes."""
+        i = np.clip(np.searchsorted(self.y_nodes, y, side="right") - 1, 0, self.y_nodes.size - 2)
+        h = self.y_nodes[i + 1] - self.y_nodes[i]
+        t = (y - self.y_nodes[i]) / h
+        rise = self.rho_bar[i + 1] - self.rho_bar[i]
+        m0, m1 = h * self.rho_bar_y[i], h * self.rho_bar_y[i + 1]
+        return self.rho_bar[i] + t * (m0 + t * (3.0 * rise - 2.0 * m0 - m1 + t * (m0 + m1 - 2.0 * rise)))
 
     def evaluate(self, y) -> np.ndarray:
         """``rho_bar(y)`` for any ``y >= 0`` (tail formula beyond the samples)."""
         ya = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.full(ya.shape, self.rho_plus)
         inside = ya <= self.tail_start
-        if np.any(inside) and self._interp is not None:
-            out[inside] = self._interp(np.clip(ya[inside], self.y_nodes[0], None))
+        if np.any(inside) and self.y_nodes.size >= 2:
+            out[inside] = self._hermite(np.clip(ya[inside], self.y_nodes[0], None))
         beyond = ~inside
         if np.any(beyond):
             out[beyond] = self.rho_plus + self.tail_amplitude * np.exp(
@@ -166,12 +270,15 @@ def integrate_profile(
     rho_b0: float,
     y_max: float = 60.0,
 ) -> LimitProfile:
-    """Integrate the reduced ODE ``rho_y = -sgn(rho-rho_+) sqrt(2W(rho))``.
+    """Sample ``rho_bar`` at spacing ``0.002/rate`` from the first integral ``y(rho)``.
 
-    Adaptive embedded Runge-Kutta (RK45) from ``rho(0) = rho_-`` with local
-    tolerance ``STEP_CONTROL``; once ``|rho - rho_+|`` drops below the
-    handover threshold the exact linearized tail continues the profile (from
-    ``y = 0`` when ``rho_-`` already lies below it).  Stored samples stop at ``y_max > 0`` or once the profile is flat to 1e-14.
+    The quadrature runs from ``rho(0) = rho_-`` until ``|rho - rho_+|``
+    reaches the handover amplitude ``TAIL_SWITCH`` (at least 2**16 ulps of
+    ``rho_+``); the exact linearized tail continues the profile from there
+    (from ``y = 0`` when ``rho_-`` already lies within it).  Stored samples
+    stop at ``y_max > 0`` or once the profile is flat to 1e-14; a profile
+    that needs more than ``MAX_SAMPLES`` samples below ``y_max`` raises
+    ``ConfigError``.
     """
     check_pressure_law(gamma, rho_plus)
     if y_max <= 0.0:
@@ -179,14 +286,6 @@ def integrate_profile(
     rate = math.sqrt(enthalpy_h_prime(gamma, rho_plus))
     rho_minus = solve_rho_minus(gamma, rho_plus, rho_b0)
     dy = 0.002 / rate
-    # The profile's slope peaks at |rho_b0| at the wall, so PCHIP's cubic
-    # coefficients (slope differences over dy^2) are bounded by
-    # 4 |rho_b0| / dy^2; refuse a sample spacing where that bound overflows.
-    if dy < 2.0 * math.sqrt(abs(rho_b0) / sys.float_info.max):
-        raise RangeError(
-            f"tail rate sqrt(h'(rho_plus)) = {rate:.3e} is too large to sample a "
-            f"profile of boundary slope {rho_b0:.3e}"
-        )
     if rho_b0 == 0.0:
         y = np.array([0.0, 0.5 * y_max, y_max])
         flat = np.full(3, rho_plus)
@@ -203,55 +302,30 @@ def integrate_profile(
         )
 
     y_switch, amp = 0.0, rho_minus - rho_plus
-    y_rk = rho_rk = np.empty(0)
-    if abs(amp) > TAIL_SWITCH:  # otherwise rho_- already lies on the linearized tail
-        # RK45 squares slopes (at most |rho_b0|, and stage differences of
-        # them) in units of its tolerance STEP_CONTROL |amp|; keep that finite.
-        if 4.0 * abs(rho_b0) > math.sqrt(sys.float_info.max) * STEP_CONTROL * abs(amp):
-            raise RangeError(
-                f"boundary slope {rho_b0:.3e} is too steep for the step control "
-                f"at amplitude rho_- - rho_plus = {amp:.3e}"
+    y_q = rho_q = np.empty(0)
+    switch = max(TAIL_SWITCH, 65536.0 * math.ulp(rho_plus))
+    if abs(amp) > switch:  # otherwise rho_- already lies on the linearized tail
+        first = _FirstIntegral(gamma, rho_plus, rho_minus, rate, switch)
+        y_switch = min(float(first.y_ends[-1]), y_max)
+        if y_switch > MAX_SAMPLES * dy:
+            raise ConfigError(
+                f"the profile needs {y_switch / dy:.3e} samples below y_max = {y_max:.6g}, "
+                f"more than {MAX_SAMPLES}: lower y_max"
             )
-
-        def near_equilibrium(_y, u):
-            return abs(u[0] - rho_plus) - TAIL_SWITCH
-
-        near_equilibrium.terminal = True
-        near_equilibrium.direction = -1
-
-        try:
-            sol = solve_ivp(
-                lambda _y, u: _manifold_slope(gamma, rho_plus, u),
-                (0.0, y_max),
-                [rho_minus],
-                method="RK45",
-                rtol=STEP_CONTROL,
-                atol=STEP_CONTROL * abs(amp) + 1e-300,
-                events=near_equilibrium,
-                dense_output=True,
-                max_step=0.25 / rate,
-            )
-        except DomainError as exc:  # a trial stage stepped past the vacuum rho = 0
-            raise RangeError(
-                f"boundary slope rho_b0 = {rho_b0:.3e} is too steep: an RK45 stage "
-                "left the positive density range"
-            ) from exc
-        if not sol.success:
-            raise SolverError(f"profile integration failed: {sol.message}")
-        y_switch = float(sol.t[-1])
-        amp = float(sol.y[0, -1]) - rho_plus
-        y_rk = np.arange(0.0, y_switch, dy)
-        rho_rk = sol.sol(y_rk)[0] if y_rk.size else np.empty(0)
+        y_q = np.arange(0.0, y_switch, dy)
+        rho_q = first.invert(np.append(y_q, y_switch))
+        amp = float(rho_q[-1]) - rho_plus
+        rho_q = rho_q[:-1]
     # analytic tail continues down to the sample floor (or y_max)
     y_floor = y_switch + math.log(abs(amp) / PROFILE_FLOOR) / rate
     y_end = min(y_max, max(y_floor, y_switch))
-    # a single sample when the integration reached y_max before the handover
+    # a single sample when the quadrature reached y_max before the handover
     count = max(int((y_end - y_switch) / dy), 2) if y_end > y_switch else 1
     y_tail = np.linspace(y_switch, y_end, count)
     rho_tail = rho_plus + amp * np.exp(-rate * (y_tail - y_switch))
 
-    y_all = np.concatenate([y_rk, y_tail])
-    rho_all = np.concatenate([rho_rk, rho_tail])
+    y_all = np.concatenate([y_q, y_tail])
+    rho_all = np.concatenate([rho_q, rho_tail])
     return LimitProfile(
         y_nodes=y_all,
         rho_bar=rho_all,
@@ -263,4 +337,3 @@ def integrate_profile(
         tail_amplitude=amp,
         tail_rate=rate,
     )
-

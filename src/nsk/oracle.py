@@ -8,9 +8,11 @@ A deliberately separate discretization of
 
 used to cross-check the Green-kernel fixed-point solver: uniform grid,
 second-order central stencils (Neumann data eliminated through a ghost
-node), and damped-free Newton with direct tridiagonal elimination.  The
-only code shared with the kernel solver is the enthalpy and the parameter
-container.
+node), and damped-free Newton with direct tridiagonal elimination
+(``scipy.linalg.solve_banded``).  The comparison carries the FD solution to
+the kernel grid by 4-point cubic Lagrange interpolation on the uniform FD
+grid, which is O(h^4) and needs no global spline.  The only code shared
+with the kernel solver is the enthalpy and the parameter container.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
@@ -108,6 +109,25 @@ def solve_fd(
     raise NewtonDivergenceError(f"no convergence in {MAX_NEWTON} Newton steps (residual {res:.3e})")
 
 
+def _interpolate_uniform(nodes: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """4-point cubic Lagrange interpolation of samples on the uniform ``nodes``.
+
+    Each point uses the stencil ``i-1 .. i+2`` around the cell ``[nodes[i], nodes[i+1]]``
+    that holds it, with ``i`` clamped to the interior so the stencil stays on the grid.
+    """
+    h = nodes[1] - nodes[0]
+    i = np.clip(((points - nodes[0]) / h).astype(np.intp), 1, nodes.size - 3)
+    t = (points - nodes[i]) / h
+    f_left, f0, f1, f2 = values[i - 1], values[i], values[i + 1], values[i + 2]
+    # Newton form on the nodes 0, 1, -1, 2 of the stencil: exact on constants
+    return (
+        f0
+        + t * (f1 - f0)
+        + t * (t - 1.0) / 2.0 * (f1 - 2.0 * f0 + f_left)
+        + (t + 1.0) * t * (t - 1.0) / 6.0 * (f2 - 3.0 * f1 + 3.0 * f0 - f_left)
+    )
+
+
 def _fd_resolution(alpha: float, rho_b: float, R_max: float, tol: float) -> int:
     """Uniform spacing so the O(h^2) stencil error sits below ``tol/3``.
 
@@ -140,6 +160,6 @@ def cross_validate(params: ModelParams, tol: float):
     rho_fd = solve_fd(params, node_count, R_max, newton_tol=1e-10)
     grid = build_grid(params.n, alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
     sol, _ = solve_stationary(params, grid, tol=1e-12, max_iter=400)
-    rho_fd_on_grid = CubicSpline(fd_nodes(node_count, R_max), rho_fd)(grid.nodes)
+    rho_fd_on_grid = _interpolate_uniform(fd_nodes(node_count, R_max), rho_fd, grid.nodes)
     sup_diff = float(np.max(np.abs(sol.rho - rho_fd_on_grid)))
     return sup_diff, bool(sup_diff <= tol)

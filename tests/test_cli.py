@@ -4,6 +4,7 @@ import json
 import math
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from nsk.bessel import BesselOrder, bessel_i
 from nsk.cli import RunConfig, dispatch, parse_config
 from nsk.errors import ConfigError
+from nsk.limit import potential_w
 
 VALID = {
     "n": 3,
@@ -225,11 +227,6 @@ _MALFORMED = [
         "r**249 (n = 250) is not finite", id="impermeable-n=250",
     ),
     pytest.param(
-        # the solve converges; the weight r^{2(n-1)} of the weighted sup-norm overflows
-        ["solve", "inflow", "--config", "@"], {"n": 150, "kappa": 0.1, "rho_b": -0.01, "u_minus": 0.01},
-        "r**298 (n = 150) is not finite", id="inflow-n=150",
-    ),
-    pytest.param(
         ["rate-study", "--mode", "both", "--out", "o", "--config", "@"], {}, "invalid choice: 'both'",
         id="--mode=both",
     ),
@@ -245,25 +242,30 @@ _MALFORMED = [
         ["limit-profile", "--gamma", "1e3", "--rho-plus", "2", "--rho-b0=-0.1"], {},
         "within the 1e-13 bisection tolerance", id="--gamma=1e3",
     ),
-] + [
     pytest.param(
-        ["limit-profile", "--gamma", "1e3", "--rho-plus", "2", f"--rho-b0={b}"], {},
-        "is too large to sample", id=f"--rho-b0={b}",
-    )
-    for b in ("-1e150", "-1e139")
-] + [
-    pytest.param(
-        ["limit-profile", "--gamma", "300", "--rho-plus", "2", "--rho-b0=-1e150"], {},
-        "too steep for the step control", id="--gamma=300",
+        ["limit-profile", "--gamma", "1", "--rho-plus", "1", "--rho-b0=1.5"], {},
+        "rho_b0 = 1.5 is not below sqrt(2 rho_plus**gamma) = 1.41421", id="--rho-b0=1.5",
     ),
     pytest.param(
-        ["limit-profile", "--gamma", "1", "--rho-plus", "2", "--rho-b0=-1e20"], {},
-        "rho_b0 = -1.000e+20 exceeds the slope range", id="--rho-b0=-1e20",
+        # rho_- is about 4e-15, below the bisection tolerance
+        ["limit-profile", "--gamma", "1", "--rho-plus", "1", "--rho-b0=1.414213562373"], {},
+        "bisection tolerance of the vacuum", id="--rho-b0=1.414213562373",
     ),
     pytest.param(
-        ["limit-profile", "--gamma", "300", "--rho-plus", "2", "--rho-b0=-1e60"], {},
-        "rho_b0 = -1.000e+60 is too steep", id="--rho-b0=-1e60",
+        ["limit-profile", "--gamma", "1", "--rho-plus", "1", "--rho-b0=-1e300"], {},
+        "2 W(rho_-) overflows", id="--rho-b0=-1e300",
     ),
+    pytest.param(
+        # y(rho_+ + 1e-8) is about 3e17 at rho_- = 6e37: 3.5e9 samples below y_max
+        ["limit-profile", "--gamma", "1", "--rho-plus", "2", "--rho-b0=-1e20", "--y-max", "1e7"], {},
+        "samples below y_max", id="--y-max=1e7",
+    ),
+]
+
+# limit profiles whose wall slope is many orders of magnitude beyond the tail rate
+_STEEP_PROFILES = [
+    pytest.param(gamma, rho_b0, id=f"gamma={gamma}-rho_b0={rho_b0}")
+    for gamma, rho_b0 in (("1e3", "-1e150"), ("1e3", "-1e139"), ("300", "-1e150"), ("300", "-1e60"), ("1", "-1e20"))
 ]
 
 
@@ -356,6 +358,35 @@ class TestDispatch:
         summary = json.loads(capsys.readouterr().out)
         assert "rho_minus" in summary and "weighted_sup_value" in summary
         assert out.read_text().splitlines()[0] == "r,rho,rho_r,u,phi,residual"
+
+    def test_flow_summary_with_unrepresentable_weight(self, tmp_path, capsys, deadline):
+        # the solve converges; r^298 and r^299 overflow, so the weighted sup-norms are null
+        doc = dict(VALID, n=150, kappa=0.1, rho_b=-0.01, u_minus=0.01)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sol.csv"
+        assert dispatch(["solve", "inflow", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["weighted_sup_value"] is None and summary["weighted_sup_derivative"] is None
+        assert summary["converged"] is True and math.isfinite(summary["rho_minus"])
+        lines = out.read_text().splitlines()
+        assert lines[0] == "r,rho,rho_r,u,phi,residual" and len(lines) > 3
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+
+    @pytest.mark.parametrize("gamma, rho_b0", _STEEP_PROFILES)
+    def test_limit_profile_steep_wall(self, gamma, rho_b0, tmp_path, capsys, deadline):
+        # wall slopes up to 1e150 at tail rates up to 5e151, and rho_- = 6e37 at gamma = 1:
+        # every sample is finite and on the stable manifold
+        out = tmp_path / "lp.csv"
+        argv = ["limit-profile", "--gamma", gamma, "--rho-plus", "2", f"--rho-b0={rho_b0}", "--out", str(out)]
+        assert dispatch(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rho_minus"] > 2.0 and math.isfinite(doc["rho_minus"])
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        y, rho, rho_y = (np.array(col) for col in zip(*rows))
+        assert np.all(np.isfinite(rows)) and np.all(np.diff(y) > 0.0)
+        assert rho[0] == doc["rho_minus"] and np.all(np.diff(rho) <= 0.0) and np.all(rho >= 2.0)
+        energy = 0.5 * rho_y**2 - potential_w(float(gamma), 2.0, rho)
+        assert np.max(np.abs(energy)) <= 1e-12 * float(rho_b0) ** 2
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # boundary slope large enough to drive the density negative

@@ -1,14 +1,13 @@
-"""Vanishing-capillarity limit profile: potential, root, trajectory, rescale."""
+"""Vanishing-capillarity limit profile: potential, root, profile against references, rescale."""
 
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nsk.errors import DomainError, NoRootError, RangeError
+from nsk.errors import ConfigError, DomainError, NoRootError, RangeError
 from nsk.grid import build_grid
 from nsk.kernel import enthalpy_h
 from nsk.limit import integrate_profile, potential_w, solve_rho_minus
@@ -84,6 +83,12 @@ class TestPotential:
         with pytest.raises(DomainError):
             potential_w(1.4, 1.0, 0.0)
 
+    def test_vacuum_limit(self):
+        # x/rho_plus rounds to 0: W(0+) = rho_plus^gamma, with 0 log 0 = 0 at gamma = 1
+        assert potential_w(1.0, 2.0, 1e-300) == 2.0
+        assert potential_w(1.4, 2.0, 1e-300) == pytest.approx(2.0**1.4, rel=1e-15)
+        assert potential_w(1.0, 2.0, np.array([1e-300, 1.0]))[0] == 2.0
+
     def test_pressure_scale_overflow(self):
         with pytest.raises(RangeError, match="rho_plus\\*\\*gamma"):
             potential_w(2.0, 1e300, 1e300)
@@ -126,6 +131,40 @@ class TestRhoMinus:
         # toward vacuum the isothermal manifold slope is capped at sqrt(2 rho_plus)
         with pytest.raises(NoRootError):
             solve_rho_minus(1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("gamma, rho_plus", [(1.0, 1.0), (1.4, 2.0), (3.0, 0.5)])
+    def test_existence_bound(self, gamma, rho_plus):
+        # W(0+) = rho_plus^gamma: every slope below sqrt(2 rho_plus^gamma) has a root, none at it
+        bound = math.sqrt(2.0 * rho_plus**gamma)
+        with pytest.raises(NoRootError, match=f"sqrt\\(2 rho_plus\\*\\*gamma\\) = {bound:.6g}"):
+            solve_rho_minus(gamma, rho_plus, bound)
+        assert 0.0 < solve_rho_minus(gamma, rho_plus, 0.999 * bound) < rho_plus
+
+    @pytest.mark.parametrize(
+        "rho_b0, lo, hi, approx_root",
+        [
+            (-1e4, 1, "1e7", 3.5505e6),  # more than 1e6 rho_plus
+            (1.4142, "1e-10", 1, 1.3193e-6),  # less than rho_plus / 1e6
+        ],
+        ids=["rho_b0=-1e4", "rho_b0=1.4142"],
+    )
+    def test_roots_six_decades_from_rho_plus(self, rho_b0, lo, hi, approx_root):
+        expected = isothermal_root(mp.mpf(rho_b0) ** 2 / 2, lo, hi)
+        assert expected == pytest.approx(approx_root, rel=1e-4)
+        assert solve_rho_minus(1.0, 1.0, rho_b0) == pytest.approx(expected, rel=1e-15, abs=1e-13)
+
+    def test_root_below_vacuum_tolerance(self):
+        # 2W(x) = rho_b0^2 at x of about 4e-15: not resolved by the 1e-13 bisection
+        with pytest.raises(RangeError, match="tolerance of the vacuum"):
+            solve_rho_minus(1.0, 1.0, 1.414213562373)
+        # the whole orbit lies below the tolerance: rho_- is about 1e-282
+        with pytest.raises(RangeError, match="tolerance of the vacuum"):
+            solve_rho_minus(1.0, 1e-300, -1e-140)
+
+    def test_potential_overflow(self):
+        # 2W stays finite only up to slopes of about 1e154
+        with pytest.raises(RangeError, match="overflows"):
+            solve_rho_minus(1.0, 1.0, -1e300)
 
     def test_unresolved_root(self):
         # tail rate sqrt(h'(2)) = 5e151 at gamma = 1e3: rho_- - rho_plus is about
@@ -202,16 +241,73 @@ class TestProfile:
             assert -slope == pytest.approx(rate, rel=0.02)
 
     def test_huge_tail_rate(self):
-        # at rate 2e76 the samples, 1e-79 apart, still give finite PCHIP
-        # coefficients; at rate 5e151 the spacing is refused before sampling
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            prof = integrate_profile(500.0, 2.0, -1e70)
-            assert prof.tail_rate == pytest.approx(2.0228e76, rel=1e-4)
-            assert prof.slope(0.0) == pytest.approx(-1e70, rel=1e-6)
-            assert np.all(np.isfinite(prof.evaluate(0.5 * (prof.y_nodes[:-1] + prof.y_nodes[1:]))))
-        with pytest.raises(RangeError, match="too large to sample"):
-            integrate_profile(1e3, 2.0, -1e150)
+        # tail rates 2e76 and 5e151: the samples, 1e-79 and 4e-155 apart, stay finite
+        # and on the stable manifold, and the wall slope is reproduced
+        for gamma, rho_b0, rate in ((500.0, -1e70, 2.0228e76), (1e3, -1e150, 5.1757e151)):
+            prof = integrate_profile(gamma, 2.0, rho_b0)
+            assert prof.tail_rate == pytest.approx(rate, rel=1e-4)
+            assert prof.slope(0.0) == pytest.approx(rho_b0, rel=1e-6)
+            energy = 0.5 * prof.rho_bar_y**2 - potential_w(gamma, 2.0, prof.rho_bar)
+            assert np.max(np.abs(energy)) <= 1e-15 * rho_b0**2
+            mid = 0.5 * (prof.y_nodes[:-1] + prof.y_nodes[1:])
+            assert np.all(np.isfinite(prof.evaluate(mid)))
+
+    def test_sample_cap(self):
+        # rho_- = 6e37 lies at y of about 3e17: a far y_max asks for 3.5e9 samples
+        prof = integrate_profile(1.0, 2.0, -1e20)
+        assert prof.tail_start == 60.0 and prof.rho_minus_limit == pytest.approx(5.8636e37, rel=1e-4)
+        with pytest.raises(ConfigError, match="samples below y_max"):
+            integrate_profile(1.0, 2.0, -1e20, y_max=1e7)
+
+
+def y_reference(gamma, rho_plus, rho_minus, rho):
+    """``y(rho) = int_{rho_-}^{rho} dx / s(x)`` in 40-digit quadrature, split geometrically toward rho_+."""
+    g, rp = mp.mpf(gamma), mp.mpf(rho_plus)
+
+    def potential(x):
+        if g == 1:
+            return x * mp.log(x / rp) - (x - rp)
+        return g / (g - 1) * ((x**g - rp**g) / g - rp ** (g - 1) * (x - rp))
+
+    d0, d1 = abs(rho_minus - rp), abs(mp.mpf(rho) - rp)
+    splits = int(mp.ceil(mp.log(d0 / d1, 2))) + 1
+    points = [rp + mp.sign(rho_minus - rp) * d0 * (d1 / d0) ** (mp.mpf(k) / splits) for k in range(splits + 1)]
+    return mp.quad(lambda x: -mp.sign(x - rp) / mp.sqrt(2 * potential(x)), points)
+
+
+class TestProfileReferences:
+    """``evaluate`` between samples against 40-digit references of ``y(rho)``."""
+
+    @pytest.mark.parametrize(
+        "gamma, rho_b0",
+        [(1.0, -0.1), (1.0, 0.5), (1.4, -2.0), (1.4, 0.3)],
+    )
+    def test_midpoints(self, gamma, rho_b0):
+        level = mp.mpf(rho_b0) ** 2 / 2
+        if gamma == 1.0:
+            lo, hi = (1, 100) if rho_b0 < 0 else ("1e-10", 1)
+            rho_minus = mp.mpf(isothermal_root(level, lo, hi))
+            rho_minus = mp.findroot(lambda x: x * mp.log(x) - x + 1 - level, rho_minus)
+        else:
+            g = mp.mpf(gamma)
+            rho_minus = mp.findroot(
+                lambda x: g / (g - 1) * ((x**g - 1) / g - (x - 1)) - level,
+                solve_rho_minus(gamma, 1.0, rho_b0),
+            )
+        prof = integrate_profile(gamma, 1.0, rho_b0)
+        inside = np.flatnonzero(prof.y_nodes < prof.tail_start)
+        picks = inside[np.unique(np.geomspace(1, inside.size - 1, 12).astype(int)) - 1]
+        y_mid = 0.5 * (prof.y_nodes[picks] + prof.y_nodes[picks + 1])
+        for y, rho in zip(y_mid, prof.evaluate(y_mid)):
+            # one Newton step on the reference y(rho) = y: its error is quadratic in rho's
+            slope = prof.slope(y)
+            rho_ref = rho - (y_reference(gamma, 1.0, rho_minus, rho) - y) * slope
+            assert abs(float(rho_ref) - rho) <= 1e-12, (y, rho)
+
+    def test_quadratic_midpoints(self):
+        prof = integrate_profile(2.0, 1.0, -0.5)
+        mid = 0.5 * (prof.y_nodes[:-1] + prof.y_nodes[1:])
+        assert np.max(np.abs(prof.evaluate(mid) - gamma2_exact(-0.5, mid))) <= 1e-12
 
 
 class TestRescale:

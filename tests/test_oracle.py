@@ -5,7 +5,7 @@ import pytest
 
 from nsk.errors import ConfigError
 from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
-from nsk.oracle import cross_validate, fd_nodes, solve_fd
+from nsk.oracle import _interpolate_uniform, cross_validate, fd_nodes, solve_fd
 
 
 def params_with(**kw):
@@ -47,6 +47,23 @@ class TestSolveFd:
             solve_fd(params_with(), 50, 21.0)
         with pytest.raises(ConfigError):
             solve_fd(params_with(u_minus=0.1), 500, 21.0)
+
+
+class TestInterpolation:
+    def test_exact_on_cubics(self):
+        # every stencil, the clamped end cells included, reproduces a cubic
+        nodes = fd_nodes(101, 21.0)
+        cubic = np.polynomial.Polynomial([0.3, -1.1, 0.25, -0.01])
+        points = np.concatenate([np.linspace(1.0, 21.0, 997), nodes])
+        assert np.max(np.abs(_interpolate_uniform(nodes, cubic(nodes), points) - cubic(points))) <= 1e-12
+
+    def test_fourth_order(self):
+        errs = []
+        for count in (201, 401):
+            nodes = fd_nodes(count, 11.0)
+            points = np.linspace(1.0, 11.0, 1999)
+            errs.append(np.max(np.abs(_interpolate_uniform(nodes, np.exp(-nodes), points) - np.exp(-points))))
+        assert 14.0 <= errs[0] / errs[1] <= 18.0
 
 
 class TestCrossValidate:

@@ -1,4 +1,4 @@
-"""The package's public name lists and its one route to scipy.special."""
+"""The package's public name lists, its one route to scipy.special, and the scipy it loads."""
 
 import ast
 import importlib
@@ -29,28 +29,46 @@ def test_every_module_name_resolves(module):
     assert len(set(names)) == len(names)
 
 
-def _uses_scipy_special(tree: ast.AST) -> bool:
+# scipy.integrate alone pulls in scipy.optimize; with scipy.interpolate they were
+# about 40% of the CPU time of every CLI run
+SLOW_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+
+
+def _scipy_modules(tree: ast.AST) -> set:
+    """The ``scipy.<name>`` modules a module imports or reaches as an attribute, in any form."""
+    found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(a.name.split(".")[:2] == ["scipy", "special"] for a in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
+            found |= {".".join(a.name.split(".")[:2]) for a in node.names if a.name.startswith("scipy.")}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
             parts = (node.module or "").split(".")
-            if parts[:2] == ["scipy", "special"]:
-                return True
-            if parts == ["scipy"] and any(a.name == "special" for a in node.names):
-                return True
+            if parts[0] == "scipy":
+                found |= {f"scipy.{parts[1]}"} if len(parts) > 1 else {f"scipy.{a.name}" for a in node.names}
         elif isinstance(node, ast.Attribute):
-            if node.attr == "special" and isinstance(node.value, ast.Name) and node.value.id == "scipy":
-                return True
-    return False
+            if isinstance(node.value, ast.Name) and node.value.id == "scipy":
+                found.add(f"scipy.{node.attr}")
+    return found
 
 
 def test_scipy_special_only_in_bessel():
     # every Bessel value goes through nsk.bessel, which checks it is finite
     src = Path(nsk.__file__).parent
-    users = sorted(p.name for p in src.glob("*.py") if _uses_scipy_special(ast.parse(p.read_text())))
+    users = sorted(p.name for p in src.glob("*.py") if "scipy.special" in _scipy_modules(ast.parse(p.read_text())))
     assert users == ["bessel.py"]
+
+
+def test_no_module_imports_slow_scipy():
+    # the limit profile is a Gauss-Legendre quadrature and the oracle interpolates locally
+    src = Path(nsk.__file__).parent
+    users = {p.name: _scipy_modules(ast.parse(p.read_text())) & set(SLOW_SCIPY) for p in src.glob("*.py")}
+    assert {name: mods for name, mods in users.items() if mods} == {}
+
+
+def test_import_cli_loads_no_slow_scipy():
+    probe = f"import sys, nsk.cli; print(sorted(m for m in sys.modules if m.startswith({SLOW_SCIPY!r})))"
+    env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _imports_cli(tree: ast.AST) -> bool:
