@@ -27,10 +27,10 @@ The profile is the inverse of the first integral
     y(\rho) = \int_{\rho_-}^{\rho} \frac{dx}{s(x)},
 
 computed by Gauss-Legendre quadrature on panels that are geometric in
-``|x - \rho_+|`` near ``rho_+`` and in ``x`` far from it.  Near ``rho_+``
-the pole ``-1/(\sqrt{h'(\rho_+)}(x - \rho_+))`` of ``1/s`` is subtracted
-and its logarithm added in closed form.  Samples at uniform ``y`` solve
-``y(\rho) = y`` by Newton from the panel end below them.  Once
+``|x - \rho_+|`` near ``rho_+`` and in ``x`` far from it, each short against
+its distance to the pole of ``1/s`` at ``rho_+`` (or to the branch point at
+the vacuum).  Samples at uniform ``y`` solve ``y(\rho) = y`` by Newton
+from the panel end below them.  Once
 ``|\rho - \rho_+|`` reaches ``TAIL_SWITCH`` the exact linearized tail
 ``rho_+ + a e^{-\sqrt{h'(\rho_+)} y}`` takes over, which also extends
 evaluation to arbitrarily large ``y``.  Between samples the profile is the
@@ -59,6 +59,7 @@ __all__ = [
 TAIL_SWITCH = 1e-8  # hand over to the linearized tail below this amplitude
 PROFILE_FLOOR = 1e-14  # stored samples stop once the profile is this flat
 ROOT_TOL = 1e-13  # absolute tolerance of the rho_- bisection
+RESOLUTION = 1e-5  # and its tolerance relative to |rho_- - rho_+| and to rho_-
 PANELS_PER_OCTAVE = 16  # quadrature panels per halving of the distance to rho_+ (or to vacuum)
 NEWTON_STEPS = 4  # from the panel end below a sample, each step squares a ~1e-3 relative error
 MAX_SAMPLES = 1_000_000  # stored samples of one profile
@@ -105,13 +106,17 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
     """Boundary value ``rho_-``: root of ``-sgn(x-rho_+) sqrt(2W(x)) = rho_b0``.
 
     A root exists exactly when ``rho_b0 < sqrt(2 rho_+^gamma)``; larger
-    slopes raise ``NoRootError`` naming that bound.  Bisection to absolute
-    tolerance ``ROOT_TOL`` between ``near = rho_+``, where the slope
-    vanishes, and a ``far`` end moved away from ``rho_+`` (doubled for
-    ``rho_b0 < 0``, halved toward vacuum otherwise) until its slope reaches
-    ``|rho_b0|``.  A root the tolerance cannot resolve (within ``ROOT_TOL``
-    of ``rho_+`` or of the vacuum), or one past the overflow of ``2W``,
-    raises ``RangeError``.
+    slopes raise ``NoRootError`` naming that bound.  Bisection between
+    ``near = rho_+``, where the slope vanishes, and a ``far`` end moved
+    away from ``rho_+`` (doubled for ``rho_b0 < 0``, halved toward vacuum
+    otherwise) until its slope reaches ``|rho_b0|``.  It stops once the
+    bracket is within the absolute tolerance ``ROOT_TOL`` and within
+    ``RESOLUTION`` of both ``|rho_- - rho_+|`` and ``rho_-``, so roots a
+    few tolerances from ``rho_+`` or from the vacuum keep bisecting past
+    ``ROOT_TOL``.  ``RangeError`` is raised for a root that doubles cannot
+    resolve that finely next to ``rho_+``, for one below ``ROOT_TOL``
+    (the absolute scale of the profile's handover and sample floor), and
+    for one past the overflow of ``2W``.
     """
     if rho_b0 == 0.0:
         return rho_plus
@@ -140,17 +145,22 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
             near = mid
         else:
             far = mid
-        if abs(far - near) <= ROOT_TOL:
+        root = 0.5 * (near + far)
+        if abs(far - near) <= min(ROOT_TOL, RESOLUTION * min(abs(root - rho_plus), root)):
             break
+    if root < ROOT_TOL:
+        raise RangeError(f"rho_- = {root:.3e} lies within the {ROOT_TOL:g} bisection tolerance of the vacuum")
     if near == rho_plus:
         # the bracket never came off rho_plus: the root is not resolved
         raise RangeError(
             "rho_- lies within the 1e-13 bisection tolerance of rho_plus: "
             "|rho_b0| is too small for the tail rate sqrt(h'(rho_plus))"
         )
-    root = 0.5 * (near + far)
-    if root < ROOT_TOL:
-        raise RangeError(f"rho_- = {root:.3e} lies within the {ROOT_TOL:g} bisection tolerance of the vacuum")
+    if abs(far - near) > RESOLUTION * abs(root - rho_plus):
+        raise RangeError(
+            f"rho_- - rho_plus = {root - rho_plus:.3e} is not resolved to {RESOLUTION:g} of itself: "
+            f"the bisection tolerance stops at the double spacing {abs(far - near):.3e} next to rho_plus"
+        )
     if not np.isfinite(_manifold_slope(gamma, rho_plus, far)):
         raise RangeError(f"2 W(rho_-) overflows before the slope reaches rho_b0 = {rho_b0:.3e}")
     return root
@@ -166,19 +176,17 @@ class _FirstIntegral:
     """``y(rho) = int_{rho_-}^{rho} dx/s(x)`` from ``rho_-`` to ``rho_+ ± switch``, and its inverse.
 
     Each quadrature panel spans about 1/23 of the scale on which ``1/s``
-    varies.  Near ``rho_+`` that scale is the distance to the pole, so the
-    panel ends are geometric in ``|x - rho_+|`` and the pole
-    ``-1/(rate (x - rho_+))`` is subtracted, its logarithm added in closed
-    form.  Above ``rho_+ + rho_+/(gamma - 1)`` the growth of ``x^gamma``
-    sets the scale ``x/gamma``, so the ends are geometric in ``x`` with
-    ratio ``2**(1/(16 gamma))``; below ``rho_+/2`` the branch point of ``W``
-    at the vacuum sets the scale ``x``, ratio ``2**(1/16)``.  There ``1/s``
-    is integrated as it is: above ``rho_+`` the pole term can exceed it by
-    many orders of magnitude.
+    varies, so 8 Gauss-Legendre points integrate it to roundoff.  Near
+    ``rho_+`` that scale is the distance to the pole, so the panel ends are
+    geometric in ``|x - rho_+|``.  Above ``rho_+ + rho_+/(gamma - 1)`` the
+    growth of ``x^gamma`` sets the scale ``x/gamma``, so the ends are
+    geometric in ``x`` with ratio ``2**(1/(16 gamma))``; below ``rho_+/2``
+    the branch point of ``W`` at the vacuum sets the scale ``x``, ratio
+    ``2**(1/16)``.
     """
 
-    def __init__(self, gamma: float, rho_plus: float, rho_minus: float, rate: float, switch: float):
-        self.gamma, self.rho_plus, self.rate = gamma, rho_plus, rate
+    def __init__(self, gamma: float, rho_plus: float, rho_minus: float, switch: float):
+        self.gamma, self.rho_plus = gamma, rho_plus
         sign = math.copysign(1.0, rho_minus - rho_plus)
         d_minus = abs(rho_minus - rho_plus)
         if sign > 0.0:
@@ -189,19 +197,13 @@ class _FirstIntegral:
         far = _geometric(rho_minus, near[0], far_octave)[:-1] if d_minus > d_cross else np.empty(0)
         self.ends = np.concatenate([far, near])
         self.ends[0] = rho_minus
-        self.first_near = far.size  # index of the first panel that subtracts the pole
-        panels = np.arange(self.ends.size - 1)
-        steps = self._integral(self.ends[:-1], self.ends[1:], panels >= self.first_near)
-        self.y_ends = np.concatenate([[0.0], np.cumsum(steps)])
+        self.y_ends = np.concatenate([[0.0], np.cumsum(self._integral(self.ends[:-1], self.ends[1:]))])
 
-    def _integral(self, a, b, near) -> np.ndarray:
-        """``int_a^b dx / s(x)`` by Gauss-Legendre, the pole subtracted where ``near``."""
+    def _integral(self, a, b) -> np.ndarray:
+        """``int_a^b dx / s(x)`` by Gauss-Legendre on each panel ``[a, b]``."""
         half = 0.5 * (b - a)
         x = (a + half)[:, None] + half[:, None] * _GAUSS_X
-        pole = np.where(near[:, None], 1.0 / (self.rate * (x - self.rho_plus)), 0.0)
-        smooth = half * ((1.0 / _manifold_slope(self.gamma, self.rho_plus, x) + pole) @ _GAUSS_W)
-        log_pole = np.log((b - self.rho_plus) / (a - self.rho_plus)) / self.rate
-        return smooth - np.where(near, log_pole, 0.0)
+        return half * ((1.0 / _manifold_slope(self.gamma, self.rho_plus, x)) @ _GAUSS_W)
 
     def invert(self, y: np.ndarray) -> np.ndarray:
         """``rho`` with ``y(rho) = y`` for each ``y`` in ``[0, y_ends[-1]]``.
@@ -215,7 +217,7 @@ class _FirstIntegral:
             start, gap = self.ends[j], y[lo : lo + _CHUNK] - self.y_ends[j]
             rho = start + _manifold_slope(self.gamma, self.rho_plus, start) * gap
             for _ in range(NEWTON_STEPS):
-                defect = self._integral(start, rho, j >= self.first_near) - gap
+                defect = self._integral(start, rho) - gap
                 rho = rho - defect * _manifold_slope(self.gamma, self.rho_plus, rho)
             out[lo : lo + _CHUNK] = rho
         return out
@@ -305,7 +307,7 @@ def integrate_profile(
     y_q = rho_q = np.empty(0)
     switch = max(TAIL_SWITCH, 65536.0 * math.ulp(rho_plus))
     if abs(amp) > switch:  # otherwise rho_- already lies on the linearized tail
-        first = _FirstIntegral(gamma, rho_plus, rho_minus, rate, switch)
+        first = _FirstIntegral(gamma, rho_plus, rho_minus, switch)
         y_switch = min(float(first.y_ends[-1]), y_max)
         if y_switch > MAX_SAMPLES * dy:
             raise ConfigError(

@@ -153,6 +153,22 @@ class TestRhoMinus:
         assert expected == pytest.approx(approx_root, rel=1e-4)
         assert solve_rho_minus(1.0, 1.0, rho_b0) == pytest.approx(expected, rel=1e-15, abs=1e-13)
 
+    def test_roots_a_few_tolerances_off(self):
+        # the bisection goes past its 1e-13 tolerance until the bracket is within 1e-5 of
+        # |rho_- - rho_plus| and of rho_-: 7.1e-11 above rho_plus, 3.8e-12 above the vacuum
+        exact = 1.0 + 1e-10 / mp.sqrt(2)
+        assert abs(solve_rho_minus(2.0, 1.0, -1e-10) - exact) <= 5e-6 * (exact - 1.0)
+        expected = isothermal_root(mp.mpf(1.4142135623) ** 2 / 2, "1e-14", "1e-10")
+        assert expected == pytest.approx(3.7866e-12, rel=1e-4)
+        assert solve_rho_minus(1.0, 1.0, 1.4142135623) == pytest.approx(expected, rel=5e-6)
+
+    def test_root_unresolved_in_doubles(self):
+        # doubles next to rho_plus cannot hold rho_- - rho_plus to 1e-5: 7e-13 at gamma = 2,
+        # 1.9e-13 at gamma = 1e3 (there the bisection used to return a wall slope 3% off)
+        for gamma, rho_plus, rho_b0 in ((2.0, 1.0, -1e-12), (1e3, 2.0, -1e139)):
+            with pytest.raises(RangeError, match="is not resolved to 1e-05"):
+                solve_rho_minus(gamma, rho_plus, rho_b0)
+
     def test_root_below_vacuum_tolerance(self):
         # 2W(x) = rho_b0^2 at x of about 4e-15: not resolved by the 1e-13 bisection
         with pytest.raises(RangeError, match="tolerance of the vacuum"):
@@ -203,7 +219,7 @@ class TestProfile:
     def test_boundary_value_inside_tail_band(self):
         # |rho_- - rho_plus| below the handover threshold: the profile is the
         # linearized tail from y = 0, also for a far y_max; rho_- itself is
-        # resolved to the 1e-13 bisection tolerance
+        # resolved to 1e-5 of its offset from rho_plus
         for y_max in (60.0, 1e7):
             prof = integrate_profile(2.0, 1.0, -1e-10, y_max=y_max)
             assert prof.tail_start == 0.0
