@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bessel import BesselOrder, bessel_i_scaled, bessel_k_scaled
+from .bessel import BesselOrder, bessel_ik_scaled, check_finite
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -173,19 +173,20 @@ def kernel_params(params: ModelParams) -> KernelParams:
 
 class KernelFactors:
     """Per-radius factors of the scaled kernel at radii ``x``: ``x^{-nu}``,
-    ``e^{-alpha(x-1)}`` and, each computed on first use, ``\\hat I_nu``,
-    ``\\hat K_nu``, ``\\hat I_{nu+1}``, ``\\hat K_{nu+1}`` at ``alpha x``, which
-    :mod:`nsk.bessel` checks are finite."""
+    ``e^{-alpha(x-1)}`` and ``\\hat I_nu``, ``\\hat K_nu``, ``\\hat I_{nu+1}``,
+    ``\\hat K_{nu+1}`` at ``alpha x``, computed together on first use and each
+    checked finite when it is first read."""
 
     def __init__(self, kp: KernelParams, x: np.ndarray):
         self.x, self._nu, self._ax = x, kp.nu, kp.alpha * x
         self.rp = x ** (-kp.nu.nu)
         self.e2 = np.exp(-kp.alpha * (x - 1.0))
 
-    iv = cached_property(lambda self: bessel_i_scaled(self._nu, self._ax))
-    kv = cached_property(lambda self: bessel_k_scaled(self._nu, self._ax))
-    iv1 = cached_property(lambda self: bessel_i_scaled(self._nu.shifted(), self._ax))
-    kv1 = cached_property(lambda self: bessel_k_scaled(self._nu.shifted(), self._ax))
+    _hats = cached_property(lambda self: bessel_ik_scaled(self._nu, self._ax))
+    iv = cached_property(lambda self: check_finite(self._hats[0], "scaled I_nu"))
+    kv = cached_property(lambda self: check_finite(self._hats[1], "scaled K_nu"))
+    iv1 = cached_property(lambda self: check_finite(self._hats[2], "scaled I_nu"))
+    kv1 = cached_property(lambda self: check_finite(self._hats[3], "scaled K_nu"))
 
 
 def kernel_factors(kp: KernelParams, x) -> KernelFactors:

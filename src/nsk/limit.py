@@ -62,6 +62,10 @@ ROOT_TOL = 1e-13  # absolute tolerance of the rho_- bisection
 RESOLUTION = 1e-5  # and its tolerance relative to |rho_- - rho_+| and to rho_-
 PANELS_PER_OCTAVE = 16  # quadrature panels per halving of the distance to rho_+ (or to vacuum)
 NEWTON_STEPS = 4  # from the panel end below a sample, each step squares a ~1e-3 relative error
+# W by its Taylor series where |x/rho_+ - 1| max(1, gamma) is below this: each
+# term is at most a tenth of the one before, and 20 reach below roundoff
+TAYLOR_MAX = 0.1
+TAYLOR_TERMS = 20
 MAX_SAMPLES = 1_000_000  # stored samples of one profile
 _CHUNK = 1 << 14  # samples inverted per vectorized Newton pass
 _GAUSS_X, _GAUSS_W = leggauss(8)  # per panel: ~1e-30 relative error at a panel ratio 2**(1/16)
@@ -73,25 +77,45 @@ def potential_w(gamma: float, rho_plus: float, x):
     ``x log(x/\rho_+) - (x - \rho_+)`` for ``gamma = 1`` and
     ``\frac{\gamma}{\gamma-1}[(x^\gamma - \rho_+^\gamma)/\gamma
     - \rho_+^{\gamma-1}(x - \rho_+)]`` otherwise; evaluated through
-    ``log1p``/``expm1`` so the quadratic vanishing at ``rho_+`` survives
-    cancellation.  Where ``x/rho_+`` rounds to 0 both give the vacuum
-    value ``rho_+^gamma`` (``0 log 0 = 0`` for ``gamma = 1``).  ``W`` may
-    overflow to ``inf`` far above ``rho_+``; a pressure scale
-    ``rho_+^gamma`` beyond the double range raises ``RangeError``.
+    ``log1p``/``expm1``.  Both subtract O(d) terms, ``d = x/rho_+ - 1``, to
+    leave an O(d^2) result, so where ``|d| max(1, gamma) <= TAYLOR_MAX`` the
+    Taylor series ``rho_+^gamma sum_k gamma (gamma-2)...(gamma-k+1) d^k/k!``
+    from ``k = 2`` replaces them and keeps full relative accuracy.  Where
+    ``x/rho_+`` rounds to 0 both give the vacuum value ``rho_+^gamma``
+    (``0 log 0 = 0`` for ``gamma = 1``).  ``W`` may overflow to ``inf`` far
+    above ``rho_+``; a pressure scale ``rho_+^gamma`` beyond the double range
+    raises ``RangeError``.
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise DomainError("x must be positive")
-    d = xa / rho_plus - 1.0
+    d = np.atleast_1d(xa / rho_plus - 1.0)
     with np.errstate(over="ignore", divide="ignore"):
         if gamma == 1.0:
+            scale = rho_plus
             # (1 + d) log1p(d) is 0 where d rounds to -1, not 0 * (-inf)
-            out = rho_plus * ((1.0 + d) * np.log1p(np.where(d > -1.0, d, 0.0)) - d)
+            out = scale * ((1.0 + d) * np.log1p(np.where(d > -1.0, d, 0.0)) - d)
         else:
             scale = check_finite(np.float64(rho_plus) ** gamma, "rho_plus**gamma")
             tpow = np.expm1(gamma * np.log1p(d))  # (x/rho_+)^gamma - 1
             out = scale * (gamma / (gamma - 1.0)) * (tpow / gamma - d)
-    return float(out) if np.ndim(x) == 0 else out
+    # the closed forms cancel O(d) terms: next to rho_+ sum the Taylor series instead,
+    # gamma d^2/2 sum_j b_j t^j in t = g d, g = max(1, gamma), with
+    # b_j = prod_{k=2}^{j+1} (gamma - k)/(g (k + 1)) bounded for every gamma
+    g = max(1.0, gamma)
+    near = np.abs(d) * g <= TAYLOR_MAX
+    if near.any():
+        coef = [1.0]
+        for k in range(2, TAYLOR_TERMS + 1):
+            coef.append(coef[-1] * (gamma - k) / (g * (k + 1)))
+        dn = d[near]
+        t = g * dn
+        acc = np.full_like(t, coef[-1])
+        for b in reversed(coef[:-1]):
+            acc *= t
+            acc += b
+        out[near] = scale * (0.5 * gamma) * dn * dn * acc
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
 
 
 def _manifold_slope(gamma: float, rho_plus: float, x) -> np.ndarray:

@@ -8,11 +8,15 @@ A deliberately separate discretization of
 
 used to cross-check the Green-kernel fixed-point solver: uniform grid,
 second-order central stencils (Neumann data eliminated through a ghost
-node), and damped-free Newton with direct tridiagonal elimination
-(``scipy.linalg.solve_banded``).  The comparison carries the FD solution to
-the kernel grid by 4-point cubic Lagrange interpolation on the uniform FD
-grid, which is O(h^4) and needs no global spline.  The only code shared
-with the kernel solver is the enthalpy and the parameter container.
+node), and damped-free Newton whose tridiagonal steps are solved in place by
+cyclic reduction (R. W. Hockney, J. ACM 12 (1965) 95): each level eliminates
+every second unknown through strided views of the three diagonals and the
+right-hand side, which ends holding the step.  The Jacobian is diagonally
+dominant by rows and by columns, so the elimination needs no pivoting.  The
+comparison carries the FD solution to the kernel grid by 4-point cubic
+Lagrange interpolation on the uniform FD grid, which is O(h^4) and needs no
+global spline.  The only code shared with the kernel solver is the enthalpy
+and the parameter container.
 """
 
 from __future__ import annotations
@@ -20,14 +24,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
 from .grid import EXPONENTIAL, auto_r_max, build_grid
 from .kernel import ModelParams, enthalpy_h, enthalpy_h_prime, kernel_params
 from .stationary import solve_stationary
 
-__all__ = ["fd_nodes", "solve_fd", "cross_validate"]
+__all__ = ["fd_nodes", "solve_fd", "solve_tridiagonal", "cross_validate"]
 
 MAX_NEWTON = 60
 
@@ -90,16 +93,15 @@ def solve_fd(
             raise NewtonDivergenceError(f"Newton residual grew to {res:.3e}")
         last_res = max(res, newton_tol)
 
-        # banded Jacobian: (1,1) tridiagonal
-        ab = np.zeros((3, M))
-        ab[0, 2:] = kappa * (inv_h2 + drift[1:-1] / (2.0 * h))  # superdiag
-        ab[1, 1:-1] = -2.0 * kappa * inv_h2 - enthalpy_h_prime(gamma, rho[1:-1])
-        ab[2, :-2] = kappa * (inv_h2 - drift[1:-1] / (2.0 * h))  # subdiag
-        ab[0, 1] = 2.0 * kappa * inv_h2
-        ab[1, 0] = -2.0 * kappa * inv_h2 - enthalpy_h_prime(gamma, rho[0])
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
-        step = solve_banded((1, 1), ab, -F)
+        # tridiagonal Jacobian, row i: lower[i], diag[i], upper[i]
+        lower = np.zeros(M)
+        upper = np.zeros(M)
+        lower[1:-1] = kappa * (inv_h2 - drift[1:-1] / (2.0 * h))
+        upper[1:-1] = kappa * (inv_h2 + drift[1:-1] / (2.0 * h))
+        upper[0] = 2.0 * kappa * inv_h2
+        diag = -2.0 * kappa * inv_h2 - enthalpy_h_prime(gamma, rho)
+        diag[-1] = 1.0
+        step = solve_tridiagonal(lower, diag, upper, np.negative(F, out=F))
         rho = rho + step
         if np.any(rho <= 0.0):
             raise PositivityError("Newton iterate lost positivity")
@@ -107,6 +109,39 @@ def solve_fd(
             # residual sits at its roundoff floor (~eps/h^2); the iterate is done
             return rho
     raise NewtonDivergenceError(f"no convergence in {MAX_NEWTON} Newton steps (residual {res:.3e})")
+
+
+def solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve ``lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]`` in place.
+
+    Cyclic reduction without pivoting, for a diagonally dominant system with
+    ``lower[0] = upper[-1] = 0``: all four arrays are overwritten and ``rhs``,
+    returned, holds the solution.  Each level folds the even-position equations
+    into the odd ones, which form the next level's system as strided views.
+    """
+    levels = []
+    a, b, c, d = lower, diag, upper, rhs
+    while d.size > 1:
+        n = d.size
+        left = slice(0, n - 1, 2)  # the even neighbour below each odd position
+        inner = slice(1, n - 1, 2)  # the odd positions with an even neighbour above
+        alpha = -a[1::2] / b[left]
+        beta = -c[inner] / b[2::2]
+        d[1::2] += alpha * d[left]
+        d[inner] += beta * d[2::2]
+        b[1::2] += alpha * c[left]
+        b[inner] += beta * a[2::2]
+        a[1::2] = alpha * a[left]
+        c[inner] = beta * c[2::2]
+        levels.append((a, b, c, d))
+        a, b, c, d = a[1::2], b[1::2], c[1::2], d[1::2]
+    d /= b
+    for a, b, c, d in reversed(levels):
+        n = d.size
+        d[2::2] -= a[2::2] * d[1 : n - 1 : 2]
+        d[0 : n - 1 : 2] -= c[0 : n - 1 : 2] * d[1::2]
+        d[::2] /= b[::2]
+    return rhs
 
 
 def _interpolate_uniform(nodes: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
-from nsk.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
+from nsk import bessel
+from nsk.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_ik_scaled, bessel_k, bessel_k_scaled
 from nsk.errors import DomainError, RangeError
 
 mp.mp.dps = 40
@@ -117,12 +119,89 @@ class TestSecondKind:
 @pytest.mark.parametrize("fn", [bessel_i_scaled, bessel_k_scaled])
 @pytest.mark.parametrize("order", [ZERO, HALF, ONE, THREE_HALVES, TWO])
 def test_scaled_forms_refuse_non_finite_values(fn, order):
-    # scipy's ive/kve return NaN past x ~ 1.08e9; that must not pass as a value
-    assert math.isfinite(fn(order, 1.0e9))
-    with pytest.raises(RangeError):
-        fn(order, 1.0e10)
-    with pytest.raises(RangeError):
-        fn(order, np.array([1.0, 1.0e10]))
+    # every positive double gives a finite value or RangeError: the scaled forms
+    # are finite up to the largest double, and K_nu ~ (2/x)^nu/2 overflows
+    # next to 0 for nu >= 1 (I_nu then underflows, which is a value)
+    overflows = fn is bessel_k_scaled and order.nu >= 1.0
+    for x in (5e-324, 1e-300, 1e-160, 1.0, 1.0e9, 1.0e10, 1e300, np.finfo(float).max):
+        try:
+            val = fn(order, x)
+        except RangeError:
+            assert overflows and x <= 1e-160, x
+        else:
+            assert math.isfinite(val) and val >= 0.0, x
+    if overflows:
+        with pytest.raises(RangeError, match="scaled K_nu is not finite"):
+            fn(order, np.array([1.0, 5e-324]))
+
+
+def _mp_scaled(nu: float, x: float):
+    """``(e^{-x} I_nu(x), e^{x} K_nu(x))`` in 40-digit arithmetic."""
+    xm = mp.mpf(x)
+    return mp.besseli(nu, xm) * mp.exp(-xm), mp.besselk(nu, xm) * mp.exp(xm)
+
+
+def _worst_relative_error(two_nu: int, xs) -> float:
+    """Largest relative error of the four scaled values against mpmath where the
+    reference is a normal double; where it overflows, ``\\hat K`` must be ``inf``."""
+    got = bessel_ik_scaled(BesselOrder(two_nu), xs)
+    worst = 0.0
+    for j, x in enumerate(xs):
+        refs = _mp_scaled(two_nu / 2, x) + _mp_scaled(two_nu / 2 + 1, x)
+        for value, ref in zip((g[j] for g in got), refs):
+            if ref > np.finfo(float).max:
+                assert value == np.inf, (two_nu, x)
+            elif ref >= np.finfo(float).tiny:
+                worst = max(worst, float(abs(value / ref - 1)))
+    return worst
+
+
+def _with_neighbours(points):
+    return sorted({v for p in points for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))})
+
+
+@pytest.mark.parametrize("two_nu", list(range(9)) + [148])
+def test_scaled_values_match_40_digits(two_nu):
+    # 148 is n = 150; the switch points are the series/CF2 and the Hankel ones
+    switches = [bessel.SERIES_MAX_X, bessel.HANKEL_MIN_X, max(bessel.HANKEL_MIN_X, (two_nu / 2) ** 2)]
+    xs = np.concatenate([np.geomspace(1e-6, 1e10, 65), _with_neighbours(switches)])
+    assert _worst_relative_error(two_nu, xs) <= 4e-15
+
+
+def test_high_order_just_below_powers_of_two():
+    # dividing by x = 2^p (1 - 2^-53) rounds the same way at each of the 74 steps
+    # of the upward recurrence to K_74: up to 5.4e-15 here, 2.4e-15 on the grid above
+    xs = np.array([np.nextafter(2.0**p, 0.0) for p in range(-4, 8)])
+    assert _worst_relative_error(148, xs) <= 6e-15
+
+
+@pytest.mark.parametrize("two_nu", range(9))
+def test_scaled_values_match_scipy(two_nu):
+    # scipy.special as a second reference, where its scaled values are finite
+    xs = np.geomspace(1e-6, 1e9, 301)
+    got = bessel_ik_scaled(BesselOrder(two_nu), xs)
+    nu = two_nu / 2
+    for value, ref in zip(got, (special.ive(nu, xs), special.kve(nu, xs), special.ive(nu + 1, xs), special.kve(nu + 1, xs))):
+        assert np.max(np.abs(value / ref - 1.0)) <= 3e-14
+
+
+def test_values_past_scipy_range_match_40_digits():
+    # scipy's ive/kve are NaN past x ~ 1.08e9; here the Hankel expansions hold on
+    for order in ORDERS:
+        for x in (1e10, 1e15, 1e300):
+            i_ref, k_ref = _mp_scaled(order.nu, x)
+            assert bessel_i_scaled(order, x) == pytest.approx(float(i_ref), rel=4e-15, abs=0.0)
+            assert bessel_k_scaled(order, x) == pytest.approx(float(k_ref), rel=4e-15, abs=0.0)
+
+
+def test_huge_orders_end_fast():
+    # the recurrence stops once every K value has overflowed (n = 1e6 at alpha = sqrt(10)),
+    # and a value whose recurrence needs more than MAX_STEPS steps is refused after them
+    with pytest.raises(RangeError, match="scaled K_nu is not finite"):
+        bessel_k_scaled(BesselOrder(999_998), math.sqrt(10.0))
+    assert bessel_i_scaled(BesselOrder(999_998), math.sqrt(10.0)) == 0.0
+    with pytest.raises(RangeError, match="scaled K_nu is not finite"):
+        bessel_k_scaled(BesselOrder(2 * 10**300), 1e300)
 
 
 class TestIdentities:

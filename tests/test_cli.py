@@ -4,6 +4,7 @@ import json
 import math
 import signal
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,10 +197,6 @@ _MALFORMED = [
     pytest.param(["bessel", "--x", "1", "--nu", "abc"], {}, "--nu must be", id="--nu=abc"),
     pytest.param(["bessel", "--x", "1", "--nu", "inf"], {}, "--nu must be", id="--nu=inf"),
     pytest.param(
-        _FLAG_ARGV["--x"] + ["--x=1e10", "--scaled"], {}, "scaled I_nu is not finite", id="--x=1e10"
-    ),
-    pytest.param(_FLAG_ARGV["--r"] + ["--r=1e9"], {}, "scaled I_nu is not finite", id="--r=1e9"),
-    pytest.param(
         ["solve", "impermeable", "--config", "@"], {"max_iter": 1.5}, "max_iter must be an integer",
         id="max_iter=1.5",
     ),
@@ -209,10 +206,6 @@ _MALFORMED = [
     ),
     pytest.param(
         ["solve", "inflow", "--config", "@"], {"u_minus": 1e300}, "source term", id="u_minus=1e300"
-    ),
-    pytest.param(
-        ["solve", "impermeable", "--config", "@"], {"kappa": 1e-17, "rho_b": -0.1},
-        "scaled I_nu is not finite", id="kappa=1e-17",
     ),
     pytest.param(
         ["solve", "impermeable", "--config", "@"], {"n": 1000000, "kappa": 0.1, "rho_b": -0.1},
@@ -267,6 +260,12 @@ _MALFORMED = [
     ),
 ]
 
+_LARGE_ARGUMENTS = [
+    pytest.param(_FLAG_ARGV["--x"] + ["--x=1e10", "--scaled"], {}, id="--x=1e10"),
+    pytest.param(_FLAG_ARGV["--r"] + ["--r=1e9"], {}, id="--r=1e9"),
+    pytest.param(["solve", "impermeable", "--config", "@"], {"kappa": 1e-17, "rho_b": -0.1}, id="kappa=1e-17"),
+]
+
 # limit profiles whose wall slope is many orders of magnitude beyond the tail rate
 _STEEP_PROFILES = [
     pytest.param(gamma, rho_b0, id=f"gamma={gamma}-rho_b0={rho_b0}")
@@ -283,6 +282,26 @@ class TestDispatch:
         assert dispatch([cfg if a == "@" else a for a in argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv, extra", _LARGE_ARGUMENTS)
+    def test_large_arguments_resolve(self, argv, extra, tmp_path, capsys, deadline):
+        # Bessel arguments of 1e9 and more (alpha r >= 3.2e8 at kappa = 1e-17) give verified results
+        cfg = write_config(tmp_path, dict(VALID, **extra))
+        assert dispatch([cfg if a == "@" else a for a in argv]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "bessel":
+            with mp.workdps(40):  # e^{-x} I_{1/2}(x) at x = 1e10
+                expected = float(-mp.expm1(-2 * mp.mpf(10) ** 10) / mp.sqrt(2 * mp.pi * mp.mpf(10) ** 10))
+            assert float(out) == pytest.approx(expected, rel=4e-15)
+        elif argv[0] == "kernel":
+            # G(1e9, 2) at alpha = 10 is about exp(-1e10): zero in doubles
+            assert json.loads(out) == {"G": 0.0, "dG_dr": 0.0}
+        else:
+            alpha = 1e-17**-0.5
+            doc = json.loads(out)
+            assert doc["converged"] and doc["ode_residual_sup"] <= 1e-15
+            assert doc["sup_norm"] == pytest.approx(0.1 / alpha, rel=1e-8)
+            assert doc["decay_rate_fit"] == pytest.approx(alpha, rel=1e-8)
 
     @pytest.mark.parametrize("text", ["3/2", "1.5", " 3/2 ", "6/4", "15e-1"])
     def test_bessel_order_forms(self, text, capsys):

@@ -270,8 +270,17 @@ class TestGreenDerivative:
             assert abs(green_dr(kp, r, s)) <= bound
 
     def test_non_finite_values_refused(self):
-        # alpha*r past ~1.08e9 makes scipy's scaled Bessel factors NaN
-        kp = kp_from(3, 10.0)
-        for fn, r, s in ((green, 1e9, 2.0), (green_dr_right, 1e9, 2.0), (green_dr_left, 2.0, 1e9)):
-            with pytest.raises(RangeError):
+        # K_nu(alpha) beyond the double range (n = 1000 at alpha = 10) is refused, not used
+        kp = kp_from(1000, 10.0)
+        for fn, r, s in ((green, 1.5, 2.0), (green_dr_right, 2.0, 1.5), (green_dr_left, 1.5, 2.0)):
+            with pytest.raises(RangeError, match="scaled K_nu is not finite"):
                 fn(kp, r, s)
+
+    def test_far_arguments_match_closed_form(self):
+        # alpha r = 1e9 and beyond, where scipy's scaled factors were NaN, keeps full accuracy
+        for a, r in ((1.0, 1e9), (10.0, 1e9), (1.0, 1e12)):
+            kp = kp_from(3, a)
+            s = r + 1.0
+            assert green(kp, r, s) == pytest.approx(green3_exact(a, r, s), rel=1e-12)
+            g_dr = math.exp(-a) * (1.0 - a * r) / (2.0 * a * r * r * s)  # d/dr of the first term, r < s
+            assert green_dr_left(kp, r, s) == pytest.approx(g_dr, rel=1e-12)

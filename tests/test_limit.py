@@ -79,6 +79,19 @@ class TestPotential:
         assert potential_w(1.0, 1.0, 1.0 + d) == pytest.approx(0.5 * d * d, rel=1e-6)
         assert potential_w(2.0, 1.0, 1.0 + d) == pytest.approx(d * d, rel=1e-6)
 
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    def test_full_relative_accuracy_near_reference(self, gamma):
+        # the closed forms lost ~2e-9 relative at |d| = 1e-8 to cancellation; the Taylor form does not
+        g = mp.mpf(gamma)
+        for d in (1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4):
+            x = 1.0 + d
+            xm = mp.mpf(x)
+            if gamma == 1.0:
+                exact = xm * mp.log(xm) - (xm - 1)
+            else:
+                exact = g / (g - 1) * ((xm**g - 1) / g - (xm - 1))
+            assert abs(potential_w(gamma, 1.0, x) / exact - 1) <= 1e-14, d
+
     def test_domain(self):
         with pytest.raises(DomainError):
             potential_w(1.4, 1.0, 0.0)

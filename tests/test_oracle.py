@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from nsk.errors import ConfigError
 from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
-from nsk.oracle import _interpolate_uniform, cross_validate, fd_nodes, solve_fd
+from nsk.oracle import _interpolate_uniform, cross_validate, fd_nodes, solve_fd, solve_tridiagonal
 
 
 def params_with(**kw):
@@ -83,3 +84,21 @@ class TestCrossValidate:
         p = params_with(kappa=1e-3, rho_b=-0.02)
         sup, ok = cross_validate(p, 1e-6)
         assert ok, sup
+
+
+@pytest.mark.parametrize("M", list(range(1, 10)) + [100, 1001])
+def test_tridiagonal_solve_matches_solve_banded(M):
+    # cyclic reduction against LAPACK's banded solve, odd and even sizes, on a
+    # diagonally dominant system like the Newton Jacobian
+    rng = np.random.default_rng(M)
+    lower, upper = rng.uniform(-1.0, 1.0, M), rng.uniform(-1.0, 1.0, M)
+    lower[0] = upper[-1] = 0.0
+    diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, M)) * rng.choice([-1.0, 1.0], M)
+    rhs = rng.normal(size=M)
+    ab = np.zeros((3, M))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper[:-1], diag, lower[1:]
+    expected = solve_banded((1, 1), ab, rhs)
+    work = rhs.copy()
+    x = solve_tridiagonal(lower.copy(), diag.copy(), upper.copy(), work)
+    assert x is work  # the solution overwrites the right-hand side
+    assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))

@@ -1,4 +1,4 @@
-"""The package's public name lists, its one route to scipy.special, and the scipy it loads."""
+"""The package's public name lists, its import layering, and that it loads no scipy."""
 
 import ast
 import importlib
@@ -29,6 +29,28 @@ def test_every_module_name_resolves(module):
     assert len(set(names)) == len(names)
 
 
+def _imports_scipy(tree: ast.AST) -> bool:
+    """Whether a module imports scipy or any of its submodules, in any form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "scipy" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if (node.module or "").split(".")[0] == "scipy":
+                return True
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # __import__ and importlib.import_module name the module as a string
+            if node.value == "scipy" or node.value.startswith("scipy."):
+                return True
+    return False
+
+
+def test_no_module_imports_scipy():
+    # Bessel functions and the oracle's tridiagonal solve are numpy; scipy is a test dependency
+    src = Path(nsk.__file__).parent
+    assert sorted(p.name for p in src.glob("*.py") if _imports_scipy(ast.parse(p.read_text()))) == []
+
+
 # scipy.integrate alone pulls in scipy.optimize; with scipy.interpolate they were
 # about 40% of the CPU time of every CLI run
 SLOW_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
@@ -51,10 +73,11 @@ def _scipy_modules(tree: ast.AST) -> set:
 
 
 def test_scipy_special_only_in_bessel():
-    # every Bessel value goes through nsk.bessel, which checks it is finite
+    # every Bessel value goes through nsk.bessel, which now computes it in numpy,
+    # so scipy.special reaches no module, bessel.py included
     src = Path(nsk.__file__).parent
     users = sorted(p.name for p in src.glob("*.py") if "scipy.special" in _scipy_modules(ast.parse(p.read_text())))
-    assert users == ["bessel.py"]
+    assert users == []
 
 
 def test_no_module_imports_slow_scipy():
@@ -64,8 +87,8 @@ def test_no_module_imports_slow_scipy():
     assert {name: mods for name, mods in users.items() if mods} == {}
 
 
-def test_import_cli_loads_no_slow_scipy():
-    probe = f"import sys, nsk.cli; print(sorted(m for m in sys.modules if m.startswith({SLOW_SCIPY!r})))"
+def test_import_cli_loads_no_scipy():
+    probe = "import sys, nsk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
