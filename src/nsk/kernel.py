@@ -185,8 +185,12 @@ class KernelFactors:
     _hats = cached_property(lambda self: bessel_ik_scaled(self._nu, self._ax))
     iv = cached_property(lambda self: check_finite(self._hats[0], "scaled I_nu"))
     kv = cached_property(lambda self: check_finite(self._hats[1], "scaled K_nu"))
-    iv1 = cached_property(lambda self: check_finite(self._hats[2], "scaled I_nu"))
-    kv1 = cached_property(lambda self: check_finite(self._hats[3], "scaled K_nu"))
+    iv1 = cached_property(lambda self: check_finite(self._hats[2], "scaled I_{nu+1}"))
+
+    @cached_property
+    def kv1(self):
+        self.kv  # K_{nu+1} > K_nu, so where both overflow the error names the order nu
+        return check_finite(self._hats[3], "scaled K_{nu+1}")
 
 
 def kernel_factors(kp: KernelParams, x) -> KernelFactors:

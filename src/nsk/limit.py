@@ -74,17 +74,16 @@ _GAUSS_X, _GAUSS_W = leggauss(8)  # per panel: ~1e-30 relative error at a panel 
 def potential_w(gamma: float, rho_plus: float, x):
     r"""``W(x) = \int_{\rho_+}^x (h(t) - h(\rho_+)) dt`` in closed form.
 
-    ``x log(x/\rho_+) - (x - \rho_+)`` for ``gamma = 1`` and
-    ``\frac{\gamma}{\gamma-1}[(x^\gamma - \rho_+^\gamma)/\gamma
-    - \rho_+^{\gamma-1}(x - \rho_+)]`` otherwise; evaluated through
-    ``log1p``/``expm1``.  Both subtract O(d) terms, ``d = x/rho_+ - 1``, to
-    leave an O(d^2) result, so where ``|d| max(1, gamma) <= TAYLOR_MAX`` the
-    Taylor series ``rho_+^gamma sum_k gamma (gamma-2)...(gamma-k+1) d^k/k!``
-    from ``k = 2`` replaces them and keeps full relative accuracy.  Where
-    ``x/rho_+`` rounds to 0 both give the vacuum value ``rho_+^gamma``
-    (``0 log 0 = 0`` for ``gamma = 1``).  ``W`` may overflow to ``inf`` far
-    above ``rho_+``; a pressure scale ``rho_+^gamma`` beyond the double range
-    raises ``RangeError``.
+    With ``d = x/rho_+ - 1`` it is ``rho_+^gamma [(1+d) e - d]``, where
+    ``e = expm1((gamma-1) log1p(d))/(gamma-1)``, or its limit ``log1p(d)`` at
+    ``gamma = 1``, so the cancellation does not grow as gamma -> 1.  The form
+    subtracts O(d) terms to leave an O(d^2) result, so where ``|d| max(1,
+    gamma) <= TAYLOR_MAX`` the Taylor series ``rho_+^gamma sum_k gamma
+    (gamma-2)...(gamma-k+1) d^k/k!`` from ``k = 2`` replaces it and keeps full
+    relative accuracy.  Where ``x/rho_+`` rounds to 0 it gives the vacuum value
+    ``rho_+^gamma`` (``0 log 0 = 0`` for ``gamma = 1``).  ``W`` may overflow to
+    ``inf`` far above ``rho_+``; a pressure scale ``rho_+^gamma`` beyond the
+    double range raises ``RangeError``.
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
@@ -93,12 +92,12 @@ def potential_w(gamma: float, rho_plus: float, x):
     with np.errstate(over="ignore", divide="ignore"):
         if gamma == 1.0:
             scale = rho_plus
-            # (1 + d) log1p(d) is 0 where d rounds to -1, not 0 * (-inf)
-            out = scale * ((1.0 + d) * np.log1p(np.where(d > -1.0, d, 0.0)) - d)
+            # (1 + d) e is 0 where d rounds to -1, not 0 * (-inf)
+            e = np.log1p(np.where(d > -1.0, d, 0.0))
         else:
             scale = check_finite(np.float64(rho_plus) ** gamma, "rho_plus**gamma")
-            tpow = np.expm1(gamma * np.log1p(d))  # (x/rho_+)^gamma - 1
-            out = scale * (gamma / (gamma - 1.0)) * (tpow / gamma - d)
+            e = np.expm1((gamma - 1.0) * np.log1p(d)) / (gamma - 1.0)
+        out = scale * ((1.0 + d) * e - d)
     # the closed forms cancel O(d) terms: next to rho_+ sum the Taylor series instead,
     # gamma d^2/2 sum_j b_j t^j in t = g d, g = max(1, gamma), with
     # b_j = prod_{k=2}^{j+1} (gamma - k)/(g (k + 1)) bounded for every gamma

@@ -13,10 +13,12 @@ cyclic reduction (R. W. Hockney, J. ACM 12 (1965) 95): each level eliminates
 every second unknown through strided views of the three diagonals and the
 right-hand side, which ends holding the step.  The Jacobian is diagonally
 dominant by rows and by columns, so the elimination needs no pivoting.  The
-comparison carries the FD solution to the kernel grid by 4-point cubic
-Lagrange interpolation on the uniform FD grid, which is O(h^4) and needs no
-global spline.  The only code shared with the kernel solver is the enthalpy
-and the parameter container.
+stencils' error expands in even powers of the spacing ``h``, so Richardson
+extrapolation of the solves at ``h`` and ``h/2`` (L. F. Richardson, Phil.
+Trans. R. Soc. A 210 (1911) 307) makes the reference O(h^4); 4-point cubic
+Lagrange interpolation on the uniform FD grid, also O(h^4) and with no global
+spline, carries it to the kernel grid.  The only code shared with the kernel
+solver is the enthalpy and the parameter container.
 """
 
 from __future__ import annotations
@@ -30,13 +32,10 @@ from .grid import EXPONENTIAL, auto_r_max, build_grid
 from .kernel import ModelParams, enthalpy_h, enthalpy_h_prime, kernel_params
 from .stationary import solve_stationary
 
-__all__ = ["fd_nodes", "solve_fd", "solve_tridiagonal", "cross_validate"]
+__all__ = ["solve_fd", "solve_tridiagonal", "solve_fd_richardson", "fd_reference", "cross_validate"]
 
 MAX_NEWTON = 60
-
-
-def fd_nodes(node_count: int, R_max: float) -> np.ndarray:
-    return np.linspace(1.0, R_max, node_count)
+MAX_COARSE_NODES = 500_000  # of the reference's coarse level, so its fine level stays below 1e6
 
 
 def solve_fd(
@@ -45,7 +44,7 @@ def solve_fd(
     R_max: float,
     newton_tol: float = 1e-12,
 ) -> np.ndarray:
-    """Density samples on ``fd_nodes(node_count, R_max)``.
+    """Density samples on the uniform grid ``np.linspace(1, R_max, node_count)``.
 
     Newton on the central-difference discretization; the initial guess is
     the flat-space lifting ``rho_+ - (rho_b/beta) e^{-beta(r-1)}`` with
@@ -56,7 +55,7 @@ def solve_fd(
         raise ConfigError("the FD oracle covers the impermeable wall only: it requires u_minus = 0")
     if node_count < 100:
         raise ConfigError("node_count must be at least 100")
-    r = fd_nodes(node_count, R_max)
+    r = np.linspace(1.0, R_max, node_count)
     h = r[1] - r[0]
     kappa = params.kappa
     gamma = params.gamma
@@ -163,21 +162,20 @@ def _interpolate_uniform(nodes: np.ndarray, values: np.ndarray, points: np.ndarr
     )
 
 
-def _fd_resolution(alpha: float, rho_b: float, R_max: float, tol: float) -> int:
-    """Uniform spacing so the O(h^2) stencil error sits below ``tol/3``.
+def solve_fd_richardson(params: ModelParams, node_count: int, R_max: float) -> np.ndarray:
+    """The Richardson extrapolation ``(4 rho_{h/2} - rho_h)/3`` on the grid of ``solve_fd``."""
+    coarse = solve_fd(params, node_count, R_max, newton_tol=1e-10)
+    fine = solve_fd(params, 2 * node_count - 1, R_max, newton_tol=1e-10)
+    return (4.0 * fine[::2] - coarse) / 3.0
 
-    The error constant is the fourth derivative of the solution; with the
-    ``e^{-alpha(r-1)} r^{-(n-1)/2}`` profile of amplitude ``|rho_b|/alpha``
-    it is bounded by ``(alpha+2)^4 |rho_b| / max(alpha, 1)`` (the ``+2``
-    absorbs the algebraic-prefactor derivatives that dominate at small
-    alpha).
-    """
-    amp = max(abs(rho_b), 1e-8)
-    c4 = (alpha + 2.0) ** 4 * amp / max(alpha, 1.0)
-    h = 2.0 * math.sqrt(tol / c4)
-    h = min(h, 0.01)
-    count = int(math.ceil((R_max - 1.0) / h)) + 1
-    return min(max(count, 2000), 1_000_000)
+
+def fd_reference(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and extrapolated density on ``[1, auto_r_max]``, at the coarse spacing
+    ``min(0.0025, 1/(40 alpha))`` that the kernel's decay rate alone sets."""
+    alpha = kernel_params(params).alpha
+    R_max = auto_r_max(params.n, alpha, EXPONENTIAL)
+    node_count = min(int(math.ceil((R_max - 1.0) * max(400.0, 40.0 * alpha))) + 1, MAX_COARSE_NODES)
+    return np.linspace(1.0, R_max, node_count), solve_fd_richardson(params, node_count, R_max)
 
 
 def cross_validate(params: ModelParams, tol: float):
@@ -185,16 +183,13 @@ def cross_validate(params: ModelParams, tol: float):
 
     ``solve_fd`` runs first, so its ``u_minus = 0`` rule refuses a flow.
     Returns ``(sup_diff, passed)`` with ``passed = sup_diff <= tol``; ``tol``
-    must be positive, since it sets the FD resolution.
+    is only the pass threshold and must be positive.
     """
     if tol <= 0.0:
         raise ConfigError("tol must be positive")
+    nodes, rho_fd = fd_reference(params)
     alpha = kernel_params(params).alpha
-    R_max = auto_r_max(params.n, alpha, EXPONENTIAL)
-    node_count = _fd_resolution(alpha, params.rho_b, R_max, tol)
-    rho_fd = solve_fd(params, node_count, R_max, newton_tol=1e-10)
     grid = build_grid(params.n, alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
     sol, _ = solve_stationary(params, grid, tol=1e-12, max_iter=400)
-    rho_fd_on_grid = _interpolate_uniform(fd_nodes(node_count, R_max), rho_fd, grid.nodes)
-    sup_diff = float(np.max(np.abs(sol.rho - rho_fd_on_grid)))
+    sup_diff = float(np.max(np.abs(sol.rho - _interpolate_uniform(nodes, rho_fd, grid.nodes))))
     return sup_diff, bool(sup_diff <= tol)

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from nsk import oracle
 from nsk.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
 from nsk.cli import RunConfig
 from nsk.grid import ALGEBRAIC, build_grid
@@ -21,7 +22,7 @@ from nsk.kernel import (
     lifting_phi_b,
 )
 from nsk.limit import integrate_profile, potential_w
-from nsk.oracle import _fd_resolution, cross_validate, fd_nodes, solve_fd
+from nsk.oracle import cross_validate, fd_reference
 from nsk.rates import FIXED, SINGULAR, run_rate_study
 from nsk.stationary import decay_diagnostics, solve_stationary
 
@@ -51,36 +52,52 @@ def test_criterion_2_singular_mode_rates():
     _report(2, "singular-mode convergence rates", ok, detail)
 
 
+# the six parameter sets of criterion 3, which the benchmark's verify workload also runs
+ORACLE_CASES = (
+    ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0),
+    ModelParams(n=2, gamma=1.4, kappa=0.3, mu=1.0, rho_plus=1.0, rho_b=-0.05, u_minus=0.0),
+    ModelParams(n=4, gamma=1.4, kappa=1.0, mu=0.0, rho_plus=0.8, rho_b=-0.05, u_minus=0.0),
+    ModelParams(n=3, gamma=2.0, kappa=0.1, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0),
+    ModelParams(n=2, gamma=2.0, kappa=1e-2, mu=1.0, rho_plus=1.0, rho_b=-0.05, u_minus=0.0),
+    ModelParams(n=3, gamma=1.0, kappa=1e-3, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=0.0),
+)
+
+
 def test_criterion_3_oracle_equivalence():
-    cases = [
-        ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0),
-        ModelParams(n=2, gamma=1.4, kappa=0.3, mu=1.0, rho_plus=1.0, rho_b=-0.05, u_minus=0.0),
-        ModelParams(n=4, gamma=1.4, kappa=1.0, mu=0.0, rho_plus=0.8, rho_b=-0.05, u_minus=0.0),
-        ModelParams(n=3, gamma=2.0, kappa=0.1, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0),
-        ModelParams(n=2, gamma=2.0, kappa=1e-2, mu=1.0, rho_plus=1.0, rho_b=-0.05, u_minus=0.0),
-        ModelParams(n=3, gamma=1.0, kappa=1e-3, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=0.0),
-    ]
     sups = []
     ok = True
-    for p in cases:
+    for p in ORACLE_CASES:
         sup, passed = cross_validate(p, 1e-6)
         sups.append(sup)
         ok = ok and passed
     # affine-enthalpy cases: both solvers against the closed-form solution
     closed_ok = True
-    for p in (cases[3], cases[4]):
+    for p in ORACLE_CASES[3:5]:
         kp = kernel_params(p)
         grid = build_grid(p.n, kp.alpha, points_per_unit_alpha=24.0, growth=1.04)
         field, _ = solve_stationary(p, grid, tol=1e-12)
         exact = lifting_phi_b(kp, p.rho_b, grid.nodes)[0]
         closed_ok &= float(np.max(np.abs(field.phi - exact))) <= 1e-7
-        R = grid.R_max
-        count = _fd_resolution(kp.alpha, p.rho_b, R, 1e-7)
-        rho_fd = solve_fd(p, count, R)
-        exact_fd = p.rho_plus + lifting_phi_b(kp, p.rho_b, fd_nodes(count, R))[0]
-        closed_ok &= float(np.max(np.abs(rho_fd - exact_fd))) <= 1e-7
+        nodes, rho_fd = fd_reference(p)
+        exact_fd = p.rho_plus + lifting_phi_b(kp, p.rho_b, nodes)[0]
+        closed_ok &= float(np.max(np.abs(rho_fd - exact_fd))) <= 1e-10
     detail = "max sup_diff=%.2e, closed-form clause %s" % (max(sups), closed_ok)
     _report(3, "oracle equivalence over 6 parameter sets", ok and closed_ok, detail)
+
+
+def test_oracle_node_budget(monkeypatch):
+    # each FD level of the reference stays small on the six sets: no return to 1e6-node grids
+    counts = []
+    solve_fd = oracle.solve_fd
+
+    def counted(params, node_count, R_max, **kw):
+        counts.append(node_count)
+        return solve_fd(params, node_count, R_max, **kw)
+
+    monkeypatch.setattr(oracle, "solve_fd", counted)
+    for p in ORACLE_CASES:
+        fd_reference(p)
+    assert len(counts) == 12 and max(counts) <= 51_000, counts
 
 
 def test_criterion_4_bessel_identities():

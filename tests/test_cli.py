@@ -212,6 +212,11 @@ _MALFORMED = [
         "scaled K_nu is not finite", id="n=1e6",
     ),
     pytest.param(
+        # K_150(1) scaled is 7.4e305, finite; it is K_151 that overflows
+        ["solve", "impermeable", "--config", "@"], {"n": 302, "kappa": 1.0, "rho_plus": 1.0},
+        "scaled K_{nu+1} is not finite", id="n=302",
+    ),
+    pytest.param(
         ["solve", "inflow", "--config", "@"], {"n": 190, "kappa": 0.1, "rho_b": -0.01, "u_minus": 0.01},
         "r**189 (n = 190) is not finite", id="inflow-n=190",
     ),

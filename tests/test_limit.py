@@ -92,6 +92,17 @@ class TestPotential:
                 exact = g / (g - 1) * ((xm**g - 1) / g - (xm - 1))
             assert abs(potential_w(gamma, 1.0, x) / exact - 1) <= 1e-14, d
 
+    @pytest.mark.parametrize("gamma, bound", [(1.0001, 1e-13), (1.4, 1.4e-14)])
+    def test_relative_accuracy_for_gamma_near_one(self, gamma, bound):
+        # outside the Taylor region the closed form in expm1(gamma log1p d) cancelled
+        # about 2/((gamma-1)|d|) units of roundoff: 1.1e-11 at gamma = 1.0001, d = -0.2
+        g = mp.mpf(gamma)
+        for d in (0.1, 0.3, -0.2):
+            x = 1.0 + d
+            xm = mp.mpf(x)
+            exact = ((xm**g - 1) - g * (xm - 1)) / (g - 1)
+            assert abs(potential_w(gamma, 1.0, x) / exact - 1) <= bound, d
+
     def test_domain(self):
         with pytest.raises(DomainError):
             potential_w(1.4, 1.0, 0.0)

@@ -6,7 +6,13 @@ from scipy.linalg import solve_banded
 
 from nsk.errors import ConfigError
 from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
-from nsk.oracle import _interpolate_uniform, cross_validate, fd_nodes, solve_fd, solve_tridiagonal
+from nsk.oracle import (
+    _interpolate_uniform,
+    cross_validate,
+    solve_fd,
+    solve_fd_richardson,
+    solve_tridiagonal,
+)
 
 
 def params_with(**kw):
@@ -28,7 +34,7 @@ class TestSolveFd:
         kp = kernel_params(p)
         R = 1.0 + max(40.0 / kp.alpha, 20.0)
         rho = solve_fd(p, 16001, R)
-        exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, fd_nodes(16001, R))[0]
+        exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, np.linspace(1.0, R, 16001))[0]
         assert np.max(np.abs(rho - exact)) <= 1e-6
 
     def test_second_order_convergence(self):
@@ -37,11 +43,23 @@ class TestSolveFd:
         R = 1.0 + max(40.0 / kp.alpha, 20.0)
         errs = []
         for count in (2001, 4001, 8001):
-            r = fd_nodes(count, R)
+            r = np.linspace(1.0, R, count)
             exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, r)[0]
             errs.append(np.max(np.abs(solve_fd(p, count, R) - exact)))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
+
+    def test_richardson_fourth_order_convergence(self):
+        # (4 rho_{h/2} - rho_h)/3 cancels the h^2 term: the error falls 16-fold per halving
+        p = params_with(gamma=2.0)
+        kp = kernel_params(p)
+        R = 1.0 + max(40.0 / kp.alpha, 20.0)
+        errs = []
+        for count in (1001, 2001, 4001):
+            exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, np.linspace(1.0, R, count))[0]
+            errs.append(np.max(np.abs(solve_fd_richardson(p, count, R) - exact)))
+        assert 15.0 <= errs[0] / errs[1] <= 17.0
+        assert 15.0 <= errs[1] / errs[2] <= 17.0
 
     def test_input_validation(self):
         with pytest.raises(ConfigError):
@@ -53,7 +71,7 @@ class TestSolveFd:
 class TestInterpolation:
     def test_exact_on_cubics(self):
         # every stencil, the clamped end cells included, reproduces a cubic
-        nodes = fd_nodes(101, 21.0)
+        nodes = np.linspace(1.0, 21.0, 101)
         cubic = np.polynomial.Polynomial([0.3, -1.1, 0.25, -0.01])
         points = np.concatenate([np.linspace(1.0, 21.0, 997), nodes])
         assert np.max(np.abs(_interpolate_uniform(nodes, cubic(nodes), points) - cubic(points))) <= 1e-12
@@ -61,7 +79,7 @@ class TestInterpolation:
     def test_fourth_order(self):
         errs = []
         for count in (201, 401):
-            nodes = fd_nodes(count, 11.0)
+            nodes = np.linspace(1.0, 11.0, count)
             points = np.linspace(1.0, 11.0, 1999)
             errs.append(np.max(np.abs(_interpolate_uniform(nodes, np.exp(-nodes), points) - np.exp(-points))))
         assert 14.0 <= errs[0] / errs[1] <= 18.0
@@ -84,6 +102,11 @@ class TestCrossValidate:
         p = params_with(kappa=1e-3, rho_b=-0.02)
         sup, ok = cross_validate(p, 1e-6)
         assert ok, sup
+
+    def test_tol_is_only_the_threshold(self):
+        # the oracle's grid does not depend on tol, so neither does sup_diff
+        p = params_with(kappa=0.3, rho_b=-0.05)
+        assert cross_validate(p, 1e-6)[0] == cross_validate(p, 1e-10)[0]
 
 
 @pytest.mark.parametrize("M", list(range(1, 10)) + [100, 1001])
