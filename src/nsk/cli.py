@@ -38,7 +38,7 @@ from .kernel import (
 )
 from .limit import integrate_profile
 from .oracle import cross_validate
-from .rates import format_float
+from .rates import format_float, write_rows
 from .stationary import decay_diagnostics, solve_stationary
 
 __all__ = ["RunConfig", "parse_config", "dispatch", "main"]
@@ -160,8 +160,7 @@ def _read_config(path: str) -> RunConfig:
 def _write_csv(path: str, header: list, columns: list) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        write_rows(fh, "", columns)
 
 
 class _ArgError(Exception):

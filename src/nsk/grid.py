@@ -68,15 +68,14 @@ def composite_weights(nodes: np.ndarray) -> np.ndarray:
     if b == 1:
         out[:] = 0.5 * (nodes[1] - nodes[0])
         return out
-    k = 0
-    while b - k >= 2:
-        w0, w1, w2 = panel_weights(nodes[k + 1] - nodes[k], nodes[k + 2] - nodes[k + 1])
-        out[k] += w0
-        out[k + 1] += w1
-        out[k + 2] += w2
-        k += 2
+    h = np.diff(nodes)
+    k = b - b % 2  # intervals covered by full panels
+    w0, w1, w2 = panel_weights(h[0:k:2], h[1:k:2])
+    out[0:k:2] += w0
+    out[1:k:2] += w1
+    out[2 : k + 1 : 2] += w2
     if k == b - 1:
-        w0, w1, w2 = tail_stub_weights(nodes[b - 1] - nodes[b - 2], nodes[b] - nodes[b - 1])
+        w0, w1, w2 = tail_stub_weights(h[b - 2], h[b - 1])
         out[b - 2] += w0
         out[b - 1] += w1
         out[b] += w2
@@ -215,7 +214,7 @@ def build_grid(
     while total < span:
         steps.append(h)
         total += h
-        if len(steps) > max_nodes:
+        if len(steps) + 1 + len(steps) % 2 > max_nodes:  # nodes, with the odd-interval split
             raise GridSizeError(f"grid would exceed {max_nodes} nodes")
         h = min(h * growth, h_max)
     # uniform rescale onto [1, R_max]: preserves consecutive-spacing ratios,

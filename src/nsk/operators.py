@@ -1,4 +1,4 @@
-r"""Discrete Green-kernel integral operators, applied in O(M) time and memory.
+r"""Discrete Green-kernel integral operators, applied in O(M) memory without an ``M x M`` matrix.
 
 For a grid ``r_0 < ... < r_{M-1}`` the Nystrom operators
 
@@ -37,6 +37,17 @@ pairing parity; the reflection term is a prefix plus a suffix sum.
 ``Adr`` reuses the same sums with ``\hat K_{\nu+1}``, ``\hat I_{\nu+1}`` as
 target factors.
 
+*Evaluation.*  The three recurrences (the forward one, and the backward one
+of each parity run forward on reversed arrays) are one stacked ``(3, M)``
+doubling scan (Hillis & Steele 1986; Blelloch 1990).  Each step of a
+recurrence is an affine map ``out_i = a_i out_{i-1} + b_i``; pass ``k``
+composes every map with the one ``k`` places before it, so ``ceil(log2 M)``
+whole-array passes give every prefix.  The composed ``a`` are products of
+decay factors, so they stay in ``[0, 1]``; a decay that underflows is
+exactly 0 and cuts the chain.  An apply thus costs O(M log M) arithmetic
+in O(log M) vector passes and O(M) memory; the reflection sums are
+cumulative sums, O(M).
+
 *Near field.*  What the global vectors miss is a sparse matrix with entries
 at ``j = i-2 .. i+1``: the diagonal, the odd-row stub corrections, and the
 quadratic stubs that replace the single-interval trapezoids of row 1 (left)
@@ -60,21 +71,29 @@ def backend_name() -> str:
     return "semiseparable"
 
 
-def _sweep(decay: list, x: np.ndarray) -> np.ndarray:
-    """``out[i] = sum_{j<i} x[j] decay[j+1] ... decay[i]`` (``decay[0]`` unused)."""
-    xs = x.tolist()
-    out = [0.0] * len(xs)
-    acc = 0.0
-    for i in range(1, len(xs)):
-        acc = decay[i] * (acc + xs[i - 1])
-        out[i] = acc
-    return np.array(out)
+def _sweep(decay: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``out[..., i] = sum_{j<i} x[..., j] decay[..., j+1] ... decay[..., i]``.
+
+    The doubling scan of the module docstring, over the last axis;
+    ``decay[..., 0]`` is unused.
+    """
+    # (a, b) is the map out_i = a_i out_{i-1} + b_i; a_0 = 0 starts every chain at out_0 = 0
+    a = decay.copy()
+    a[..., 0] = 0.0
+    b = np.zeros_like(x)
+    b[..., 1:] = decay[..., 1:] * x[..., :-1]
+    k = 1
+    while k < x.shape[-1]:  # numpy reads overlapping operands as they were before the pass
+        b[..., k:] += a[..., k:] * b[..., :-k]
+        a[..., k:] *= a[..., :-k]
+        k *= 2
+    return b
 
 
 def _sum_before(x: np.ndarray) -> np.ndarray:
-    """``out[i] = sum_{j<i} x[j]``."""
+    """``out[..., i] = sum_{j<i} x[..., j]``."""
     out = np.zeros_like(x)
-    np.cumsum(x[:-1], out=out[1:])
+    np.cumsum(x[..., :-1], axis=-1, out=out[..., 1:])
     return out
 
 
@@ -93,8 +112,9 @@ class GreenOperator:
         src = rp * grid.measure() / kappa
         h = np.diff(r)
         decay = np.exp(-a * h)
-        self._down = [0.0] + decay.tolist()
-        self._up = [0.0] + decay[::-1].tolist()
+        down = np.append(0.0, decay)
+        up = np.append(0.0, decay[::-1])
+        self._decay = np.stack([down, up, up])
         self._odd = np.arange(M) % 2 == 1
 
         # global weights: panel k on nodes k..k+2, stub k over [r_{k+1}, r_{k+2}]
@@ -109,11 +129,10 @@ class GreenOperator:
         wr[0] = grid.weights
         wr[1, 1:] = composite_weights(r[1:])
 
-        # source-side factors of the four sums, target-side factors of A and Adr
-        self._lo = wl * iv * src
-        self._hi = wr * kv * src
-        self._refl_lo = wl * kv * e2 * src
-        self._refl_hi = wr * kv * e2 * src
+        # source-side factors of the sums, in the rows of the sweeps (j < i, then j > i
+        # for each parity, reversed); target-side factors of A and Adr
+        self._sweep_w = np.vstack([wl * iv * src, (wr * kv * src)[:, ::-1]])
+        self._refl_w = np.vstack([wl * kv * e2 * src, (wr * kv * e2 * src)[:, ::-1]])
         self._target_a = (-rp * kv, -rp * iv, -rp * c2 * kv * e2)
         self._target_dr = (a * rp * kv1, -a * rp * iv1, a * rp * c2 * kv1 * e2)
 
@@ -151,11 +170,12 @@ class GreenOperator:
     def apply(self, f) -> tuple:
         """``(A f, Adr f)`` for samples ``f`` on the grid nodes."""
         f = np.asarray(f, dtype=float)
-        lo = _sweep(self._down, self._lo * f)
-        hi0, hi1 = (_sweep(self._up, (w * f)[::-1])[::-1] for w in self._hi)
-        after0, after1 = (_sum_before((w * f)[::-1])[::-1] for w in self._refl_hi)
-        hi = np.where(self._odd, hi1, hi0)
-        refl = _sum_before(self._refl_lo * f) + np.where(self._odd, after1, after0)
+        fr = f[::-1]
+        f3 = np.stack([f, fr, fr])
+        lo, hi0, hi1 = _sweep(self._decay, self._sweep_w * f3)
+        before, after0, after1 = _sum_before(self._refl_w * f3)
+        hi = np.where(self._odd, hi1[::-1], hi0[::-1])
+        refl = before + np.where(self._odd, after1[::-1], after0[::-1])
         M, i, j, g, gdr = self._near
         fj = f[j]
         (a_lo, a_hi, a_refl), (d_lo, d_hi, d_refl) = self._target_a, self._target_dr

@@ -42,7 +42,9 @@ __all__ = [
     "fit_loglog",
     "run_rate_study",
     "emit_outputs",
+    "FLOAT_FORMAT",
     "format_float",
+    "write_rows",
 ]
 
 FIXED = "fixed"
@@ -188,9 +190,20 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
     return result
 
 
+FLOAT_FORMAT = "%.17g"  # 17 significant digits: the round-trip form used in every output file
+
+
 def format_float(x: float) -> str:
-    """17 significant digits: the round-trip form used in every output file."""
-    return format(float(x), ".17g")
+    """``x`` in :data:`FLOAT_FORMAT`."""
+    return FLOAT_FORMAT % float(x)
+
+
+def write_rows(fh, prefix: str, columns) -> None:
+    """Write one CSV line per row of ``columns``: ``prefix`` and the row in :data:`FLOAT_FORMAT`."""
+    table = np.column_stack(columns)
+    rows, width = table.shape
+    line = prefix.replace("%", "%%") + ",".join([FLOAT_FORMAT] * width) + "\n"
+    fh.write(line * rows % tuple(table.ravel().tolist()))
 
 
 def emit_outputs(result: RateStudyResult, out_dir) -> list:
@@ -199,32 +212,30 @@ def emit_outputs(result: RateStudyResult, out_dir) -> list:
         raise ConfigError("empty rate-study result")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    norm_keys = sorted({k for row in result.rows if row.failed is None for k in row.errors})
+    good = [row for row in result.rows if row.failed is None]
+    norm_keys = sorted({k for row in good for k in row.errors})
 
+    # counts and flags are integral, so FLOAT_FORMAT prints them as integers
+    table = np.array(
+        [[row.kappa, *(row.errors[k] for k in norm_keys), row.nodes, row.iterations, row.excluded]
+         for row in good],
+        dtype=float,
+    ).reshape(len(good), len(norm_keys) + 4)
     rates = out / "rates.csv"
     with rates.open("w", newline="") as fh:
         fh.write(",".join(["kappa"] + norm_keys + ["nodes", "iterations", "excluded"]) + "\n")
-        for row in result.rows:
-            if row.failed is not None:
-                continue
-            cells = [format_float(row.kappa)]
-            cells += [format_float(row.errors[k]) for k in norm_keys]
-            cells += [str(row.nodes), str(row.iterations), "1" if row.excluded else "0"]
-            fh.write(",".join(cells) + "\n")
+        write_rows(fh, "", table.T)
 
     profiles = out / "profiles.csv"
     with profiles.open("w", newline="") as fh:
         fh.write("series,kappa,x,value\n")
         for kappa, nodes, rho in result.profiles:
-            for r, v in zip(nodes, rho):
-                fh.write(f"rho_kappa,{format_float(kappa)},{format_float(r)},{format_float(v)}\n")
+            write_rows(fh, f"rho_kappa,{format_float(kappa)},", (nodes, rho))
             if result.mode == SINGULAR:
                 ys = (nodes - 1.0) / math.sqrt(kappa)
-                for y, v in zip(ys, rho):
-                    fh.write(f"rho_kappa_y,{format_float(kappa)},{format_float(y)},{format_float(v)}\n")
+                write_rows(fh, f"rho_kappa_y,{format_float(kappa)},", (ys, rho))
         if result.mode == SINGULAR and result.limit is not None:
-            for y, v in zip(result.limit.y_nodes, result.limit.rho_bar):
-                fh.write(f"rho_bar,0,{format_float(y)},{format_float(v)}\n")
+            write_rows(fh, "rho_bar,0,", (result.limit.y_nodes, result.limit.rho_bar))
 
     summary = out / "summary.json"
     payload = {

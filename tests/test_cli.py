@@ -14,6 +14,7 @@ from nsk.bessel import BesselOrder, bessel_i
 from nsk.cli import RunConfig, dispatch, parse_config
 from nsk.errors import ConfigError
 from nsk.limit import potential_w
+from nsk.rates import format_float
 
 VALID = {
     "n": 3,
@@ -386,7 +387,11 @@ class TestDispatch:
         assert dispatch(["solve", "inflow", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert "rho_minus" in summary and "weighted_sup_value" in summary
-        assert out.read_text().splitlines()[0] == "r,rho,rho_r,u,phi,residual"
+        lines = out.read_text().splitlines()
+        assert lines[0] == "r,rho,rho_r,u,phi,residual"
+        # every field is in its 17-digit round-trip form
+        for line in lines[1:]:
+            assert ",".join(format_float(float(v)) for v in line.split(",")) == line
 
     def test_flow_summary_with_unrepresentable_weight(self, tmp_path, capsys, deadline):
         # the solve converges; r^298 and r^299 overflow, so the weighted sup-norms are null

@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsk.errors import ConfigError, GridSizeError
-from nsk.grid import ALGEBRAIC, EXPONENTIAL, RadialGrid, auto_r_max, build_grid
+from nsk.grid import (
+    ALGEBRAIC,
+    EXPONENTIAL,
+    RadialGrid,
+    auto_r_max,
+    build_grid,
+    composite_weights,
+    panel_weights,
+    tail_stub_weights,
+)
 
 
 class TestBuild:
@@ -41,6 +50,28 @@ class TestBuild:
     def test_node_cap(self):
         with pytest.raises(GridSizeError):
             build_grid(3, 1000.0, points_per_unit_alpha=100.0, max_nodes=50)
+
+    def test_node_cap_counts_final_nodes(self):
+        # 14 steps here, and the odd-interval split makes the last one two
+        size = build_grid(3, 1.0, R_max=3.0).size
+        assert size == 15
+        with pytest.raises(GridSizeError):
+            build_grid(3, 1.0, R_max=3.0, max_nodes=size - 1)
+        for alpha, decay in ((1.0, EXPONENTIAL), (3.0, ALGEBRAIC), (40.0, EXPONENTIAL)):
+            size = build_grid(3, alpha, decay=decay).size
+            assert build_grid(3, alpha, decay=decay, max_nodes=size).size == size
+            with pytest.raises(GridSizeError):
+                build_grid(3, alpha, decay=decay, max_nodes=size - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(R_max=st.floats(min_value=1.05, max_value=30.0), max_nodes=st.integers(3, 400))
+    def test_node_cap_is_never_exceeded(self, R_max, max_nodes):
+        try:
+            grid = build_grid(3, 2.0, R_max=R_max, max_nodes=max_nodes)
+        except GridSizeError:
+            assert build_grid(3, 2.0, R_max=R_max).size > max_nodes
+        else:
+            assert grid.size <= max_nodes
 
     def test_invariants_enforced(self):
         with pytest.raises(ConfigError):
@@ -105,6 +136,46 @@ class TestQuadrature:
             g.weighted_l2_norm(np.zeros(g.size - 1))
         with pytest.raises(ConfigError):
             g.reverse_cumulative(np.zeros(g.size + 2))
+
+
+def _composite_weights_by_panel(nodes):
+    """The panel-by-panel loop that ``composite_weights`` vectorizes."""
+    out = np.zeros_like(nodes)
+    b = len(nodes) - 1
+    if b == 1:
+        out[:] = 0.5 * (nodes[1] - nodes[0])
+        return out
+    k = 0
+    while b - k >= 2:
+        w0, w1, w2 = panel_weights(nodes[k + 1] - nodes[k], nodes[k + 2] - nodes[k + 1])
+        out[k : k + 3] += (w0, w1, w2)
+        k += 2
+    if k == b - 1:
+        w0, w1, w2 = tail_stub_weights(nodes[b - 1] - nodes[b - 2], nodes[b] - nodes[b - 1])
+        out[b - 2 : b + 1] += (w0, w1, w2)
+    return out
+
+
+def _assert_weights_match_panel_loop(nodes):
+    # not bit for bit: an array ** 3 may differ from a scalar one by an ulp
+    got = composite_weights(nodes)
+    ref = _composite_weights_by_panel(nodes)
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+
+@pytest.mark.parametrize("size", range(2, 81))
+def test_composite_weights_match_panel_loop_on_graded_nodes(size):
+    rng = np.random.default_rng(size)
+    spacing = np.exp(rng.uniform(-3.0, 1.0, size - 1))
+    _assert_weights_match_panel_loop(np.concatenate([[1.0], 1.0 + np.cumsum(spacing)]))
+
+
+@pytest.mark.parametrize("decay", (EXPONENTIAL, ALGEBRAIC))
+@pytest.mark.parametrize("alpha", (0.5, 2.0, 10.0, 100.0, 1000.0))
+def test_composite_weights_match_panel_loop_on_grids(alpha, decay):
+    nodes = build_grid(3, alpha, decay=decay).nodes
+    _assert_weights_match_panel_loop(nodes)
+    _assert_weights_match_panel_loop(nodes[1:])  # the operator's odd-parity weights
 
 
 class TestReverseCumulative:

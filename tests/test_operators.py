@@ -8,7 +8,7 @@ from dense_operators import dense_operators, split_weight_rows
 
 from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
 from nsk.kernel import ModelParams, green, green_dr, kernel_params
-from nsk.operators import assemble_operators
+from nsk.operators import _sweep, assemble_operators
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,34 @@ def test_apply_matches_dense_reference(case):
         for got, dense in zip(op.apply(f), (A, Adr)):
             bound = 1e-13 * np.max(np.abs(dense) @ np.abs(f))
             assert np.max(np.abs(got - dense @ f)) <= bound
+
+
+def _direct_sweep(decay, x):
+    """``sum_{j<i} x_j decay_{j+1} ... decay_i`` term by term in long double."""
+    d = decay.astype(np.longdouble)
+    x = x.astype(np.longdouble)
+    out = np.zeros(x.shape, dtype=np.longdouble)
+    for row in np.ndindex(x.shape[:-1]):
+        for i in range(1, x.shape[-1]):
+            out[row][i] = np.dot(x[row][i - 1 :: -1], np.cumprod(d[row][i:0:-1]))
+    return out
+
+
+@pytest.mark.parametrize("M", (2, 3, 4, 5, 159, 2567))
+def test_sweep_matches_direct_sum(M):
+    # decays exp(-alpha h) over the grids' range of alpha h, on stacked rows; in the
+    # last row every third alpha h is past 745, where the decay underflows to exactly 0
+    rng = np.random.default_rng(M)
+    alpha_h = np.exp(rng.uniform(np.log(1e-2), np.log(30.0), (3, M)))
+    alpha_h[2, 1::3] = 800.0
+    decay = np.exp(-alpha_h)
+    for x in (rng.standard_normal((3, M)), rng.random((3, M))):
+        got = _sweep(decay, x)
+        ref = _direct_sweep(decay, x)
+        assert got.shape == x.shape
+        for row in range(3):
+            assert np.max(np.abs(got[row] - ref[row])) <= 1e-15 * np.max(np.abs(ref[row]))
+        assert np.array_equal(_sweep(decay[0], x[0]), got[0])
 
 
 def test_rows_match_scalar_kernel(setup):

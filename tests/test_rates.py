@@ -1,5 +1,6 @@
 """Rate-study harness: slope fitting, sweeps, and emitted artifacts."""
 
+import io
 import json
 
 import numpy as np
@@ -8,7 +9,15 @@ import pytest
 from nsk.cli import RunConfig
 from nsk.errors import ConfigError
 from nsk.kernel import ModelParams
-from nsk.rates import FIXED, SINGULAR, emit_outputs, fit_loglog, run_rate_study
+from nsk.rates import (
+    FIXED,
+    SINGULAR,
+    emit_outputs,
+    fit_loglog,
+    format_float,
+    run_rate_study,
+    write_rows,
+)
 
 
 def base_params(rho_b):
@@ -101,3 +110,35 @@ class TestEmit:
             blobs.append(b"".join((out / n).read_bytes() for n in
                                   ("rates.csv", "profiles.csv", "summary.json", "plot.gp")))
         assert blobs[0] == blobs[1]
+
+    def test_csv_rows_are_per_value_format_float(self, tmp_path):
+        # the block writers print exactly what formatting each value on its own prints
+        res = study(-0.1, SINGULAR)
+        out = tmp_path / "out"
+        emit_outputs(res, out)
+        keys = sorted(res.rows[0].errors)
+        rates = ["kappa," + ",".join(keys) + ",nodes,iterations,excluded"]
+        for row in res.rows:
+            cells = [format_float(row.kappa)] + [format_float(row.errors[k]) for k in keys]
+            rates.append(",".join(cells + [str(row.nodes), str(row.iterations), str(int(row.excluded))]))
+        assert (out / "rates.csv").read_text().splitlines() == rates
+        profiles = ["series,kappa,x,value"]
+        for kappa, nodes, rho in res.profiles:
+            for series, xs in (("rho_kappa", nodes), ("rho_kappa_y", (nodes - 1.0) / np.sqrt(kappa))):
+                profiles += [f"{series},{format_float(kappa)},{format_float(x)},{format_float(v)}"
+                             for x, v in zip(xs, rho)]
+        profiles += [f"rho_bar,0,{format_float(y)},{format_float(v)}"
+                     for y, v in zip(res.limit.y_nodes, res.limit.rho_bar)]
+        assert (out / "profiles.csv").read_text().splitlines() == profiles
+
+
+def test_write_rows_is_format_float_per_value():
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+              -1.7976931348623157e308, 1.0, -3.0, 159.0, 1e16, 2.0**53 + 2.0, 0.1, 1.0 / 3.0, 1e-300]
+    columns = [np.array(values), np.array(values[::-1]), np.roll(values, 5)]
+    for prefix in ("", "rho_kappa,0.001,", "100%,"):
+        fh = io.StringIO()
+        write_rows(fh, prefix, columns)
+        expect = [prefix + ",".join(format_float(v) for v in row) for row in zip(*columns)]
+        assert fh.getvalue() == "".join(line + "\n" for line in expect)
+    assert [format_float(v) for v in values] == [format(float(v), ".17g") for v in values]
