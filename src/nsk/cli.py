@@ -24,7 +24,7 @@ import numpy as np
 from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
 from .errors import ConfigError, NskError, RangeError, SolverError, WindowEmptyError
-from .grid import ALGEBRAIC, EXPONENTIAL, MAX_NODES_DEFAULT, RadialGrid, build_grid
+from .grid import ALGEBRAIC, EXPONENTIAL, RadialGrid, build_grid
 from .kernel import (
     IMPERMEABLE,
     INFLOW,
@@ -49,9 +49,9 @@ EXIT_SOLVER = 3
 EXIT_USAGE = 64
 
 _MODEL_KEYS = ("n", "gamma", "kappa", "mu", "rho_plus", "rho_b", "u_minus")
-_GRID_KEYS = ("points_per_unit_alpha", "R_max", "max_nodes", "growth")
-_TOP_KEYS = _MODEL_KEYS + ("tol", "max_iter", "grid", "kappas", "norms")
-_INTEGER_KEYS = ("n", "max_iter", "max_nodes")
+_GRID_KEYS = ("points_per_unit_alpha", "R_max", "growth")
+_TOP_KEYS = _MODEL_KEYS + ("tol", "max_iter", "grid", "kappas")
+_INTEGER_KEYS = ("n", "max_iter")
 _REGIME_RULE = {IMPERMEABLE: "u_minus = 0", INFLOW: "u_minus > 0", OUTFLOW: "u_minus < 0"}
 
 
@@ -64,10 +64,8 @@ class RunConfig:
     max_iter: int = 200
     points_per_unit_alpha: float = 10.0
     R_max: float | None = None
-    max_nodes: int = MAX_NODES_DEFAULT
     growth: float = 1.06
     kappas: tuple = tuple(10.0 ** (-1.0 - 0.5 * k) for k in range(7))
-    norms: tuple = rates_mod.NORM_KEYS
 
     def __post_init__(self) -> None:
         if self.tol <= 0.0:
@@ -86,7 +84,6 @@ class RunConfig:
             R_max=self.R_max,
             decay=EXPONENTIAL if model.regime == IMPERMEABLE else ALGEBRAIC,
             growth=self.growth,
-            max_nodes=self.max_nodes,
         )
 
 
@@ -139,13 +136,10 @@ def parse_config(text: str) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config key: grid.{unknown[0]}")
         options.update(_numbers(gdoc, _GRID_KEYS, "grid."))
-    for key in ("kappas", "norms"):
-        if key in doc and not isinstance(doc[key], list):
-            raise ConfigError(f"{key} must be an array")
     if "kappas" in doc:
+        if not isinstance(doc["kappas"], list):
+            raise ConfigError("kappas must be an array")
         options["kappas"] = tuple(_number(k, "kappas") for k in doc["kappas"])
-    if "norms" in doc:
-        options["norms"] = tuple(str(k) for k in doc["norms"])
     return RunConfig(model=model, **options)
 
 
@@ -224,7 +218,7 @@ def _cmd_kernel(argv):
         out["dG_dr_right"] = float(green_dr_right(kp, a.r, a.s))
     else:
         out["dG_dr"] = float(green_dr(kp, a.r, a.s))
-    print(json.dumps({k: float(format_float(v)) for k, v in out.items()}, sort_keys=True))
+    print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
 

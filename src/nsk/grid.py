@@ -22,6 +22,7 @@ the quadratic through the last three nodes over the last interval only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,27 +140,31 @@ class RadialGrid:
         ``T[-1] = 0`` exactly.
         """
         self._check_len(g)
+        idx, w = self._interval_rule
+        part = w * np.asarray(g, dtype=float)[idx]
+        out = np.zeros(self.nodes.size)
+        out[:-1] = np.cumsum((part[0] + part[1] + part[2])[::-1])[::-1]
+        return out
+
+    @cached_property
+    def _interval_rule(self):
+        """``(idx, w)``, both ``(3, M-1)``: the integral over interval ``k`` is
+        ``sum_a w[a, k] f[idx[a, k]]``, on the three nodes of its quadratic."""
         x = self.nodes
-        f = np.asarray(g, dtype=float)
         m = x.size - 1
-        part = np.zeros(m)
         ks = np.arange(0, m - 1, 2)
-        if ks.size:
-            h0 = x[ks + 1] - x[ks]
-            h1 = x[ks + 2] - x[ks + 1]
-            f0, f1, f2 = f[ks], f[ks + 1], f[ks + 2]
-            # the first interval is the mirror image of a tail stub
-            v2, v1, v0 = tail_stub_weights(h1, h0)
-            part[ks] = v0 * f0 + v1 * f1 + v2 * f2
-            w0, w1, w2 = tail_stub_weights(h0, h1)
-            part[ks + 1] = w0 * f0 + w1 * f1 + w2 * f2
+        h0 = x[ks + 1] - x[ks]
+        h1 = x[ks + 2] - x[ks + 1]
+        start = np.repeat(ks, 2)
+        w = np.empty((3, m))
+        # the first interval of a panel is the mirror image of a tail stub
+        w[::-1, 0 : 2 * ks.size : 2] = tail_stub_weights(h1, h0)
+        w[:, 1 : 2 * ks.size : 2] = tail_stub_weights(h0, h1)
         if m % 2 == 1:
             j = m - 1
-            w0, w1, w2 = tail_stub_weights(x[j] - x[j - 1], x[j + 1] - x[j])
-            part[j] = w0 * f[j - 1] + w1 * f[j] + w2 * f[j + 1]
-        out = np.zeros(x.size)
-        out[:-1] = np.cumsum(part[::-1])[::-1]
-        return out
+            start = np.append(start, j - 1)
+            w[:, j] = tail_stub_weights(x[j] - x[j - 1], x[j + 1] - x[j])
+        return start + np.arange(3)[:, None], w
 
     def refined(self) -> "RadialGrid":
         """Grid with every interval halved (for Richardson-style checks)."""

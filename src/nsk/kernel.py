@@ -29,7 +29,7 @@ pulling the exponentials out gives the overflow-free representation
         + c_2\, \hat K_\nu(\alpha r)\hat K_\nu(\alpha s) e^{-\alpha(r+s-2)}\Bigr],
     \qquad c_2 = \frac{\hat I_{\nu+1}(\alpha)}{\hat K_{\nu+1}(\alpha)},
 
-with ``m = \min(r,s)``, ``M = \max(r,s)``.  :func:`kernel_factors` gives
+with ``m = \min(r,s)``, ``M = \max(r,s)``.  :class:`KernelFactors` holds
 the per-radius factors (the four hat values, ``r^{-\nu}`` and
 ``e^{-\alpha(r-1)}``), every Bessel value through :mod:`nsk.bessel`;
 :func:`kernel_branches` is the one place they are combined, for the
@@ -61,7 +61,6 @@ __all__ = [
     "enthalpy_h_prime",
     "kernel_params",
     "KernelFactors",
-    "kernel_factors",
     "kernel_branches",
     "lifting_phi_b",
     "green",
@@ -132,7 +131,7 @@ class KernelParams:
     @cached_property
     def wall(self) -> "KernelFactors":
         """The kernel factors at ``r = 1``."""
-        return kernel_factors(self, 1.0)
+        return KernelFactors(self, 1.0)
 
     @property
     def c2(self) -> float:
@@ -175,9 +174,12 @@ class KernelFactors:
     """Per-radius factors of the scaled kernel at radii ``x``: ``x^{-nu}``,
     ``e^{-alpha(x-1)}`` and ``\\hat I_nu``, ``\\hat K_nu``, ``\\hat I_{nu+1}``,
     ``\\hat K_{nu+1}`` at ``alpha x``, computed together on first use and each
-    checked finite when it is first read."""
+    checked finite when it is first read.  The radii must all be ``>= 1``."""
 
-    def __init__(self, kp: KernelParams, x: np.ndarray):
+    def __init__(self, kp: KernelParams, x):
+        x = np.asarray(x, dtype=float)
+        if (x < 1.0).any():
+            raise DomainError("radii must be >= 1")
         self.x, self._nu, self._ax = x, kp.nu, kp.alpha * x
         self.rp = x ** (-kp.nu.nu)
         self.e2 = np.exp(-kp.alpha * (x - 1.0))
@@ -191,14 +193,6 @@ class KernelFactors:
     def kv1(self):
         self.kv  # K_{nu+1} > K_nu, so where both overflow the error names the order nu
         return check_finite(self._hats[3], "scaled K_{nu+1}")
-
-
-def kernel_factors(kp: KernelParams, x) -> KernelFactors:
-    """The kernel factors at radii ``x``, which must all be ``>= 1``."""
-    x = np.asarray(x, dtype=float)
-    if (x < 1.0).any():
-        raise DomainError("radii must be >= 1")
-    return KernelFactors(kp, x)
 
 
 def kernel_branches(kp: KernelParams, f: KernelFactors, i, j, lower):
@@ -229,7 +223,7 @@ def lifting_phi_b(kp: KernelParams, rho_b: float, r):
     ``\phi_b = -(\rho_b/\alpha) r^{-\nu} (\hat K_\nu(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``
     and ``\phi_b' = \rho_b r^{-\nu} (\hat K_{\nu+1}(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``.
     """
-    f = kernel_factors(kp, r)
+    f = KernelFactors(kp, r)
     if rho_b == 0.0:
         if np.ndim(r) == 0:
             return 0.0, 0.0
@@ -245,7 +239,7 @@ def lifting_phi_b(kp: KernelParams, rho_b: float, r):
 
 def _at(kp: KernelParams, r: float, s: float, lower: bool):
     """``(G, dG/dr)`` at ``(r, s)`` on one branch, from a two-radius factor table."""
-    f = kernel_factors(kp, [r, s])
+    f = KernelFactors(kp, [r, s])
     g, gdr = kernel_branches(kp, f, 0, 1, lower)
     rp2 = f.rp[0] * f.rp[1]
     return float(g * rp2), float(gdr * rp2)

@@ -62,9 +62,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import RadialGrid, composite_weights, panel_weights, tail_stub_weights
-from .kernel import KernelParams, kernel_branches, kernel_factors
+from .kernel import KernelFactors, KernelParams, kernel_branches
 
-__all__ = ["GreenOperator", "assemble_operators", "backend_name"]
+__all__ = ["GreenOperator", "backend_name"]
 
 
 def backend_name() -> str:
@@ -107,7 +107,7 @@ class GreenOperator:
         M = r.size
         a = kp.alpha
         c2 = kp.c2
-        f = kernel_factors(kp, r)
+        f = KernelFactors(kp, r)
         iv, kv, iv1, kv1, rp, e2 = f.iv, f.kv, f.iv1, f.kv1, f.rp, f.e2
         src = rp * grid.measure() / kappa
         h = np.diff(r)
@@ -182,8 +182,3 @@ class GreenOperator:
         af = a_lo * lo + a_hi * hi + a_refl * refl + np.bincount(i, g * fj, minlength=M)
         adrf = d_lo * lo + d_hi * hi + d_refl * refl + np.bincount(i, gdr * fj, minlength=M)
         return af, adrf
-
-
-def assemble_operators(grid: RadialGrid, kp: KernelParams, kappa: float) -> GreenOperator:
-    """The fixed-point map's integral operators on ``grid``, as a :class:`GreenOperator`."""
-    return GreenOperator(grid, kp, kappa)

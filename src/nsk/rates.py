@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .grid import MAX_NODES_DEFAULT
 from .limit import LimitProfile, integrate_profile
 from .stationary import solve_stationary
 
@@ -101,20 +100,18 @@ def _solve_one(cfg, mode: str, kappa: float, profile: LimitProfile | None):
         y = (grid.nodes - 1.0) / math.sqrt(kappa)
         diff = sol.rho - profile.evaluate(y)
         diff_r = sol.rho_r - profile.slope(y) / math.sqrt(kappa)
-    errors = {}
-    if "l2_value" in cfg.norms:
-        errors["l2_value"] = grid.weighted_l2_norm(diff)
-    if "l2_derivative" in cfg.norms:
-        errors["l2_derivative"] = grid.weighted_l2_norm(diff_r)
-    if "sup" in cfg.norms:
-        errors["sup"] = float(np.max(np.abs(diff)))
+    errors = {
+        "l2_value": grid.weighted_l2_norm(diff),
+        "l2_derivative": grid.weighted_l2_norm(diff_r),
+        "sup": float(np.max(np.abs(diff))),
+    }
     for key, err in errors.items():
         if not 0.0 < err < math.inf:
             raise ConfigError(
                 f"the {key} error at kappa = {kappa!r} is {err}: "
                 "a log-log fit needs positive, finite errors"
             )
-    if mode == SINGULAR and "l2_value" in cfg.norms:
+    if mode == SINGULAR:
         # exact change of variables r = 1 + sqrt(kappa) y
         errors[L2Y_KEY] = errors["l2_value"] * kappa ** (-0.25)
     row = RateRow(
@@ -128,13 +125,9 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
 
     ``cfg.model.rho_b`` is the fixed slope, or ``rho_b^0`` in singular mode.  Every
     row solves with ``points_per_unit_alpha >= 16``, ``growth <= 1.05`` and
-    ``max_iter >= 400``, on the default ``R_max`` and ``max_nodes``.
+    ``max_iter >= 400``, on the default ``R_max``.  Every row measures all of
+    :data:`NORM_KEYS`, plus :data:`L2Y_KEY` in singular mode.
     """
-    if len(cfg.norms) == 0:
-        raise ConfigError("no norms selected")
-    for k in cfg.norms:
-        if k not in NORM_KEYS:
-            raise ConfigError(f"unknown norm key: {k}")
     ks = np.asarray(cfg.kappas, dtype=float)
     if ks.size < 4:
         raise ConfigError("need at least 4 kappa values for a slope fit")
@@ -150,7 +143,6 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
         growth=min(cfg.growth, 1.05),
         max_iter=max(cfg.max_iter, 400),
         R_max=None,
-        max_nodes=MAX_NODES_DEFAULT,
     )
     profile = None
     if mode == SINGULAR:
@@ -166,9 +158,7 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
             result.profiles.append(prof)
         result.rows.append(row)
 
-    norm_keys = list(cfg.norms)
-    if mode == SINGULAR and "l2_value" in cfg.norms:
-        norm_keys.append(L2Y_KEY)
+    norm_keys = NORM_KEYS + ((L2Y_KEY,) if mode == SINGULAR else ())
     good = [row for row in result.rows if row.failed is None]
     if len(good) < 4:
         raise SolverError(

@@ -53,14 +53,14 @@ from .bessel import check_finite
 from .errors import NonContractionError, PositivityError, WindowEmptyError
 from .grid import RadialGrid
 from .kernel import KernelParams, ModelParams, enthalpy_h, enthalpy_h_prime, kernel_params, lifting_phi_b
-from .operators import assemble_operators
+from .operators import GreenOperator
 
 __all__ = [
     "StationarySolution",
     "SolverReport",
     "pressure_remainder",
     "source_term",
-    "nonlinearity",
+    "forcing",
     "fixed_point",
     "hermite_second_derivative",
     "ode_residual",
@@ -124,26 +124,29 @@ def source_term(n: int, u_minus: float, r):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def nonlinearity(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: np.ndarray) -> np.ndarray:
-    """The four nonlinear summands, sampled on the grid.
+def forcing(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: np.ndarray) -> np.ndarray:
+    """The right-hand side ``S + N`` of the density equation, sampled on the grid.
 
-    Viscous transport ``mu rho(1) u_- phi_r / (r^{n-1} rho^3)``, pressure
-    remainder, kinetic ratio ``S(r) (rho(1)^2/rho^2 - 1)``, and the tail
+    ``N`` has four summands: viscous transport
+    ``mu rho(1) u_- phi_r / (r^{n-1} rho^3)``, the pressure remainder, the
+    kinetic ratio ``S(r) (rho(1)^2/rho^2 - 1)``, and the tail
     ``-mu rho(1) u_- \\int_r^\\infty phi_r^2 / (s^{n-1} rho^4) ds`` via
-    the grid's reverse cumulative rule.  Vanishes identically for constant
-    ``phi`` with ``phi_r = 0``; equals the pressure remainder for ``u_- = 0``.
+    the grid's reverse cumulative rule.  ``N`` vanishes identically for
+    constant ``phi`` with ``phi_r = 0``; for ``u_- = 0`` the forcing is the
+    pressure remainder alone.
     """
     pressure = pressure_remainder(params.gamma, params.rho_plus, phi)
     u = params.u_minus
     if u == 0.0:
         return pressure
+    source = source_term(params.n, u, grid.nodes)
     rho = params.rho_plus + np.asarray(phi, dtype=float)
     rho1 = rho[0]
     rnm1 = grid.measure()
     transport = params.mu * rho1 * u * phi_r / (rnm1 * rho**3)
-    kinetic = source_term(params.n, u, grid.nodes) * (rho1**2 / rho**2 - 1.0)
+    kinetic = source * (rho1**2 / rho**2 - 1.0)
     tail = grid.reverse_cumulative(phi_r**2 / (rnm1 * rho**4))
-    return transport + pressure + kinetic - params.mu * rho1 * u * tail
+    return source + (transport + pressure + kinetic - params.mu * rho1 * u * tail)
 
 
 def hermite_second_derivative(nodes: np.ndarray, f: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -180,13 +183,10 @@ def ode_residual(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: 
     """
     r = grid.nodes
     phi_rr = hermite_second_derivative(r, phi, phi_r)
-    forcing = nonlinearity(params, grid, phi, phi_r)
-    if params.u_minus != 0.0:
-        forcing = source_term(params.n, params.u_minus, r) + forcing
     return (
         params.kappa * (phi_rr + (params.n - 1) / r * phi_r)
         - enthalpy_h_prime(params.gamma, params.rho_plus) * phi
-        - forcing
+        - forcing(params, grid, phi, phi_r)
     )
 
 
@@ -241,14 +241,11 @@ def solve_stationary(
 ):
     """Fixed-point solve in any regime; returns ``(StationarySolution, SolverReport)``."""
     kp = kernel_params(params)
-    op = assemble_operators(grid, kp, params.kappa)
+    op = GreenOperator(grid, kp, params.kappa)
     phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, grid.nodes)
-    phi_b = np.asarray(phi_b, dtype=float)
-    phi_b_r = np.asarray(phi_b_r, dtype=float)
-    svals = source_term(params.n, params.u_minus, grid.nodes)
 
     def step(phi, phi_r):
-        a_rhs, adr_rhs = op.apply(svals + nonlinearity(params, grid, phi, phi_r))
+        a_rhs, adr_rhs = op.apply(forcing(params, grid, phi, phi_r))
         return phi_b + a_rhs, phi_b_r + adr_rhs
 
     (phi, phi_r), iterations, update = fixed_point(

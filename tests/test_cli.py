@@ -1,5 +1,6 @@
 """CLI: config validation, subcommand behavior, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import signal
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsk.bessel import BesselOrder, bessel_i
+import nsk.cli as cli_mod
 from nsk.cli import RunConfig, dispatch, parse_config
 from nsk.errors import ConfigError
+from nsk.kernel import ModelParams
 from nsk.limit import potential_w
 from nsk.rates import format_float
 
@@ -54,31 +57,43 @@ class TestParseConfig:
         for key in ("n", "gamma", "kappa", "mu", "rho_plus", "rho_b", "u_minus"):
             assert key in str(exc.value)
 
-    def test_unknown_key_named(self):
-        doc = dict(VALID, viscosity=2)
-        with pytest.raises(ConfigError, match="unknown config key: viscosity"):
-            parse_config(json.dumps(doc))
-        doc = dict(VALID, grid={"spacing": 0.1})
-        with pytest.raises(ConfigError, match="unknown config key: grid.spacing"):
-            parse_config(json.dumps(doc))
+    def test_unknown_key_named(self, tmp_path, capsys):
+        for extra, key in (
+            ({"viscosity": 2}, "viscosity"),
+            ({"grid": {"spacing": 0.1}}, "grid.spacing"),
+            # every rate study measures all three norms, and the node cap is a constant
+            ({"norms": ["sup"]}, "norms"),
+            ({"grid": {"max_nodes": 10000}}, "grid.max_nodes"),
+        ):
+            doc = dict(VALID, **extra)
+            with pytest.raises(ConfigError, match=f"^unknown config key: {key}$"):
+                parse_config(json.dumps(doc))
+            assert dispatch(["solve", "impermeable", "--config", write_config(tmp_path, doc)]) == 2
+            assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
+
+    def test_config_keys_are_the_type_fields(self):
+        # each settable value is a field of RunConfig or of its ModelParams, and no field is unsettable
+        options = {f.name for f in dataclasses.fields(RunConfig)} - {"model"}
+        assert options == {"tol", "max_iter", "kappas", *cli_mod._GRID_KEYS}
+        assert set(cli_mod._MODEL_KEYS) == {f.name for f in dataclasses.fields(ModelParams)}
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ConfigError, match="line"):
             parse_config('{"n": 3,,}')
 
     def test_grid_overrides(self):
-        doc = dict(VALID, grid={"points_per_unit_alpha": 24, "R_max": 31.0, "max_nodes": 10000})
+        doc = dict(VALID, grid={"points_per_unit_alpha": 24, "R_max": 31.0, "growth": 1.1})
         cfg = parse_config(json.dumps(doc))
         assert cfg.points_per_unit_alpha == 24.0
         assert cfg.R_max == 31.0
-        assert cfg.max_nodes == 10000
+        assert cfg.growth == 1.1
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize(
         "key",
         list(VALID)
         + ["tol", "max_iter", "kappas"]
-        + ["grid." + k for k in ("points_per_unit_alpha", "R_max", "max_nodes", "growth")],
+        + ["grid." + k for k in ("points_per_unit_alpha", "R_max", "growth")],
     )
     def test_non_finite_number_exits_2(self, key, value, tmp_path, capsys):
         # json.loads accepts NaN and +-Infinity; each must end as a config error, not an
@@ -97,32 +112,29 @@ class TestParseConfig:
             assert "must be finite" in capsys.readouterr().err
 
     def test_integer_keys(self):
-        doc = dict(VALID, n=3.0, max_iter=7.0, grid={"max_nodes": 1e4})
+        doc = dict(VALID, n=3.0, max_iter=7.0)
         cfg = parse_config(json.dumps(doc))
-        assert [cfg.model.n, cfg.max_iter, cfg.max_nodes] == [3, 7, 10000]
-        assert all(type(v) is int for v in (cfg.model.n, cfg.max_iter, cfg.max_nodes))
+        assert [cfg.model.n, cfg.max_iter] == [3, 7]
+        assert all(type(v) is int for v in (cfg.model.n, cfg.max_iter))
         for key, doc in (
             ("n", dict(VALID, n=2.5)),
             ("max_iter", dict(VALID, max_iter=1.5)),
-            ("grid.max_nodes", dict(VALID, grid={"max_nodes": 2.5})),
         ):
             with pytest.raises(ConfigError, match=f"{key} must be an integer"):
                 parse_config(json.dumps(doc))
 
     def test_rate_keys(self, tmp_path, capsys):
-        doc = dict(VALID, kappas=[0.1, 0.01], norms=["sup"])
+        doc = dict(VALID, kappas=[0.1, 0.01])
         cfg = parse_config(json.dumps(doc))
         assert cfg.kappas == (0.1, 0.01)
-        assert cfg.norms == ("sup",)
-        # the rate study owns these rules; the subcommand that reads the keys refuses them
+        # the rate study owns this rule; the subcommand that reads the key refuses it
         argv = ["rate-study", "--mode", "fixed", "--out", str(tmp_path / "o"), "--config"]
-        for extra, msg in (({"norms": []}, "no norms selected"), ({"kappas": []}, "at least 4 kappa")):
-            assert dispatch(argv + [write_config(tmp_path, dict(VALID, **extra))]) == 2
-            assert msg in capsys.readouterr().err
+        assert dispatch(argv + [write_config(tmp_path, dict(VALID, kappas=[]))]) == 2
+        assert "at least 4 kappa" in capsys.readouterr().err
 
 
-_KEYS = list(VALID) + ["tol", "max_iter", "grid", "kappas", "norms", "x"]
-_GRID_KEYS = ["points_per_unit_alpha", "R_max", "max_nodes", "growth", "x"]
+_KEYS = list(VALID) + ["tol", "max_iter", "grid", "kappas", "x"]
+_GRID_KEYS = ["points_per_unit_alpha", "R_max", "growth", "x"]
 _NUMBERS = st.one_of(
     st.integers(min_value=-(10**400), max_value=10**400),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -147,7 +159,7 @@ def _config_documents(draw):
         return draw(_JSON)
     if kind == "model":
         return {k: draw(_NUMBERS) for k in VALID}
-    options = st.sampled_from(["tol", "max_iter", "grid", "kappas", "norms"])
+    options = st.sampled_from(["tol", "max_iter", "grid", "kappas"])
     return dict(VALID, **draw(st.dictionaries(options, _VALUE, min_size=1, max_size=2)))
 
 
@@ -200,10 +212,6 @@ _MALFORMED = [
     pytest.param(
         ["solve", "impermeable", "--config", "@"], {"max_iter": 1.5}, "max_iter must be an integer",
         id="max_iter=1.5",
-    ),
-    pytest.param(
-        ["solve", "impermeable", "--config", "@"], {"grid": {"max_nodes": 2.5}},
-        "grid.max_nodes must be an integer", id="max_nodes=2.5",
     ),
     pytest.param(
         ["solve", "inflow", "--config", "@"], {"u_minus": 1e300}, "source term", id="u_minus=1e300"
@@ -487,9 +495,9 @@ class TestDispatch:
         assert "the l2_value error at kappa = 0.1 is 0.0" in captured.err
 
     def test_rate_study_resolution_floor(self, tmp_path, capsys):
-        # a coarser grid, a lower max_iter, R_max and max_nodes are all overridden by the study;
+        # a coarser grid, a lower max_iter and R_max are all overridden by the study;
         # its rows take at most 8 sweeps, so max_iter = 1 is what shows the max_iter floor
-        coarse = {"points_per_unit_alpha": 8, "growth": 1.2, "R_max": 30, "max_nodes": 1000}
+        coarse = {"points_per_unit_alpha": 8, "growth": 1.2, "R_max": 30}
         configs = {"default": {}, "coarse": {"max_iter": 50, "grid": coarse}, "one": {"max_iter": 1}}
         blobs = []
         for tag, extra in configs.items():

@@ -201,6 +201,18 @@ class TestReverseCumulative:
         assert T[-1] == 0.0
         assert np.all(np.diff(T) <= 0.0)
 
+    @pytest.mark.parametrize("size", range(3, 13))
+    def test_each_interval_exact_on_quadratics(self, size):
+        # every interval, on both parities and with the odd tail stub, integrates a
+        # quadratic exactly, and the cached rule gives the same bytes on a second call
+        nodes = 1.0 + np.cumsum(np.r_[0.0, 0.1 * 1.3 ** np.arange(size - 1)])
+        g = RadialGrid.from_nodes(nodes, 3)
+        q = 2.0 - 3.0 * g.nodes + 0.7 * g.nodes**2
+        Q = 2.0 * g.nodes - 1.5 * g.nodes**2 + 0.7 / 3.0 * g.nodes**3
+        T = g.reverse_cumulative(q)
+        assert np.allclose(T[:-1] - T[1:], np.diff(Q), rtol=1e-13, atol=1e-13)
+        assert np.array_equal(g.reverse_cumulative(q), T)
+
     def test_adjoint_consistency(self):
         # the suffix dot with the global weights matches T up to one panel's error
         g = build_grid(3, 1.0, points_per_unit_alpha=20.0)

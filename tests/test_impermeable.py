@@ -1,7 +1,7 @@
 """The impermeable wall, the ``u_minus = 0`` case of ``nsk.stationary``.
 
 Fixed point, boundary data, decay diagnostics, the wall invariants of the
-one nonlinearity, and the shared Picard driver on synthetic maps.
+one forcing, and the shared Picard driver on synthetic maps.
 """
 
 import math
@@ -13,12 +13,12 @@ import nsk.stationary as stationary_mod
 from nsk.errors import NonContractionError, PositivityError, WindowEmptyError
 from nsk.grid import build_grid
 from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
-from nsk.operators import assemble_operators
+from nsk.operators import GreenOperator
 from nsk.stationary import (
     StationarySolution,
     decay_diagnostics,
     fixed_point,
-    nonlinearity,
+    forcing,
     pressure_remainder,
     solve_stationary,
     source_term,
@@ -84,7 +84,7 @@ class TestSolve:
         grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
         tol = 1e-10
         field, report = solve_stationary(p, grid, tol=tol)
-        op = assemble_operators(grid, kp, p.kappa)
+        op = GreenOperator(grid, kp, p.kappa)
         phi_b, _ = lifting_phi_b(kp, p.rho_b, grid.nodes)
         t_phi = phi_b + op.apply(pressure_remainder(p.gamma, p.rho_plus, field.phi))[0]
         assert np.max(np.abs(field.phi - t_phi)) <= tol
@@ -117,11 +117,11 @@ class TestSolve:
             solve_stationary(p, grid)
 
     def test_divergence_detector(self, monkeypatch):
-        # an artificially amplifying nonlinearity must trip the growth guard
+        # an artificially amplifying forcing must trip the growth guard
         def amplifier(params, grid, phi, phi_r):
             return -4.0 * np.asarray(phi)
 
-        monkeypatch.setattr(stationary_mod, "nonlinearity", amplifier)
+        monkeypatch.setattr(stationary_mod, "forcing", amplifier)
         p = params_with()
         grid = build_grid(3, 1.0)
         with pytest.raises(NonContractionError):
@@ -132,13 +132,13 @@ class TestSolve:
         p = params_with(gamma=3.0, rho_b=-20.0)
         grid = build_grid(3, kernel_params(p).alpha, points_per_unit_alpha=16.0, growth=1.05)
         sweeps = []
-        real_nonlinearity = stationary_mod.nonlinearity
+        real_forcing = stationary_mod.forcing
 
         def counted(*args):
             sweeps.append(1)
-            return real_nonlinearity(*args)
+            return real_forcing(*args)
 
-        monkeypatch.setattr(stationary_mod, "nonlinearity", counted)
+        monkeypatch.setattr(stationary_mod, "forcing", counted)
         with pytest.raises(NonContractionError, match="cannot reach 1.0e-10 within 400 iterations"):
             solve_stationary(p, grid, max_iter=400)
         assert len(sweeps) <= 10
@@ -150,13 +150,13 @@ class TestSolve:
             solve_stationary(p, grid, tol=1e-14, max_iter=2)
 
     def test_wall_is_the_zero_velocity_case(self):
-        # every flow term carries u_minus: at u_minus = 0 the one nonlinearity is the
+        # every flow term carries u_minus: at u_minus = 0 the one forcing is the
         # pressure remainder bit for bit, the source vanishes and nothing flows
         p = params_with(mu=2.0, gamma=1.4)
         grid = build_grid(3, 1.0, points_per_unit_alpha=16.0)
         phi = -0.3 * np.exp(-(grid.nodes - 1.0)) * np.cos(grid.nodes)
         phi_r = np.gradient(phi, grid.nodes)
-        assert np.array_equal(nonlinearity(p, grid, phi, phi_r), pressure_remainder(p.gamma, p.rho_plus, phi))
+        assert np.array_equal(forcing(p, grid, phi, phi_r), pressure_remainder(p.gamma, p.rho_plus, phi))
         assert np.all(source_term(p.n, 0.0, grid.nodes) == 0.0)
         sol, _ = solve_stationary(p, grid)
         assert np.any(sol.phi != 0.0)

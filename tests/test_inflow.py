@@ -1,6 +1,6 @@
 """Inflow and outflow, the ``u_minus != 0`` cases of ``nsk.stationary``.
 
-Mass flux, weighted decay, and a term-level oracle of the one nonlinearity.
+Mass flux, weighted decay, and a term-level oracle of the one forcing.
 """
 
 import math
@@ -12,7 +12,7 @@ import nsk.stationary as stationary_mod
 from nsk.errors import NonContractionError, PositivityError, RangeError
 from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
 from nsk.kernel import ModelParams, enthalpy_h, enthalpy_h_prime
-from nsk.stationary import nonlinearity, solve_stationary, source_term
+from nsk.stationary import forcing, solve_stationary, source_term
 
 
 def params_with(**kw):
@@ -42,18 +42,23 @@ class TestSourceTerm:
             source_term(3, 1e300, np.array([1.0, 2.0]))
 
 
+def nonlinear_part(p, g, phi, phi_r):
+    """``N``: the forcing without its phi-independent source ``S``."""
+    return forcing(p, g, phi, phi_r) - source_term(p.n, p.u_minus, g.nodes)
+
+
 class TestNonlinearity:
     def test_zero_field_gives_zero(self):
         p = params_with(u_minus=0.3, mu=2.0)
         g = flow_grid()
         z = np.zeros(g.size)
-        assert np.all(nonlinearity(p, g, z, z) == 0.0)
+        assert np.all(nonlinear_part(p, g, z, z) == 0.0)
 
     def test_zero_field_inviscid(self):
         p = params_with(u_minus=0.3, mu=0.0)
         g = flow_grid()
         z = np.zeros(g.size)
-        assert np.all(nonlinearity(p, g, z, z) == 0.0)
+        assert np.all(nonlinear_part(p, g, z, z) == 0.0)
 
     def test_constant_field_kills_kinetic_ratio(self):
         # gamma=2 removes the pressure remainder; a constant field then
@@ -61,7 +66,7 @@ class TestNonlinearity:
         p = params_with(u_minus=0.2, mu=0.0, gamma=2.0)
         g = flow_grid()
         c = np.full(g.size, 0.04)
-        assert np.max(np.abs(nonlinearity(p, g, c, np.zeros(g.size)))) <= 1e-15
+        assert np.max(np.abs(nonlinear_part(p, g, c, np.zeros(g.size)))) <= 1e-15
 
     def test_term_by_term_oracle(self):
         # phi = 0.01 e^{-r}: values frozen from a 40-digit evaluation of the
@@ -78,7 +83,7 @@ class TestNonlinearity:
         g = RadialGrid.from_nodes(nodes, 3)
         phi = 0.01 * np.exp(-g.nodes)
         p = params_with(u_minus=0.1)
-        nvals = nonlinearity(p, g, phi, -phi)
+        nvals = nonlinear_part(p, g, phi, -phi)
         for r, expect in frozen.items():
             i = int(round((r - 1.0) / 0.005))
             assert nvals[i] == pytest.approx(expect, abs=2e-12)
@@ -106,11 +111,7 @@ class TestNonlinearity:
             + rho1**2 * u_minus**2 / (2.0 * r ** (2 * (n - 1)) * rho**2)
             - p.mu * rho1 * u_minus * tail
         )
-        got = (
-            source_term(n, u_minus, r)
-            + nonlinearity(p, g, phi, phi_r)
-            + enthalpy_h_prime(gamma, p.rho_plus) * phi
-        )
+        got = forcing(p, g, phi, phi_r) + enthalpy_h_prime(gamma, p.rho_plus) * phi
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_positivity_guard(self):
@@ -118,16 +119,16 @@ class TestNonlinearity:
         g = flow_grid()
         bad = np.full(g.size, -2.0)
         with pytest.raises(PositivityError):
-            nonlinearity(p, g, bad, np.zeros(g.size))
+            forcing(p, g, bad, np.zeros(g.size))
 
 
 class TestSolve:
     def test_divergence_detector(self, monkeypatch):
-        # an artificially amplifying nonlinearity must trip the growth guard
+        # an artificially amplifying forcing must trip the growth guard
         def amplifier(params, grid, phi, phi_r):
             return -4.0 * np.asarray(phi)
 
-        monkeypatch.setattr(stationary_mod, "nonlinearity", amplifier)
+        monkeypatch.setattr(stationary_mod, "forcing", amplifier)
         with pytest.raises(NonContractionError, match="at iteration 6"):
             solve_stationary(params_with(rho_b=-0.1), build_grid(3, 1.0), max_iter=100)
 

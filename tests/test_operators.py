@@ -8,7 +8,7 @@ from dense_operators import dense_operators, split_weight_rows
 
 from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
 from nsk.kernel import ModelParams, green, green_dr, kernel_params
-from nsk.operators import _sweep, assemble_operators
+from nsk.operators import GreenOperator, _sweep
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def test_apply_matches_dense_reference(case):
     kp = _kernel(n, kappa)
     grid = RadialGrid.from_nodes(nodes(kp.alpha), n)
     A, Adr = dense_operators(grid, kp, kappa)
-    op = assemble_operators(grid, kp, kappa)
+    op = GreenOperator(grid, kp, kappa)
     rng = np.random.default_rng(7)
     for _ in range(3):
         f = rng.standard_normal(grid.size)
@@ -88,7 +88,7 @@ def test_sweep_matches_direct_sum(M):
 def test_rows_match_scalar_kernel(setup):
     # entries away from the corrected end rows are w_ij G(r_i, s_j) s_j^{n-1} / kappa
     params, kp, grid = setup
-    op = assemble_operators(grid, kp, params.kappa)
+    op = GreenOperator(grid, kp, params.kappa)
     W, wl, wr = split_weight_rows(grid.nodes)
     snm1 = grid.measure()
     i = grid.size // 2
@@ -105,7 +105,7 @@ def test_rows_match_scalar_kernel(setup):
 def test_operator_inverts_helmholtz(setup):
     # for f with f'(1)=0, A applied to (rhs of the Helmholtz ODE) returns f
     params, kp, grid = setup
-    op = assemble_operators(grid, kp, params.kappa)
+    op = GreenOperator(grid, kp, params.kappa)
     r = grid.nodes
     a = kp.alpha
     # manufacture f with zero slope at the wall and fast decay
@@ -128,7 +128,7 @@ def test_quadrature_convergence_of_operator(setup):
         fp = -4.0 * a**2 * (rr - 1.0) * np.exp(-2.0 * a * (rr - 1.0))
         fpp = (-4.0 * a**2 + 8.0 * a**3 * (rr - 1.0)) * np.exp(-2.0 * a * (rr - 1.0))
         rhs = params.kappa * (fpp + (params.n - 1) / rr * fp - a**2 * ff)
-        af, _ = assemble_operators(g, kp, params.kappa).apply(rhs)
+        af, _ = GreenOperator(g, kp, params.kappa).apply(rhs)
         return np.max(np.abs(af - ff))
 
     e0 = err(grid)
@@ -144,7 +144,7 @@ def test_memory_is_linear_in_grid_size():
     f = np.cos(grid.nodes)
     tracemalloc.start()
     try:
-        af, adrf = assemble_operators(grid, kp, 2.5e-5).apply(f)
+        af, adrf = GreenOperator(grid, kp, 2.5e-5).apply(f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -51,42 +51,6 @@ def test_no_module_imports_scipy():
     assert sorted(p.name for p in src.glob("*.py") if _imports_scipy(ast.parse(p.read_text()))) == []
 
 
-# scipy.integrate alone pulls in scipy.optimize; with scipy.interpolate they were
-# about 40% of the CPU time of every CLI run
-SLOW_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
-
-
-def _scipy_modules(tree: ast.AST) -> set:
-    """The ``scipy.<name>`` modules a module imports or reaches as an attribute, in any form."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found |= {".".join(a.name.split(".")[:2]) for a in node.names if a.name.startswith("scipy.")}
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            parts = (node.module or "").split(".")
-            if parts[0] == "scipy":
-                found |= {f"scipy.{parts[1]}"} if len(parts) > 1 else {f"scipy.{a.name}" for a in node.names}
-        elif isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id == "scipy":
-                found.add(f"scipy.{node.attr}")
-    return found
-
-
-def test_scipy_special_only_in_bessel():
-    # every Bessel value goes through nsk.bessel, which now computes it in numpy,
-    # so scipy.special reaches no module, bessel.py included
-    src = Path(nsk.__file__).parent
-    users = sorted(p.name for p in src.glob("*.py") if "scipy.special" in _scipy_modules(ast.parse(p.read_text())))
-    assert users == []
-
-
-def test_no_module_imports_slow_scipy():
-    # the limit profile is a Gauss-Legendre quadrature and the oracle interpolates locally
-    src = Path(nsk.__file__).parent
-    users = {p.name: _scipy_modules(ast.parse(p.read_text())) & set(SLOW_SCIPY) for p in src.glob("*.py")}
-    assert {name: mods for name, mods in users.items() if mods} == {}
-
-
 def test_import_cli_loads_no_scipy():
     probe = "import sys, nsk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}

@@ -58,12 +58,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             study(-1.0, FIXED, kappas=(1e-1, 1e-2, -1e-3, 1e-4))
 
-    def test_norm_keys(self):
-        with pytest.raises(ConfigError, match="no norms selected"):
-            study(-1.0, FIXED, norms=())
-        with pytest.raises(ConfigError):
-            study(-1.0, FIXED, norms=("h1",))
-
 
 class TestRun:
     def test_fixed_short_sweep(self):
