@@ -122,11 +122,6 @@ class RadialGrid:
         """``r^{n-1}`` at the nodes."""
         return self.power(self.n - 1)
 
-    def integrate(self, f: np.ndarray) -> float:
-        """``integral f(r) dr`` over the grid (no radial weight)."""
-        self._check_len(f)
-        return float(np.dot(self.weights, f))
-
     def weighted_l2_norm(self, f: np.ndarray) -> float:
         """``(integral |f|^2 r^{n-1} dr)^(1/2)``, the natural radial norm."""
         self._check_len(f)
@@ -199,8 +194,8 @@ def build_grid(
     """Graded grid for a problem with decay scale ``1/alpha`` at the wall."""
     if alpha <= 0.0:
         raise ConfigError("alpha must be positive")
-    if growth <= 1.0:
-        raise ConfigError("growth must exceed 1")
+    if not 1.0 < growth < 2.0:  # at a spacing ratio of 2 a panel's first Simpson weight is 0
+        raise ConfigError("growth must be > 1 and < 2")
     if R_max is None:
         R_max = auto_r_max(n, alpha, decay)
     if R_max <= 1.0:

@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .bessel import BesselOrder, bessel_ik_scaled, check_finite
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, RangeError
 
 __all__ = [
     "ModelParams",
@@ -124,10 +124,6 @@ class KernelParams:
     nu: BesselOrder
     alpha: float
 
-    @property
-    def n(self) -> int:
-        return self.nu.two_nu + 2
-
     @cached_property
     def wall(self) -> "KernelFactors":
         """The kernel factors at ``r = 1``."""
@@ -171,28 +167,25 @@ def kernel_params(params: ModelParams) -> KernelParams:
 
 
 class KernelFactors:
-    """Per-radius factors of the scaled kernel at radii ``x``: ``x^{-nu}``,
+    """Per-radius factors of the scaled kernel at radii ``x >= 1``: ``x^{-nu}``,
     ``e^{-alpha(x-1)}`` and ``\\hat I_nu``, ``\\hat K_nu``, ``\\hat I_{nu+1}``,
-    ``\\hat K_{nu+1}`` at ``alpha x``, computed together on first use and each
-    checked finite when it is first read.  The radii must all be ``>= 1``."""
+    ``\\hat K_{nu+1}`` at ``alpha x``, from one Bessel evaluation, each checked
+    finite in that order (``K_{nu+1} > K_nu``, so where both overflow the
+    error names the order nu)."""
 
     def __init__(self, kp: KernelParams, x):
         x = np.asarray(x, dtype=float)
         if (x < 1.0).any():
             raise DomainError("radii must be >= 1")
-        self.x, self._nu, self._ax = x, kp.nu, kp.alpha * x
+        with np.errstate(over="ignore"):
+            ax = kp.alpha * x
+        if not np.isfinite(ax).all():
+            raise RangeError("alpha * r is beyond the double range")
+        self.x = x
         self.rp = x ** (-kp.nu.nu)
         self.e2 = np.exp(-kp.alpha * (x - 1.0))
-
-    _hats = cached_property(lambda self: bessel_ik_scaled(self._nu, self._ax))
-    iv = cached_property(lambda self: check_finite(self._hats[0], "scaled I_nu"))
-    kv = cached_property(lambda self: check_finite(self._hats[1], "scaled K_nu"))
-    iv1 = cached_property(lambda self: check_finite(self._hats[2], "scaled I_{nu+1}"))
-
-    @cached_property
-    def kv1(self):
-        self.kv  # K_{nu+1} > K_nu, so where both overflow the error names the order nu
-        return check_finite(self._hats[3], "scaled K_{nu+1}")
+        names = ("scaled I_nu", "scaled K_nu", "scaled I_{nu+1}", "scaled K_{nu+1}")
+        self.iv, self.kv, self.iv1, self.kv1 = map(check_finite, bessel_ik_scaled(kp.nu, ax), names)
 
 
 def kernel_branches(kp: KernelParams, f: KernelFactors, i, j, lower):
@@ -224,10 +217,6 @@ def lifting_phi_b(kp: KernelParams, rho_b: float, r):
     and ``\phi_b' = \rho_b r^{-\nu} (\hat K_{\nu+1}(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``.
     """
     f = KernelFactors(kp, r)
-    if rho_b == 0.0:
-        if np.ndim(r) == 0:
-            return 0.0, 0.0
-        return np.zeros_like(f.x), np.zeros_like(f.x)
     a = kp.alpha
     khat_den = kp.wall.kv1
     val = -(rho_b / a) * f.rp * (f.kv / khat_den) * f.e2
@@ -237,42 +226,49 @@ def lifting_phi_b(kp: KernelParams, rho_b: float, r):
     return val, der
 
 
-def _at(kp: KernelParams, r: float, s: float, lower: bool):
-    """``(G, dG/dr)`` at ``(r, s)`` on one branch, from a two-radius factor table."""
-    f = KernelFactors(kp, [r, s])
-    g, gdr = kernel_branches(kp, f, 0, 1, lower)
-    rp2 = f.rp[0] * f.rp[1]
-    return float(g * rp2), float(gdr * rp2)
+def _at(kp: KernelParams, r, s, lower):
+    """``(G, dG/dr)`` at broadcast ``(r, s)`` on the branch ``lower``, from one
+    factor table over the distinct radii; floats for scalar ``r`` and ``s``."""
+    r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+    x, idx = np.unique(np.stack([r, s]), return_inverse=True)
+    i, j = idx.reshape((2,) + r.shape)
+    f = KernelFactors(kp, x)
+    g, gdr = kernel_branches(kp, f, i, j, lower)
+    rp2 = f.rp[i] * f.rp[j]
+    if r.ndim == 0:
+        return float(g * rp2), float(gdr * rp2)
+    return g * rp2, gdr * rp2
 
 
-def green(kp: KernelParams, r: float, s: float) -> float:
+def green(kp: KernelParams, r, s) -> float | np.ndarray:
     """Green function ``G(r,s)`` of the radial modified Helmholtz operator.
 
     Symmetric, strictly negative, with homogeneous Neumann data at ``r=1``.
+    ``r`` and ``s`` broadcast; scalars give a float.
     """
-    return _at(kp, r, s, r >= s)[0]
+    return _at(kp, r, s, np.greater_equal(r, s))[0]
 
 
-def green_dr_right(kp: KernelParams, r: float, s: float) -> float:
+def green_dr_right(kp: KernelParams, r, s) -> float | np.ndarray:
     """One-sided ``d G/d r`` using the ``s <= r`` branch (limit from r > s)."""
-    if s > r:
+    if np.any(np.greater(s, r)):
         raise DomainError("right-sided derivative requires s <= r")
     return _at(kp, r, s, True)[1]
 
 
-def green_dr_left(kp: KernelParams, r: float, s: float) -> float:
+def green_dr_left(kp: KernelParams, r, s) -> float | np.ndarray:
     """One-sided ``d G/d r`` using the ``r <= s`` branch (limit from r < s)."""
-    if r > s:
+    if np.any(np.greater(r, s)):
         raise DomainError("left-sided derivative requires r <= s")
     return _at(kp, r, s, False)[1]
 
 
-def green_dr(kp: KernelParams, r: float, s: float) -> float:
+def green_dr(kp: KernelParams, r, s) -> float | np.ndarray:
     """``d G/d r`` away from the diagonal.
 
     The derivative jumps by ``1/r^{n-1}`` across ``s = r``; call
     ``green_dr_right`` / ``green_dr_left`` for the one-sided values there.
     """
-    if r == s:
+    if np.any(np.equal(r, s)):
         raise DomainError("dG/dr is discontinuous at r == s; use green_dr_left/right")
-    return _at(kp, r, s, r > s)[1]
+    return _at(kp, r, s, np.greater(r, s))[1]

@@ -118,13 +118,11 @@ class GreenOperator:
         self._odd = np.arange(M) % 2 == 1
 
         # global weights: panel k on nodes k..k+2, stub k over [r_{k+1}, r_{k+2}]
-        p0, p1, p2 = panel_weights(h[:-1], h[1:])
+        p0, _, p2 = panel_weights(h[:-1], h[1:])
         s0, s1, s2 = tail_stub_weights(h[:-1], h[1:])
+        full = M - 1 + M % 2  # nodes under the full panels paired from node 0
         wl = np.zeros(M)
-        k = np.arange(0, M - 2, 2)
-        wl[k] += p0[k]
-        wl[k + 1] += p1[k]
-        wl[k + 2] += p2[k]
+        wl[:full] = composite_weights(r[:full])
         wr = np.zeros((2, M))
         wr[0] = grid.weights
         wr[1, 1:] = composite_weights(r[1:])

@@ -155,34 +155,30 @@ def test_criterion_4_bessel_identities():
 def test_criterion_5_green_properties():
     worst_sym = worst_neu = worst_hom = 0.0
     c_star = {}
+    r, s = np.meshgrid(np.linspace(1.0, 12.0, 25), np.linspace(1.0, 12.0, 25), indexing="ij")
+    below, above = r > s, r < s
     for n in (2, 3, 4, 5):
         p = ModelParams(n=n, gamma=1.0, kappa=0.25, mu=0.0, rho_plus=1.0, rho_b=0.0, u_minus=0.0)
         kp = kernel_params(p)
         a = kp.alpha
-        pts = np.linspace(1.0, 12.0, 25)
-        cmax = 0.0
-        for r in pts:
-            for s in pts:
-                g = green(kp, r, s)
-                worst_sym = max(worst_sym, abs(g - green(kp, s, r)) / abs(g))
-                env = math.exp(-a * abs(r - s)) / (r * s) ** ((n - 1) / 2.0)
-                cmax = max(cmax, abs(g) * a / env)
-                if r > s:
-                    cmax = max(cmax, abs(green_dr_right(kp, r, s)) / env)
-                elif r < s:
-                    cmax = max(cmax, abs(green_dr_left(kp, r, s)) / env)
-        for s in (1.5, 3.0, 8.0):
-            worst_neu = max(worst_neu, abs(green_dr_left(kp, 1.0, s)) / abs(green(kp, 1.0, s)))
+        g = green(kp, r, s)
+        worst_sym = max(worst_sym, np.max(np.abs(g - green(kp, s, r)) / np.abs(g)))
+        env = np.exp(-a * np.abs(r - s)) / (r * s) ** ((n - 1) / 2.0)
+        c_star[n] = max(
+            np.max(np.abs(g) * a / env),
+            np.max(np.abs(green_dr_right(kp, r[below], s[below])) / env[below]),
+            np.max(np.abs(green_dr_left(kp, r[above], s[above])) / env[above]),
+        )
+        wall = np.array([1.5, 3.0, 8.0])
+        worst_neu = max(worst_neu, np.max(np.abs(green_dr_left(kp, 1.0, wall)) / np.abs(green(kp, 1.0, wall))))
         h = 0.01 / a
-        for s in (2.0, 5.0):
-            for r in np.linspace(1.3, 9.0, 17):
-                if abs(r - s) < 6.0 * h:
-                    continue
-                f = [green(kp, r + k * h, s) for k in (-2, -1, 0, 1, 2)]
-                d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-                d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
-                worst_hom = max(worst_hom, abs(d2 + (n - 1) / r * d1 - a * a * f[2]) / abs(f[2]))
-        c_star[n] = cmax
+        for sj in (2.0, 5.0):
+            rs = np.linspace(1.3, 9.0, 17)
+            rs = rs[np.abs(rs - sj) >= 6.0 * h]
+            f = green(kp, rs + h * np.arange(-2, 3)[:, None], sj)
+            d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+            d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
+            worst_hom = max(worst_hom, np.max(np.abs(d2 + (n - 1) / rs * d1 - a * a * f[2]) / np.abs(f[2])))
     ok = (
         worst_sym <= 1e-12
         and worst_neu <= 1e-12

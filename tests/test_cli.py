@@ -217,6 +217,15 @@ _MALFORMED = [
         ["solve", "inflow", "--config", "@"], {"u_minus": 1e300}, "source term", id="u_minus=1e300"
     ),
     pytest.param(
+        # a Simpson panel's first weight is <= 0 once its spacing ratio reaches 2
+        ["solve", "impermeable", "--config", "@"], {"grid": {"growth": 2}}, "growth must be > 1 and < 2",
+        id="growth=2",
+    ),
+    pytest.param(
+        ["kernel", "--config", "@", "--r", "1e308", "--s", "1"], {}, "alpha * r is beyond the double range",
+        id="--r=1e308",
+    ),
+    pytest.param(
         ["solve", "impermeable", "--config", "@"], {"n": 1000000, "kappa": 0.1, "rho_b": -0.1},
         "scaled K_nu is not finite", id="n=1e6",
     ),

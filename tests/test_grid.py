@@ -80,12 +80,17 @@ class TestBuild:
             RadialGrid.from_nodes(np.array([1.0, 1.0, 2.0]), 3)  # strictly increasing
         with pytest.raises(ConfigError):
             build_grid(3, -1.0)
+        for growth in (1.0, 2.0):
+            with pytest.raises(ConfigError, match="growth must be > 1 and < 2"):
+                build_grid(3, 1.0, growth=growth)
 
     def test_weights_positive(self):
+        # in-panel spacing ratios stay <= growth, and (h0+h1)(2h0-h1)/(6h0) > 0 needs h1 < 2h0
         for alpha in (0.3, 1.0, 25.0):
             for decay in (EXPONENTIAL, ALGEBRAIC):
-                g = build_grid(3, alpha, decay=decay)
-                assert np.all(g.weights > 0.0)
+                for growth in (1.06, 1.99):
+                    g = build_grid(3, alpha, decay=decay, growth=growth)
+                    assert np.all(g.weights > 0.0)
 
 
 class TestQuadrature:
@@ -95,12 +100,12 @@ class TestQuadrature:
         R = g.R_max
         for k in (0, 1, 2):
             exact = (R ** (k + 1) - 1.0) / (k + 1)
-            assert g.integrate(r**k) == pytest.approx(exact, rel=1e-13)
+            assert np.dot(g.weights, r**k) == pytest.approx(exact, rel=1e-13)
 
     def test_exponential_moment(self):
         # int_1^inf r^2 e^{-2r} dr = 1.25 e^{-2}
         g = build_grid(3, 1.0).refined().refined()
-        val = g.integrate(g.nodes**2 * np.exp(-2.0 * g.nodes))
+        val = np.dot(g.weights, g.nodes**2 * np.exp(-2.0 * g.nodes))
         assert val == pytest.approx(1.25 * math.exp(-2.0), abs=1e-8)
 
     def test_weighted_norm_zero(self):

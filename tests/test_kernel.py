@@ -107,7 +107,7 @@ class TestKernelParams:
         assert kp.nu.nu == 0.0
         kp = kernel_params(ModelParams(4, 1.4, 0.1, 1.0, 0.8, 0.0, 0.0))
         assert kp.alpha == pytest.approx(math.sqrt(1.4 * 0.8**-0.6 / 0.1), rel=1e-14)
-        assert kp.n == 4
+        assert kp.nu.nu == 1.0
 
     def test_alpha_consistency_invariant(self):
         for n in (2, 3, 4):
@@ -158,30 +158,27 @@ class TestGreen:
         assert green(kp, 2.0, 1.0) == pytest.approx(-math.exp(-1.0) / 4.0, rel=1e-13)
 
     def test_dimension3_closed_form_grid(self):
+        r, s = np.meshgrid([1.0, 1.2, 2.5, 8.0], [1.0, 1.7, 6.0], indexing="ij")
         for a in (0.5, 1.0, 3.0, 40.0, 1000.0):
-            kp = kp_from(3, a)
-            for r in (1.0, 1.2, 2.5, 8.0):
-                for s in (1.0, 1.7, 6.0):
-                    exact = green3_exact(a, r, s)
-                    if exact == 0.0:
-                        continue
-                    assert green(kp, r, s) == pytest.approx(exact, rel=1e-12), (a, r, s)
+            exact = np.vectorize(green3_exact)(a, r, s)
+            used = exact != 0.0
+            g = green(kp_from(3, a), r, s)
+            assert g[used] == pytest.approx(exact[used], rel=1e-12), a
 
     def test_symmetry_and_sign(self):
+        r, s = np.meshgrid([1.0, 1.4, 3.0, 9.0], [1.1, 2.6, 7.5], indexing="ij")
         for n in (2, 3, 4, 5):
             kp = kp_from(n, 1.7)
-            for r in (1.0, 1.4, 3.0, 9.0):
-                for s in (1.1, 2.6, 7.5):
-                    g = green(kp, r, s)
-                    assert g < 0.0
-                    assert g == pytest.approx(green(kp, s, r), rel=1e-12)
+            g = green(kp, r, s)
+            assert np.all(g < 0.0)
+            assert g == pytest.approx(green(kp, s, r), rel=1e-12)
 
     def test_neumann_condition_at_wall(self):
+        s = np.array([1.5, 3.0, 10.0])
         for n in (2, 3, 4, 5):
             kp = kp_from(n, 2.2)
-            for s in (1.5, 3.0, 10.0):
-                g = green(kp, 1.0, s)
-                assert abs(green_dr_left(kp, 1.0, s)) <= 1e-12 * abs(g)
+            g = green(kp, 1.0, s)
+            assert np.all(np.abs(green_dr_left(kp, 1.0, s)) <= 1e-12 * np.abs(g))
 
     def test_homogeneous_equation_away_from_diagonal(self):
         # 4th-order central stencils in r; residual relative to |G|
@@ -189,30 +186,29 @@ class TestGreen:
             kp = kp_from(n, a)
             h = 0.01 / a
             for s in (2.0, 5.0):
-                for r in np.linspace(1.2, 8.0, 19):
-                    if abs(r - s) < 6.0 * h:
-                        continue
-                    f = [green(kp, r + k * h, s) for k in (-2, -1, 0, 1, 2)]
-                    d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-                    d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
-                    res = d2 + (n - 1) / r * d1 - a * a * f[2]
-                    assert abs(res) <= 1e-6 * abs(f[2]), (n, a, r, s)
+                r = np.linspace(1.2, 8.0, 19)
+                r = r[np.abs(r - s) >= 6.0 * h]
+                f = green(kp, r + h * np.arange(-2, 3)[:, None], s)
+                d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+                d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
+                res = d2 + (n - 1) / r * d1 - a * a * f[2]
+                assert np.all(np.abs(res) <= 1e-6 * np.abs(f[2])), (n, a, s)
 
     def test_pointwise_envelope_bound(self):
         # |G| <= C* e^{-a|r-s|} / (a (rs)^{(n-1)/2}), |dG| likewise without 1/a
+        r, s = np.meshgrid(np.linspace(1.0, 12.0, 30), np.linspace(1.0, 12.0, 30), indexing="ij")
+        below, above = r > s, r < s
         for n in (2, 3, 4, 5):
             c_star = 0.0
             for a in (1.0, 3.0):
                 kp = kp_from(n, a)
-                pts = np.linspace(1.0, 12.0, 30)
-                for r in pts:
-                    for s in pts:
-                        env = math.exp(-a * abs(r - s)) / (r * s) ** ((n - 1) / 2.0)
-                        c_star = max(c_star, abs(green(kp, r, s)) * a / env)
-                        if r > s:
-                            c_star = max(c_star, abs(green_dr_right(kp, r, s)) / env)
-                        elif r < s:
-                            c_star = max(c_star, abs(green_dr_left(kp, r, s)) / env)
+                env = np.exp(-a * np.abs(r - s)) / (r * s) ** ((n - 1) / 2.0)
+                c_star = max(
+                    c_star,
+                    np.max(np.abs(green(kp, r, s)) * a / env),
+                    np.max(np.abs(green_dr_right(kp, r[below], s[below])) / env[below]),
+                    np.max(np.abs(green_dr_left(kp, r[above], s[above])) / env[above]),
+                )
             assert c_star <= 10.0, n
 
     def test_wronskian_of_basis_pair(self):
@@ -236,6 +232,52 @@ class TestGreen:
                 assert wron == pytest.approx(expect, rel=1e-10)
 
 
+class TestArrays:
+    """The pointwise functions broadcast ``(r, s)`` over one factor table of the distinct radii."""
+
+    MESH = np.meshgrid(np.linspace(1.0, 12.0, 30), np.linspace(1.0, 12.0, 30), indexing="ij")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_mesh_matches_scalar_calls(self, n):
+        # a batch runs its Bessel loops until every entry converges, so the
+        # last bits may differ from a two-radius table: agreement, not equality
+        kp = kp_from(n, 1.7)
+        r, s = self.MESH
+        for fn, mask in (
+            (green, np.full(r.shape, True)),
+            (green_dr, r != s),
+            (green_dr_right, r >= s),
+            (green_dr_left, r <= s),
+        ):
+            rm, sm = r[mask], s[mask]
+            scalar = [fn(kp, x, y) for x, y in zip(rm.tolist(), sm.tolist())]
+            np.testing.assert_allclose(fn(kp, rm, sm), scalar, rtol=4e-15, atol=0.0, err_msg=fn.__name__)
+
+    @pytest.mark.parametrize(
+        "fn, good, bad, message",
+        [
+            (green, (3.0, 2.0), (0.5, 2.0), "radii must be >= 1"),
+            (green_dr, (3.0, 2.0), (4.0, 4.0), "discontinuous at r == s"),
+            (green_dr_right, (3.0, 2.0), (2.0, 4.0), "requires s <= r"),
+            (green_dr_left, (2.0, 3.0), (4.0, 2.0), "requires r <= s"),
+        ],
+    )
+    def test_one_bad_pair_refuses_the_mesh(self, fn, good, bad, message):
+        kp = kp_from(3, 2.0)
+        ramp = np.arange(12.0).reshape(3, 4)
+        r, s = good[0] + ramp, good[1] + ramp
+        assert np.all(np.isfinite(fn(kp, r, s)))
+        r[1, 2], s[1, 2] = bad
+        with pytest.raises(DomainError, match=message):
+            fn(kp, r, s)
+
+    def test_scalars_give_floats_and_arrays_keep_shape(self):
+        kp = kp_from(4, 1.3)
+        for fn, r, s in ((green, 2.0, 3.0), (green_dr, 3.0, 2.0), (green_dr_right, 3.0, 3.0), (green_dr_left, 2.0, 2.0)):
+            assert type(fn(kp, r, s)) is float
+            assert fn(kp, np.full((2, 3), r), s).shape == (2, 3)
+
+
 class TestGreenDerivative:
     def test_dimension3_point_value(self):
         kp = kp_from(3, 1.0)
@@ -243,10 +285,10 @@ class TestGreenDerivative:
 
     def test_matches_central_difference(self):
         kp = kp_from(4, 1.3)
-        for r, s in ((2.0, 1.2), (1.5, 4.0), (6.0, 2.0)):
-            h = 1e-6
-            fd = (green(kp, r + h, s) - green(kp, r - h, s)) / (2.0 * h)
-            assert green_dr(kp, r, s) == pytest.approx(fd, rel=1e-8)
+        r, s = np.array([2.0, 1.5, 6.0]), np.array([1.2, 4.0, 2.0])
+        h = 1e-6
+        fd = (green(kp, r + h, s) - green(kp, r - h, s)) / (2.0 * h)
+        assert green_dr(kp, r, s) == pytest.approx(fd, rel=1e-8)
 
     def test_diagonal_requires_side(self):
         kp = kp_from(3, 1.0)
@@ -258,16 +300,16 @@ class TestGreenDerivative:
         for n in (2, 3, 4, 5):
             for a in (0.6, 2.0, 50.0):
                 kp = kp_from(n, a)
-                for r in (1.0, 1.7, 5.0):
-                    jump = green_dr_right(kp, r, r) - green_dr_left(kp, r, r)
-                    assert jump == pytest.approx(r ** (1 - n), rel=1e-12)
+                r = np.array([1.0, 1.7, 5.0])
+                jump = green_dr_right(kp, r, r) - green_dr_left(kp, r, r)
+                assert jump == pytest.approx(r ** (1 - n), rel=1e-12)
 
     def test_far_field_decay(self):
         kp = kp_from(3, 2.0)
         s = 1.5
-        for r in (5.0, 8.0, 12.0):
-            bound = 2.0 * math.exp(-2.0 * (r - s)) / (r * s)
-            assert abs(green_dr(kp, r, s)) <= bound
+        r = np.array([5.0, 8.0, 12.0])
+        bound = 2.0 * np.exp(-2.0 * (r - s)) / (r * s)
+        assert np.all(np.abs(green_dr(kp, r, s)) <= bound)
 
     def test_non_finite_values_refused(self):
         # K_nu(alpha) beyond the double range (n = 1000 at alpha = 10) is refused, not used
