@@ -8,15 +8,20 @@ neglected mass below 1e-8 of the solution scale:
 * algebraic decay (inflow/outflow): ``R_max = max(10^(4/(2(n-1))), 50)``
 
 Meshes are graded: spacing ``min(0.2, 1/(points_per_unit_alpha * alpha))``
-at the wall, coarsening geometrically outward up to a cap.  Boundary layers
-of width ``1/alpha ~ sqrt(kappa)`` are thereby resolved without global
-refinement.  For algebraic-decay problems the far-field cap also keeps the
-``exp(-alpha|r-s|)`` kernel peak resolved everywhere, since the algebraic
-source is not negligible far out.
+at the wall, coarsening geometrically outward up to ``H_MAX``, for either
+decay.  Boundary layers of width ``1/alpha ~ sqrt(kappa)`` are thereby
+resolved without global refinement.  Farther out, where the algebraic
+source of a flow still matters, the spacing need not resolve the kernel
+factor ``exp(-alpha|r-s|)``: :mod:`nsk.operators` integrates that factor
+exactly against the quadratic interpolant of the rest.  So the size of a
+flow grid barely grows with ``alpha`` (161 nodes at ``kappa = 3e-3``, 191
+at ``1e-4``).
 
-Quadrature is composite Simpson generalized to unequal panels (exact for
-quadratics on each panel); an odd interval count is closed by integrating
-the quadratic through the last three nodes over the last interval only.
+Quadrature (``weights``, the norms and ``reverse_cumulative``, whose
+integrands carry no kernel exponential) is composite Simpson generalized to
+unequal panels (exact for quadratics on each panel); an odd interval count
+is closed by integrating the quadratic through the last three nodes over
+the last interval only.
 """
 
 from __future__ import annotations
@@ -200,12 +205,7 @@ def build_grid(
         R_max = auto_r_max(n, alpha, decay)
     if R_max <= 1.0:
         raise ConfigError("R_max must exceed 1")
-    h_max = H_MAX
-    if decay == ALGEBRAIC:
-        # keep the kernel peak resolved where the algebraic source still matters
-        h_max = min(h_max, 0.35 / alpha)
     h0 = min(0.2, 1.0 / (points_per_unit_alpha * alpha))
-    h_max = max(h_max, h0)
 
     span = R_max - 1.0
     steps = []
@@ -216,7 +216,7 @@ def build_grid(
         total += h
         if len(steps) + 1 + len(steps) % 2 > max_nodes:  # nodes, with the odd-interval split
             raise GridSizeError(f"grid would exceed {max_nodes} nodes")
-        h = min(h * growth, h_max)
+        h = min(h * growth, H_MAX)
     # uniform rescale onto [1, R_max]: preserves consecutive-spacing ratios,
     # which keeps every generalized-Simpson panel weight positive
     hs = np.array(steps) * (span / total)

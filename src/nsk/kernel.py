@@ -32,8 +32,8 @@ pulling the exponentials out gives the overflow-free representation
 with ``m = \min(r,s)``, ``M = \max(r,s)``.  :class:`KernelFactors` holds
 the per-radius factors (the four hat values, ``r^{-\nu}`` and
 ``e^{-\alpha(r-1)}``), every Bessel value through :mod:`nsk.bessel`;
-:func:`kernel_branches` is the one place they are combined, for the
-pointwise functions here and for :mod:`nsk.operators` alike.  Both
+:func:`kernel_branches` combines them for the pointwise functions here;
+:mod:`nsk.operators` folds the same factors into its quadrature.  Both
 exponents ``-alpha|r-s|`` and ``-alpha(r+s-2)`` are nonpositive on
 ``r, s >= 1``, so nothing overflows even for ``alpha ~ 1e3``.
 
@@ -191,14 +191,13 @@ class KernelFactors:
 def kernel_branches(kp: KernelParams, f: KernelFactors, i, j, lower):
     """``(G, dG/dr) (x_i x_j)^nu`` at index pairs ``(i, j)`` of the table ``f``.
 
-    Where ``lower`` the ``s <= r`` branch, else the ``r <= s`` one; across the
-    diagonal each gives its branch's smooth continuation, whose positive
-    exponent is clamped at 600 against overflow.
+    Where ``lower`` the ``s <= r`` branch, else the ``r <= s`` one; ``lower``
+    must hold where ``x_j < x_i`` and fail where ``x_j > x_i``.
     """
     a = kp.alpha
     c2 = kp.c2
     mn, mx = np.where(lower, j, i), np.where(lower, i, j)
-    e1 = np.exp(np.minimum(-a * (f.x[mx] - f.x[mn]), 600.0))
+    e1 = np.exp(-a * (f.x[mx] - f.x[mn]))
     e12 = f.e2[i] * f.e2[j]
     g = -(f.iv[mn] * f.kv[mx] * e1 + c2 * f.kv[i] * f.kv[j] * e12)
     gdr = a * (np.where(lower, f.kv1[i] * f.iv[j], -f.iv1[i] * f.kv[j]) * e1 + c2 * f.kv1[i] * f.kv[j] * e12)

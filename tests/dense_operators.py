@@ -1,11 +1,17 @@
 """Dense O(M^2) Nystrom matrices: the reference the O(M) operator is tested against.
 
-``dense_operators(grid, kp, kappa)`` returns ``(A, Adr)`` with every row
-built entry by entry: per-target split-Simpson weights (panels split at
-``s = r_i``), the kernel evaluated on the branch of its side of the
-diagonal, the one-sided derivative branches paired at the diagonal node,
-and quadratic stubs in place of the single-interval trapezoids of rows 1
-and ``M-2``.  Memory and time are O(M^2), so use it on small grids only.
+``dense_operators(grid, kp, kappa)`` returns ``(A, Adr)`` built row by row
+from the definition of the rule.  Row ``i`` splits ``[r_0, r_{M-1}]`` at
+``r_i``: on the left the panels paired from node 0, closed for odd ``i``
+by a stub over ``[r_{i-1}, r_i]`` on the quadratic through ``r_{i-2}..r_i``
+(``r_0..r_2`` for row 1); on the right the panels paired from node ``i``,
+closed for an odd interval count by the tail stub over
+``[r_{M-2}, r_{M-1}]`` through the last three nodes.  On each piece the
+weight of a node is the integral of its Lagrange quadratic times the
+kernel's exponential (``e^{-alpha|r_i - s|}`` for the direct term,
+``e^{-alpha(s-1)}`` for the reflection), by composite Gauss-Legendre and
+never from the closed forms of ``nsk.operators``; the Bessel factors come
+from scipy.  Memory and time are O(M^2), so use it on small grids only.
 """
 
 from __future__ import annotations
@@ -13,139 +19,73 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as _sp
 
-from nsk.grid import composite_weights
+__all__ = ["dense_operators"]
 
-__all__ = ["dense_operators", "split_weight_rows"]
+_XI, _WQ = np.polynomial.legendre.leggauss(20)
 
 
-def split_weight_rows(nodes: np.ndarray):
-    """Per-target split-Simpson weights.
+def _row_pieces(M: int, i: int):
+    """The pieces of row ``i`` as arrays ``(lo, hi, tri, left)``: each piece's interval
+    ``[r_lo, r_hi]``, the three nodes of its quadratic, and whether it lies left of ``r_i``."""
+    out = [(k, k + 2, (k, k + 1, k + 2), True) for k in range(0, i - 1, 2)]
+    if i % 2 == 1:
+        out.append((i - 1, i, (0, 1, 2) if i == 1 else (i - 2, i - 1, i), True))
+    out += [(k, k + 2, (k, k + 1, k + 2), False) for k in range(i, M - 2, 2)]
+    if (M - 1 - i) % 2 == 1:
+        out.append((M - 2, M - 1, (M - 3, M - 2, M - 1), False))
+    lo, hi, tri, left = zip(*out)
+    return np.array(lo), np.array(hi), np.array(tri), np.array(left)
 
-    Returns ``(W, wl, wr)``: ``W[i, j]`` is the weight of node ``j`` in row
-    ``i`` for ``j != i`` (``W[i, i] = 0``); ``wl[i]`` / ``wr[i]`` are the
-    separate contributions of node ``i`` from the left and right segments,
-    needed to pair the one-sided derivative-kernel values at the diagonal.
+
+def _piece_weights(nodes: np.ndarray, lo, hi, tri, anchor, alpha: float) -> np.ndarray:
+    """``(P, 3)``: ``int l_m(s) e^{-alpha |s - anchor|} ds`` over each piece ``[r_lo, r_hi]``
+    for the Lagrange quadratics on ``nodes[tri]``, by 20-point Gauss-Legendre on
+    ``2^k`` equal sub-intervals, over each of which ``alpha s`` changes by at most 8.
+
+    Everything is taken as an offset from ``r_lo``: an exponent ``alpha (anchor - s)``
+    formed from ``s`` itself would carry ``alpha`` times the rounding of ``s``, about
+    1e-13 of the result at ``alpha = 100``.
     """
-    M = nodes.size
-    W = np.zeros((M, M))
-    wl = np.zeros(M)
-    wr = np.zeros(M)
-    for i in range(M):
-        row = W[i]
-        row[: i + 1] = composite_weights(nodes[: i + 1])
-        wl[i] = row[i]
-        row[i:] = composite_weights(nodes[i:])
-        wr[i] = row[i]
-        row[i] = 0.0
-    return W, wl, wr
-
-
-def _branch_values(nodes, ivn, kvn, ivn1, kvn1, rpow, alpha, c2, i, j, branch):
-    """(G, dG/dr) at ``(r_i, s_j)`` from one analytic branch.
-
-    ``branch="lower"`` is the ``s <= r`` expression, ``"upper"`` the
-    ``s >= r`` one; either may be evaluated across the diagonal as the
-    smooth continuation of its side (the positive exponent is clamped).
-    """
-    ri, sj = nodes[i], nodes[j]
-    rp2 = rpow[i] * rpow[j]
-    e2 = np.exp(-alpha * (ri + sj - 2.0))
-    if branch == "lower":
-        e1 = np.exp(min(-alpha * (ri - sj), 600.0))
-        g = -rp2 * (ivn[j] * kvn[i] * e1 + c2 * kvn[i] * kvn[j] * e2)
-        gdr = alpha * rp2 * (ivn[j] * kvn1[i] * e1 + c2 * kvn[j] * kvn1[i] * e2)
-    else:
-        e1 = np.exp(min(-alpha * (sj - ri), 600.0))
-        g = -rp2 * (ivn[i] * kvn[j] * e1 + c2 * kvn[i] * kvn[j] * e2)
-        gdr = -alpha * rp2 * (ivn1[i] * kvn[j] * e1 - c2 * kvn1[i] * kvn[j] * e2)
-    return g, gdr
-
-
-def _endpoint_corrections(A, Adr, nodes, ivn, kvn, ivn1, kvn1, rpow, snm1, alpha, c2, inv_kappa):
-    """Upgrade the two single-interval trapezoid segments to quadratic stubs.
-
-    Row 1's left segment and row M-2's right segment span one interval;
-    borrowing the node just across the diagonal, evaluated on the continued
-    branch, restores quadratic exactness without crossing the kink.
-    """
-    M = nodes.size
-    if M < 4:
-        return
-    bv = lambda i, j, br: _branch_values(nodes, ivn, kvn, ivn1, kvn1, rpow, alpha, c2, i, j, br)
-
-    h0 = nodes[1] - nodes[0]
-    h1 = nodes[2] - nodes[1]
-    a0 = h0 * (2.0 * h0 + 3.0 * h1) / (6.0 * (h0 + h1))
-    a1 = h0 * (h0 + 3.0 * h1) / (6.0 * h1)
-    a2 = -(h0**3) / (6.0 * h1 * (h0 + h1))
-    g0, gdr0 = bv(1, 0, "lower")
-    g1, gdr1 = bv(1, 1, "lower")
-    g2, gdr2 = bv(1, 2, "lower")
-    A[1, 0] += (a0 - 0.5 * h0) * g0 * snm1[0] * inv_kappa
-    A[1, 1] += (a1 - 0.5 * h0) * g1 * snm1[1] * inv_kappa
-    A[1, 2] += a2 * g2 * snm1[2] * inv_kappa
-    Adr[1, 0] += (a0 - 0.5 * h0) * gdr0 * snm1[0] * inv_kappa
-    Adr[1, 1] += (a1 - 0.5 * h0) * gdr1 * snm1[1] * inv_kappa
-    Adr[1, 2] += a2 * gdr2 * snm1[2] * inv_kappa
-
-    i = M - 2
-    h0 = nodes[i] - nodes[i - 1]
-    h1 = nodes[i + 1] - nodes[i]
-    b0 = -(h1**3) / (6.0 * h0 * (h0 + h1))
-    b1 = h1 * (3.0 * h0 + h1) / (6.0 * h0)
-    b2 = h1 * (2.0 * h1 + 3.0 * h0) / (6.0 * (h0 + h1))
-    g0, gdr0 = bv(i, i - 1, "upper")
-    g1, gdr1 = bv(i, i, "upper")
-    g2, gdr2 = bv(i, i + 1, "upper")
-    A[i, i - 1] += b0 * g0 * snm1[i - 1] * inv_kappa
-    A[i, i] += (b1 - 0.5 * h1) * g1 * snm1[i] * inv_kappa
-    A[i, i + 1] += (b2 - 0.5 * h1) * g2 * snm1[i + 1] * inv_kappa
-    Adr[i, i - 1] += b0 * gdr0 * snm1[i - 1] * inv_kappa
-    Adr[i, i] += (b1 - 0.5 * h1) * gdr1 * snm1[i] * inv_kappa
-    Adr[i, i + 1] += (b2 - 0.5 * h1) * gdr2 * snm1[i + 1] * inv_kappa
+    length = nodes[hi] - nodes[lo]
+    offset = anchor - nodes[lo]
+    x = nodes[tri] - nodes[lo][:, None]
+    count = 2 ** np.ceil(np.log2(1.0 + alpha * length / 8.0)).astype(int)
+    out = np.empty((lo.size, 3))
+    for n in np.unique(count):
+        k = count == n
+        t = ((np.arange(n)[:, None] + 0.5 * (1.0 + _XI)) / n).ravel()
+        u = length[k, None] * t
+        wu = length[k, None] * np.tile(_WQ, n) / (2.0 * n) * np.exp(-alpha * np.abs(offset[k, None] - u))
+        xk = x[k]
+        for m in range(3):
+            a, b = (xk[:, [j]] for j in range(3) if j != m)
+            out[k, m] = np.sum(wu * (u - a) * (u - b), axis=1) / ((xk[:, [m]] - a) * (xk[:, [m]] - b))[:, 0]
+    return out
 
 
 def dense_operators(grid, kp, kappa):
     """``(A, Adr)`` as dense ``M x M`` arrays."""
-    nodes = grid.nodes
+    r = grid.nodes
+    M = r.size
     alpha = kp.alpha
-    c2 = kp.c2
     v = kp.nu.nu
-    x = alpha * nodes
-    ivn = _sp.ive(v, x)
-    kvn = _sp.kve(v, x)
-    ivn1 = _sp.ive(v + 1.0, x)
-    kvn1 = _sp.kve(v + 1.0, x)
-    rpow = nodes ** (-v)
-    snm1 = nodes ** (grid.n - 1)
-    inv_kappa = 1.0 / kappa
-
-    W, wl, wr = split_weight_rows(nodes)
-    R = nodes[:, None]
-    S = nodes[None, :]
-    E1 = np.exp(-alpha * np.abs(R - S))
-    E2 = np.exp(-alpha * (R + S - 2.0))
-    rp2 = rpow[:, None] * rpow[None, :]
-    lower = R >= S  # target to the right of the source
-    iv_min = np.where(lower, ivn[None, :], ivn[:, None])
-    kv_max = np.where(lower, kvn[:, None], kvn[None, :])
-    G = -rp2 * (iv_min * kv_max * E1 + c2 * (kvn[:, None] * kvn[None, :]) * E2)
-    Gdr = np.where(
-        lower,
-        alpha * rp2 * (ivn[None, :] * kvn1[:, None] * E1 + c2 * kvn[None, :] * kvn1[:, None] * E2),
-        -alpha * rp2 * (ivn1[:, None] * kvn[None, :] * E1 - c2 * kvn1[:, None] * kvn[None, :] * E2),
-    )
-    scale = W * snm1[None, :] * inv_kappa
-    A = G * scale
-    Adr = Gdr * scale
-    idx = np.arange(nodes.size)
-    e2d = np.exp(-alpha * (2.0 * nodes - 2.0))
-    rp2d = rpow * rpow
-    gii = -rp2d * (ivn * kvn + c2 * kvn * kvn * e2d)
-    gdr_right = alpha * rp2d * (ivn * kvn1 + c2 * kvn * kvn1 * e2d)
-    gdr_left = -alpha * rp2d * (ivn1 * kvn - c2 * kvn1 * kvn * e2d)
-    dscale = snm1 * inv_kappa
-    A[idx, idx] = gii * (wl + wr) * dscale
-    Adr[idx, idx] = (wl * gdr_right + wr * gdr_left) * dscale
-    _endpoint_corrections(A, Adr, nodes, ivn, kvn, ivn1, kvn1, rpow, snm1, alpha, c2, inv_kappa)
+    x = alpha * r
+    iv, kv = _sp.ive(v, x), _sp.kve(v, x)
+    iv1, kv1 = _sp.ive(v + 1.0, x), _sp.kve(v + 1.0, x)
+    c2 = _sp.ive(v + 1.0, alpha) / _sp.kve(v + 1.0, alpha)
+    e2 = np.exp(-alpha * (r - 1.0))
+    col = r ** (-v) * r ** (grid.n - 1) / kappa  # source side: s^{-nu} s^{n-1} / kappa
+    A = np.zeros((M, M))
+    Adr = np.zeros((M, M))
+    for i in range(M):
+        lo, hi, tri, left = _row_pieces(M, i)
+        wd = _piece_weights(r, lo, hi, tri, r[i], alpha)  # e^{-alpha |r_i - s|}
+        wr = _piece_weights(r, lo, hi, tri, 1.0, alpha)  # e^{-alpha (s - 1)}
+        side = left[:, None]
+        g = np.where(side, kv[i] * iv[tri], iv[i] * kv[tri]) * wd  # s <= r_i: I at s, K at r_i
+        gdr = np.where(side, kv1[i] * iv[tri], -iv1[i] * kv[tri]) * wd
+        g = g + c2 * kv[i] * e2[i] * kv[tri] * wr
+        gdr = gdr + c2 * kv1[i] * e2[i] * kv[tri] * wr
+        np.add.at(A[i], tri, -(r[i] ** (-v)) * g * col[tri])
+        np.add.at(Adr[i], tri, alpha * r[i] ** (-v) * gdr * col[tri])
     return A, Adr

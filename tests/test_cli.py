@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import signal
+import time
 
 import mpmath as mp
 import numpy as np
@@ -458,10 +459,27 @@ class TestDispatch:
     def test_non_finite_iterate_exits_3(self, tmp_path, capsys):
         # the transport and tail terms overflow for this mu: the second update is NaN
         # and must stop the iteration at once, without a warning, instead of running
-        # max_iter sweeps on NaN
-        cfg = write_config(tmp_path, dict(VALID, mu=1e300, u_minus=0.05))
+        # max_iter sweeps on NaN.  At kappa = 0.01 the first iterate already goes
+        # negative far out, where alpha h reaches 5 and the grid does not resolve the
+        # forcing's e^{-alpha r} part, so the positivity check stops the loop first
+        cfg = write_config(tmp_path, dict(VALID, kappa=0.3, mu=1e300, u_minus=0.05))
         assert dispatch(["solve", "inflow", "--config", cfg]) == 3
         assert capsys.readouterr().err == "solver error: non-finite update at iteration 2\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_kappa_flow_solve_ends_with_a_verdict(self, tmp_path, capsys):
+        # alpha ~ 3e4: the flow grid once needed more than 2e6 nodes (exit 2); now it is a
+        # few hundred, and the solve either converges or stops with a typed solver error
+        cfg = write_config(tmp_path, dict(VALID, kappa=1e-9, rho_b=-0.02, u_minus=0.05))
+        start = time.perf_counter()
+        code = dispatch(["solve", "inflow", "--config", cfg])
+        assert time.perf_counter() - start < 5.0
+        out, err = capsys.readouterr()
+        if code == 0:
+            doc = json.loads(out)
+            assert doc["converged"] is True and math.isfinite(doc["ode_residual_sup"])
+        else:
+            assert code == 3 and err.startswith("solver error: ") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_kappa_wall_solve_is_warning_free(self, tmp_path, capsys):

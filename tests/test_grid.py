@@ -180,7 +180,7 @@ def test_composite_weights_match_panel_loop_on_graded_nodes(size):
 def test_composite_weights_match_panel_loop_on_grids(alpha, decay):
     nodes = build_grid(3, alpha, decay=decay).nodes
     _assert_weights_match_panel_loop(nodes)
-    _assert_weights_match_panel_loop(nodes[1:])  # the operator's odd-parity weights
+    _assert_weights_match_panel_loop(nodes[1:])  # an odd interval count: the tail stub
 
 
 class TestReverseCumulative:

@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_operators import dense_operators, split_weight_rows
+from dense_operators import dense_operators
 
-from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
-from nsk.kernel import ModelParams, green, green_dr, kernel_params
-from nsk.operators import GreenOperator, _sweep
+from nsk.grid import ALGEBRAIC, RadialGrid, build_grid, panel_weights, tail_stub_weights
+from nsk.kernel import ModelParams, green, green_dr_left, green_dr_right, kernel_params
+from nsk.operators import TAYLOR_Z, GreenOperator, _sweep, piece_weights
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,7 @@ CASES = {
     "algebraic n=2": (2, 0.2, lambda a: build_grid(2, a, decay=ALGEBRAIC).nodes),
     "algebraic n=3": (3, 0.05, lambda a: build_grid(3, a, decay=ALGEBRAIC).nodes),
     "algebraic n=4": (4, 0.2, lambda a: build_grid(4, a, decay=ALGEBRAIC).nodes),
+    "algebraic alpha h = 50": (3, 1e-4, lambda a: build_grid(3, a, decay=ALGEBRAIC).nodes),
     "exponential n=2": (2, 0.01, lambda a: build_grid(2, a, points_per_unit_alpha=16.0).nodes),
     "exponential n=4": (4, 0.01, lambda a: build_grid(4, a, points_per_unit_alpha=16.0).nodes),
 }
@@ -86,20 +87,24 @@ def test_sweep_matches_direct_sum(M):
 
 
 def test_rows_match_scalar_kernel(setup):
-    # entries away from the corrected end rows are w_ij G(r_i, s_j) s_j^{n-1} / kappa
+    # rows of A f and Adr f are (1/kappa) int G(r_i, s) f(s) s^{n-1} ds of the scalar kernel
+    # up to the rule's own error (at most 2e-7 of the largest row here): the reference is
+    # 40-point Gauss-Legendre on every interval of the thrice-refined grid, split at r_i
     params, kp, grid = setup
-    op = GreenOperator(grid, kp, params.kappa)
-    W, wl, wr = split_weight_rows(grid.nodes)
-    snm1 = grid.measure()
-    i = grid.size // 2
-    for j in (0, 3, i - 1, i + 1, grid.size - 5):
-        unit = np.zeros(grid.size)
-        unit[j] = 1.0
-        a_col, adr_col = op.apply(unit)
-        expect = W[i, j] * green(kp, grid.nodes[i], grid.nodes[j]) * snm1[j] / params.kappa
-        assert a_col[i] == pytest.approx(expect, rel=1e-13, abs=1e-300)
-        expect = W[i, j] * green_dr(kp, grid.nodes[i], grid.nodes[j]) * snm1[j] / params.kappa
-        assert adr_col[i] == pytest.approx(expect, rel=1e-13, abs=1e-300)
+    grid = grid.refined().refined().refined()
+    r = grid.nodes
+    af, adrf = GreenOperator(grid, kp, params.kappa).apply(np.cos(r) / r**2)
+    xi, wq = np.polynomial.legendre.leggauss(40)
+    s = (0.5 * (r[:-1] + r[1:])[:, None] + 0.5 * np.diff(r)[:, None] * xi).ravel()
+    ws = (0.5 * np.diff(r)[:, None] * wq).ravel() * np.cos(s) * s ** (params.n - 3) / params.kappa
+    for i in (1, 2, 3, 50, grid.size // 2, grid.size - 3, grid.size - 2):
+        left = s < r[i]
+        a_ref = np.dot(ws, green(kp, r[i], s))
+        adr_ref = np.dot(ws[left], green_dr_right(kp, r[i], s[left])) + np.dot(
+            ws[~left], green_dr_left(kp, r[i], s[~left])
+        )
+        assert abs(af[i] - a_ref) <= 1e-6 * np.max(np.abs(af))
+        assert abs(adrf[i] - adr_ref) <= 1e-6 * np.max(np.abs(adrf))
 
 
 def test_operator_inverts_helmholtz(setup):
@@ -139,8 +144,7 @@ def test_quadrature_convergence_of_operator(setup):
 def test_memory_is_linear_in_grid_size():
     # dense A and Adr would take 16 M^2 bytes: about 50 GB here
     kp = _kernel(2, 2.5e-5)
-    grid = build_grid(2, kp.alpha, decay=ALGEBRAIC)
-    assert grid.size >= 50_000
+    grid = RadialGrid.from_nodes(np.linspace(1.0, 100.0, 50_001), 2)  # alpha h = 0.4
     f = np.cos(grid.nodes)
     tracemalloc.start()
     try:
@@ -150,3 +154,79 @@ def test_memory_is_linear_in_grid_size():
         tracemalloc.stop()
     assert np.all(np.isfinite(af)) and np.all(np.isfinite(adrf))
     assert peak < 64 * 2**20
+
+
+# piece_weights' six weight sets on the nodes 0, h0, h0 + h1: (lo, hi, anchor, sign of s - anchor)
+PIECES = (
+    lambda h0, h1: (0.0, h0 + h1, 0.0, 1.0),  # panel, anchored at its start
+    lambda h0, h1: (0.0, h0 + h1, h0 + h1, -1.0),  # ... and at its end
+    lambda h0, h1: (h0, h0 + h1, h0, 1.0),  # stub over the second interval
+    lambda h0, h1: (h0, h0 + h1, h0 + h1, -1.0),
+    lambda h0, h1: (0.0, h0, 0.0, 1.0),  # stub over the first interval
+    lambda h0, h1: (0.0, h0, h0, -1.0),
+)
+
+
+def _exp_moment(k, lo, hi, anchor, sign, alpha):
+    """``int_lo^hi s^k e^{-alpha |s - anchor|} ds`` by 30-point Gauss-Legendre on 16 equal
+    pieces of ``t = alpha |s - anchor|`` up to 80 (``e^{-80}`` is below 1e-34)."""
+    span = min(alpha * (hi - lo), 80.0)
+    xi, wq = np.polynomial.legendre.leggauss(30)
+    edges = np.linspace(0.0, span, 17)
+    t = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * xi).ravel()
+    w = (0.5 * np.diff(edges)[:, None] * wq).ravel()
+    s = anchor + sign * t / alpha
+    return np.dot(w, np.exp(-t) * s**k) / alpha
+
+
+@pytest.mark.parametrize("ratio", (0.5, 1.0, 1.9))
+@pytest.mark.parametrize("alpha_h", (1e-8, 1e-3, 0.1, 1.0, 10.0, 1e3, 5e3))
+def test_piece_weights_integrate_quadratics_against_the_exponential(alpha_h, ratio):
+    # h0 = 1, so alpha h0 = alpha_h; every weight set integrates {1, s, s^2} e^{-alpha|s - anchor|}
+    # to 1e-13 relative on nodes that start at the wall, r = 1.  Measured from the origin
+    # instead, s^2 e^{-alpha s} integrates to 2/alpha^3 while single terms are about
+    # 1/alpha^2: rounding the weights alone costs up to 1e-12 of that, so there the
+    # error is held to 1e-13 of sum_m |w_m| s_m^k
+    h0, h1 = 1.0, ratio
+    weights = piece_weights(alpha_h, h0, h1)
+    for origin in (1.0, 0.0):
+        x = origin + np.array([0.0, h0, h0 + h1])
+        for piece, w in zip(PIECES, weights):
+            assert np.all(np.isfinite(w))
+            lo, hi, anchor, sign = piece(h0, h1)
+            for k in (0, 1, 2):
+                ref = _exp_moment(k, origin + lo, origin + hi, origin + anchor, sign, alpha_h)
+                scale = abs(ref) if origin else np.dot(np.abs(w), x**k)
+                assert abs(np.dot(w, x**k) - ref) <= 1e-13 * scale
+
+
+def test_piece_weights_are_continuous_across_the_taylor_switch():
+    # alpha times each piece length on either side of the switch, one rounding apart
+    for h0, h1 in ((1.0, 0.5), (1.0, 1.0), (1.0, 1.9)):
+        for length in (h0 + h1, h1, h0):
+            below = np.nextafter(TAYLOR_Z, 0.0) / length
+            for lo, hi in zip(piece_weights(below, h0, h1), piece_weights(TAYLOR_Z / length, h0, h1)):
+                assert np.max(np.abs(lo - hi)) <= 1e-14 * (h0 + h1)
+
+
+def test_piece_weights_tend_to_simpson():
+    h0, h1 = 0.3, 0.45
+    simpson = panel_weights(h0, h1)
+    second = tail_stub_weights(h0, h1)
+    first = tail_stub_weights(h1, h0)[::-1]
+    for alpha in (0.0, 1e-12):
+        pu, pd, su, sd, fu, fd = piece_weights(alpha, h0, h1)
+        for got, ref in ((pu, simpson), (pd, simpson), (su, second), (sd, second), (fu, first), (fd, first)):
+            assert got == pytest.approx(np.array(ref), rel=1e-11, abs=0.0)
+
+
+def test_huge_alpha_h_apply_is_finite_and_quiet():
+    # kappa = 1e-8 on the flow grid: alpha h reaches 5e3 and every decay underflows to 0
+    kappa = 1e-8
+    kp = _kernel(3, kappa)
+    grid = build_grid(3, kp.alpha, decay=ALGEBRAIC)
+    assert kp.alpha * np.max(np.diff(grid.nodes)) > 4e3
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        op = GreenOperator(grid, kp, kappa)
+        af, adrf = op.apply(grid.nodes ** -4.0)
+    assert np.all(np.isfinite(af)) and np.all(np.isfinite(adrf))
