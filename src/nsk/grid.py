@@ -17,11 +17,15 @@ exactly against the quadratic interpolant of the rest.  So the size of a
 flow grid barely grows with ``alpha`` (161 nodes at ``kappa = 3e-3``, 191
 at ``1e-4``).
 
-Quadrature (``weights``, the norms and ``reverse_cumulative``, whose
-integrands carry no kernel exponential) is composite Simpson generalized to
-unequal panels (exact for quadratics on each panel); an odd interval count
-is closed by integrating the quadratic through the last three nodes over
-the last interval only.
+Quadrature.  Every integral over a grid uses one partition, fixed by
+``RadialGrid.interval_rule``: each interval ``[r_k, r_{k+1}]`` is
+integrated on the quadratic of its Simpson panel (panels paired from node
+0, spacings unequal), and an odd last interval on the quadratic through
+the last three nodes.  ``weights`` (and so the norms) and
+``reverse_cumulative`` sum it against plain ``dr``, which is composite
+Simpson, exact for quadratics on each panel; the Green operator of
+:mod:`nsk.operators` integrates the same quadratics against the kernel's
+exponential.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .bessel import check_finite
 from .errors import ConfigError, GridSizeError
 
-__all__ = ["RadialGrid", "build_grid", "composite_weights", "panel_weights", "tail_stub_weights"]
+__all__ = ["RadialGrid", "build_grid"]
 
 EXPONENTIAL = "exponential"
 ALGEBRAIC = "algebraic"
@@ -43,15 +47,7 @@ MAX_NODES_DEFAULT = 2_000_000
 H_MAX = 0.5  # spacing cap far from the wall
 
 
-def panel_weights(h0: float, h1: float):
-    """Quadratic-exact weights for one Simpson panel with spacings h0, h1."""
-    w0 = (h0 + h1) * (2.0 * h0 - h1) / (6.0 * h0)
-    w1 = (h0 + h1) ** 3 / (6.0 * h0 * h1)
-    w2 = (h0 + h1) * (2.0 * h1 - h0) / (6.0 * h1)
-    return w0, w1, w2
-
-
-def tail_stub_weights(h0: float, h1: float):
+def _tail_stub_weights(h0: float, h1: float):
     """Integral over the last interval of the quadratic through 3 nodes.
 
     Nodes at ``-h0, 0, h1``; integration over ``[0, h1]``.
@@ -60,32 +56,6 @@ def tail_stub_weights(h0: float, h1: float):
     w1 = h1 * (3.0 * h0 + h1) / (6.0 * h0)
     w2 = h1 * (2.0 * h1 + 3.0 * h0) / (6.0 * (h0 + h1))
     return w0, w1, w2
-
-
-def composite_weights(nodes: np.ndarray) -> np.ndarray:
-    """Quadrature weights for ``integral_{nodes[0]}^{nodes[-1]} f(r) dr``.
-
-    Panels are paired from ``nodes[0]``; an odd interval count is closed by a
-    3-point quadratic over the final interval (a trapezoid if there is a
-    single interval and no third node).
-    """
-    out = np.zeros_like(nodes)
-    b = len(nodes) - 1
-    if b == 1:
-        out[:] = 0.5 * (nodes[1] - nodes[0])
-        return out
-    h = np.diff(nodes)
-    k = b - b % 2  # intervals covered by full panels
-    w0, w1, w2 = panel_weights(h[0:k:2], h[1:k:2])
-    out[0:k:2] += w0
-    out[1:k:2] += w1
-    out[2 : k + 1 : 2] += w2
-    if k == b - 1:
-        w0, w1, w2 = tail_stub_weights(h[b - 2], h[b - 1])
-        out[b - 2] += w0
-        out[b - 1] += w1
-        out[b] += w2
-    return out
 
 
 @dataclass(frozen=True)
@@ -97,7 +67,6 @@ class RadialGrid:
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     n: int
     R_max: float
 
@@ -109,10 +78,10 @@ class RadialGrid:
             raise ConfigError("grid needs at least 3 nodes")
         if nodes[0] != 1.0 or np.any(np.diff(nodes) <= 0.0):
             raise ConfigError("grid nodes must start at 1 and increase strictly")
-        weights = composite_weights(nodes)
-        if np.any(weights <= 0.0):
+        grid = cls(nodes=nodes, n=int(n), R_max=float(nodes[-1]))
+        if np.any(grid.weights <= 0.0):
             raise ConfigError("quadrature weights must be positive")
-        return cls(nodes=nodes, weights=weights, n=int(n), R_max=float(nodes[-1]))
+        return grid
 
     @property
     def size(self) -> int:
@@ -133,23 +102,30 @@ class RadialGrid:
         return float(np.sqrt(np.dot(self.weights, np.asarray(f) ** 2 * self.measure())))
 
     def reverse_cumulative(self, g: np.ndarray) -> np.ndarray:
-        """``T_i ~ integral_{r_i}^{R_max} g(s) ds`` by panel-wise quadratics.
-
-        Each Simpson panel's quadratic is integrated over its two intervals
-        separately, so sums over whole panels reproduce the composite rule;
-        ``T[-1] = 0`` exactly.
-        """
+        """``T_i ~ integral_{r_i}^{R_max} g(s) ds`` by the interval rule; ``T[-1] = 0`` exactly."""
         self._check_len(g)
-        idx, w = self._interval_rule
+        idx, w = self.interval_rule
         part = w * np.asarray(g, dtype=float)[idx]
         out = np.zeros(self.nodes.size)
         out[:-1] = np.cumsum((part[0] + part[1] + part[2])[::-1])[::-1]
         return out
 
     @cached_property
-    def _interval_rule(self):
+    def weights(self) -> np.ndarray:
+        """Composite-Simpson weights for ``integral_1^{R_max} f(r) dr``: the interval rule
+        summed per node."""
+        idx, w = self.interval_rule
+        return np.bincount(idx.ravel(), w.ravel(), minlength=self.size)
+
+    @cached_property
+    def interval_rule(self):
         """``(idx, w)``, both ``(3, M-1)``: the integral over interval ``k`` is
-        ``sum_a w[a, k] f[idx[a, k]]``, on the three nodes of its quadratic."""
+        ``sum_a w[a, k] f[idx[a, k]]``, on the three nodes of its quadratic.
+
+        The one place that decides which quadratic integrates which interval:
+        that of its Simpson panel (panels paired from node 0), and for an odd
+        last interval the one through the last three nodes.
+        """
         x = self.nodes
         m = x.size - 1
         ks = np.arange(0, m - 1, 2)
@@ -158,12 +134,12 @@ class RadialGrid:
         start = np.repeat(ks, 2)
         w = np.empty((3, m))
         # the first interval of a panel is the mirror image of a tail stub
-        w[::-1, 0 : 2 * ks.size : 2] = tail_stub_weights(h1, h0)
-        w[:, 1 : 2 * ks.size : 2] = tail_stub_weights(h0, h1)
+        w[::-1, 0 : 2 * ks.size : 2] = _tail_stub_weights(h1, h0)
+        w[:, 1 : 2 * ks.size : 2] = _tail_stub_weights(h0, h1)
         if m % 2 == 1:
             j = m - 1
             start = np.append(start, j - 1)
-            w[:, j] = tail_stub_weights(x[j] - x[j - 1], x[j + 1] - x[j])
+            w[:, j] = _tail_stub_weights(x[j] - x[j - 1], x[j + 1] - x[j])
         return start + np.arange(3)[:, None], w
 
     def refined(self) -> "RadialGrid":

@@ -24,51 +24,47 @@ a smooth factor (``\hat I_\nu(\alpha s)`` or ``\hat K_\nu(\alpha s)``, times
 wall, times one exponential: ``e^{-\alpha(r_i-s)}`` left of the target,
 ``e^{-\alpha(s-r_i)}`` right of it, ``e^{-\alpha(s-1)}`` in the reflection.
 
-*Quadrature.*  ``G(r_i, \cdot)`` has a kink at ``s = r_i`` (and
-``\partial_r G`` a jump), so row ``i`` splits there.  ``[r_0, r_i]`` is
-covered by the panels paired from node 0 and, for odd ``i``, closed by a
-stub over ``[r_{i-1}, r_i]`` on the quadratic through ``r_{i-2}, r_{i-1},
-r_i`` (through ``r_0, r_1, r_2`` for row 1); ``[r_i, r_{M-1}]`` by the
-panels paired from node ``i``, closed for an odd interval count by the tail
-stub over ``[r_{M-2}, r_{M-1}]`` through the last three nodes.  On each
-piece the rule is product integration (Filon): the smooth factor is
-replaced by its quadratic interpolant on the piece's three nodes and
-integrated exactly against the exponential, so the spacing has to resolve
-the smooth factor, not ``1/alpha``.  :func:`piece_weights` gives the
-weights from the moments ``int_0^1 e^{-z t} t^k dt``, ``z = alpha`` times
-the piece length: below ``z = 1`` from the Taylor series of ``m_2`` and a
-downward recurrence (the closed forms cancel there), above it from
-``expm1`` and the upward recurrence, where ``e^{-z}`` can only underflow.
-As ``z -> 0`` they are the Simpson and tail-stub weights of :mod:`nsk.grid`.
+*Quadrature.*  Every row integrates over the one partition of
+:mod:`nsk.grid`: ``grid.interval_rule`` gives each interval ``[r_k,
+r_{k+1}]`` the three nodes of its quadratic (those of its Simpson panel,
+or the last three for an odd last interval).  ``G(r_i, \cdot)`` has a kink
+at ``s = r_i`` (and ``\partial_r G`` a jump), which is a node, so row ``i``
+takes the intervals left of ``r_i`` on the lower branch and those right
+of it on the upper one.  On each interval the rule is product integration
+(Filon): the smooth factor is replaced by its quadratic and integrated
+exactly against the exponential, so the spacing has to resolve the smooth
+factor, not ``1/alpha``.  :func:`piece_weights` gives two weight sets per
+interval, against ``e^{-alpha(r_{k+1}-s)}`` and against
+``e^{-alpha(s-r_k)}``, from the moments ``int_0^1 e^{-z t} t^k dt``,
+``z = alpha`` times the interval length: below ``z = 1`` from the Taylor
+series of ``m_2`` and a downward recurrence (the closed forms cancel
+there), above it from ``expm1`` and the upward recurrence, where
+``e^{-z}`` can only underflow.  As ``z -> 0`` both are the interval
+weights of the grid.
 
-*Piece sums.*  Each piece's exponential is anchored at its end nearest
-the rows it serves, so every weight is at most the piece length and no
-weight carries an ``e^{+alpha h}``.  A piece left of row ``i`` enters as
-``e^{-alpha(r_i - r_e)}`` times one panel sum injected at its end node
-``e``; a piece right of it as ``e^{-alpha(r_a - r_i)}`` times one sum at its
-start node ``a``, one such sequence per pairing parity; the reflection
-pieces as plain sums, anchored at their start.  So a row's sums over
-``j < i`` are one forward recurrence ``L_i = d_i (L_{i-1} + x_{i-1})`` with
-decay factors ``d_i = exp(-alpha (r_i - r_{i-1})) <= 1``, those over
-``j > i`` one backward recurrence per parity, and the reflection a prefix
-plus a suffix sum.  The sums include the piece that ends (or starts) at
-the row's own node, so the diagonal node meets the lower branch through
-the left segment and the upper branch through the right one, which pairs
-it with the one-sided derivative branches.  The odd rows' left stubs are
-the only pieces no other row shares; each is added to its row alone.
-``Adr`` reuses the same sums with ``\hat K_{\nu+1}``, ``\hat I_{\nu+1}`` as
-target factors.
+*Piece sums.*  Each exponential is anchored at the end of the interval
+nearest the rows it serves, so no weight carries an ``e^{+alpha h}``.  Interval ``k`` enters the rows
+``i > k`` as ``e^{-alpha(r_i - r_{k+1})}`` times one sum ``x_k`` at its end
+node, and the rows ``i <= k`` as ``e^{-alpha(r_k - r_i)}`` times one sum
+``y_k`` at its start node.  So the sums over the left of every row are one
+forward recurrence ``L_i = d_i L_{i-1} + x_{i-1}`` with decay factors
+``d_i = exp(-alpha (r_i - r_{i-1})) <= 1``, and those over the right one
+backward recurrence.  The reflection factor
+``e^{-alpha(s-1)} = e^{-alpha(r_k-1)} e^{-alpha(s-r_k)}`` has no kink,
+so it is the one scalar ``sum_k e^{-alpha(r_k-1)} y_k``, shared by every
+row.  ``Adr`` reuses the same sums with ``\hat K_{\nu+1}``,
+``\hat I_{\nu+1}`` as target factors.
 
-*Evaluation.*  The three recurrences (the forward one, and the backward one
-of each parity run forward on reversed arrays) are one stacked ``(3, M)``
-doubling scan (Hillis & Steele 1986; Blelloch 1990).  Each step of a
-recurrence is an affine map ``out_i = a_i out_{i-1} + b_i``; pass ``k``
-composes every map with the one ``k`` places before it, so ``ceil(log2 M)``
-whole-array passes give every prefix.  The composed ``a`` are products of
-decay factors, so they stay in ``[0, 1]``; a decay that underflows is
-exactly 0 and cuts the chain.  An apply thus costs O(M log M) arithmetic
-in O(log M) vector passes and O(M) memory; the panel sums are gathers of
-three nodes each and the reflection sums cumulative sums, O(M).
+*Evaluation.*  The two recurrences (the backward one run forward on
+reversed arrays) are one stacked ``(2, M)`` doubling scan (Hillis & Steele
+1986; Blelloch 1990).  Each step of a recurrence is an affine map
+``out_i = a_i out_{i-1} + b_i``; pass ``k`` composes every map with the
+one ``k`` places before it, so ``ceil(log2 M)`` whole-array passes give
+every prefix.  The composed ``a`` are products of decay factors, so they
+stay in ``[0, 1]``; a decay that underflows is exactly 0 and cuts the
+chain.  An apply thus costs O(M log M) arithmetic in O(log M) vector
+passes and O(M) memory; the interval sums are one gather of three nodes
+each, O(M).
 """
 
 from __future__ import annotations
@@ -130,27 +126,20 @@ def _fitted(moments, length, t0, t1, t2):
     return np.array([weight(t0, t1, t2), weight(t1, t0, t2), weight(t2, t0, t1)])
 
 
-def piece_weights(alpha, h0, h1):
-    """Product-integration weights of every piece on nodes ``x0 < x1 < x2``.
+def piece_weights(grid: RadialGrid, alpha: float):
+    """Product-integration weights of every interval ``[r_k, r_{k+1}]`` of ``grid``.
 
-    ``h0, h1`` are the spacings (arrays broadcast).  Six ``(3, ...)`` arrays,
-    the weights of ``x0, x1, x2`` in order: the panel ``[x0, x2]`` against
-    ``e^{-alpha(s-x0)}`` and ``e^{-alpha(x2-s)}``, the stub ``[x1, x2]``
-    against ``e^{-alpha(s-x1)}`` and ``e^{-alpha(x2-s)}``, and the stub
-    ``[x0, x1]`` against ``e^{-alpha(s-x0)}`` and ``e^{-alpha(x1-s)}``.  At
-    ``alpha = 0`` they are the Simpson and tail-stub weights of :mod:`nsk.grid`.
+    Two ``(3, M-1)`` arrays on the nodes ``grid.interval_rule`` gives each
+    interval: its quadratic integrated against ``e^{-alpha(r_{k+1}-s)}`` (for
+    the rows right of it) and against ``e^{-alpha(s-r_k)}`` (for the rows left
+    of it and the reflection).  At ``alpha = 0`` both are the interval weights
+    of the grid.
     """
-    span = h0 + h1
-    lengths = np.array(np.broadcast_arrays(span, h1, h0))
-    mp, m1, m0 = np.moveaxis(np.array(_moments(alpha * lengths)), 1, 0)  # one call for all
-    return (
-        _fitted(mp, span, 0.0, h0 / span, 1.0),
-        _fitted(mp, span, 1.0, h1 / span, 0.0),
-        _fitted(m1, h1, -h0 / h1, 0.0, 1.0),
-        _fitted(m1, h1, 1.0 + h0 / h1, 1.0, 0.0),
-        _fitted(m0, h0, 0.0, 1.0, 1.0 + h1 / h0),
-        _fitted(m0, h0, 1.0, 0.0, -h1 / h0),
-    )
+    r = grid.nodes
+    idx, _ = grid.interval_rule
+    h = np.diff(r)
+    moments = _moments(alpha * h)
+    return _fitted(moments, h, *(r[1:] - r[idx]) / h), _fitted(moments, h, *(r[idx] - r[:-1]) / h)
 
 
 def _sweep(decay: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -178,62 +167,28 @@ class GreenOperator:
     def __init__(self, grid: RadialGrid, kp: KernelParams, kappa: float):
         if kappa <= 0.0:
             raise ConfigError("kappa must be positive")
-        r = grid.nodes
-        M = r.size
         a = kp.alpha
-        c2 = kp.c2
-        f = KernelFactors(kp, r)
+        f = KernelFactors(kp, grid.nodes)
         iv, kv, iv1, kv1, rp, e2 = f.iv, f.kv, f.iv1, f.kv1, f.rp, f.e2
+        c2 = kp.c2
         src = rp * grid.measure() / kappa
-        h = np.diff(r)
-        decay = np.exp(-a * h)
-        down = np.append(0.0, decay)
-        up = np.append(0.0, decay[::-1])
-        self._decay = np.stack([down, up, up])
-        self._odd = np.arange(M) % 2 == 1
-        even = ~self._odd
-
-        # the pieces on nodes k..k+2, for every k; row 1's stub is the first one's [r_0, r_1]
-        panel_up, panel_dn, stub_up, stub_dn, first_up, first_dn = piece_weights(a, h[:-1], h[1:])
-
-        # per node: the left piece that ends there (a panel at even nodes; at odd ones the
-        # stub closing that row's left segment, which no other row shares) and the right
-        # piece that starts there (a panel, or the tail stub at M-2), with the nodes they read
-        m = np.arange(3)[:, None]
-        idx = np.arange(M)
-        left = np.maximum(idx - 2, 0) + m
-        right = np.minimum(idx, M - 3) + m
-        lo, lo_refl, hi = np.zeros((3, M)), np.zeros((3, M)), np.zeros((3, M))
-        lo[:, 1], lo[:, 2::2], lo[:, 3::2] = first_dn[:, 0], panel_dn[:, 0::2], stub_dn[:, 1::2]
-        lo_refl[:, 1] = first_up[:, 0]  # anchored at r_0, where e^{-alpha(s-1)} is 1
-        lo_refl[:, 2::2] = (panel_up * e2[:-2])[:, 0::2]
-        lo_refl[:, 3::2] = (stub_up * e2[1:-1])[:, 1::2]
-        hi[:, :-2], hi[:, -2] = panel_up, stub_up[:, -1]
-
-        # source-side factors folded in; the rows of the sweeps (j < i, then j > i for each
-        # parity, reversed) and of the reflection sums read the same nodes
-        lo = lo * (iv * src)[left]
-        lo_refl = lo_refl * (kv * src)[left]
-        hi = hi * (kv * src)[right]
-        odd = self._odd
-        sweep_w = [lo * even, (hi * even)[:, ::-1], (hi * odd)[:, ::-1]]
-        refl_w = [lo_refl * even, (hi * e2 * even)[:, ::-1], (hi * e2 * odd)[:, ::-1]]
-        self._cols = np.stack([left, right[:, ::-1], right[:, ::-1]])
-        self._piece_w = np.array([sweep_w, refl_w])
-        self._stub_w = np.array([lo * odd, lo_refl * odd])
+        decay = np.exp(-a * np.diff(grid.nodes))
+        self._decay = np.stack([np.append(0.0, decay), np.append(0.0, decay[::-1])])
+        self._idx = grid.interval_rule[0]
+        # source-side factors folded in: I left of the row, K right of it and in the reflection
+        down, up = piece_weights(grid, a)
+        self._w = np.stack([down * (iv * src)[self._idx], up * (kv * src)[self._idx]])
+        self._e2 = e2[:-1]
         self._target_a = (-rp * kv, -rp * iv, -rp * c2 * kv * e2)
         self._target_dr = (a * rp * kv1, -a * rp * iv1, a * rp * c2 * kv1 * e2)
 
     def apply(self, f) -> tuple:
         """``(A f, Adr f)`` for samples ``f`` on the grid nodes."""
-        f = np.asarray(f, dtype=float)
-        g = f[self._cols]
-        x, y = (self._piece_w * g).sum(axis=2)
-        stub, stub_refl = (self._stub_w * g[0]).sum(axis=1)
-        lo, hi0, hi1 = _sweep(self._decay, x) + x
-        before, after0, after1 = np.cumsum(y, axis=-1)
-        lo = lo + stub
-        hi = np.where(self._odd, hi1[::-1], hi0[::-1])
-        refl = before + stub_refl + np.where(self._odd, after1[::-1], after0[::-1])
+        x, y = (self._w * np.asarray(f, dtype=float)[self._idx]).sum(axis=1)
+        b = np.zeros(self._decay.shape)
+        b[0, 1:], b[1, 1:] = x, y[::-1]  # at each interval's end node; at its start, reversed
+        lo, hi = _sweep(self._decay, b) + b
+        hi = hi[::-1]
+        refl = np.dot(self._e2, y)
         (a_lo, a_hi, a_refl), (d_lo, d_hi, d_refl) = self._target_a, self._target_dr
         return a_lo * lo + a_hi * hi + a_refl * refl, d_lo * lo + d_hi * hi + d_refl * refl

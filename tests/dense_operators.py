@@ -1,17 +1,17 @@
 """Dense O(M^2) Nystrom matrices: the reference the O(M) operator is tested against.
 
 ``dense_operators(grid, kp, kappa)`` returns ``(A, Adr)`` built row by row
-from the definition of the rule.  Row ``i`` splits ``[r_0, r_{M-1}]`` at
-``r_i``: on the left the panels paired from node 0, closed for odd ``i``
-by a stub over ``[r_{i-1}, r_i]`` on the quadratic through ``r_{i-2}..r_i``
-(``r_0..r_2`` for row 1); on the right the panels paired from node ``i``,
-closed for an odd interval count by the tail stub over
-``[r_{M-2}, r_{M-1}]`` through the last three nodes.  On each piece the
-weight of a node is the integral of its Lagrange quadratic times the
-kernel's exponential (``e^{-alpha|r_i - s|}`` for the direct term,
-``e^{-alpha(s-1)}`` for the reflection), by composite Gauss-Legendre and
-never from the closed forms of ``nsk.operators``; the Bessel factors come
-from scipy.  Memory and time are O(M^2), so use it on small grids only.
+from the definition of the rule.  Every row integrates over the same
+partition: each interval ``[r_k, r_{k+1}]`` on the quadratic of its Simpson
+panel (panels paired from node 0), an odd last interval on the quadratic
+through the last three nodes.  Row ``i`` takes the intervals left of
+``r_i`` on the kernel's lower branch and those right of it on the upper
+one.  On each interval the weight of a node is the integral of its
+Lagrange quadratic times the kernel's exponential (``e^{-alpha|r_i - s|}``
+for the direct term, ``e^{-alpha(s-1)}`` for the reflection), by composite
+Gauss-Legendre and never from the closed forms of ``nsk.operators``; the
+Bessel factors come from scipy.  Memory and time are O(M^2), so use it on
+small grids only.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ _XI, _WQ = np.polynomial.legendre.leggauss(20)
 
 
 def _row_pieces(M: int, i: int):
-    """The pieces of row ``i`` as arrays ``(lo, hi, tri, left)``: each piece's interval
+    """The pieces of row ``i`` as arrays ``(lo, hi, tri, left)``: each interval
     ``[r_lo, r_hi]``, the three nodes of its quadratic, and whether it lies left of ``r_i``."""
-    out = [(k, k + 2, (k, k + 1, k + 2), True) for k in range(0, i - 1, 2)]
-    if i % 2 == 1:
-        out.append((i - 1, i, (0, 1, 2) if i == 1 else (i - 2, i - 1, i), True))
-    out += [(k, k + 2, (k, k + 1, k + 2), False) for k in range(i, M - 2, 2)]
-    if (M - 1 - i) % 2 == 1:
-        out.append((M - 2, M - 1, (M - 3, M - 2, M - 1), False))
+    out = []
+    for k in range(M - 1):
+        first = k - k % 2  # the first node of the interval's panel
+        if first + 2 > M - 1:  # an odd last interval: the last three nodes
+            first = M - 3
+        out.append((k, k + 1, (first, first + 1, first + 2), k < i))
     lo, hi, tri, left = zip(*out)
     return np.array(lo), np.array(hi), np.array(tri), np.array(left)
 

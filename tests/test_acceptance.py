@@ -322,3 +322,22 @@ def test_criterion_9_flow_grids_do_not_scale_with_alpha():
             ok &= abs(far[0] - far[1]) <= 1e-4 * far[0]
             lines.append(f"far sup resolved to {abs(far[0] - far[1]) / far[0]:.1e}")
     _report(9, "flow grids independent of alpha", ok, "; ".join(lines))
+
+
+def test_criterion_10_residual_order_under_refinement():
+    # every row of the operator integrates over the one partition of the grid, so the ODE
+    # residual converges at the order of the rule: each halving of every interval cuts its
+    # sup by at least 6x (a row-dependent pairing of Simpson panels held it near order 2)
+    lines, ok = [], True
+    for u_minus in (0.05, 0.2):
+        p = ModelParams(n=3, gamma=1.0, kappa=1e-2, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=u_minus)
+        grid = RunConfig(model=p).grid(p)
+        sups = []
+        for _ in range(4):
+            sups.append(solve_stationary(p, grid, tol=1e-13, max_iter=400)[1].ode_residual_sup)
+            grid = grid.refined()
+        cuts = [a / b for a, b in zip(sups, sups[1:])]
+        ok &= min(cuts) >= 6.0
+        trail = " -> ".join(f"{s:.1e}" for s in sups)
+        lines.append(f"u={u_minus:+}: {trail} (min cut x{min(cuts):.1f})")
+    _report(10, "residual order under refinement", ok, "; ".join(lines))

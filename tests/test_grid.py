@@ -14,9 +14,6 @@ from nsk.grid import (
     RadialGrid,
     auto_r_max,
     build_grid,
-    composite_weights,
-    panel_weights,
-    tail_stub_weights,
 )
 
 
@@ -144,43 +141,50 @@ class TestQuadrature:
 
 
 def _composite_weights_by_panel(nodes):
-    """The panel-by-panel loop that ``composite_weights`` vectorizes."""
+    """Composite Simpson on unequal panels, summed panel by panel from node 0 and closed
+    for an odd interval count by the quadratic through the last three nodes."""
     out = np.zeros_like(nodes)
     b = len(nodes) - 1
-    if b == 1:
-        out[:] = 0.5 * (nodes[1] - nodes[0])
-        return out
     k = 0
     while b - k >= 2:
-        w0, w1, w2 = panel_weights(nodes[k + 1] - nodes[k], nodes[k + 2] - nodes[k + 1])
-        out[k : k + 3] += (w0, w1, w2)
+        h0, h1 = nodes[k + 1] - nodes[k], nodes[k + 2] - nodes[k + 1]
+        out[k] += (h0 + h1) * (2.0 * h0 - h1) / (6.0 * h0)
+        out[k + 1] += (h0 + h1) ** 3 / (6.0 * h0 * h1)
+        out[k + 2] += (h0 + h1) * (2.0 * h1 - h0) / (6.0 * h1)
         k += 2
-    if k == b - 1:
-        w0, w1, w2 = tail_stub_weights(nodes[b - 1] - nodes[b - 2], nodes[b] - nodes[b - 1])
-        out[b - 2 : b + 1] += (w0, w1, w2)
+    if k == b - 1:  # nodes at -h0, 0, h1, integrated over [0, h1]
+        h0, h1 = nodes[b - 1] - nodes[b - 2], nodes[b] - nodes[b - 1]
+        out[b - 2] -= h1**3 / (6.0 * h0 * (h0 + h1))
+        out[b - 1] += h1 * (3.0 * h0 + h1) / (6.0 * h0)
+        out[b] += h1 * (2.0 * h1 + 3.0 * h0) / (6.0 * (h0 + h1))
     return out
 
 
-def _assert_weights_match_panel_loop(nodes):
-    # not bit for bit: an array ** 3 may differ from a scalar one by an ulp
-    got = composite_weights(nodes)
-    ref = _composite_weights_by_panel(nodes)
-    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+def _grid_and_panel_loop(nodes):
+    # the grid is made directly, past from_nodes' checks, so that nodes off 1 and spacings
+    # that give negative weights reach the rule too
+    return RadialGrid(nodes=nodes, n=3, R_max=float(nodes[-1])), _composite_weights_by_panel(nodes)
 
 
-@pytest.mark.parametrize("size", range(2, 81))
+@pytest.mark.parametrize("size", range(3, 81))
 def test_composite_weights_match_panel_loop_on_graded_nodes(size):
+    # spacing ratios up to e^4: a weight is then the sum of interval parts that cancel,
+    # so it is held to 1e-15 of their magnitudes
     rng = np.random.default_rng(size)
     spacing = np.exp(rng.uniform(-3.0, 1.0, size - 1))
-    _assert_weights_match_panel_loop(np.concatenate([[1.0], 1.0 + np.cumsum(spacing)]))
+    grid, ref = _grid_and_panel_loop(np.concatenate([[1.0], 1.0 + np.cumsum(spacing)]))
+    idx, w = grid.interval_rule
+    scale = np.bincount(idx.ravel(), np.abs(w).ravel())
+    assert np.all(np.abs(grid.weights - ref) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("decay", (EXPONENTIAL, ALGEBRAIC))
 @pytest.mark.parametrize("alpha", (0.5, 2.0, 10.0, 100.0, 1000.0))
 def test_composite_weights_match_panel_loop_on_grids(alpha, decay):
     nodes = build_grid(3, alpha, decay=decay).nodes
-    _assert_weights_match_panel_loop(nodes)
-    _assert_weights_match_panel_loop(nodes[1:])  # an odd interval count: the tail stub
+    for nodes in (nodes, nodes[1:]):  # nodes[1:]: an odd interval count, the tail stub
+        grid, ref = _grid_and_panel_loop(nodes)
+        assert np.all(np.abs(grid.weights - ref) <= 1e-15 * np.abs(ref))
 
 
 class TestReverseCumulative:
