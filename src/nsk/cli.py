@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +115,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config; any unknown key aborts."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -145,16 +144,19 @@ def parse_config(text: str) -> RunConfig:
 
 def _read_config(path: str) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")  # the encoding JSON requires
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return parse_config(text)
 
 
 def _write_csv(path: str, header: list, columns: list) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        write_rows(fh, "", columns)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            write_rows(fh, "", columns)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 class _ArgError(Exception):
@@ -175,6 +177,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_nu(text: str) -> BesselOrder:
     """``--nu`` as ``2``, ``1.5`` or ``3/2``: a non-negative integer or half-integer."""
+    from fractions import Fraction  # here, so that no other subcommand loads fractions and decimal
+
     try:
         # a decimal goes through float, so a huge exponent cannot stall Fraction
         two_nu = 2 * Fraction(text if "/" in text else float(text))
@@ -304,7 +308,10 @@ def _cmd_rate_study(argv):
     failed = sum(row.failed is not None for row in result.rows)
     if failed:
         sys.stderr.write(f"warning: {failed} of {len(result.rows)} kappa rows failed\n")
-    rates_mod.emit_outputs(result, a.out)
+    try:
+        rates_mod.emit_outputs(result, a.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
     print(
         json.dumps(
             {k: {"value": v[0], "stderr": v[1]} for k, v in sorted(result.slopes.items())},

@@ -98,7 +98,9 @@ def _moments(z):
     small = z < TAYLOR_Z
     zs = np.where(small, z, 0.0)
     es = np.exp(-zs)
-    m2 = np.polynomial.polynomial.polyval(zs, _M2_TAYLOR)
+    m2 = np.full_like(zs, _M2_TAYLOR[-1])
+    for c in _M2_TAYLOR[-2::-1]:  # Horner, the operations and order of numpy's polyval
+        m2 = c + m2 * zs
     m1 = (zs * m2 + es) / 2.0
     taylor = (zs * m1 + es, m1, m2)
     zb = np.where(small, TAYLOR_Z, z)

@@ -212,12 +212,12 @@ def emit_outputs(result: RateStudyResult, out_dir) -> list:
         dtype=float,
     ).reshape(len(good), len(norm_keys) + 4)
     rates = out / "rates.csv"
-    with rates.open("w", newline="") as fh:
+    with rates.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["kappa"] + norm_keys + ["nodes", "iterations", "excluded"]) + "\n")
         write_rows(fh, "", table.T)
 
     profiles = out / "profiles.csv"
-    with profiles.open("w", newline="") as fh:
+    with profiles.open("w", newline="", encoding="utf-8") as fh:
         fh.write("series,kappa,x,value\n")
         for kappa, nodes, rho in result.profiles:
             write_rows(fh, f"rho_kappa,{format_float(kappa)},", (nodes, rho))
@@ -246,7 +246,7 @@ def emit_outputs(result: RateStudyResult, out_dir) -> list:
             for row in result.rows
         ],
     }
-    summary.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    summary.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     plot = out / "plot.gp"
     cols = ", ".join(
@@ -267,6 +267,7 @@ def emit_outputs(result: RateStudyResult, out_dir) -> list:
         "set output 'profiles.png'\n"
         "set xlabel 'r'\n"
         "set ylabel 'rho'\n"
-        "plot '< grep \"^rho_kappa,\" profiles.csv' using 3:4 with dots title 'rho^kappa'\n"
+        "plot '< grep \"^rho_kappa,\" profiles.csv' using 3:4 with dots title 'rho^kappa'\n",
+        encoding="utf-8",
     )
     return [rates, profiles, summary, plot]

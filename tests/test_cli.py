@@ -581,3 +581,37 @@ class TestDispatch:
 
     def test_missing_config_file(self, capsys):
         assert dispatch(["solve", "impermeable", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            pytest.param(b"\xff\xfe{}", "cannot read config file", id="not-utf-8"),
+            pytest.param(b"[" * 100_000, "config is not valid JSON", id="nested-100000"),
+        ],
+    )
+    def test_undecodable_config_exits_2(self, content, message, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        assert dispatch(["solve", "impermeable", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}: ") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["solve", "impermeable", "--config", "@"], id="solve"),
+            pytest.param(
+                ["limit-profile", "--gamma", "2", "--rho-plus", "1", "--rho-b0", "-0.1"], id="limit-profile"
+            ),
+            pytest.param(["rate-study", "--mode", "fixed", "--config", "@"], id="rate-study"),
+        ],
+    )
+    def test_unwritable_out_exits_2(self, argv, tmp_path, capsys):
+        # --out under a regular file: no directory can be made there, nor a file opened
+        cfg = write_config(tmp_path, dict(VALID, kappa=1.0))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out.csv")
+        assert dispatch([cfg if a == "@" else a for a in argv] + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: ") and out in captured.err

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from nsk.errors import ConfigError, DomainError, NoRootError, RangeError
 from nsk.grid import build_grid
 from nsk.kernel import enthalpy_h
-from nsk.limit import integrate_profile, potential_w, solve_rho_minus
+from nsk.limit import _GAUSS_W, _GAUSS_X, integrate_profile, potential_w, solve_rho_minus
 
 mp.mp.dps = 40
 
@@ -291,6 +291,11 @@ class TestProfile:
             assert np.max(np.abs(energy)) <= 1e-15 * rho_b0**2
             mid = 0.5 * (prof.y_nodes[:-1] + prof.y_nodes[1:])
             assert np.all(np.isfinite(prof.evaluate(mid)))
+
+    def test_gauss_rule_is_leggauss(self):
+        # the rule is stored as constants; profiles.csv depends on every bit of it
+        x, w = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(_GAUSS_X, x) and np.array_equal(_GAUSS_W, w)
 
     def test_sample_cap(self):
         # rho_- = 6e37 lies at y of about 3e17: a far y_max asks for 3.5e9 samples

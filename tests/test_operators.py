@@ -8,7 +8,7 @@ from dense_operators import dense_operators
 
 from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
 from nsk.kernel import ModelParams, green, green_dr_left, green_dr_right, kernel_params
-from nsk.operators import TAYLOR_Z, GreenOperator, _sweep, piece_weights
+from nsk.operators import _M2_TAYLOR, TAYLOR_Z, GreenOperator, _moments, _sweep, piece_weights
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +204,12 @@ def test_piece_weights_are_continuous_across_the_taylor_switch():
             below = np.nextafter(TAYLOR_Z, 0.0) / length
             for lo, hi in zip(piece_weights(grid, below), piece_weights(grid, TAYLOR_Z / length)):
                 assert np.max(np.abs(lo - hi)) <= 1e-14 * (h0 + h1)
+
+
+def test_taylor_moments_match_polyval():
+    # the Horner loop is numpy's polyval written out: same operations, same order, same bits
+    z = np.concatenate(([0.0], np.nextafter(TAYLOR_Z, 0.0) * np.random.default_rng(1).random(200)))
+    assert np.array_equal(_moments(z)[2], np.polynomial.polynomial.polyval(z, _M2_TAYLOR))
 
 
 def test_piece_weights_tend_to_simpson():

@@ -1,7 +1,8 @@
-"""The package's public name lists, its import layering, and that it loads no scipy."""
+"""The package's public name lists, its import layering, and the modules a CLI run loads."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -56,6 +57,42 @@ def test_import_cli_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# numpy.polynomial, fractions and decimal cost a CLI process 1.6 MiB; only `bessel` parses a Fraction
+_UNNEEDED = ("numpy.polynomial", "fractions", "decimal")
+_CLI_PROBE = """
+import json, runpy, sys
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["nsk"] + argv
+    try:
+        runpy.run_module("nsk.cli", run_name="__main__")
+    except SystemExit as exc:
+        if exc.code:
+            sys.exit(f"{argv[0]} exited {exc.code}")
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_cli_run_loads_no_polynomial_or_fractions(tmp_path):
+    model = {"n": 3, "gamma": 1, "mu": 1, "rho_plus": 1}
+    flow = tmp_path / "flow.json"
+    flow.write_text(json.dumps(dict(model, kappa=1e-2, rho_b=-0.02, u_minus=0.05)))
+    wall = tmp_path / "wall.json"
+    wall_doc = dict(model, kappa=1.0, rho_b=-0.1, u_minus=0, kappas=[0.1, 0.03, 0.01, 0.003])
+    wall.write_text(json.dumps(wall_doc))
+    argvs = [
+        ["solve", "inflow", "--config", str(flow), "--out", str(tmp_path / "sol.csv")],
+        ["verify", "impermeable", "--config", str(wall)],
+        ["rate-study", "--mode", "singular", "--config", str(wall), "--out", str(tmp_path / "study")],
+        ["limit-profile", "--gamma", "2", "--rho-plus", "1", "--rho-b0", "-0.1", "--out", str(tmp_path / "p.csv")],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}
+    probe = [sys.executable, "-c", _CLI_PROBE, json.dumps(argvs)]
+    out = subprocess.run(probe, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert [m for m in loaded if m.startswith(_UNNEEDED)] == []
 
 
 def _imports_cli(tree: ast.AST) -> bool:
