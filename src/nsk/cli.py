@@ -249,7 +249,7 @@ def _cmd_solve(argv):
         raise ConfigError(f"{a.regime} requires {_REGIME_RULE[a.regime]}")
 
     grid = cfg.grid(model)
-    sol, report = solve_stationary(model, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    sol = solve_stationary(model, grid, tol=cfg.tol, max_iter=cfg.max_iter)
     if a.regime == IMPERMEABLE:
         header = ["r", "rho", "rho_r", "phi"]
         columns = [grid.nodes, sol.rho, sol.rho_r, sol.phi]
@@ -257,7 +257,7 @@ def _cmd_solve(argv):
         header = ["r", "rho", "rho_r", "u", "phi"]
         columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, sol.phi]
     if a.out:
-        _write_csv(a.out, header + ["residual"], columns + [np.nan_to_num(report.residual, nan=0.0)])
+        _write_csv(a.out, header + ["residual"], columns + [sol.residual])
     if a.regime == IMPERMEABLE:
         try:
             decay_rate_fit = decay_diagnostics(sol, kernel_params(model))[0]
@@ -273,9 +273,9 @@ def _cmd_solve(argv):
         }
     summary.update(
         converged=True,  # an unconverged solve raises; the key stays for readers of the JSON
-        iterations=report.iterations,
-        final_update_sup=report.final_update_sup,
-        ode_residual_sup=report.ode_residual_sup,
+        iterations=sol.iterations,
+        final_update_sup=sol.final_update_sup,
+        ode_residual_sup=sol.ode_residual_sup,
     )
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK

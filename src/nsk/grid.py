@@ -184,6 +184,8 @@ def build_grid(
     h0 = min(0.2, 1.0 / (points_per_unit_alpha * alpha))
 
     span = R_max - 1.0
+    if span > H_MAX * max_nodes:  # steps are at most H_MAX, so this span takes more than max_nodes
+        raise GridSizeError(f"grid would exceed {max_nodes} nodes")
     steps = []
     h = h0
     total = 0.0

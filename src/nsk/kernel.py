@@ -32,7 +32,7 @@ pulling the exponentials out gives the overflow-free representation
 with ``m = \min(r,s)``, ``M = \max(r,s)``.  :class:`KernelFactors` holds
 the per-radius factors (the four hat values, ``r^{-\nu}`` and
 ``e^{-\alpha(r-1)}``), every Bessel value through :mod:`nsk.bessel`;
-:func:`kernel_branches` combines them for the pointwise functions here;
+:func:`_branches` combines them for the pointwise functions here;
 :mod:`nsk.operators` folds the same factors into its quadrature.  Both
 exponents ``-alpha|r-s|`` and ``-alpha(r+s-2)`` are nonpositive on
 ``r, s >= 1``, so nothing overflows even for ``alpha ~ 1e3``.
@@ -61,7 +61,6 @@ __all__ = [
     "enthalpy_h_prime",
     "kernel_params",
     "KernelFactors",
-    "kernel_branches",
     "lifting_phi_b",
     "green",
     "green_dr",
@@ -188,7 +187,7 @@ class KernelFactors:
         self.iv, self.kv, self.iv1, self.kv1 = map(check_finite, bessel_ik_scaled(kp.nu, ax), names)
 
 
-def kernel_branches(kp: KernelParams, f: KernelFactors, i, j, lower):
+def _branches(kp: KernelParams, f: KernelFactors, i, j, lower):
     """``(G, dG/dr) (x_i x_j)^nu`` at index pairs ``(i, j)`` of the table ``f``.
 
     Where ``lower`` the ``s <= r`` branch, else the ``r <= s`` one; ``lower``
@@ -232,7 +231,7 @@ def _at(kp: KernelParams, r, s, lower):
     x, idx = np.unique(np.stack([r, s]), return_inverse=True)
     i, j = idx.reshape((2,) + r.shape)
     f = KernelFactors(kp, x)
-    g, gdr = kernel_branches(kp, f, i, j, lower)
+    g, gdr = _branches(kp, f, i, j, lower)
     rp2 = f.rp[i] * f.rp[j]
     if r.ndim == 0:
         return float(g * rp2), float(gdr * rp2)

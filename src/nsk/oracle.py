@@ -190,6 +190,6 @@ def cross_validate(params: ModelParams, tol: float):
     nodes, rho_fd = fd_reference(params)
     alpha = kernel_params(params).alpha
     grid = build_grid(params.n, alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
-    sol, _ = solve_stationary(params, grid, tol=1e-12, max_iter=400)
+    sol = solve_stationary(params, grid, tol=1e-12, max_iter=400)
     sup_diff = float(np.max(np.abs(sol.rho - _interpolate_uniform(nodes, rho_fd, grid.nodes))))
     return sup_diff, bool(sup_diff <= tol)

@@ -14,9 +14,7 @@ Two modes:
 
 Grids scale with ``alpha = O(kappa^{-1/2})`` so discretization error stays
 below the measured gaps at the smallest kappa.  Ordinary least squares on
-``(log kappa, log error)`` gives slope and standard error; the largest
-kappa is excluded when its fit residual exceeds three standard errors
-(pre-asymptotic transient).
+``(log kappa, log error)`` gives slope and standard error.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ class RateRow:
     errors: dict
     nodes: int
     iterations: int
-    excluded: bool = False
     failed: str | None = None
 
 
@@ -84,7 +81,7 @@ def fit_loglog(x, y):
     resid = ly - (intercept + slope * lx)
     dof = max(m - 2, 1)
     stderr = float(math.sqrt(np.dot(resid, resid) / dof / np.dot(lxc, lxc)))
-    return slope, stderr, intercept
+    return slope, stderr
 
 
 def _solve_one(cfg, mode: str, kappa: float, profile: LimitProfile | None):
@@ -92,7 +89,7 @@ def _solve_one(cfg, mode: str, kappa: float, profile: LimitProfile | None):
     rho_b = base.rho_b if mode == FIXED else base.rho_b / math.sqrt(kappa)
     params = replace(base, kappa=kappa, rho_b=rho_b)
     grid = cfg.grid(params)
-    sol, report = solve_stationary(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    sol = solve_stationary(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
     if mode == FIXED:
         diff = sol.phi
         diff_r = sol.rho_r
@@ -114,9 +111,7 @@ def _solve_one(cfg, mode: str, kappa: float, profile: LimitProfile | None):
     if mode == SINGULAR:
         # exact change of variables r = 1 + sqrt(kappa) y
         errors[L2Y_KEY] = errors["l2_value"] * kappa ** (-0.25)
-    row = RateRow(
-        kappa=kappa, errors=errors, nodes=grid.size, iterations=report.iterations
-    )
+    row = RateRow(kappa=kappa, errors=errors, nodes=grid.size, iterations=sol.iterations)
     return row, (kappa, grid.nodes.copy(), sol.rho)
 
 
@@ -165,18 +160,10 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
             f"only {len(good)} of {len(result.rows)} kappa rows solved; "
             "a slope fit needs at least 4"
         )
+    ks = np.array([row.kappa for row in good])
     for key in norm_keys:
-        ks = np.array([row.kappa for row in good])
         es = np.array([row.errors[key] for row in good])
-        slope, stderr, intercept = fit_loglog(ks, es)
-        # drop a pre-asymptotic largest kappa when it sits off the fit line
-        if ks.size >= 5 and stderr > 0.0:
-            resid0 = abs(math.log(es[0]) - (intercept + slope * math.log(ks[0])))
-            spread = math.sqrt(np.sum((np.log(ks) - np.log(ks).mean()) ** 2))
-            if resid0 > 3.0 * stderr * spread:
-                good[0].excluded = True
-                slope, stderr, _ = fit_loglog(ks[1:], es[1:])
-        result.slopes[key] = (slope, stderr)
+        result.slopes[key] = fit_loglog(ks, es)
     return result
 
 
@@ -205,15 +192,14 @@ def emit_outputs(result: RateStudyResult, out_dir) -> list:
     good = [row for row in result.rows if row.failed is None]
     norm_keys = sorted({k for row in good for k in row.errors})
 
-    # counts and flags are integral, so FLOAT_FORMAT prints them as integers
+    # counts are integral, so FLOAT_FORMAT prints them as integers
     table = np.array(
-        [[row.kappa, *(row.errors[k] for k in norm_keys), row.nodes, row.iterations, row.excluded]
-         for row in good],
+        [[row.kappa, *(row.errors[k] for k in norm_keys), row.nodes, row.iterations] for row in good],
         dtype=float,
-    ).reshape(len(good), len(norm_keys) + 4)
+    ).reshape(len(good), len(norm_keys) + 3)
     rates = out / "rates.csv"
     with rates.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["kappa"] + norm_keys + ["nodes", "iterations", "excluded"]) + "\n")
+        fh.write(",".join(["kappa"] + norm_keys + ["nodes", "iterations"]) + "\n")
         write_rows(fh, "", table.T)
 
     profiles = out / "profiles.csv"
@@ -240,7 +226,6 @@ def emit_outputs(result: RateStudyResult, out_dir) -> list:
                 "errors": row.errors,
                 "nodes": row.nodes,
                 "iterations": row.iterations,
-                "excluded": row.excluded,
                 "failed": row.failed,
             }
             for row in result.rows

@@ -57,14 +57,12 @@ from .operators import GreenOperator
 
 __all__ = [
     "StationarySolution",
-    "SolverReport",
     "pressure_remainder",
     "source_term",
     "forcing",
     "fixed_point",
     "hermite_second_derivative",
     "ode_residual",
-    "residual_sup",
     "solve_stationary",
     "decay_diagnostics",
 ]
@@ -72,10 +70,12 @@ __all__ = [
 
 @dataclass
 class StationarySolution:
-    """Density/velocity profiles with the mass-flux identity built in.
+    """Density/velocity profiles with the mass-flux identity built in, and how the solve went.
 
     ``phi`` is the iterated perturbation ``rho - rho_plus``; it keeps the
-    digits of small values that ``rho`` rounds away.
+    digits of small values that ``rho`` rounds away.  ``residual`` is
+    :func:`ode_residual` of the converged iterate and ``ode_residual_sup``
+    its sup norm.
     """
 
     grid: RadialGrid
@@ -85,14 +85,10 @@ class StationarySolution:
     u: np.ndarray
     mass_flux: float
     rho_minus: float
-
-
-@dataclass
-class SolverReport:
     iterations: int
     final_update_sup: float
+    residual: np.ndarray
     ode_residual_sup: float
-    residual: np.ndarray  # ODE residual per node, NaN at the two end nodes
 
 
 def pressure_remainder(gamma: float, rho_plus: float, phi):
@@ -179,21 +175,17 @@ def ode_residual(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: 
 
     ``phi_rr`` comes from :func:`hermite_second_derivative`, not from the
     Green operator; ``h'(rho_+)`` is taken exactly rather than as the rounded
-    ``kappa alpha^2``.  NaN at the two end nodes.
+    ``kappa alpha^2``.  Zero at the two end nodes, where ``phi_rr`` is not rebuilt.
     """
     r = grid.nodes
     phi_rr = hermite_second_derivative(r, phi, phi_r)
-    return (
+    res = (
         params.kappa * (phi_rr + (params.n - 1) / r * phi_r)
         - enthalpy_h_prime(params.gamma, params.rho_plus) * phi
         - forcing(params, grid, phi, phi_r)
     )
-
-
-def residual_sup(res: np.ndarray) -> float:
-    """Sup norm over interior nodes (NaN boundary entries ignored)."""
-    interior = res[~np.isnan(res)]
-    return float(np.max(np.abs(interior))) if interior.size else 0.0
+    res[[0, -1]] = 0.0
+    return res
 
 
 def fixed_point(step, state: tuple, rho_plus: float, tol: float, max_iter: int):
@@ -239,7 +231,7 @@ def solve_stationary(
     tol: float = 1e-10,
     max_iter: int = 200,
 ):
-    """Fixed-point solve in any regime; returns ``(StationarySolution, SolverReport)``."""
+    """Fixed-point solve in any regime; returns its :class:`StationarySolution`."""
     kp = kernel_params(params)
     op = GreenOperator(grid, kp, params.kappa)
     phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, grid.nodes)
@@ -255,17 +247,12 @@ def solve_stationary(
     rho_minus = float(rho[0])
     mass_flux = rho_minus * params.u_minus
     u = mass_flux / (rho * grid.measure())
-    solution = StationarySolution(
-        grid=grid, phi=phi, rho=rho, rho_r=phi_r, u=u, mass_flux=mass_flux, rho_minus=rho_minus
-    )
     res = ode_residual(params, grid, phi, phi_r)
-    report = SolverReport(
-        iterations=iterations,
-        final_update_sup=update,
-        ode_residual_sup=residual_sup(res),
-        residual=res,
+    return StationarySolution(
+        grid=grid, phi=phi, rho=rho, rho_r=phi_r, u=u, mass_flux=mass_flux, rho_minus=rho_minus,
+        iterations=iterations, final_update_sup=update,
+        residual=res, ode_residual_sup=float(np.max(np.abs(res))),
     )
-    return solution, report
 
 
 def decay_diagnostics(solution: StationarySolution, kp: KernelParams):

@@ -75,7 +75,7 @@ def test_criterion_3_oracle_equivalence():
     for p in ORACLE_CASES[3:5]:
         kp = kernel_params(p)
         grid = build_grid(p.n, kp.alpha, points_per_unit_alpha=24.0, growth=1.04)
-        field, _ = solve_stationary(p, grid, tol=1e-12)
+        field = solve_stationary(p, grid, tol=1e-12)
         exact = lifting_phi_b(kp, p.rho_b, grid.nodes)[0]
         closed_ok &= float(np.max(np.abs(field.phi - exact))) <= 1e-7
         nodes, rho_fd = fd_reference(p)
@@ -196,11 +196,11 @@ def test_criterion_6_inflow_outflow_suite():
     tol = 1e-6
     grid = build_grid(3, 1.0, points_per_unit_alpha=40.0, decay=ALGEBRAIC, growth=1.03)
     p = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=0.05)
-    sol, rep = solve_stationary(p, grid, tol=tol)
+    sol = solve_stationary(p, grid, tol=tol)
     flux = sol.rho * sol.u * grid.measure()
     flux_err = float(np.max(np.abs(flux - sol.mass_flux)) / abs(sol.mass_flux))
     scale = max(1.0, float(np.max(np.abs(sol.rho - p.rho_plus))))
-    residual_ok = rep.ode_residual_sup <= 10.0 * tol * scale
+    residual_ok = sol.ode_residual_sup <= 10.0 * tol * scale
 
     ratios = []
     for s in (1.0, 0.5, 0.25, 0.125):
@@ -208,7 +208,7 @@ def test_criterion_6_inflow_outflow_suite():
             n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0,
             rho_b=-0.04 * s, u_minus=0.1 * math.sqrt(s),
         )
-        sols, _ = solve_stationary(ps, grid, tol=tol)
+        sols = solve_stationary(ps, grid, tol=tol)
         data = abs(ps.rho_b) + ps.u_minus**2
         ratios.append(float(np.max(grid.nodes**4 * np.abs(sols.rho - 1.0))) / data)
     linear_ok = max(ratios) / min(ratios) <= 2.0 and all(np.isfinite(ratios))
@@ -217,18 +217,18 @@ def test_criterion_6_inflow_outflow_suite():
     solve_stationary(p_euler, grid, tol=tol)  # mu = 0 converges: an unconverged solve raises
 
     p_imp = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.05, u_minus=0.0)
-    f_imp, _ = solve_stationary(p_imp, grid, tol=1e-12)
+    f_imp = solve_stationary(p_imp, grid, tol=1e-12)
     diffs = []
     for u in (1e-2, 1e-3, 1e-4):
         pu = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.05, u_minus=u)
-        su, _ = solve_stationary(pu, grid, tol=1e-12)
+        su = solve_stationary(pu, grid, tol=1e-12)
         diffs.append(float(np.max(np.abs(su.rho - 1.0 - f_imp.phi))))
     cu = [d / u for d, u in zip(diffs, (1e-2, 1e-3, 1e-4))]
     continuity_ok = max(cu) / min(cu) <= 2.0 and diffs[0] > diffs[1] > diffs[2]
 
     ok = flux_err <= 1e-12 and residual_ok and linear_ok and continuity_ok
     detail = (
-        f"flux={flux_err:.1e}, residual={rep.ode_residual_sup:.1e} (bar {10 * tol:.0e}), "
+        f"flux={flux_err:.1e}, residual={sol.ode_residual_sup:.1e} (bar {10 * tol:.0e}), "
         f"linearity x{max(ratios) / min(ratios):.2f}, "
         f"u->0 C range x{max(cu) / min(cu):.2f}"
     )
@@ -256,7 +256,7 @@ def test_criterion_8_impermeable_decay_envelope():
     p = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
     kp = kernel_params(p)
     grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
-    field, _ = solve_stationary(p, grid)
+    field = solve_stationary(p, grid)
     sigma, c_fit = decay_diagnostics(field, kp)
     ok = sigma >= 0.9 * kp.alpha and np.isfinite(c_fit) and c_fit > 0.0
     detail = f"sigma_fit={sigma:.4f} (>= {0.9 * kp.alpha}), C_fit={c_fit:.3f}"
@@ -312,7 +312,7 @@ def test_criterion_9_flow_grids_do_not_scale_with_alpha():
             if kappa < 1e-3:  # Picard does not contract there
                 continue
             at = grid.nodes[grid.nodes > 5.0]
-            sols = [solve_stationary(p, g, tol=1e-13, max_iter=400)[0] for g in (grid, grid.refined(), capped)]
+            sols = [solve_stationary(p, g, tol=1e-13, max_iter=400) for g in (grid, grid.refined(), capped)]
             rho = [s.rho_minus for s in sols]
             far = [float(np.max(np.abs(_far_field(s, at)))) for s in sols]
             for name, (coarse, fine, ref) in (("rho_-", rho), ("far sup", far)):
@@ -334,7 +334,7 @@ def test_criterion_10_residual_order_under_refinement():
         grid = RunConfig(model=p).grid(p)
         sups = []
         for _ in range(4):
-            sups.append(solve_stationary(p, grid, tol=1e-13, max_iter=400)[1].ode_residual_sup)
+            sups.append(solve_stationary(p, grid, tol=1e-13, max_iter=400).ode_residual_sup)
             grid = grid.refined()
         cuts = [a / b for a, b in zip(sups, sups[1:])]
         ok &= min(cuts) >= 6.0

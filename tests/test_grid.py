@@ -47,6 +47,8 @@ class TestBuild:
     def test_node_cap(self):
         with pytest.raises(GridSizeError):
             build_grid(3, 1000.0, points_per_unit_alpha=100.0, max_nodes=50)
+        with pytest.raises(GridSizeError, match="exceed 2000000 nodes"):
+            build_grid(3, 1.0, R_max=1e300)
 
     def test_node_cap_counts_final_nodes(self):
         # 14 steps here, and the odd-interval split makes the last one two

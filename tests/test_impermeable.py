@@ -34,7 +34,8 @@ def params_with(**kw):
 def wall_solution(grid, phi, phi_r):
     """A wall solution (``u = 0``, ``rho_plus = 1``) carrying the given perturbation."""
     rho = 1.0 + phi
-    return StationarySolution(grid, phi, rho, phi_r, np.zeros_like(phi), 0.0, float(rho[0]))
+    zeros = np.zeros_like(phi)
+    return StationarySolution(grid, phi, rho, phi_r, zeros, 0.0, float(rho[0]), 0, 0.0, zeros, 0.0)
 
 
 class TestNonlinearity:
@@ -64,17 +65,17 @@ class TestSolve:
     def test_zero_data_converges_immediately(self):
         p = params_with(rho_b=0.0)
         grid = build_grid(3, kernel_params(p).alpha)
-        field, report = solve_stationary(p, grid)
-        assert report.iterations == 1
+        field = solve_stationary(p, grid)
+        assert field.iterations == 1
         assert np.all(field.phi == 0.0)
 
     def test_affine_enthalpy_solution_is_the_lifting(self):
         p = params_with(gamma=2.0, rho_b=-0.05)
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha)
-        field, report = solve_stationary(p, grid)
+        field = solve_stationary(p, grid)
         phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, grid.nodes)
-        assert report.iterations == 1
+        assert field.iterations == 1
         assert np.max(np.abs(field.phi - phi_b)) <= 1e-14
         assert np.max(np.abs(field.rho_r - phi_b_r)) <= 1e-14
 
@@ -83,7 +84,7 @@ class TestSolve:
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
         tol = 1e-10
-        field, report = solve_stationary(p, grid, tol=tol)
+        field = solve_stationary(p, grid, tol=tol)
         op = GreenOperator(grid, kp, p.kappa)
         phi_b, _ = lifting_phi_b(kp, p.rho_b, grid.nodes)
         t_phi = phi_b + op.apply(pressure_remainder(p.gamma, p.rho_plus, field.phi))[0]
@@ -93,20 +94,20 @@ class TestSolve:
         for p in (params_with(), params_with(n=2, gamma=1.4, kappa=0.2, rho_b=-0.03)):
             grid = build_grid(p.n, kernel_params(p).alpha, points_per_unit_alpha=16.0)
             tol = 1e-10
-            field, report = solve_stationary(p, grid, tol=tol)
+            field = solve_stationary(p, grid, tol=tol)
             assert abs(field.rho_r[0] - p.rho_b) <= 10.0 * tol
 
     def test_ode_residual(self):
         p = params_with()
         grid = build_grid(3, kernel_params(p).alpha, points_per_unit_alpha=40.0, growth=1.03)
         tol = 1e-6
-        field, report = solve_stationary(p, grid, tol=tol)
-        assert report.ode_residual_sup <= 10.0 * tol * max(1.0, float(np.max(np.abs(field.phi))))
+        field = solve_stationary(p, grid, tol=tol)
+        assert field.ode_residual_sup <= 10.0 * tol * max(1.0, float(np.max(np.abs(field.phi))))
 
     def test_linear_response_to_small_data(self):
         grid = build_grid(3, 1.0, points_per_unit_alpha=16.0)
-        f1, _ = solve_stationary(params_with(rho_b=-0.1), grid)
-        f2, _ = solve_stationary(params_with(rho_b=-0.05), grid)
+        f1 = solve_stationary(params_with(rho_b=-0.1), grid)
+        f2 = solve_stationary(params_with(rho_b=-0.05), grid)
         assert 1.8 <= np.max(np.abs(f1.phi)) / np.max(np.abs(f2.phi)) <= 2.2
 
     def test_positive_density_enforced(self):
@@ -158,7 +159,7 @@ class TestSolve:
         phi_r = np.gradient(phi, grid.nodes)
         assert np.array_equal(forcing(p, grid, phi, phi_r), pressure_remainder(p.gamma, p.rho_plus, phi))
         assert np.all(source_term(p.n, 0.0, grid.nodes) == 0.0)
-        sol, _ = solve_stationary(p, grid)
+        sol = solve_stationary(p, grid)
         assert np.any(sol.phi != 0.0)
         assert np.all(sol.u == 0.0) and sol.mass_flux == 0.0
 
@@ -266,7 +267,7 @@ class TestDecayDiagnostics:
         p = params_with()
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
-        field, _ = solve_stationary(p, grid)
+        field = solve_stationary(p, grid)
         sigma, c_fit = decay_diagnostics(field, kp)
         assert sigma >= 0.9 * kp.alpha
         assert np.isfinite(c_fit)
@@ -275,6 +276,6 @@ class TestDecayDiagnostics:
         p = params_with(rho_b=0.0)
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha)
-        field, _ = solve_stationary(p, grid)
+        field = solve_stationary(p, grid)
         with pytest.raises(WindowEmptyError):
             decay_diagnostics(field, kp)

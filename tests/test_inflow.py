@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nsk.stationary as stationary_mod
+from nsk.cli import RunConfig
 from nsk.errors import NonContractionError, PositivityError, RangeError
 from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
 from nsk.kernel import ModelParams, enthalpy_h, enthalpy_h_prime
@@ -135,14 +136,14 @@ class TestSolve:
     def test_mass_flux_identity(self):
         for u in (0.05, -0.05):
             p = params_with(u_minus=u, rho_b=-0.02)
-            sol, _ = solve_stationary(p, flow_grid())
+            sol = solve_stationary(p, flow_grid())
             flux = sol.rho * sol.u * sol.grid.measure()
             assert np.max(np.abs(flux - sol.mass_flux)) <= 1e-12 * abs(sol.mass_flux)
             assert sol.rho_minus == sol.rho[0]
 
     def test_weighted_decay_envelope(self):
         p = params_with(u_minus=0.05, rho_b=0.0)
-        sol, _ = solve_stationary(p, flow_grid())
+        sol = solve_stationary(p, flow_grid())
         phi = sol.rho - p.rho_plus
         w = sol.grid.nodes ** (2 * (p.n - 1))
         assert np.max(w * np.abs(phi)) <= 10.0 * (abs(p.rho_b) + p.u_minus**2)
@@ -153,7 +154,7 @@ class TestSolve:
         ratios_v, ratios_d = [], []
         for scale in (1.0, 0.5, 0.25, 0.125):
             p = params_with(rho_b=-0.04 * scale, u_minus=0.1 * math.sqrt(scale))
-            sol, _ = solve_stationary(p, g)
+            sol = solve_stationary(p, g)
             phi = sol.rho - p.rho_plus
             data = abs(p.rho_b) + p.u_minus**2
             ratios_v.append(np.max(g.nodes**4 * np.abs(phi)) / data)
@@ -163,7 +164,7 @@ class TestSolve:
 
     def test_outflow_velocity_bounds(self):
         p = params_with(u_minus=-0.05)
-        sol, _ = solve_stationary(p, flow_grid())
+        sol = solve_stationary(p, flow_grid())
         scaled = np.abs(sol.u) * sol.grid.measure() / abs(p.u_minus)
         assert np.all(scaled >= 0.5)
         assert np.all(scaled <= 2.0)
@@ -172,28 +173,36 @@ class TestSolve:
         p = params_with(u_minus=0.05, rho_b=-0.02)
         g = flow_grid(ppua=40.0)
         tol = 1e-6
-        sol, rep = solve_stationary(p, g, tol=tol)
+        sol = solve_stationary(p, g, tol=tol)
         scale = max(1.0, float(np.max(np.abs(sol.rho - p.rho_plus))))
-        assert rep.ode_residual_sup <= 10.0 * tol * scale
+        assert sol.ode_residual_sup <= 10.0 * tol * scale
+
+    def test_residual_peaks_inside_and_is_zero_at_the_ends(self):
+        # phi_rr is rebuilt only at interior nodes; the wall-flow residual peaks at node 1
+        p = ModelParams(n=4, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=-0.05)
+        sol = solve_stationary(p, RunConfig(model=p).grid(p), tol=1e-13, max_iter=400)
+        assert 0 < np.argmax(np.abs(sol.residual)) < sol.grid.size - 1
+        assert np.all(sol.residual[[0, -1]] == 0.0)
+        assert sol.ode_residual_sup == np.max(np.abs(sol.residual))
 
     def test_inviscid_limit_is_robust(self):
         g = flow_grid()
         p0 = params_with(mu=0.0, u_minus=0.05, rho_b=-0.02)
         p1 = params_with(mu=1e-6, u_minus=0.05, rho_b=-0.02)
-        s0, _ = solve_stationary(p0, g, tol=1e-12)
-        s1, _ = solve_stationary(p1, g, tol=1e-12)
+        s0 = solve_stationary(p0, g, tol=1e-12)
+        s1 = solve_stationary(p1, g, tol=1e-12)
         sup = float(np.max(np.abs(s0.rho - p0.rho_plus)))
         assert np.max(np.abs(s0.rho - s1.rho)) <= 1e-4 * sup
 
     def test_vanishing_velocity_recovers_impermeable(self):
         g = flow_grid()
         pi = params_with(u_minus=0.0, rho_b=-0.05)
-        fi, _ = solve_stationary(pi, g, tol=1e-12)
+        fi = solve_stationary(pi, g, tol=1e-12)
         ratios = []
         prev = None
         for u in (1e-2, 1e-3, 1e-4):
             pu = params_with(u_minus=u, rho_b=-0.05)
-            su, _ = solve_stationary(pu, g, tol=1e-12)
+            su = solve_stationary(pu, g, tol=1e-12)
             diff = float(np.max(np.abs(su.rho - pi.rho_plus - fi.phi)))
             ratios.append(diff / u)
             if prev is not None:

@@ -30,7 +30,7 @@ SHORT_KAPPAS = tuple(10.0 ** (-1.0 - 0.5 * k) for k in range(4))
 class TestFit:
     def test_exact_power_law(self):
         kappas = np.geomspace(1e-1, 1e-4, 7)
-        slope, stderr, _ = fit_loglog(kappas, kappas)
+        slope, stderr = fit_loglog(kappas, kappas)
         assert slope == pytest.approx(1.0, abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -38,7 +38,7 @@ class TestFit:
         rng = np.random.default_rng(4)
         kappas = np.geomspace(1e-1, 1e-5, 9)
         errs = 3.0 * kappas**0.75 * np.exp(rng.normal(0.0, 0.01, kappas.size))
-        slope, stderr, _ = fit_loglog(kappas, errs)
+        slope, stderr = fit_loglog(kappas, errs)
         assert slope == pytest.approx(0.75, abs=0.02)
         assert stderr > 0.0
 
@@ -111,10 +111,10 @@ class TestEmit:
         out = tmp_path / "out"
         emit_outputs(res, out)
         keys = sorted(res.rows[0].errors)
-        rates = ["kappa," + ",".join(keys) + ",nodes,iterations,excluded"]
+        rates = ["kappa," + ",".join(keys) + ",nodes,iterations"]
         for row in res.rows:
             cells = [format_float(row.kappa)] + [format_float(row.errors[k]) for k in keys]
-            rates.append(",".join(cells + [str(row.nodes), str(row.iterations), str(int(row.excluded))]))
+            rates.append(",".join(cells + [str(row.nodes), str(row.iterations)]))
         assert (out / "rates.csv").read_text().splitlines() == rates
         profiles = ["series,kappa,x,value"]
         for kappa, nodes, rho in res.profiles:

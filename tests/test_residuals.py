@@ -3,7 +3,7 @@
 import numpy as np
 
 from nsk.grid import build_grid
-from nsk.stationary import hermite_second_derivative, residual_sup
+from nsk.stationary import hermite_second_derivative
 
 
 def graded_grid():
@@ -39,9 +39,3 @@ def test_fourth_order_on_smooth_function():
         ("graded", graded.nodes, graded.refined().nodes),
     ):
         assert err(coarse) / err(fine) >= 12.0, label
-
-
-def test_residual_sup_ignores_boundary_nan():
-    res = np.array([np.nan, 0.5, -2.0, np.nan])
-    assert residual_sup(res) == 2.0
-    assert residual_sup(np.array([np.nan, np.nan])) == 0.0
