@@ -1,12 +1,12 @@
 """Command-line interface: the one gate for input from outside the program.
 
 Subcommands: ``bessel``, ``kernel``, ``solve``, ``limit-profile``,
-``rate-study``, ``verify``.  Exit codes: 0 success, 2 configuration error,
-3 solver failure, 64 unknown subcommand (1 for a failed verify).  Every
-config number and float flag passes ``_number`` once; range rules live in
-the types that own them.  Files are written here and, for ``rate-study``,
-by ``nsk.rates.emit_outputs``, with 17 significant digits throughout, so
-identical inputs yield byte-identical files.
+``rate-study``, ``verify``.  Exit codes: ``dispatch`` maps the two error
+families, ``ConfigError`` to 2 and ``SolverError`` to 3; 0 success, 64 unknown
+subcommand, 1 a failed verify.  Every config number and float flag passes
+``_number`` once; range rules live in the types that own them.  Files are
+written here and, for ``rate-study``, by ``nsk.rates.emit_outputs``, with 17
+significant digits throughout, so identical inputs yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
-from .errors import ConfigError, NskError, RangeError, SolverError, WindowEmptyError
+from .errors import ConfigError, RangeError, SolverError, WindowEmptyError
 from .grid import ALGEBRAIC, EXPONENTIAL, RadialGrid, build_grid
 from .kernel import (
     IMPERMEABLE,
@@ -159,13 +159,9 @@ def _write_csv(path: str, header: list, columns: list) -> None:
         raise ConfigError(f"cannot write output: {exc}") from exc
 
 
-class _ArgError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
-        raise _ArgError(message)
+        raise ConfigError(message)
 
     def parse_args(self, argv):  # noqa: D102 - float flags pass the config gate
         ns = super().parse_args(argv)
@@ -368,15 +364,12 @@ def dispatch(argv) -> int:
         return EXIT_USAGE
     try:
         return handler(argv[1:])
-    except (_ArgError, ConfigError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except SolverError as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
-    except NskError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
 
 
 def main(argv=None) -> int:

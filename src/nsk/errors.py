@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Two families: configuration/usage problems (``ConfigError``) and runtime
-solver failures (``SolverError``).  The CLI maps them to exit codes 2 and 3.
+Two families hold every error: configuration, usage and double-range problems
+(``ConfigError``, exit 2) and runtime solver failures (``SolverError``, exit 3).
 """
 
 
@@ -17,12 +17,12 @@ class DomainError(ConfigError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class RangeError(NskError):
+class RangeError(ConfigError):
     """Value left the representable floating-point range (over/underflow)."""
 
 
 class GridSizeError(ConfigError):
-    """Grid construction would exceed the configured node cap."""
+    """Grid construction would exceed the node cap."""
 
 
 class NoRootError(ConfigError):

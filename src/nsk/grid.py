@@ -43,7 +43,7 @@ __all__ = ["RadialGrid", "build_grid"]
 EXPONENTIAL = "exponential"
 ALGEBRAIC = "algebraic"
 
-MAX_NODES_DEFAULT = 2_000_000
+MAX_NODES = 2_000_000
 H_MAX = 0.5  # spacing cap far from the wall
 
 
@@ -170,7 +170,6 @@ def build_grid(
     R_max: float | None = None,
     decay: str = EXPONENTIAL,
     growth: float = 1.06,
-    max_nodes: int = MAX_NODES_DEFAULT,
 ) -> RadialGrid:
     """Graded grid for a problem with decay scale ``1/alpha`` at the wall."""
     if alpha <= 0.0:
@@ -184,16 +183,16 @@ def build_grid(
     h0 = min(0.2, 1.0 / (points_per_unit_alpha * alpha))
 
     span = R_max - 1.0
-    if span > H_MAX * max_nodes:  # steps are at most H_MAX, so this span takes more than max_nodes
-        raise GridSizeError(f"grid would exceed {max_nodes} nodes")
+    if span > H_MAX * MAX_NODES:  # steps are at most H_MAX, so this span takes more than MAX_NODES
+        raise GridSizeError(f"grid would exceed {MAX_NODES} nodes")
     steps = []
     h = h0
     total = 0.0
     while total < span:
         steps.append(h)
         total += h
-        if len(steps) + 1 + len(steps) % 2 > max_nodes:  # nodes, with the odd-interval split
-            raise GridSizeError(f"grid would exceed {max_nodes} nodes")
+        if len(steps) + 1 + len(steps) % 2 > MAX_NODES:  # nodes, with the odd-interval split
+            raise GridSizeError(f"grid would exceed {MAX_NODES} nodes")
         h = min(h * growth, H_MAX)
     # uniform rescale onto [1, R_max]: preserves consecutive-spacing ratios,
     # which keeps every generalized-Simpson panel weight positive

@@ -160,8 +160,11 @@ def enthalpy_h_prime(gamma: float, rho) -> float | np.ndarray:
 
 
 def kernel_params(params: ModelParams) -> KernelParams:
-    """``alpha = sqrt(h'(rho_plus)/kappa)`` and ``nu = (n-2)/2``."""
-    alpha = math.sqrt(enthalpy_h_prime(params.gamma, params.rho_plus) / params.kappa)
+    """``alpha = sqrt(h'(rho_plus)/kappa)``, ``RangeError`` unless ``0 < alpha < inf``, and ``nu = (n-2)/2``."""
+    with np.errstate(over="ignore"):
+        alpha = math.sqrt(enthalpy_h_prime(params.gamma, params.rho_plus) / params.kappa)
+    if not 0.0 < alpha < math.inf:
+        raise RangeError(f"alpha = sqrt(h'(rho_plus)/kappa) = {alpha} is outside the double range")
     return KernelParams(nu=BesselOrder.from_dimension(params.n), alpha=alpha)
 
 

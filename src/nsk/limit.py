@@ -311,13 +311,16 @@ def integrate_profile(
     (from ``y = 0`` when ``rho_-`` already lies within it).  Stored samples
     stop at ``y_max > 0`` or once the profile is flat to 1e-14; a profile
     that needs more than ``MAX_SAMPLES`` samples below ``y_max`` raises
-    ``ConfigError``.
+    ``ConfigError``, and a tail rate ``sqrt(h'(rho_plus))`` outside ``(0, inf)`` ``RangeError``.
     """
     check_pressure_law(gamma, rho_plus)
     if y_max <= 0.0:
         raise DomainError("y_max must be positive")
-    rate = math.sqrt(enthalpy_h_prime(gamma, rho_plus))
     rho_minus = solve_rho_minus(gamma, rho_plus, rho_b0)
+    with np.errstate(over="ignore"):
+        rate = math.sqrt(enthalpy_h_prime(gamma, rho_plus))
+    if not 0.0 < rate < math.inf:
+        raise RangeError(f"the tail rate sqrt(h'(rho_plus)) = {rate} is outside the double range")
     dy = 0.002 / rate
     if rho_b0 == 0.0:
         y = np.array([0.0, 0.5 * y_max, y_max])

@@ -282,6 +282,27 @@ _MALFORMED = [
         ["limit-profile", "--gamma", "1", "--rho-plus", "2", "--rho-b0=-1e20", "--y-max", "1e7"], {},
         "samples below y_max", id="--y-max=1e7",
     ),
+] + [
+    # alpha = sqrt(h'(rho_plus)/kappa) beyond the doubles: h' overflows, h' underflows, or kappa is subnormal
+    pytest.param(argv + ["--config", "@"], dict(extra, rho_b=-0.02),
+                 f"error: alpha = sqrt(h'(rho_plus)/kappa) = {alpha} is outside the double range\n",
+                 id=f"{argv[0]}-{tag}")
+    for argv in (["solve", "impermeable"], ["verify", "impermeable"], ["kernel", "--r", "2", "--s", "1"])
+    for tag, extra, alpha in (
+        ("kappa=5e-324", {"kappa": 5e-324}, "inf"),
+        ("h'=0", {"gamma": 5, "rho_plus": 1e-120}, "0.0"),
+        ("h'=inf", {"gamma": 30, "rho_plus": 1e20}, "inf"),
+    )
+] + [
+    # the limit profile's tail rate sqrt(h'(rho_plus)) has the same root; 1.5**1745 is finite, h' is not
+    pytest.param(argv, {"gamma": 5, "rho_plus": 1e-120, "rho_b": 0},
+                 f"error: the tail rate sqrt(h'(rho_plus)) = {rate} is outside the double range\n",
+                 id=f"{argv[0]}-tail-rate={rate}")
+    for argv, rate in (
+        (["limit-profile", "--gamma", "5", "--rho-plus", "1e-120", "--rho-b0", "0"], "0.0"),
+        (["limit-profile", "--gamma", "1745", "--rho-plus", "1.5", "--rho-b0", "0"], "inf"),
+        (["rate-study", "--mode", "singular", "--out", "o", "--config", "@"], "0.0"),
+    )
 ]
 
 _LARGE_ARGUMENTS = [
@@ -562,6 +583,13 @@ class TestDispatch:
             assert (out / name).exists()
         slopes = json.loads(capsys.readouterr().out)
         assert "l2_value" in slopes
+
+    def test_rate_study_ignores_unrepresentable_config_kappa(self, tmp_path, capsys):
+        # alpha at kappa = 5e-324 is beyond the doubles, but the study solves at its own kappas
+        doc = dict(VALID, kappa=5e-324, kappas=[10.0 ** (-1.0 - 0.5 * k) for k in range(4)])
+        cfg = write_config(tmp_path, doc)
+        assert dispatch(["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "l2_value" in json.loads(capsys.readouterr().out)
 
     def test_verify_impermeable(self, tmp_path, capsys):
         doc = dict(VALID, kappa=1.0, rho_b=-0.1)

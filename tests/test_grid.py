@@ -1,12 +1,14 @@
 """Radial grids: truncation policies, quadrature accuracy, cumulative tails."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsk.grid as grid_mod
 from nsk.errors import ConfigError, GridSizeError
 from nsk.grid import (
     ALGEBRAIC,
@@ -44,33 +46,36 @@ class TestBuild:
         ratios = hs[1:] / hs[:-1]
         assert np.all(ratios < 2.0) and np.all(ratios >= 0.5 - 1e-12)
 
-    def test_node_cap(self):
-        with pytest.raises(GridSizeError):
-            build_grid(3, 1000.0, points_per_unit_alpha=100.0, max_nodes=50)
+    def test_node_cap(self, monkeypatch):
         with pytest.raises(GridSizeError, match="exceed 2000000 nodes"):
             build_grid(3, 1.0, R_max=1e300)
+        monkeypatch.setattr(grid_mod, "MAX_NODES", 50)
+        with pytest.raises(GridSizeError, match="exceed 50 nodes"):
+            build_grid(3, 1000.0, points_per_unit_alpha=100.0)
 
-    def test_node_cap_counts_final_nodes(self):
-        # 14 steps here, and the odd-interval split makes the last one two
-        size = build_grid(3, 1.0, R_max=3.0).size
-        assert size == 15
-        with pytest.raises(GridSizeError):
-            build_grid(3, 1.0, R_max=3.0, max_nodes=size - 1)
-        for alpha, decay in ((1.0, EXPONENTIAL), (3.0, ALGEBRAIC), (40.0, EXPONENTIAL)):
-            size = build_grid(3, alpha, decay=decay).size
-            assert build_grid(3, alpha, decay=decay, max_nodes=size).size == size
+    def test_node_cap_counts_final_nodes(self, monkeypatch):
+        cases = [dict(alpha=1.0, R_max=3.0), dict(alpha=1.0), dict(alpha=3.0, decay=ALGEBRAIC), dict(alpha=40.0)]
+        sizes = [build_grid(3, **case).size for case in cases]
+        assert sizes[0] == 15  # 14 steps, and the odd-interval split makes the last one two
+        for case, size in zip(cases, sizes):
+            monkeypatch.setattr(grid_mod, "MAX_NODES", size)
+            assert build_grid(3, **case).size == size
+            monkeypatch.setattr(grid_mod, "MAX_NODES", size - 1)
             with pytest.raises(GridSizeError):
-                build_grid(3, alpha, decay=decay, max_nodes=size - 1)
+                build_grid(3, **case)
 
     @settings(max_examples=60, deadline=None)
     @given(R_max=st.floats(min_value=1.05, max_value=30.0), max_nodes=st.integers(3, 400))
     def test_node_cap_is_never_exceeded(self, R_max, max_nodes):
-        try:
-            grid = build_grid(3, 2.0, R_max=R_max, max_nodes=max_nodes)
-        except GridSizeError:
-            assert build_grid(3, 2.0, R_max=R_max).size > max_nodes
-        else:
-            assert grid.size <= max_nodes
+        # patched in the body: a function-scoped fixture would span every example
+        size = build_grid(3, 2.0, R_max=R_max).size
+        with mock.patch.object(grid_mod, "MAX_NODES", max_nodes):
+            try:
+                grid = build_grid(3, 2.0, R_max=R_max)
+            except GridSizeError:
+                assert size > max_nodes
+            else:
+                assert grid.size <= max_nodes
 
     def test_invariants_enforced(self):
         with pytest.raises(ConfigError):
