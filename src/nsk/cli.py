@@ -308,12 +308,7 @@ def _cmd_rate_study(argv):
         rates_mod.emit_outputs(result, a.out)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
-    print(
-        json.dumps(
-            {k: {"value": v[0], "stderr": v[1]} for k, v in sorted(result.slopes.items())},
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(result.slopes, sort_keys=True))
     return EXIT_OK
 
 

@@ -79,6 +79,17 @@ _GAUSS_W = np.array([
 ])
 
 
+def _pressure_scale(gamma: float, rho_plus: float) -> float:
+    """``rho_+^gamma``, the scale of ``W``, or ``RangeError`` where it leaves the doubles.
+
+    Callers hold ``np.errstate(over="ignore")``, so an overflow reaches the check, not stderr.
+    """
+    scale = check_finite(np.float64(rho_plus) ** gamma, "rho_plus**gamma")
+    if scale == 0.0:
+        raise RangeError("rho_plus**gamma underflows to 0")
+    return scale
+
+
 def potential_w(gamma: float, rho_plus: float, x):
     r"""``W(x) = \int_{\rho_+}^x (h(t) - h(\rho_+)) dt`` in closed form.
 
@@ -90,20 +101,19 @@ def potential_w(gamma: float, rho_plus: float, x):
     (gamma-2)...(gamma-k+1) d^k/k!`` from ``k = 2`` replaces it and keeps full
     relative accuracy.  Where ``x/rho_+`` rounds to 0 it gives the vacuum value
     ``rho_+^gamma`` (``0 log 0 = 0`` for ``gamma = 1``).  ``W`` may overflow to
-    ``inf`` far above ``rho_+``; a pressure scale ``rho_+^gamma`` beyond the
-    double range raises ``RangeError``.
+    ``inf`` far above ``rho_+``; a pressure scale ``rho_+^gamma`` that
+    overflows or underflows to 0 raises ``RangeError``.
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise DomainError("x must be positive")
     d = np.atleast_1d(xa / rho_plus - 1.0)
     with np.errstate(over="ignore", divide="ignore"):
+        scale = _pressure_scale(gamma, rho_plus)
         if gamma == 1.0:
-            scale = rho_plus
             # (1 + d) e is 0 where d rounds to -1, not 0 * (-inf)
             e = np.log1p(np.where(d > -1.0, d, 0.0))
         else:
-            scale = check_finite(np.float64(rho_plus) ** gamma, "rho_plus**gamma")
             e = np.expm1((gamma - 1.0) * np.log1p(d)) / (gamma - 1.0)
         out = scale * ((1.0 + d) * e - d)
     # the closed forms cancel O(d) terms: next to rho_+ sum the Taylor series instead,
@@ -121,7 +131,8 @@ def potential_w(gamma: float, rho_plus: float, x):
         for b in reversed(coef[:-1]):
             acc *= t
             acc += b
-        out[near] = scale * (0.5 * gamma) * dn * dn * acc
+        with np.errstate(over="ignore", invalid="ignore"):  # W beyond the doubles, as above
+            out[near] = scale * (0.5 * gamma) * dn * dn * acc
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
 
 
@@ -154,8 +165,8 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
     target = abs(rho_b0)
     upward = rho_b0 < 0.0  # the profile lies above rho_+
     if not upward:
-        pressure = check_finite(np.float64(rho_plus) ** gamma, "rho_plus**gamma")
-        bound = math.sqrt(2.0 * pressure)
+        with np.errstate(over="ignore"):
+            bound = math.sqrt(2.0 * _pressure_scale(gamma, rho_plus))
         if rho_b0 >= bound:
             raise NoRootError(
                 f"rho_b0 = {rho_b0:.6g} is not below sqrt(2 rho_plus**gamma) = {bound:.6g}, "

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +52,12 @@ L2Y_KEY = "l2_value_y"
 
 @dataclass
 class RateRow:
+    """One kappa of a study: its fields are the ``summary.json`` row, field for field."""
+
     kappa: float
-    errors: dict
-    nodes: int
-    iterations: int
+    errors: dict = field(default_factory=dict)
+    nodes: int = 0
+    iterations: int = 0
     failed: str | None = None
 
 
@@ -63,7 +65,7 @@ class RateRow:
 class RateStudyResult:
     mode: str
     rows: list
-    slopes: dict = field(default_factory=dict)
+    slopes: dict = field(default_factory=dict)  # norm -> {"value": slope, "stderr": stderr}
     profiles: list = field(default_factory=list)  # (kappa, nodes, rho) kept for emit
     limit: LimitProfile | None = None
 
@@ -148,7 +150,7 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
         try:
             row, prof = _solve_one(cfg, mode, kappa, profile)
         except SolverError as exc:
-            row = RateRow(kappa=kappa, errors={}, nodes=0, iterations=0, failed=str(exc))
+            row = RateRow(kappa=kappa, failed=str(exc))
         else:
             result.profiles.append(prof)
         result.rows.append(row)
@@ -162,8 +164,8 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
         )
     ks = np.array([row.kappa for row in good])
     for key in norm_keys:
-        es = np.array([row.errors[key] for row in good])
-        result.slopes[key] = fit_loglog(ks, es)
+        slope, stderr = fit_loglog(ks, [row.errors[key] for row in good])
+        result.slopes[key] = {"value": slope, "stderr": stderr}
     return result
 
 
@@ -185,12 +187,10 @@ def write_rows(fh, prefix: str, columns) -> None:
 
 def emit_outputs(result: RateStudyResult, out_dir) -> list:
     """Write rates.csv, profiles.csv, summary.json, and plot.gp; returns paths."""
-    if not result.rows:
-        raise ConfigError("empty rate-study result")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     good = [row for row in result.rows if row.failed is None]
-    norm_keys = sorted({k for row in good for k in row.errors})
+    norm_keys = sorted(result.slopes)
 
     # counts are integral, so FLOAT_FORMAT prints them as integers
     table = np.array(
@@ -214,23 +214,7 @@ def emit_outputs(result: RateStudyResult, out_dir) -> list:
             write_rows(fh, "rho_bar,0,", (result.limit.y_nodes, result.limit.rho_bar))
 
     summary = out / "summary.json"
-    payload = {
-        "mode": result.mode,
-        "slopes": {
-            k: {"value": result.slopes[k][0], "stderr": result.slopes[k][1]}
-            for k in sorted(result.slopes)
-        },
-        "rows": [
-            {
-                "kappa": row.kappa,
-                "errors": row.errors,
-                "nodes": row.nodes,
-                "iterations": row.iterations,
-                "failed": row.failed,
-            }
-            for row in result.rows
-        ],
-    }
+    payload = {"mode": result.mode, "slopes": result.slopes, "rows": [asdict(row) for row in result.rows]}
     summary.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     plot = out / "plot.gp"

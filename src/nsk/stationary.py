@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import check_finite
-from .errors import NonContractionError, PositivityError, WindowEmptyError
+from .errors import NonContractionError, PositivityError, RangeError, WindowEmptyError
 from .grid import RadialGrid
 from .kernel import KernelParams, ModelParams, enthalpy_h, enthalpy_h_prime, kernel_params, lifting_phi_b
 from .operators import GreenOperator
@@ -151,11 +151,9 @@ def hermite_second_derivative(nodes: np.ndarray, f: np.ndarray, fp: np.ndarray) 
     ``p''(r_i)`` of the quintic ``p`` matching values and first derivatives
     at nodes ``i-1, i, i+1``, in closed form for spacings ``a = r_i - r_{i-1}``,
     ``b = r_{i+1} - r_i``; ``O(h^4)`` on smooth data, exact on quintics.
-    Boundary entries are NaN.
+    Boundary entries, and every entry below three nodes, are NaN.
     """
     out = np.full(nodes.size, np.nan)
-    if nodes.size < 3:
-        return out
     a = nodes[1:-1] - nodes[:-2]
     b = nodes[2:] - nodes[1:-1]
     s = a + b
@@ -233,6 +231,9 @@ def solve_stationary(
 ):
     """Fixed-point solve in any regime; returns its :class:`StationarySolution`."""
     kp = kernel_params(params)
+    rho_plus_sq = params.rho_plus * params.rho_plus  # not ``**``: a float power raises on overflow
+    if params.u_minus != 0.0 and rho_plus_sq * rho_plus_sq == 0.0:
+        raise RangeError("rho_plus**4 underflows to 0: the flow terms divide by rho**4")
     op = GreenOperator(grid, kp, params.kappa)
     phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, grid.nodes)
 

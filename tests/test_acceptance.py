@@ -38,8 +38,8 @@ def test_criterion_1_fixed_mode_rates():
     base = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-1.0, u_minus=0.0)
     res = run_rate_study(RunConfig(model=base, kappas=RATE_KAPPAS), FIXED)
     targets = {"l2_value": 0.75, "l2_derivative": 0.25, "sup": 0.50}
-    detail = ", ".join(f"{k}={res.slopes[k][0]:.3f} (target {t})" for k, t in targets.items())
-    ok = all(abs(res.slopes[k][0] - t) <= 0.05 for k, t in targets.items())
+    detail = ", ".join(f"{k}={res.slopes[k]['value']:.3f} (target {t})" for k, t in targets.items())
+    ok = all(abs(res.slopes[k]["value"] - t) <= 0.05 for k, t in targets.items())
     _report(1, "fixed-mode convergence rates", ok, detail)
 
 
@@ -47,8 +47,8 @@ def test_criterion_2_singular_mode_rates():
     base = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
     res = run_rate_study(RunConfig(model=base, kappas=RATE_KAPPAS), SINGULAR)
     targets = {"l2_value": 0.75, "l2_derivative": 0.25, "sup": 0.50, "l2_value_y": 0.50}
-    detail = ", ".join(f"{k}={res.slopes[k][0]:.3f} (target {t})" for k, t in targets.items())
-    ok = all(abs(res.slopes[k][0] - t) <= 0.05 for k, t in targets.items())
+    detail = ", ".join(f"{k}={res.slopes[k]['value']:.3f} (target {t})" for k, t in targets.items())
+    ok = all(abs(res.slopes[k]["value"] - t) <= 0.05 for k, t in targets.items())
     _report(2, "singular-mode convergence rates", ok, detail)
 
 

@@ -18,7 +18,7 @@ from nsk.cli import RunConfig, dispatch, parse_config
 from nsk.errors import ConfigError
 from nsk.kernel import ModelParams
 from nsk.limit import potential_w
-from nsk.rates import format_float
+from nsk.rates import RateRow, format_float
 
 VALID = {
     "n": 3,
@@ -278,6 +278,39 @@ _MALFORMED = [
         "2 W(rho_-) overflows", id="--rho-b0=-1e300",
     ),
     pytest.param(
+        ["solve", "impermeable", "--config", "@"], {"grid": {"points_per_unit_alpha": 0}},
+        "grid.points_per_unit_alpha must be positive", id="points_per_unit_alpha=0",
+    ),
+    pytest.param(
+        ["solve", "impermeable", "--config", "@"], {"grid": {"R_max": 1}}, "R_max must exceed 1", id="R_max=1",
+    ),
+    pytest.param(
+        # 3.29e199**2 overflows, 1e-120**5 underflows: no numpy warning precedes the error
+        ["limit-profile", "--gamma", "2", "--rho-plus", "3.29e199", "--rho-b0=0.5"], {},
+        "rho_plus**gamma is not finite", id="pressure-overflow",
+    ),
+    pytest.param(
+        ["limit-profile", "--gamma", "5", "--rho-plus", "1e-120", "--rho-b0=-0.1"], {},
+        "rho_plus**gamma underflows to 0", id="pressure-underflow",
+    ),
+    pytest.param(
+        # 1.5**1745 is finite, but W's Taylor branch overflows next to rho_plus
+        ["limit-profile", "--gamma", "1745", "--rho-plus", "1.5", "--rho-b0=-0.1"], {},
+        "rho_- lies within the 1e-13 bisection tolerance of rho_plus", id="--gamma=1745",
+    ),
+    pytest.param(
+        # the transport and tail terms divide by rho**4, which is 0 near rho_plus
+        ["solve", "outflow", "--config", "@"],
+        {"n": 9, "gamma": 2, "kappa": 0.1, "mu": 0, "rho_plus": 1e-120, "rho_b": -0.02, "u_minus": -0.05},
+        "rho_plus**4 underflows to 0", id="outflow-rho_plus=1e-120",
+    ),
+    pytest.param(
+        # alpha = 5.5e-108: the kernel grid's span is refused before the oracle starts
+        ["verify", "impermeable", "--config", "@"],
+        {"n": 150, "kappa": 1e-3, "rho_plus": 3.35e217, "rho_b": -4.78e237},
+        "grid would exceed 2000000 nodes", id="verify-span",
+    ),
+    pytest.param(
         # y(rho_+ + 1e-8) is about 3e17 at rho_- = 6e37: 3.5e9 samples below y_max
         ["limit-profile", "--gamma", "1", "--rho-plus", "2", "--rho-b0=-1e20", "--y-max", "1e7"], {},
         "samples below y_max", id="--y-max=1e7",
@@ -402,6 +435,13 @@ class TestDispatch:
         summary = json.loads(capsys.readouterr().out)
         assert summary["converged"] is True
 
+    def test_solve_impermeable_zero_wall_data(self, tmp_path, capsys):
+        # rho_b = 0: phi vanishes, so no decay rate can be fitted and the summary says null
+        cfg = write_config(tmp_path, dict(VALID, rho_b=0))
+        assert dispatch(["solve", "impermeable", "--config", cfg]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["decay_rate_fit"] is None and summary["sup_norm"] == 0.0
+
     def test_solve_regime_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, VALID)
         assert dispatch(["solve", "inflow", "--config", cfg]) == 2
@@ -487,6 +527,14 @@ class TestDispatch:
         assert dispatch(["solve", "inflow", "--config", cfg]) == 3
         assert capsys.readouterr().err == "solver error: non-finite update at iteration 2\n"
 
+    def test_huge_rho_plus_flow_passes_the_vacuum_gate(self, tmp_path, capsys):
+        # 1e100**4 overflows, which a float power raises on: the rho_plus**4 gate must not,
+        # and at gamma = 2 alpha does not depend on rho_plus, so the solve itself gives the verdict
+        doc = dict(VALID, gamma=2.0, kappa=1.0, mu=1.0, rho_plus=1e100, rho_b=-0.02, u_minus=-0.05)
+        assert dispatch(["solve", "outflow", "--config", write_config(tmp_path, doc)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("solver error: ") and err.count("\n") == 1
+
     @pytest.mark.filterwarnings("error")
     def test_tiny_kappa_flow_solve_ends_with_a_verdict(self, tmp_path, capsys):
         # alpha ~ 3e4: the flow grid once needed more than 2e6 nodes (exit 2); now it is a
@@ -523,7 +571,14 @@ class TestDispatch:
         assert dispatch(argv) == 0
         captured = capsys.readouterr()
         assert "2 of 7 kappa rows failed" in captured.err
-        assert sorted(json.loads(captured.out)) == ["l2_derivative", "l2_value", "sup"]
+        slopes = json.loads(captured.out)
+        assert sorted(slopes) == ["l2_derivative", "l2_value", "sup"]
+        # summary.json is the RateStudyResult: rows are RateRow fields, and stdout prints its slopes
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        fields = {f.name for f in dataclasses.fields(RateRow)}
+        assert all(set(row) == fields for row in summary["rows"])
+        assert sum(row["failed"] is not None for row in summary["rows"]) == 2
+        assert summary["slopes"] == slopes
 
     def test_rate_study_unconverged_rows_fail(self, tmp_path, capsys):
         # the three unconverged rows fail instead of being fitted

@@ -68,7 +68,7 @@ class TestRun:
             errs = [row.errors[key] for row in res.rows]
             assert all(e > 0.0 and np.isfinite(e) for e in errs)
             assert all(a > b for a, b in zip(errs, errs[1:]))  # monotone decrease
-        assert 0.55 <= res.slopes["l2_value"][0] <= 0.8
+        assert 0.55 <= res.slopes["l2_value"]["value"] <= 0.8
 
     def test_singular_short_sweep_includes_layer_norm(self):
         res = study(-0.1, SINGULAR)

@@ -24,6 +24,11 @@ def test_exact_on_quintics():
         rec = hermite_second_derivative(nodes, f, fp)
         assert np.isnan(rec[0]) and np.isnan(rec[-1]), label
         assert np.max(np.abs(rec[1:-1] - fpp[1:-1])) <= 1e-10 * np.max(np.abs(fpp)), label
+    # below three nodes there is no interior entry: all NaN, and no warning
+    for size in (0, 1, 2):
+        nodes = mixed[:size]
+        rec = hermite_second_derivative(nodes, nodes**2, 2.0 * nodes)
+        assert rec.shape == (size,) and np.isnan(rec).all(), size
 
 
 def test_fourth_order_on_smooth_function():
