@@ -159,15 +159,40 @@ def _write_csv(path: str, header: list, columns: list) -> None:
         raise ConfigError(f"cannot write output: {exc}") from exc
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.float_flags = {}  # option string of each type=float flag -> its dest
+
     def error(self, message):  # noqa: D102 - argparse hook
         raise ConfigError(message)
 
+    def add_argument(self, *args, **kwargs):  # noqa: D102 - records the float flags
+        action = super().add_argument(*args, **kwargs)
+        if action.type is float:
+            self.float_flags[action.option_strings[0]] = action.dest
+        return action
+
     def parse_args(self, argv):  # noqa: D102 - float flags pass the config gate
-        ns = super().parse_args(argv)
-        for action in self._actions:
-            if action.type is float:
-                _number(getattr(ns, action.dest), action.option_strings[0])
+        # argparse reads "-1e-3" as an option (its negative-number pattern has no exponent):
+        # "--flag value" becomes "--flag=value" wherever value is a float
+        argv, joined = list(argv), []
+        while argv:
+            token = argv.pop(0)
+            if token in self.float_flags and argv and _is_float(argv[0]):
+                token = f"{token}={argv.pop(0)}"
+            joined.append(token)
+        ns = super().parse_args(joined)
+        for flag, dest in self.float_flags.items():
+            _number(getattr(ns, dest), flag)
         return ns
 
 

@@ -66,7 +66,9 @@ NEWTON_STEPS = 4  # from the panel end below a sample, each step squares a ~1e-3
 TAYLOR_MAX = 0.1
 TAYLOR_TERMS = 20
 MAX_SAMPLES = 1_000_000  # stored samples of one profile
-_CHUNK = 1 << 14  # samples inverted per vectorized Newton pass
+# entries per whole-array pass over samples: a (1024, 8) block of Gauss-Legendre
+# points is 64 KiB, so no temporary reaches glibc's 128 KiB mmap threshold
+_CHUNK = 1 << 10
 # the 8-point Gauss-Legendre rule on [-1, 1], equal bit for bit to numpy's leggauss(8);
 # per panel: ~1e-30 relative error at a panel ratio 2**(1/16)
 _GAUSS_X = np.array([
@@ -108,19 +110,22 @@ def potential_w(gamma: float, rho_plus: float, x):
     if np.any(xa <= 0.0):
         raise DomainError("x must be positive")
     d = np.atleast_1d(xa / rho_plus - 1.0)
+    g = max(1.0, gamma)
+    near = np.abs(d) * g <= TAYLOR_MAX
+    far = ~near
+    out = np.empty_like(d)
     with np.errstate(over="ignore", divide="ignore"):
         scale = _pressure_scale(gamma, rho_plus)
+        df = d[far]
         if gamma == 1.0:
             # (1 + d) e is 0 where d rounds to -1, not 0 * (-inf)
-            e = np.log1p(np.where(d > -1.0, d, 0.0))
+            e = np.log1p(np.where(df > -1.0, df, 0.0))
         else:
-            e = np.expm1((gamma - 1.0) * np.log1p(d)) / (gamma - 1.0)
-        out = scale * ((1.0 + d) * e - d)
+            e = np.expm1((gamma - 1.0) * np.log1p(df)) / (gamma - 1.0)
+        out[far] = scale * ((1.0 + df) * e - df)
     # the closed forms cancel O(d) terms: next to rho_+ sum the Taylor series instead,
     # gamma d^2/2 sum_j b_j t^j in t = g d, g = max(1, gamma), with
     # b_j = prod_{k=2}^{j+1} (gamma - k)/(g (k + 1)) bounded for every gamma
-    g = max(1.0, gamma)
-    near = np.abs(d) * g <= TAYLOR_MAX
     if near.any():
         coef = [1.0]
         for k in range(2, TAYLOR_TERMS + 1):
@@ -208,6 +213,17 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
     return root
 
 
+def _blockwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each block of at most ``_CHUNK`` entries of ``x``, joined.
+
+    ``fn`` acts on each entry alone, so the blocks change no value, only the size of its temporaries.
+    """
+    out = np.empty(x.size)
+    for lo in range(0, x.size, _CHUNK):
+        out[lo : lo + _CHUNK] = fn(x[lo : lo + _CHUNK])
+    return out
+
+
 def _geometric(a: float, b: float, gamma: float) -> np.ndarray:
     """Points from ``a`` to ``b``, ``PANELS_PER_OCTAVE * gamma`` panels per factor of 2."""
     count = max(math.ceil(PANELS_PER_OCTAVE * gamma * abs(math.log2(b / a))), 1)
@@ -253,16 +269,16 @@ class _FirstIntegral:
         Newton on ``y_ends[j] + int_{ends[j]}^{rho} dx/s(x) = y`` from the
         panel end ``j`` below ``y``, starting at the first-order step.
         """
-        out = np.empty(y.size)
-        for lo in range(0, y.size, _CHUNK):
-            j = np.searchsorted(self.y_ends, y[lo : lo + _CHUNK], side="right") - 1
-            start, gap = self.ends[j], y[lo : lo + _CHUNK] - self.y_ends[j]
-            rho = start + _manifold_slope(self.gamma, self.rho_plus, start) * gap
-            for _ in range(NEWTON_STEPS):
-                defect = self._integral(start, rho) - gap
-                rho = rho - defect * _manifold_slope(self.gamma, self.rho_plus, rho)
-            out[lo : lo + _CHUNK] = rho
-        return out
+        return _blockwise(self._invert_block, y)
+
+    def _invert_block(self, y: np.ndarray) -> np.ndarray:
+        j = np.searchsorted(self.y_ends, y, side="right") - 1
+        start, gap = self.ends[j], y - self.y_ends[j]
+        rho = start + _manifold_slope(self.gamma, self.rho_plus, start) * gap
+        for _ in range(NEWTON_STEPS):
+            defect = self._integral(start, rho) - gap
+            rho = rho - defect * _manifold_slope(self.gamma, self.rho_plus, rho)
+        return rho
 
 
 @dataclass
@@ -376,7 +392,7 @@ def integrate_profile(
     return LimitProfile(
         y_nodes=y_all,
         rho_bar=rho_all,
-        rho_bar_y=_manifold_slope(gamma, rho_plus, rho_all),
+        rho_bar_y=_blockwise(lambda rho: _manifold_slope(gamma, rho_plus, rho), rho_all),
         rho_minus_limit=rho_minus,
         gamma=gamma,
         rho_plus=rho_plus,

@@ -170,6 +170,8 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
 
 
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: the round-trip form used in every output file
+# rows per write: the values, tuple and text of one write grow with the width, not the row count
+WRITE_BLOCK = 1024
 
 
 def format_float(x: float) -> str:
@@ -178,11 +180,14 @@ def format_float(x: float) -> str:
 
 
 def write_rows(fh, prefix: str, columns) -> None:
-    """Write one CSV line per row of ``columns``: ``prefix`` and the row in :data:`FLOAT_FORMAT`."""
-    table = np.column_stack(columns)
-    rows, width = table.shape
-    line = prefix.replace("%", "%%") + ",".join([FLOAT_FORMAT] * width) + "\n"
-    fh.write(line * rows % tuple(table.ravel().tolist()))
+    """Write one CSV line per row of ``columns``: ``prefix`` and the row in :data:`FLOAT_FORMAT`.
+
+    Rows are stacked, formatted and written :data:`WRITE_BLOCK` at a time.
+    """
+    line = prefix.replace("%", "%%") + ",".join([FLOAT_FORMAT] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), WRITE_BLOCK):
+        block = np.column_stack([column[lo : lo + WRITE_BLOCK] for column in columns])
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def emit_outputs(result: RateStudyResult, out_dir) -> list:

@@ -361,6 +361,20 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flag", list(_FLAG_ARGV))
+    def test_float_flag_takes_a_spaced_exponent(self, flag, tmp_path, capsys):
+        # argparse's negative-number pattern has no exponent: "--flag -1e-3" must still read
+        # -1e-3 as the flag's value, with the result of "--flag=-1e-3"
+        cfg = write_config(tmp_path, VALID)
+        argv = [cfg if a == "@" else a for a in _FLAG_ARGV[flag]]
+        results = []
+        for tail in ([flag, "-1e-3"], [f"{flag}=-1e-3"]):
+            code = dispatch(argv + tail)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1]
+        assert "expected one argument" not in results[0][2]
+
     @pytest.mark.parametrize("argv, extra", _LARGE_ARGUMENTS)
     def test_large_arguments_resolve(self, argv, extra, tmp_path, capsys, deadline):
         # Bessel arguments of 1e9 and more (alpha r >= 3.2e8 at kappa = 1e-17) give verified results

@@ -1,6 +1,7 @@
 """Vanishing-capillarity limit profile: potential, root, profile against references, rescale."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,17 @@ from scipy.integrate import quad
 from nsk.errors import ConfigError, DomainError, NoRootError, RangeError
 from nsk.grid import build_grid
 from nsk.kernel import enthalpy_h
-from nsk.limit import _GAUSS_W, _GAUSS_X, integrate_profile, potential_w, solve_rho_minus
+from nsk.limit import (
+    _CHUNK,
+    _GAUSS_W,
+    _GAUSS_X,
+    TAIL_SWITCH,
+    TAYLOR_MAX,
+    _FirstIntegral,
+    integrate_profile,
+    potential_w,
+    solve_rho_minus,
+)
 
 mp.mp.dps = 40
 
@@ -112,6 +123,21 @@ class TestPotential:
         assert potential_w(1.0, 2.0, 1e-300) == 2.0
         assert potential_w(1.4, 2.0, 1e-300) == pytest.approx(2.0**1.4, rel=1e-15)
         assert potential_w(1.0, 2.0, np.array([1e-300, 1.0]))[0] == 2.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+    def test_elementwise(self, gamma):
+        # near points (Taylor series) interleaved with far ones (closed form), next to the
+        # vacuum and far above rho_+ (W overflows): each entry is its value taken alone
+        rho_plus, g = 1.7, max(1.0, gamma)
+        d = np.array([0.0, 0.5, 1e-9, -0.5, TAYLOR_MAX / g, 2.0 * TAYLOR_MAX / g, -TAYLOR_MAX / g,
+                      -1.0 + 1e-12, 1e-300, 1e6, -0.03 / g, 3e-2 / g, 1e300, -1e-12, 40.0])
+        near = np.abs(d) * g <= TAYLOR_MAX
+        assert 0 < near.sum() < d.size
+        xs = np.insert(rho_plus * (1.0 + d), 5, 1e-300)
+        out = potential_w(gamma, rho_plus, xs)
+        single = np.array([potential_w(gamma, rho_plus, float(x)) for x in xs])
+        assert out.tobytes() == single.tobytes()
+        assert potential_w(gamma, rho_plus, xs.reshape(4, 4)).tobytes() == single.tobytes()
 
     def test_pressure_scale_overflow(self):
         with pytest.raises(RangeError, match="rho_plus\\*\\*gamma"):
@@ -291,6 +317,25 @@ class TestProfile:
             assert np.max(np.abs(energy)) <= 1e-15 * rho_b0**2
             mid = 0.5 * (prof.y_nodes[:-1] + prof.y_nodes[1:])
             assert np.all(np.isfinite(prof.evaluate(mid)))
+
+    def test_inversion_blocks_change_no_value(self):
+        # 3,000 samples span three blocks; two uneven halves split them differently
+        first = _FirstIntegral(1.0, 1.0, solve_rho_minus(1.0, 1.0, -0.1), TAIL_SWITCH)
+        y = np.linspace(0.0, first.y_ends[-1], 3000)
+        assert y.size > 2 * _CHUNK
+        halves = np.concatenate([first.invert(y[:1100]), first.invert(y[1100:])])
+        assert first.invert(y).tobytes() == halves.tobytes()
+
+    def test_traced_memory(self):
+        # the inversion and the slope pass run in blocks: no whole-profile (M, 8) temporaries
+        integrate_profile(1.0, 1.0, -0.1)  # first calls allocate caches of their own
+        tracemalloc.start()
+        try:
+            prof = integrate_profile(1.0, 1.0, -0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prof.y_nodes.size == 14_983 and peak <= 2 * 2**20
 
     def test_gauss_rule_is_leggauss(self):
         # the rule is stored as constants; profiles.csv depends on every bit of it

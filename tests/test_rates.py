@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from nsk.errors import ConfigError
 from nsk.kernel import ModelParams
 from nsk.rates import (
     FIXED,
+    FLOAT_FORMAT,
     SINGULAR,
+    WRITE_BLOCK,
     emit_outputs,
     fit_loglog,
     format_float,
@@ -136,3 +139,43 @@ def test_write_rows_is_format_float_per_value():
         expect = [prefix + ",".join(format_float(v) for v in row) for row in zip(*columns)]
         assert fh.getvalue() == "".join(line + "\n" for line in expect)
     assert [format_float(v) for v in values] == [format(float(v), ".17g") for v in values]
+
+
+class _Writes(io.StringIO):
+    """A text buffer that keeps the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(text.count("\n"))
+        return super().write(text)
+
+
+def test_write_rows_blocks_change_no_byte():
+    # 2,500 rows span three blocks; the reference formats every row with one template
+    rng = np.random.default_rng(23)
+    columns = [rng.standard_normal(2500) * 10.0 ** rng.integers(-300, 300, 2500), np.arange(2500.0)]
+    prefix = "rho_kappa,5%s%%,"
+    fh = _Writes()
+    write_rows(fh, prefix, columns)
+    table = np.column_stack(columns)
+    line = prefix.replace("%", "%%") + ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
+    assert fh.getvalue() == line * table.shape[0] % tuple(table.ravel().tolist())
+    assert fh.sizes == [WRITE_BLOCK, WRITE_BLOCK, 2500 - 2 * WRITE_BLOCK]
+
+
+def test_emit_traced_memory(tmp_path):
+    # the singular study of the benchmark: its 14,983-sample rho_bar series is written in blocks
+    cfg = RunConfig(model=base_params(-0.1))
+    res = run_rate_study(cfg, SINGULAR)
+    assert res.limit.y_nodes.size == 14_983
+    emit_outputs(res, tmp_path / "warm")  # first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        emit_outputs(res, tmp_path / "out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
