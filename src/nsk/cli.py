@@ -184,12 +184,12 @@ class _Parser(argparse.ArgumentParser):
     def parse_args(self, argv):  # noqa: D102 - float flags pass the config gate
         # argparse reads "-1e-3" as an option (its negative-number pattern has no exponent):
         # "--flag value" becomes "--flag=value" wherever value is a float
-        argv, joined = list(argv), []
-        while argv:
-            token = argv.pop(0)
-            if token in self.float_flags and argv and _is_float(argv[0]):
-                token = f"{token}={argv.pop(0)}"
-            joined.append(token)
+        joined = []
+        for token in argv:
+            if joined and joined[-1] in self.float_flags and _is_float(token):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
         ns = super().parse_args(joined)
         for flag, dest in self.float_flags.items():
             _number(getattr(ns, dest), flag)
