@@ -2,11 +2,12 @@
 
 Subcommands: ``bessel``, ``kernel``, ``solve``, ``limit-profile``,
 ``rate-study``, ``verify``.  Exit codes: ``dispatch`` maps the two error
-families, ``ConfigError`` to 2 and ``SolverError`` to 3; 0 success, 64 unknown
-subcommand, 1 a failed verify.  Every config number and float flag passes
-``_number`` once; range rules live in the types that own them.  Files are
-written here and, for ``rate-study``, by ``nsk.rates.emit_outputs``, with 17
-significant digits throughout, so identical inputs yield byte-identical files.
+families, ``ConfigError`` to 2 (a malformed command line among them) and
+``SolverError`` to 3; 0 success, 1 a failed verify.  Every config number and
+float flag passes ``_number`` once; range rules live in the types that own
+them.  Files are written here and, for ``rate-study``, by
+``nsk.rates.emit_outputs``, with 17 significant digits throughout, so
+identical inputs yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = ["RunConfig", "parse_config", "dispatch", "main"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-EXIT_USAGE = 64
 
 _MODEL_KEYS = ("n", "gamma", "kappa", "mu", "rho_plus", "rho_b", "u_minus")
 _GRID_KEYS = ("points_per_unit_alpha", "R_max", "growth")
@@ -168,31 +168,22 @@ def _is_float(text: str) -> bool:
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.float_flags = {}  # option string of each type=float flag -> its dest
-
     def error(self, message):  # noqa: D102 - argparse hook
         raise ConfigError(message)
 
-    def add_argument(self, *args, **kwargs):  # noqa: D102 - records the float flags
-        action = super().add_argument(*args, **kwargs)
-        if action.type is float:
-            self.float_flags[action.option_strings[0]] = action.dest
-        return action
-
-    def parse_args(self, argv):  # noqa: D102 - float flags pass the config gate
+    def parse_args(self, argv):  # noqa: D102 - float values pass the config gate
         # argparse reads "-1e-3" as an option (its negative-number pattern has no exponent):
-        # "--flag value" becomes "--flag=value" wherever value is a float
+        # "--option value" becomes "--option=value" wherever value reads as a float
         joined = []
         for token in argv:
-            if joined and joined[-1] in self.float_flags and _is_float(token):
+            if joined and joined[-1].startswith("--") and "=" not in joined[-1] and _is_float(token):
                 joined[-1] += "=" + token
             else:
                 joined.append(token)
         ns = super().parse_args(joined)
-        for flag, dest in self.float_flags.items():
-            _number(getattr(ns, dest), flag)
+        for dest, value in vars(ns).items():
+            if isinstance(value, float):
+                _number(value, "--" + dest.replace("_", "-"))
         return ns
 
 
@@ -211,13 +202,7 @@ def _parse_nu(text: str) -> BesselOrder:
     return BesselOrder(int(two_nu))
 
 
-def _cmd_bessel(argv):
-    p = _Parser(prog="nsk bessel")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--x", required=True, type=float)
-    p.add_argument("--kind", choices=("i", "k"), default="i")
-    p.add_argument("--scaled", action="store_true")
-    a = p.parse_args(argv)
+def _cmd_bessel(a):
     order = _parse_nu(a.nu)
     fn = {
         ("i", False): bessel_i,
@@ -229,12 +214,7 @@ def _cmd_bessel(argv):
     return EXIT_OK
 
 
-def _cmd_kernel(argv):
-    p = _Parser(prog="nsk kernel")
-    p.add_argument("--config", required=True)
-    p.add_argument("--r", required=True, type=float)
-    p.add_argument("--s", required=True, type=float)
-    a = p.parse_args(argv)
+def _cmd_kernel(a):
     cfg = _read_config(a.config)
     kp = kernel_params(cfg.model)
     out = {"G": float(green(kp, a.r, a.s))}
@@ -258,12 +238,7 @@ def _weighted_sup(grid, k: int, values: np.ndarray) -> float | None:
     return sup if math.isfinite(sup) else None
 
 
-def _cmd_solve(argv):
-    p = _Parser(prog="nsk solve")
-    p.add_argument("regime", choices=(IMPERMEABLE, INFLOW, OUTFLOW))
-    p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    a = p.parse_args(argv)
+def _cmd_solve(a):
     cfg = _read_config(a.config)
     model = cfg.model
     if model.regime != a.regime:
@@ -274,24 +249,22 @@ def _cmd_solve(argv):
     if a.regime == IMPERMEABLE:
         header = ["r", "rho", "rho_r", "phi"]
         columns = [grid.nodes, sol.rho, sol.rho_r, sol.phi]
-    else:
-        header = ["r", "rho", "rho_r", "u", "phi"]
-        columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, sol.phi]
-    if a.out:
-        _write_csv(a.out, header + ["residual"], columns + [sol.residual])
-    if a.regime == IMPERMEABLE:
         try:
             decay_rate_fit = decay_diagnostics(sol, kernel_params(model))[0]
         except WindowEmptyError:
             decay_rate_fit = None
         summary = {"sup_norm": float(np.max(np.abs(sol.phi))), "decay_rate_fit": decay_rate_fit}
     else:
+        header = ["r", "rho", "rho_r", "u", "phi"]
+        columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, sol.phi]
         summary = {
             "rho_minus": sol.rho_minus,
             "mass_flux": sol.mass_flux,
             "weighted_sup_value": _weighted_sup(grid, 2 * (model.n - 1), sol.phi),
             "weighted_sup_derivative": _weighted_sup(grid, 2 * model.n - 1, sol.rho_r),
         }
+    if a.out:
+        _write_csv(a.out, header + ["residual"], columns + [sol.residual])
     summary.update(
         converged=True,  # an unconverged solve raises; the key stays for readers of the JSON
         iterations=sol.iterations,
@@ -302,14 +275,7 @@ def _cmd_solve(argv):
     return EXIT_OK
 
 
-def _cmd_limit_profile(argv):
-    p = _Parser(prog="nsk limit-profile")
-    p.add_argument("--gamma", required=True, type=float)
-    p.add_argument("--rho-plus", required=True, type=float)
-    p.add_argument("--rho-b0", required=True, type=float)
-    p.add_argument("--y-max", type=float, default=60.0)
-    p.add_argument("--out")
-    a = p.parse_args(argv)
+def _cmd_limit_profile(a):
     prof = integrate_profile(a.gamma, a.rho_plus, a.rho_b0, y_max=a.y_max)
     if a.out:
         _write_csv(
@@ -319,12 +285,7 @@ def _cmd_limit_profile(argv):
     return EXIT_OK
 
 
-def _cmd_rate_study(argv):
-    p = _Parser(prog="nsk rate-study")
-    p.add_argument("--mode", required=True, choices=(rates_mod.FIXED, rates_mod.SINGULAR))
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    a = p.parse_args(argv)
+def _cmd_rate_study(a):
     result = rates_mod.run_rate_study(_read_config(a.config), a.mode)
     failed = sum(row.failed is not None for row in result.rows)
     if failed:
@@ -337,53 +298,56 @@ def _cmd_rate_study(argv):
     return EXIT_OK
 
 
-def _cmd_verify(argv):
-    p = _Parser(prog="nsk verify")
-    p.add_argument("target", choices=(IMPERMEABLE,))
-    p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    a = p.parse_args(argv)
+def _cmd_verify(a):
     cfg = _read_config(a.config)
     sup_diff, passed = cross_validate(cfg.model, a.tol)
     print(json.dumps({"sup_diff": sup_diff, "pass": passed}))
     return EXIT_OK if passed else 1
 
 
-_USAGE = """usage: nsk <subcommand> [options]
+def _parser() -> _Parser:
+    p = _Parser(prog="nsk")
+    commands = p.add_subparsers(dest="command", required=True)
 
-subcommands:
-  bessel         evaluate modified Bessel functions
-  kernel         evaluate the Green kernel G(r,s) and its r-derivative
-  solve          solve impermeable | inflow | outflow stationary problems
-  limit-profile  integrate the vanishing-capillarity limit profile
-  rate-study     kappa-sweep convergence study (fixed | singular)
-  verify         cross-validate the solver against the FD oracle
-"""
+    def command(name, run, summary):
+        c = commands.add_parser(name, help=summary)
+        c.set_defaults(run=run)
+        return c
 
-_COMMANDS = {
-    "bessel": _cmd_bessel,
-    "kernel": _cmd_kernel,
-    "solve": _cmd_solve,
-    "limit-profile": _cmd_limit_profile,
-    "rate-study": _cmd_rate_study,
-    "verify": _cmd_verify,
-}
+    c = command("bessel", _cmd_bessel, "evaluate modified Bessel functions")
+    c.add_argument("--nu", required=True)
+    c.add_argument("--x", required=True, type=float)
+    c.add_argument("--kind", choices=("i", "k"), default="i")
+    c.add_argument("--scaled", action="store_true")
+    c = command("kernel", _cmd_kernel, "evaluate the Green kernel G(r,s) and its r-derivative")
+    c.add_argument("--config", required=True)
+    c.add_argument("--r", required=True, type=float)
+    c.add_argument("--s", required=True, type=float)
+    c = command("solve", _cmd_solve, "solve impermeable | inflow | outflow stationary problems")
+    c.add_argument("regime", choices=(IMPERMEABLE, INFLOW, OUTFLOW))
+    c.add_argument("--config", required=True)
+    c.add_argument("--out")
+    c = command("limit-profile", _cmd_limit_profile, "integrate the vanishing-capillarity limit profile")
+    c.add_argument("--gamma", required=True, type=float)
+    c.add_argument("--rho-plus", required=True, type=float)
+    c.add_argument("--rho-b0", required=True, type=float)
+    c.add_argument("--y-max", type=float, default=60.0)
+    c.add_argument("--out")
+    c = command("rate-study", _cmd_rate_study, "kappa-sweep convergence study (fixed | singular)")
+    c.add_argument("--mode", required=True, choices=(rates_mod.FIXED, rates_mod.SINGULAR))
+    c.add_argument("--config", required=True)
+    c.add_argument("--out", required=True)
+    c = command("verify", _cmd_verify, "cross-validate the solver against the FD oracle")
+    c.add_argument("target", choices=(IMPERMEABLE,))
+    c.add_argument("--config", required=True)
+    c.add_argument("--tol", type=float, default=1e-6)
+    return p
 
 
 def dispatch(argv) -> int:
-    if not argv:
-        sys.stderr.write(_USAGE)
-        return EXIT_USAGE
-    cmd = argv[0]
-    if cmd in ("-h", "--help"):
-        sys.stdout.write(_USAGE)
-        return EXIT_OK
-    handler = _COMMANDS.get(cmd)
-    if handler is None:
-        sys.stderr.write(f"unknown subcommand: {cmd}\n{_USAGE}")
-        return EXIT_USAGE
     try:
-        return handler(argv[1:])
+        a = _parser().parse_args(argv)
+        return a.run(a)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -172,13 +172,15 @@ def build_grid(
     growth: float = 1.06,
 ) -> RadialGrid:
     """Graded grid for a problem with decay scale ``1/alpha`` at the wall."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # also NaN
         raise ConfigError("alpha must be positive")
     if not 1.0 < growth < 2.0:  # at a spacing ratio of 2 a panel's first Simpson weight is 0
         raise ConfigError("growth must be > 1 and < 2")
+    if not points_per_unit_alpha > 0.0:
+        raise ConfigError("points_per_unit_alpha must be positive")
     if R_max is None:
         R_max = auto_r_max(n, alpha, decay)
-    if R_max <= 1.0:
+    if not R_max > 1.0:
         raise ConfigError("R_max must exceed 1")
     h0 = min(0.2, 1.0 / (points_per_unit_alpha * alpha))
 

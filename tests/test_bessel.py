@@ -47,6 +47,10 @@ class TestOrder:
         with pytest.raises(DomainError):
             BesselOrder.from_dimension(1)
 
+    def test_rejects_non_integer_two_nu(self):
+        with pytest.raises(DomainError, match=r"^two_nu must be an integer \(order stored as 2\*nu\)$"):
+            BesselOrder(1.5)
+
 
 class TestFirstKind:
     def test_half_order_closed_form(self):

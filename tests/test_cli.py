@@ -406,8 +406,29 @@ class TestDispatch:
         assert "--nu must be" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
-        assert dispatch(["frobnicate"]) == 64
-        assert "usage" in capsys.readouterr().err
+        assert dispatch(["frobnicate"]) == 2
+        assert "argument command: invalid choice: 'frobnicate' (choose from 'bessel'," in capsys.readouterr().err
+
+    def test_missing_subcommand(self, capsys):
+        assert dispatch([]) == 2
+        assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+    def test_help_lists_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in ("bessel", "kernel", "solve", "limit-profile", "rate-study", "verify"):
+            assert f"    {name} " in out
+
+    def test_float_value_joins_a_unique_prefix(self, capsys):
+        argv = ["limit-profile", "--gamma", "1", "--rho-plus", "1"]
+        results = []
+        for tail in (["--rho-b", "-1e-3"], ["--rho-b0=-1e-3"]):
+            results.append((dispatch(argv + tail), capsys.readouterr()))
+        assert results[0] == results[1] and results[0][0] == 0
+        assert dispatch(argv + ["--rho", "-1e-3"]) == 2
+        assert "ambiguous option: --rho=-1e-3" in capsys.readouterr().err
 
     def test_bessel_value(self, capsys):
         assert dispatch(["bessel", "--nu", "1/2", "--x", "1.0", "--kind", "k"]) == 0

@@ -88,6 +88,30 @@ class TestBuild:
             with pytest.raises(ConfigError, match="growth must be > 1 and < 2"):
                 build_grid(3, 1.0, growth=growth)
 
+    @pytest.mark.parametrize("density", [0.0, -1.0, math.nan])
+    def test_nonpositive_density_refused(self, density):
+        # refused before the step loop: 0 divided by zero, -1 spun to the node cap
+        with pytest.raises(ConfigError, match="^points_per_unit_alpha must be positive$"):
+            build_grid(3, 1.0, points_per_unit_alpha=density)
+
+    def test_nan_scale_and_span_refused(self):
+        # a NaN alpha or R_max ended the step loop at once and divided by zero
+        with pytest.raises(ConfigError, match="^alpha must be positive$"):
+            build_grid(3, math.nan)
+        with pytest.raises(ConfigError, match="^R_max must exceed 1$"):
+            build_grid(3, 1.0, R_max=math.nan)
+
+    def test_from_nodes_refusals(self):
+        with pytest.raises(ConfigError, match="^grid needs at least 3 nodes$"):
+            RadialGrid.from_nodes(np.array([1.0, 2.0]), 3)
+        # spacing ratio 3 within a Simpson panel: its first weight is negative
+        with pytest.raises(ConfigError, match="^quadrature weights must be positive$"):
+            RadialGrid.from_nodes(np.array([1.0, 1.1, 1.4]), 3)
+
+    def test_unknown_decay_refused(self):
+        with pytest.raises(ConfigError, match="^decay must be 'exponential' or 'algebraic'$"):
+            auto_r_max(3, 1.0, "linear")
+
     def test_weights_positive(self):
         # in-panel spacing ratios stay <= growth, and (h0+h1)(2h0-h1)/(6h0) > 0 needs h1 < 2h0
         for alpha in (0.3, 1.0, 25.0):

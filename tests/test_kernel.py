@@ -240,7 +240,9 @@ class TestArrays:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_mesh_matches_scalar_calls(self, n):
         # a batch runs its Bessel loops until every entry converges, so the
-        # last bits may differ from a two-radius table: agreement, not equality
+        # last bits may differ from a two-radius table: agreement, not equality.
+        # The whole mesh is one batch; the scalar reference (each call builds its
+        # own table) is taken at every 5th point and on the diagonal r == s
         kp = kp_from(n, 1.7)
         r, s = self.MESH
         for fn, mask in (
@@ -250,8 +252,9 @@ class TestArrays:
             (green_dr_left, r <= s),
         ):
             rm, sm = r[mask], s[mask]
-            scalar = [fn(kp, x, y) for x, y in zip(rm.tolist(), sm.tolist())]
-            np.testing.assert_allclose(fn(kp, rm, sm), scalar, rtol=4e-15, atol=0.0, err_msg=fn.__name__)
+            pick = (np.arange(rm.size) % 5 == 0) | (rm == sm)
+            scalar = [fn(kp, x, y) for x, y in zip(rm[pick].tolist(), sm[pick].tolist())]
+            np.testing.assert_allclose(fn(kp, rm, sm)[pick], scalar, rtol=4e-15, atol=0.0, err_msg=fn.__name__)
 
     @pytest.mark.parametrize(
         "fn, good, bad, message",

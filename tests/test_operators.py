@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from dense_operators import dense_operators
 
+from nsk.errors import ConfigError
 from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
 from nsk.kernel import ModelParams, green, green_dr_left, green_dr_right, kernel_params
 from nsk.operators import _M2_TAYLOR, TAYLOR_Z, GreenOperator, _moments, _sweep, piece_weights
@@ -232,3 +233,9 @@ def test_huge_alpha_h_apply_is_finite_and_quiet():
         op = GreenOperator(grid, kp, kappa)
         af, adrf = op.apply(grid.nodes ** -4.0)
     assert np.all(np.isfinite(af)) and np.all(np.isfinite(adrf))
+
+
+def test_nonpositive_kappa_refused(setup):
+    _, kp, grid = setup
+    with pytest.raises(ConfigError, match="^kappa must be positive$"):
+        GreenOperator(grid, kp, 0.0)

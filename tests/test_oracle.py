@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from nsk.errors import ConfigError
+from nsk.errors import ConfigError, PositivityError
 from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
 from nsk.oracle import (
     _interpolate_uniform,
@@ -66,6 +66,11 @@ class TestSolveFd:
             solve_fd(params_with(), 50, 21.0)
         with pytest.raises(ConfigError):
             solve_fd(params_with(u_minus=0.1), 500, 21.0)
+
+    def test_wall_data_beyond_the_initial_guess_refused(self):
+        # the guess rho_plus - (rho_b / beta) e^{-beta (r - 1)} is -9 at the wall
+        with pytest.raises(PositivityError, match="^initial guess not positive; boundary data too large$"):
+            solve_fd(params_with(rho_b=10.0), 500, 21.0)
 
 
 class TestInterpolation:

@@ -148,15 +148,32 @@ _TRACER_MISSING = {
 
 def test_benchmark_tracer_runs_the_cli(tmp_path):
     # perfbench/traced_cli.py wraps functions by the names nsk.cli and the layers bind at import;
-    # a binding that moves must not make the traced run fail or drop more spans
+    # a binding that moves must not make the traced run fail or drop more spans, and a handler
+    # that stops calling through a traced name must not silently lose its span
     root = Path(__file__).resolve().parents[1]
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"n": 3, "gamma": 1, "kappa": 0.01, "mu": 1, "rho_plus": 1, "rho_b": -1, "u_minus": 0}))
+    model = {"n": 3, "gamma": 1, "mu": 1, "rho_plus": 1}
+    configs = {
+        "kernel": dict(model, kappa=0.01, rho_b=-1, u_minus=0),
+        "flow": dict(model, kappa=3e-3, rho_b=-0.02, u_minus=0.05),  # the benchmark's inflow case
+        "wall": dict(model, kappa=1, rho_b=-0.1, u_minus=0),  # the benchmark's first verify case
+    }
+    for name, doc in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    runs = [
+        (["kernel", "--config", "@kernel", "--r", "2", "--s", "1"], {}),
+        (["solve", "inflow", "--config", "@flow"], {"grid.build_grid": 1}),
+        (["verify", "impermeable", "--config", "@wall"],
+         {"oracle.cross_validate": 1, "oracle.solve_fd": 2, "grid.build_grid": 1}),
+        (["limit-profile", "--gamma", "1", "--rho-plus", "1", "--rho-b0", "-0.1"], {"limit.integrate_profile": 1}),
+    ]
     spans = tmp_path / "spans.json"
-    argv = [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans)]
-    argv += ["kernel", "--config", str(cfg), "--r", "2", "--s", "1"]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    out = subprocess.run(argv, env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    missing = json.loads(spans.read_text())["missing"]
-    assert set(missing) <= _TRACER_MISSING
+    for cli_argv, counts in runs:
+        argv = [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans)]
+        argv += [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in cli_argv]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        record = json.loads(spans.read_text())
+        assert set(record["missing"]) <= _TRACER_MISSING
+        names = [span["name"] for span in record["spans"]]
+        assert {name: names.count(name) for name in names} == dict(counts, **{"cli.main": 1}), cli_argv[0]

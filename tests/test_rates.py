@@ -45,6 +45,10 @@ class TestFit:
         assert slope == pytest.approx(0.75, abs=0.02)
         assert stderr > 0.0
 
+    def test_one_point_refused(self):
+        with pytest.raises(ConfigError, match="^need at least two points for a slope fit$"):
+            fit_loglog([1.0], [1.0])
+
 
 def study(rho_b, mode, kappas=SHORT_KAPPAS, **options):
     return run_rate_study(RunConfig(model=base_params(rho_b), kappas=kappas, **options), mode)
