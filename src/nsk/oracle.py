@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
-from .grid import EXPONENTIAL, auto_r_max, build_grid
+from .grid import EXPONENTIAL, build_grid
 from .kernel import ModelParams, enthalpy_h, enthalpy_h_prime, kernel_params
 from .stationary import solve_stationary
 
@@ -171,10 +171,15 @@ def solve_fd_richardson(params: ModelParams, node_count: int, R_max: float) -> n
 
 
 def fd_reference(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and extrapolated density on ``[1, auto_r_max]``, at the coarse spacing
-    ``min(0.0025, 1/(40 alpha))`` that the kernel's decay rate alone sets."""
+    """Nodes and extrapolated density on ``[1, 1 + 40/alpha]``, at the coarse spacing
+    ``min(0.0025, 1/(40 alpha))`` that the kernel's decay rate alone sets.
+
+    The span is 40 decay lengths of ``e^{-alpha(r-1)}``, so the coarse level has
+    about ``max(16000/alpha, 1600) + 1`` nodes (capped at ``MAX_COARSE_NODES``, which
+    binds only at ``alpha < 0.032``) and stops growing as kappa falls.
+    """
     alpha = kernel_params(params).alpha
-    R_max = auto_r_max(params.n, alpha, EXPONENTIAL)
+    R_max = 1.0 + 40.0 / alpha
     node_count = min(int(math.ceil((R_max - 1.0) * max(400.0, 40.0 * alpha))) + 1, MAX_COARSE_NODES)
     return np.linspace(1.0, R_max, node_count), solve_fd_richardson(params, node_count, R_max)
 
@@ -182,6 +187,10 @@ def fd_reference(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 def cross_validate(params: ModelParams, tol: float):
     """Run the FD oracle and the kernel solver at the wall; compare on the kernel grid.
 
+    Kernel nodes inside the oracle's span ``[1, 1 + 40/alpha]`` are compared
+    with its interpolated reference; nodes beyond it (the kernel grid reaches
+    at least ``r = 21``) with ``rho_+``, the oracle's own Dirichlet value, so
+    every kernel node is checked and the cubic is never extrapolated.
     The kernel grid is built first, so a span past the node cap is refused
     before the oracle runs; ``solve_fd`` runs before ``solve_stationary``, so
     its ``u_minus = 0`` rule refuses a flow.
@@ -194,5 +203,8 @@ def cross_validate(params: ModelParams, tol: float):
     grid = build_grid(params.n, alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
     nodes, rho_fd = fd_reference(params)
     sol = solve_stationary(params, grid, tol=1e-12, max_iter=400)
-    sup_diff = float(np.max(np.abs(sol.rho - _interpolate_uniform(nodes, rho_fd, grid.nodes))))
+    inside = grid.nodes <= nodes[-1]
+    rho_ref = np.full(grid.size, params.rho_plus)
+    rho_ref[inside] = _interpolate_uniform(nodes, rho_fd, grid.nodes[inside])
+    sup_diff = float(np.max(np.abs(sol.rho - rho_ref)))
     return sup_diff, bool(sup_diff <= tol)

@@ -7,6 +7,7 @@ lines and the measured numbers behind them.
 import math
 
 import numpy as np
+import pytest
 
 from nsk import oracle
 from nsk.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
@@ -85,8 +86,7 @@ def test_criterion_3_oracle_equivalence():
     _report(3, "oracle equivalence over 6 parameter sets", ok and closed_ok, detail)
 
 
-def test_oracle_node_budget(monkeypatch):
-    # each FD level of the reference stays small on the six sets: no return to 1e6-node grids
+def _count_fd_nodes(monkeypatch) -> list:
     counts = []
     solve_fd = oracle.solve_fd
 
@@ -95,9 +95,26 @@ def test_oracle_node_budget(monkeypatch):
         return solve_fd(params, node_count, R_max, **kw)
 
     monkeypatch.setattr(oracle, "solve_fd", counted)
+    return counts
+
+
+def test_oracle_node_budget(monkeypatch):
+    # each FD level of the reference stays small on the six sets: no return to 1e6-node grids
+    counts = _count_fd_nodes(monkeypatch)
     for p in ORACLE_CASES:
         fd_reference(p)
-    assert len(counts) == 12 and max(counts) <= 51_000, counts
+    assert len(counts) == 12 and max(counts) <= 32_001, counts
+
+
+@pytest.mark.parametrize("kappa", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_oracle_nodes_do_not_grow_as_kappa_falls(monkeypatch, kappa):
+    # the oracle spans 40 decay lengths, 1 + 40/alpha, so each level keeps about 1,600 and 3,200
+    # nodes however small kappa is, and its spacing stays 1/(40 alpha)
+    counts = _count_fd_nodes(monkeypatch)
+    p = ModelParams(n=3, gamma=1.0, kappa=kappa, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=0.0)
+    sup, passed = cross_validate(p, 1e-10)
+    assert len(counts) == 2 and max(counts) <= 3_203, counts
+    assert passed, sup
 
 
 def test_criterion_4_bessel_identities():

@@ -1,9 +1,12 @@
 """Finite-difference Newton oracle and solver cross-validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from nsk import oracle
 from nsk.errors import ConfigError, PositivityError
 from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
 from nsk.oracle import (
@@ -107,6 +110,34 @@ class TestCrossValidate:
         p = params_with(kappa=1e-3, rho_b=-0.02)
         sup, ok = cross_validate(p, 1e-6)
         assert ok, sup
+
+    def test_traced_memory_at_tiny_capillarity(self):
+        # the oracle's span shrinks with the decay length: no 500,000-node levels at kappa = 1e-6
+        p = params_with(kappa=1e-6, rho_b=-0.02)
+        cross_validate(p, 1e-10)  # first calls allocate caches of their own
+        tracemalloc.start()
+        try:
+            cross_validate(p, 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_far_field_is_checked(self, monkeypatch):
+        # kernel nodes beyond the oracle's span 1 + 40/alpha are compared against rho_+
+        p = params_with(kappa=1e-3, rho_b=-0.02)
+        span_end = 1.0 + 40.0 / kernel_params(p).alpha
+        solve = oracle.solve_stationary
+
+        def shifted(params, grid, **kw):
+            sol = solve(params, grid, **kw)
+            sol.rho[np.searchsorted(grid.nodes, span_end, side="right")] += 1e-6
+            return sol
+
+        monkeypatch.setattr(oracle, "solve_stationary", shifted)
+        sup, ok = cross_validate(p, 1e-8)
+        # rho = 1 there, and 1 + 1e-6 rounds the shift to 9.99999999918e-7
+        assert sup == pytest.approx(1e-6, rel=1e-9) and not ok
 
     def test_tol_is_only_the_threshold(self):
         # the oracle's grid does not depend on tol, so neither does sup_diff

@@ -156,15 +156,17 @@ def test_benchmark_tracer_runs_the_cli(tmp_path):
         "kernel": dict(model, kappa=0.01, rho_b=-1, u_minus=0),
         "flow": dict(model, kappa=3e-3, rho_b=-0.02, u_minus=0.05),  # the benchmark's inflow case
         "wall": dict(model, kappa=1, rho_b=-0.1, u_minus=0),  # the benchmark's first verify case
+        "thin": dict(model, kappa=1e-3, rho_b=-0.02, u_minus=0),  # the benchmark's sixth verify case
     }
     for name, doc in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    verify = {"oracle.cross_validate": 1, "oracle.solve_fd": 2, "grid.build_grid": 1}
     runs = [
         (["kernel", "--config", "@kernel", "--r", "2", "--s", "1"], {}),
         (["solve", "inflow", "--config", "@flow"], {"grid.build_grid": 1}),
-        (["verify", "impermeable", "--config", "@wall"],
-         {"oracle.cross_validate": 1, "oracle.solve_fd": 2, "grid.build_grid": 1}),
+        (["verify", "impermeable", "--config", "@wall"], verify),
         (["limit-profile", "--gamma", "1", "--rho-plus", "1", "--rho-b0", "-0.1"], {"limit.integrate_profile": 1}),
+        (["verify", "impermeable", "--config", "@thin"], verify),
     ]
     spans = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -177,3 +179,5 @@ def test_benchmark_tracer_runs_the_cli(tmp_path):
         assert set(record["missing"]) <= _TRACER_MISSING
         names = [span["name"] for span in record["spans"]]
         assert {name: names.count(name) for name in names} == dict(counts, **{"cli.main": 1}), cli_argv[0]
+    # the last run, at kappa = 1e-3: its two oracle levels span 1 + 40/alpha, not [1, 21] (oracle.fd_nodes sums them)
+    assert [span["count"] for span in record["spans"] if span["name"] == "oracle.solve_fd"] == [1_602, 3_203]
