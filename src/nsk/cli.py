@@ -30,6 +30,7 @@ from .kernel import (
     INFLOW,
     ModelParams,
     OUTFLOW,
+    PressureLaw,
     green,
     green_dr,
     green_dr_left,
@@ -276,7 +277,7 @@ def _cmd_solve(a):
 
 
 def _cmd_limit_profile(a):
-    prof = integrate_profile(a.gamma, a.rho_plus, a.rho_b0, y_max=a.y_max)
+    prof = integrate_profile(PressureLaw(a.gamma, a.rho_plus), a.rho_b0, y_max=a.y_max)
     if a.out:
         _write_csv(
             a.out, ["y", "rho_bar", "rho_bar_y"], [prof.y_nodes, prof.rho_bar, prof.rho_bar_y]

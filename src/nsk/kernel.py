@@ -1,4 +1,4 @@
-r"""Linearized operator data: enthalpy, lifting function, and Green kernel.
+r"""Linearized operator data: pressure law, lifting function, and Green kernel.
 
 Linearizing the stationary density equation about the far-field state
 ``rho_plus`` produces the radial modified Helmholtz operator
@@ -7,7 +7,8 @@ Linearizing the stationary density equation about the far-field state
     \phi_{rr} + \frac{n-1}{r}\phi_r - \alpha^2 \phi, \qquad
     \alpha = \sqrt{h'(\rho_+)/\kappa},
 
-with the enthalpy ``h`` of the polytropic pressure ``P(rho) = rho^gamma``.
+with the enthalpy ``h`` of the polytropic pressure ``P(rho) = rho^gamma``
+(:class:`PressureLaw`).
 Neumann data ``phi_r(1) = rho_b`` is absorbed by an explicit decaying
 homogeneous solution (the lifting function), and the remaining problem with
 homogeneous boundary data is inverted by the Green function
@@ -51,14 +52,12 @@ from functools import cached_property
 import numpy as np
 
 from .bessel import BesselOrder, bessel_ik_scaled, check_finite
-from .errors import ConfigError, DomainError, RangeError
+from .errors import ConfigError, DomainError, PositivityError, RangeError
 
 __all__ = [
+    "PressureLaw",
     "ModelParams",
     "KernelParams",
-    "check_pressure_law",
-    "enthalpy_h",
-    "enthalpy_h_prime",
     "kernel_params",
     "KernelFactors",
     "lifting_phi_b",
@@ -71,14 +70,127 @@ __all__ = [
 IMPERMEABLE = "impermeable"
 INFLOW = "inflow"
 OUTFLOW = "outflow"
+# W by its Taylor series where |x/rho_+ - 1| max(1, gamma) is below this: each
+# term is at most a tenth of the one before, and 20 reach below roundoff
+TAYLOR_MAX = 0.1
+TAYLOR_TERMS = 20
 
 
-def check_pressure_law(gamma: float, rho_plus: float) -> None:
-    """Domain of the polytropic law ``P = rho^gamma`` about the far field: ``gamma >= 1``, ``rho_plus > 0``."""
-    if gamma < 1.0:
-        raise ConfigError("gamma must be >= 1")
-    if rho_plus <= 0.0:
-        raise ConfigError("rho_plus must be positive")
+@dataclass(frozen=True)
+class PressureLaw:
+    """The polytropic law ``P = rho^gamma`` about the far-field density ``rho_plus``: finite
+    ``gamma >= 1`` and ``rho_plus > 0``, else ``ConfigError``.  It owns the enthalpy ``h``,
+    ``h'``, the pressure remainder, the limit potential ``W`` and its existence bound."""
+
+    gamma: float
+    rho_plus: float
+
+    def __post_init__(self) -> None:
+        for name in ("gamma", "rho_plus"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if not self.gamma >= 1.0:
+            raise ConfigError("gamma must be >= 1")
+        if not self.rho_plus > 0.0:
+            raise ConfigError("rho_plus must be positive")
+
+    def h(self, rho) -> float | np.ndarray:
+        """Enthalpy ``h(rho)``: ``gamma/(gamma-1) * rho^(gamma-1)`` for ``gamma > 1``
+        and ``log rho`` for ``gamma = 1``; strictly increasing either way."""
+        ra = np.asarray(rho, dtype=float)
+        if np.any(ra <= 0.0):
+            raise DomainError("rho must be positive")
+        out = np.log(ra) if self.gamma == 1.0 else (self.gamma / (self.gamma - 1.0)) * ra ** (self.gamma - 1.0)
+        return float(out) if np.ndim(rho) == 0 else out
+
+    def h_prime(self, rho) -> float | np.ndarray:
+        """``h'(rho) = gamma * rho^(gamma-2)``."""
+        ra = np.asarray(rho, dtype=float)
+        if np.any(ra <= 0.0):
+            raise DomainError("rho must be positive")
+        out = self.gamma * ra ** (self.gamma - 2.0)
+        return float(out) if np.ndim(rho) == 0 else out
+
+    def remainder(self, phi) -> float | np.ndarray:
+        """Pressure remainder ``h(phi+rho_+) - h(rho_+) - h'(rho_+) phi``: ``O(phi^2)``, and
+        identically zero for ``gamma = 2`` where ``h`` is affine."""
+        pa, rp = np.asarray(phi, dtype=float), self.rho_plus
+        if np.any(pa + rp <= 0.0):
+            raise PositivityError("phi + rho_plus must stay positive")
+        if self.gamma == 1.0:
+            out = np.log1p(pa / rp) - pa / rp
+        else:
+            out = self.h(pa + rp) - self.h(rp) - self.h_prime(rp) * pa
+        return float(out) if np.ndim(phi) == 0 else out
+
+    @cached_property
+    def _scale(self) -> float:
+        """``rho_+^gamma``, the scale of ``W``, or ``RangeError`` where it leaves the doubles."""
+        with np.errstate(over="ignore"):
+            scale = check_finite(np.float64(self.rho_plus) ** self.gamma, "rho_plus**gamma")
+        if scale == 0.0:
+            raise RangeError("rho_plus**gamma underflows to 0")
+        return scale
+
+    @cached_property
+    def _taylor(self) -> tuple:
+        """``b_j = prod_{k=2}^{j+1} (gamma - k)/(g (k + 1))``, ``g = max(1, gamma)``: the series of ``W``."""
+        g = max(1.0, self.gamma)
+        coef = [1.0]
+        for k in range(2, TAYLOR_TERMS + 1):
+            coef.append(coef[-1] * (self.gamma - k) / (g * (k + 1)))
+        return tuple(coef)
+
+    @cached_property
+    def existence_bound(self) -> float:
+        """``sqrt(2 rho_+^gamma)``: a limit profile toward the vacuum exists exactly for ``rho_b0`` below it."""
+        with np.errstate(over="ignore"):
+            return math.sqrt(2.0 * self._scale)
+
+    def w(self, x):
+        r"""``W(x) = \int_{\rho_+}^x (h(t) - h(\rho_+)) dt`` in closed form.
+
+        With ``d = x/rho_+ - 1`` it is ``rho_+^gamma [(1+d) e - d]``, where
+        ``e = expm1((gamma-1) log1p(d))/(gamma-1)``, or its limit ``log1p(d)`` at
+        ``gamma = 1``, so the cancellation does not grow as gamma -> 1.  The form
+        subtracts O(d) terms to leave an O(d^2) result, so where ``|d| max(1,
+        gamma) <= TAYLOR_MAX`` the Taylor series ``rho_+^gamma sum_k gamma
+        (gamma-2)...(gamma-k+1) d^k/k!`` from ``k = 2`` replaces it and keeps full
+        relative accuracy.  Where ``x/rho_+`` rounds to 0 it gives the vacuum value
+        ``rho_+^gamma`` (``0 log 0 = 0`` for ``gamma = 1``).  ``W`` may overflow to
+        ``inf`` far above ``rho_+``; a pressure scale ``rho_+^gamma`` that
+        overflows or underflows to 0 raises ``RangeError``.
+        """
+        gamma = self.gamma
+        xa = np.asarray(x, dtype=float)
+        if np.any(xa <= 0.0):
+            raise DomainError("x must be positive")
+        d = np.atleast_1d(xa / self.rho_plus - 1.0)
+        g = max(1.0, gamma)
+        near = np.abs(d) * g <= TAYLOR_MAX
+        far = ~near
+        out = np.empty_like(d)
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = self._scale
+            df = d[far]
+            if gamma == 1.0:
+                # (1 + d) e is 0 where d rounds to -1, not 0 * (-inf)
+                e = np.log1p(np.where(df > -1.0, df, 0.0))
+            else:
+                e = np.expm1((gamma - 1.0) * np.log1p(df)) / (gamma - 1.0)
+            out[far] = scale * ((1.0 + df) * e - df)
+        # the closed forms cancel O(d) terms: next to rho_+ sum the Taylor series instead,
+        # gamma d^2/2 sum_j b_j t^j in t = g d, with the coefficients b_j of _taylor
+        if near.any():
+            dn = d[near]
+            t = g * dn
+            acc = np.full_like(t, self._taylor[-1])
+            for b in reversed(self._taylor[:-1]):
+                acc *= t
+                acc += b
+            with np.errstate(over="ignore", invalid="ignore"):  # W beyond the doubles, as above
+                out[near] = scale * (0.5 * gamma) * dn * dn * acc
+        return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
 
 
 @dataclass(frozen=True)
@@ -103,11 +215,16 @@ class ModelParams:
                 raise ConfigError(f"{name} must be finite")
         if self.n < 2:
             raise ConfigError("n must be >= 2")
-        check_pressure_law(self.gamma, self.rho_plus)
+        self.law  # the law's constructor checks gamma and rho_plus
         if self.kappa <= 0.0:
             raise ConfigError("kappa must be positive")
         if self.mu < 0.0:
             raise ConfigError("mu must be >= 0")
+
+    @cached_property
+    def law(self) -> PressureLaw:
+        """The pressure law ``P = rho^gamma`` about ``rho_plus``."""
+        return PressureLaw(self.gamma, self.rho_plus)
 
     @property
     def regime(self) -> str:
@@ -125,44 +242,14 @@ class KernelParams:
 
     @cached_property
     def wall(self) -> "KernelFactors":
-        """The kernel factors at ``r = 1``."""
+        """The kernel factors at ``r = 1``, for the pointwise ``green*``."""
         return KernelFactors(self, 1.0)
-
-    @property
-    def c2(self) -> float:
-        """Reflection coefficient ``\\hat I_{nu+1}(alpha)/\\hat K_{nu+1}(alpha)``."""
-        return self.wall.iv1 / self.wall.kv1
-
-
-def enthalpy_h(gamma: float, rho) -> float | np.ndarray:
-    """Enthalpy ``h(rho)``: primitive of ``P'(rho)/rho`` for ``P = rho^gamma``.
-
-    ``gamma/(gamma-1) * rho^(gamma-1)`` for ``gamma > 1`` and ``log rho`` for
-    ``gamma = 1``; strictly increasing either way.
-    """
-    ra = np.asarray(rho, dtype=float)
-    if np.any(ra <= 0.0):
-        raise DomainError("rho must be positive")
-    if gamma == 1.0:
-        out = np.log(ra)
-    else:
-        out = (gamma / (gamma - 1.0)) * ra ** (gamma - 1.0)
-    return float(out) if np.ndim(rho) == 0 else out
-
-
-def enthalpy_h_prime(gamma: float, rho) -> float | np.ndarray:
-    """``h'(rho) = gamma * rho^(gamma-2)``."""
-    ra = np.asarray(rho, dtype=float)
-    if np.any(ra <= 0.0):
-        raise DomainError("rho must be positive")
-    out = gamma * ra ** (gamma - 2.0)
-    return float(out) if np.ndim(rho) == 0 else out
 
 
 def kernel_params(params: ModelParams) -> KernelParams:
     """``alpha = sqrt(h'(rho_plus)/kappa)``, ``RangeError`` unless ``0 < alpha < inf``, and ``nu = (n-2)/2``."""
     with np.errstate(over="ignore"):
-        alpha = math.sqrt(enthalpy_h_prime(params.gamma, params.rho_plus) / params.kappa)
+        alpha = math.sqrt(params.law.h_prime(params.rho_plus) / params.kappa)
     if not 0.0 < alpha < math.inf:
         raise RangeError(f"alpha = sqrt(h'(rho_plus)/kappa) = {alpha} is outside the double range")
     return KernelParams(nu=BesselOrder.from_dimension(params.n), alpha=alpha)
@@ -197,7 +284,7 @@ def _branches(kp: KernelParams, f: KernelFactors, i, j, lower):
     must hold where ``x_j < x_i`` and fail where ``x_j > x_i``.
     """
     a = kp.alpha
-    c2 = kp.c2
+    c2 = kp.wall.iv1 / kp.wall.kv1
     mn, mx = np.where(lower, j, i), np.where(lower, i, j)
     e1 = np.exp(-a * (f.x[mx] - f.x[mn]))
     e12 = f.e2[i] * f.e2[j]
@@ -206,8 +293,8 @@ def _branches(kp: KernelParams, f: KernelFactors, i, j, lower):
     return g, gdr
 
 
-def lifting_phi_b(kp: KernelParams, rho_b: float, r):
-    r"""Lifting function absorbing the Neumann data, and its r-derivative.
+def lifting_phi_b(kp: KernelParams, rho_b: float, f: KernelFactors):
+    r"""Lifting function absorbing the Neumann data, and its r-derivative, at the radii of ``f``.
 
     .. math::
         \phi_b(r) = -\frac{\rho_b}{\alpha K_{\nu+1}(\alpha)} r^{-\nu} K_\nu(\alpha r),
@@ -215,15 +302,14 @@ def lifting_phi_b(kp: KernelParams, rho_b: float, r):
     a decaying homogeneous solution with ``\phi_b'(1) = \rho_b`` exactly.
     Evaluated in scaled form:
     ``\phi_b = -(\rho_b/\alpha) r^{-\nu} (\hat K_\nu(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``
-    and ``\phi_b' = \rho_b r^{-\nu} (\hat K_{\nu+1}(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``.
+    and ``\phi_b' = \rho_b r^{-\nu} (\hat K_{\nu+1}(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``,
+    the denominator from the table's first row, which must be the wall ``r = 1``.
     """
-    f = KernelFactors(kp, r)
-    a = kp.alpha
-    khat_den = kp.wall.kv1
-    val = -(rho_b / a) * f.rp * (f.kv / khat_den) * f.e2
+    if f.x.ndim != 1 or f.x[0] != 1.0:
+        raise DomainError("the lifting needs a factor table whose first radius is the wall r = 1")
+    khat_den = f.kv1[0]
+    val = -(rho_b / kp.alpha) * f.rp * (f.kv / khat_den) * f.e2
     der = rho_b * f.rp * (f.kv1 / khat_den) * f.e2
-    if np.ndim(r) == 0:
-        return float(val), float(der)
     return val, der
 
 

@@ -8,7 +8,7 @@ boundary layer converges to the profile of the second-order problem
     \bar\rho_y(0) = \rho_b^0, \quad \bar\rho(\infty) = \rho_+.
 
 As a planar system this conserves ``x_2^2/2 - W(x_1)`` with the convex
-potential ``W(x) = \int_{\rho_+}^x (h(t) - h(\rho_+)) dt``, and
+potential ``W(x) = \int_{\rho_+}^x (h(t) - h(\rho_+)) dt`` (``PressureLaw.w``), and
 ``(\rho_+, 0)`` is a saddle with eigenvalues ``\pm\sqrt{h'(\rho_+)}``.  The
 connecting orbit lies on the stable manifold
 
@@ -18,8 +18,8 @@ connecting orbit lies on the stable manifold
 which turns the BVP into the scalar autonomous ODE ``\bar\rho_y = s(\bar\rho)``.
 The boundary value ``rho_-`` is the root of ``s(x) = rho_b^0`` (bisection).
 ``W`` grows without bound above ``rho_+`` and rises to ``W(0^+) = \rho_+^\gamma``
-toward the vacuum, so ``rho_-`` exists exactly when
-``rho_b^0 < \sqrt{2\rho_+^\gamma}``.
+toward the vacuum, so ``rho_-`` exists exactly when ``rho_b^0 < \sqrt{2\rho_+^\gamma}``,
+the ``existence_bound`` of the :class:`~nsk.kernel.PressureLaw` every function here takes.
 
 The profile is the inverse of the first integral
 
@@ -44,13 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import check_finite
 from .errors import ConfigError, DomainError, NoRootError, RangeError
-from .kernel import check_pressure_law, enthalpy_h_prime
+from .kernel import PressureLaw
 
 __all__ = [
     "LimitProfile",
-    "potential_w",
     "solve_rho_minus",
     "integrate_profile",
 ]
@@ -61,10 +59,6 @@ ROOT_TOL = 1e-13  # absolute tolerance of the rho_- bisection
 RESOLUTION = 1e-5  # and its tolerance relative to |rho_- - rho_+| and to rho_-
 PANELS_PER_OCTAVE = 16  # quadrature panels per halving of the distance to rho_+ (or to vacuum)
 NEWTON_STEPS = 4  # from the panel end below a sample, each step squares a ~1e-3 relative error
-# W by its Taylor series where |x/rho_+ - 1| max(1, gamma) is below this: each
-# term is at most a tenth of the one before, and 20 reach below roundoff
-TAYLOR_MAX = 0.1
-TAYLOR_TERMS = 20
 MAX_SAMPLES = 1_000_000  # stored samples of one profile
 # entries per whole-array pass over samples: a (1024, 8) block of Gauss-Legendre
 # points is 64 KiB, so no temporary reaches glibc's 128 KiB mmap threshold
@@ -81,75 +75,15 @@ _GAUSS_W = np.array([
 ])
 
 
-def _pressure_scale(gamma: float, rho_plus: float) -> float:
-    """``rho_+^gamma``, the scale of ``W``, or ``RangeError`` where it leaves the doubles.
-
-    Callers hold ``np.errstate(over="ignore")``, so an overflow reaches the check, not stderr.
-    """
-    scale = check_finite(np.float64(rho_plus) ** gamma, "rho_plus**gamma")
-    if scale == 0.0:
-        raise RangeError("rho_plus**gamma underflows to 0")
-    return scale
-
-
-def potential_w(gamma: float, rho_plus: float, x):
-    r"""``W(x) = \int_{\rho_+}^x (h(t) - h(\rho_+)) dt`` in closed form.
-
-    With ``d = x/rho_+ - 1`` it is ``rho_+^gamma [(1+d) e - d]``, where
-    ``e = expm1((gamma-1) log1p(d))/(gamma-1)``, or its limit ``log1p(d)`` at
-    ``gamma = 1``, so the cancellation does not grow as gamma -> 1.  The form
-    subtracts O(d) terms to leave an O(d^2) result, so where ``|d| max(1,
-    gamma) <= TAYLOR_MAX`` the Taylor series ``rho_+^gamma sum_k gamma
-    (gamma-2)...(gamma-k+1) d^k/k!`` from ``k = 2`` replaces it and keeps full
-    relative accuracy.  Where ``x/rho_+`` rounds to 0 it gives the vacuum value
-    ``rho_+^gamma`` (``0 log 0 = 0`` for ``gamma = 1``).  ``W`` may overflow to
-    ``inf`` far above ``rho_+``; a pressure scale ``rho_+^gamma`` that
-    overflows or underflows to 0 raises ``RangeError``.
-    """
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise DomainError("x must be positive")
-    d = np.atleast_1d(xa / rho_plus - 1.0)
-    g = max(1.0, gamma)
-    near = np.abs(d) * g <= TAYLOR_MAX
-    far = ~near
-    out = np.empty_like(d)
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = _pressure_scale(gamma, rho_plus)
-        df = d[far]
-        if gamma == 1.0:
-            # (1 + d) e is 0 where d rounds to -1, not 0 * (-inf)
-            e = np.log1p(np.where(df > -1.0, df, 0.0))
-        else:
-            e = np.expm1((gamma - 1.0) * np.log1p(df)) / (gamma - 1.0)
-        out[far] = scale * ((1.0 + df) * e - df)
-    # the closed forms cancel O(d) terms: next to rho_+ sum the Taylor series instead,
-    # gamma d^2/2 sum_j b_j t^j in t = g d, g = max(1, gamma), with
-    # b_j = prod_{k=2}^{j+1} (gamma - k)/(g (k + 1)) bounded for every gamma
-    if near.any():
-        coef = [1.0]
-        for k in range(2, TAYLOR_TERMS + 1):
-            coef.append(coef[-1] * (gamma - k) / (g * (k + 1)))
-        dn = d[near]
-        t = g * dn
-        acc = np.full_like(t, coef[-1])
-        for b in reversed(coef[:-1]):
-            acc *= t
-            acc += b
-        with np.errstate(over="ignore", invalid="ignore"):  # W beyond the doubles, as above
-            out[near] = scale * (0.5 * gamma) * dn * dn * acc
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
-
-
-def _manifold_slope(gamma: float, rho_plus: float, x) -> np.ndarray:
+def _manifold_slope(law: PressureLaw, x) -> np.ndarray:
     """``s(x) = -sgn(x - rho_+) sqrt(2 W(x))``, the stable-manifold slope at each ``x``."""
     x = np.asarray(x, dtype=float)
-    w = np.maximum(potential_w(gamma, rho_plus, x), 0.0)
+    w = np.maximum(law.w(x), 0.0)
     with np.errstate(over="ignore"):  # 2W beyond the double range is an infinite slope
-        return -np.sign(x - rho_plus) * np.sqrt(2.0 * w)
+        return -np.sign(x - law.rho_plus) * np.sqrt(2.0 * w)
 
 
-def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
+def solve_rho_minus(law: PressureLaw, rho_b0: float) -> float:
     """Boundary value ``rho_-``: root of ``-sgn(x-rho_+) sqrt(2W(x)) = rho_b0``.
 
     A root exists exactly when ``rho_b0 < sqrt(2 rho_+^gamma)``; larger
@@ -165,21 +99,19 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
     (the absolute scale of the profile's handover and sample floor), and
     for one past the overflow of ``2W``.
     """
+    rho_plus = law.rho_plus
     if rho_b0 == 0.0:
         return rho_plus
     target = abs(rho_b0)
     upward = rho_b0 < 0.0  # the profile lies above rho_+
-    if not upward:
-        with np.errstate(over="ignore"):
-            bound = math.sqrt(2.0 * _pressure_scale(gamma, rho_plus))
-        if rho_b0 >= bound:
-            raise NoRootError(
-                f"rho_b0 = {rho_b0:.6g} is not below sqrt(2 rho_plus**gamma) = {bound:.6g}, "
-                "the steepest slope of an orbit toward the vacuum"
-            )
+    if not upward and rho_b0 >= law.existence_bound:
+        raise NoRootError(
+            f"rho_b0 = {rho_b0:.6g} is not below sqrt(2 rho_plus**gamma) = {law.existence_bound:.6g}, "
+            "the steepest slope of an orbit toward the vacuum"
+        )
     near, far = rho_plus, rho_plus * (1.125 if upward else 0.875)
     factor = 2.0 if upward else 0.5
-    while abs(_manifold_slope(gamma, rho_plus, far)) < target:
+    while abs(_manifold_slope(law, far)) < target:
         if not upward and far < ROOT_TOL:
             raise RangeError(
                 f"rho_- < {far:.3e} lies within the {ROOT_TOL:g} bisection tolerance of the vacuum: "
@@ -188,7 +120,7 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
         far *= factor
     for _ in range(200):
         mid = 0.5 * (near + far)
-        if abs(_manifold_slope(gamma, rho_plus, mid)) < target:
+        if abs(_manifold_slope(law, mid)) < target:
             near = mid
         else:
             far = mid
@@ -208,7 +140,7 @@ def solve_rho_minus(gamma: float, rho_plus: float, rho_b0: float) -> float:
             f"rho_- - rho_plus = {root - rho_plus:.3e} is not resolved to {RESOLUTION:g} of itself: "
             f"the bisection tolerance stops at the double spacing {abs(far - near):.3e} next to rho_plus"
         )
-    if not np.isfinite(_manifold_slope(gamma, rho_plus, far)):
+    if not np.isfinite(_manifold_slope(law, far)):
         raise RangeError(f"2 W(rho_-) overflows before the slope reaches rho_b0 = {rho_b0:.3e}")
     return root
 
@@ -224,9 +156,9 @@ def _blockwise(fn, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _geometric(a: float, b: float, gamma: float) -> np.ndarray:
-    """Points from ``a`` to ``b``, ``PANELS_PER_OCTAVE * gamma`` panels per factor of 2."""
-    count = max(math.ceil(PANELS_PER_OCTAVE * gamma * abs(math.log2(b / a))), 1)
+def _geometric(a: float, b: float, octave: float) -> np.ndarray:
+    """Points from ``a`` to ``b``, ``PANELS_PER_OCTAVE * octave`` panels per factor of 2."""
+    count = max(math.ceil(PANELS_PER_OCTAVE * octave * abs(math.log2(b / a))), 1)
     return np.geomspace(a, b, count + 1)
 
 
@@ -243,12 +175,13 @@ class _FirstIntegral:
     ``2**(1/16)``.
     """
 
-    def __init__(self, gamma: float, rho_plus: float, rho_minus: float, switch: float):
-        self.gamma, self.rho_plus = gamma, rho_plus
+    def __init__(self, law: PressureLaw, rho_minus: float, switch: float):
+        self.law, rho_plus = law, law.rho_plus
         sign = math.copysign(1.0, rho_minus - rho_plus)
         d_minus = abs(rho_minus - rho_plus)
         if sign > 0.0:
-            d_cross, far_octave = (rho_plus / (gamma - 1.0) if gamma > 1.0 else math.inf), gamma
+            with np.errstate(divide="ignore"):  # inf at gamma = 1, where nothing outgrows the pole
+                d_cross, far_octave = float(np.float64(rho_plus) / (law.gamma - 1.0)), law.gamma
         else:
             d_cross, far_octave = 0.5 * rho_plus, 1.0
         near = rho_plus + sign * _geometric(max(min(d_minus, d_cross), switch), switch, 1.0)
@@ -261,7 +194,7 @@ class _FirstIntegral:
         """``int_a^b dx / s(x)`` by Gauss-Legendre on each panel ``[a, b]``."""
         half = 0.5 * (b - a)
         x = (a + half)[:, None] + half[:, None] * _GAUSS_X
-        return half * ((1.0 / _manifold_slope(self.gamma, self.rho_plus, x)) @ _GAUSS_W)
+        return half * ((1.0 / _manifold_slope(self.law, x)) @ _GAUSS_W)
 
     def invert(self, y: np.ndarray) -> np.ndarray:
         """``rho`` with ``y(rho) = y`` for each ``y`` in ``[0, y_ends[-1]]``.
@@ -274,10 +207,10 @@ class _FirstIntegral:
     def _invert_block(self, y: np.ndarray) -> np.ndarray:
         j = np.searchsorted(self.y_ends, y, side="right") - 1
         start, gap = self.ends[j], y - self.y_ends[j]
-        rho = start + _manifold_slope(self.gamma, self.rho_plus, start) * gap
+        rho = start + _manifold_slope(self.law, start) * gap
         for _ in range(NEWTON_STEPS):
             defect = self._integral(start, rho) - gap
-            rho = rho - defect * _manifold_slope(self.gamma, self.rho_plus, rho)
+            rho = rho - defect * _manifold_slope(self.law, rho)
         return rho
 
 
@@ -289,8 +222,7 @@ class LimitProfile:
     rho_bar: np.ndarray
     rho_bar_y: np.ndarray
     rho_minus_limit: float
-    gamma: float
-    rho_plus: float
+    law: PressureLaw
     tail_start: float  # y beyond which the linearized tail is used
     tail_amplitude: float  # rho_bar(tail_start) - rho_plus
     tail_rate: float  # sqrt(h'(rho_plus))
@@ -307,26 +239,25 @@ class LimitProfile:
     def evaluate(self, y) -> np.ndarray:
         """``rho_bar(y)`` for any ``y >= 0`` (tail formula beyond the samples)."""
         ya = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.full(ya.shape, self.rho_plus)
+        out = np.full(ya.shape, self.law.rho_plus)
         inside = ya <= self.tail_start
         if np.any(inside) and self.y_nodes.size >= 2:
             out[inside] = self._hermite(np.clip(ya[inside], self.y_nodes[0], None))
         beyond = ~inside
         if np.any(beyond):
-            out[beyond] = self.rho_plus + self.tail_amplitude * np.exp(
+            out[beyond] = self.law.rho_plus + self.tail_amplitude * np.exp(
                 -self.tail_rate * (ya[beyond] - self.tail_start)
             )
         return out if np.ndim(y) else float(out[0])
 
     def slope(self, y) -> np.ndarray:
         """``rho_bar_y(y)`` from the stable-manifold relation at ``rho_bar(y)``."""
-        out = _manifold_slope(self.gamma, self.rho_plus, np.atleast_1d(self.evaluate(y)))
+        out = _manifold_slope(self.law, np.atleast_1d(self.evaluate(y)))
         return out if np.ndim(y) else float(out[0])
 
 
 def integrate_profile(
-    gamma: float,
-    rho_plus: float,
+    law: PressureLaw,
     rho_b0: float,
     y_max: float = 60.0,
 ) -> LimitProfile:
@@ -340,12 +271,12 @@ def integrate_profile(
     that needs more than ``MAX_SAMPLES`` samples below ``y_max`` raises
     ``ConfigError``, and a tail rate ``sqrt(h'(rho_plus))`` outside ``(0, inf)`` ``RangeError``.
     """
-    check_pressure_law(gamma, rho_plus)
     if y_max <= 0.0:
         raise DomainError("y_max must be positive")
-    rho_minus = solve_rho_minus(gamma, rho_plus, rho_b0)
+    rho_plus = law.rho_plus
+    rho_minus = solve_rho_minus(law, rho_b0)
     with np.errstate(over="ignore"):
-        rate = math.sqrt(enthalpy_h_prime(gamma, rho_plus))
+        rate = math.sqrt(law.h_prime(rho_plus))
     if not 0.0 < rate < math.inf:
         raise RangeError(f"the tail rate sqrt(h'(rho_plus)) = {rate} is outside the double range")
     dy = 0.002 / rate
@@ -357,8 +288,7 @@ def integrate_profile(
             rho_bar=flat,
             rho_bar_y=np.zeros(3),
             rho_minus_limit=rho_plus,
-            gamma=gamma,
-            rho_plus=rho_plus,
+            law=law,
             tail_start=0.0,
             tail_amplitude=0.0,
             tail_rate=rate,
@@ -368,7 +298,7 @@ def integrate_profile(
     y_q = rho_q = np.empty(0)
     switch = max(TAIL_SWITCH, 65536.0 * math.ulp(rho_plus))
     if abs(amp) > switch:  # otherwise rho_- already lies on the linearized tail
-        first = _FirstIntegral(gamma, rho_plus, rho_minus, switch)
+        first = _FirstIntegral(law, rho_minus, switch)
         y_switch = min(float(first.y_ends[-1]), y_max)
         if y_switch > MAX_SAMPLES * dy:
             raise ConfigError(
@@ -392,10 +322,9 @@ def integrate_profile(
     return LimitProfile(
         y_nodes=y_all,
         rho_bar=rho_all,
-        rho_bar_y=_blockwise(lambda rho: _manifold_slope(gamma, rho_plus, rho), rho_all),
+        rho_bar_y=_blockwise(lambda rho: _manifold_slope(law, rho), rho_all),
         rho_minus_limit=rho_minus,
-        gamma=gamma,
-        rho_plus=rho_plus,
+        law=law,
         tail_start=y_switch,
         tail_amplitude=amp,
         tail_rate=rate,

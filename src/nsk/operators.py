@@ -164,15 +164,16 @@ def _sweep(decay: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class GreenOperator:
-    """``A`` and ``Adr`` on one grid as O(M) data; ``apply(f)`` gives ``(A f, Adr f)``."""
+    """``A`` and ``Adr`` on one grid as O(M) data; ``apply(f)`` gives ``(A f, Adr f)``.
+    ``factors``, the kernel factors at the nodes, also serves the solve's lifting."""
 
     def __init__(self, grid: RadialGrid, kp: KernelParams, kappa: float):
         if kappa <= 0.0:
             raise ConfigError("kappa must be positive")
         a = kp.alpha
-        f = KernelFactors(kp, grid.nodes)
+        self.factors = f = KernelFactors(kp, grid.nodes)
         iv, kv, iv1, kv1, rp, e2 = f.iv, f.kv, f.iv1, f.kv1, f.rp, f.e2
-        c2 = kp.c2
+        c2 = iv1[0] / kv1[0]  # the reflection coefficient: node 0 is the wall r = 1
         src = rp * grid.measure() / kappa
         decay = np.exp(-a * np.diff(grid.nodes))
         self._decay = np.stack([np.append(0.0, decay), np.append(0.0, decay[::-1])])

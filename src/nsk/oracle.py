@@ -18,7 +18,8 @@ extrapolation of the solves at ``h`` and ``h/2`` (L. F. Richardson, Phil.
 Trans. R. Soc. A 210 (1911) 307) makes the reference O(h^4); 4-point cubic
 Lagrange interpolation on the uniform FD grid, also O(h^4) and with no global
 spline, carries it to the kernel grid.  The only code shared with the kernel
-solver is the enthalpy and the parameter container.
+solver is the parameter container and its :class:`~nsk.kernel.PressureLaw`
+(``h`` and ``h'``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
 from .grid import EXPONENTIAL, build_grid
-from .kernel import ModelParams, enthalpy_h, enthalpy_h_prime, kernel_params
+from .kernel import ModelParams, kernel_params
 from .stationary import solve_stationary
 
 __all__ = ["solve_fd", "solve_tridiagonal", "solve_fd_richardson", "fd_reference", "cross_validate"]
@@ -58,11 +59,11 @@ def solve_fd(
     r = np.linspace(1.0, R_max, node_count)
     h = r[1] - r[0]
     kappa = params.kappa
-    gamma = params.gamma
+    law = params.law
     rp = params.rho_plus
-    h_plus = enthalpy_h(gamma, rp)
+    h_plus = law.h(rp)
 
-    beta = math.sqrt(enthalpy_h_prime(gamma, rp) / kappa)
+    beta = math.sqrt(law.h_prime(rp) / kappa)
     rho = rp - (params.rho_b / beta) * np.exp(-beta * (r - 1.0))
     if np.any(rho <= 0.0):
         raise PositivityError("initial guess not positive; boundary data too large")
@@ -77,12 +78,12 @@ def solve_fd(
         F[1:-1] = kappa * (
             (rho[:-2] - 2.0 * rho[1:-1] + rho[2:]) * inv_h2
             + drift[1:-1] * (rho[2:] - rho[:-2]) / (2.0 * h)
-        ) - (enthalpy_h(gamma, rho[1:-1]) - h_plus)
+        ) - (law.h(rho[1:-1]) - h_plus)
         # wall row: ghost node eliminated via rho_r(1) = rho_b
         F[0] = kappa * (
             (2.0 * rho[1] - 2.0 * rho[0] - 2.0 * h * params.rho_b) * inv_h2
             + drift[0] * params.rho_b
-        ) - (enthalpy_h(gamma, rho[0]) - h_plus)
+        ) - (law.h(rho[0]) - h_plus)
         F[-1] = rho[-1] - rp
 
         res = float(np.max(np.abs(F)))
@@ -98,7 +99,7 @@ def solve_fd(
         lower[1:-1] = kappa * (inv_h2 - drift[1:-1] / (2.0 * h))
         upper[1:-1] = kappa * (inv_h2 + drift[1:-1] / (2.0 * h))
         upper[0] = 2.0 * kappa * inv_h2
-        diag = -2.0 * kappa * inv_h2 - enthalpy_h_prime(gamma, rho)
+        diag = -2.0 * kappa * inv_h2 - law.h_prime(rho)
         diag[-1] = 1.0
         step = solve_tridiagonal(lower, diag, upper, np.negative(F, out=F))
         del lower, diag, upper  # rebuilt each step: not kept alive beside the next residual's temporaries

@@ -143,7 +143,7 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
     )
     profile = None
     if mode == SINGULAR:
-        profile = integrate_profile(cfg.model.gamma, cfg.model.rho_plus, cfg.model.rho_b)
+        profile = integrate_profile(cfg.model.law, cfg.model.rho_b)
 
     result = RateStudyResult(mode=mode, rows=[], limit=profile)
     for kappa in cfg.kappas:

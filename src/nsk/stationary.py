@@ -52,12 +52,11 @@ import numpy as np
 from .bessel import check_finite
 from .errors import NonContractionError, PositivityError, RangeError, WindowEmptyError
 from .grid import RadialGrid
-from .kernel import KernelParams, ModelParams, enthalpy_h, enthalpy_h_prime, kernel_params, lifting_phi_b
+from .kernel import KernelParams, ModelParams, kernel_params, lifting_phi_b
 from .operators import GreenOperator
 
 __all__ = [
     "StationarySolution",
-    "pressure_remainder",
     "source_term",
     "forcing",
     "fixed_point",
@@ -91,26 +90,6 @@ class StationarySolution:
     ode_residual_sup: float
 
 
-def pressure_remainder(gamma: float, rho_plus: float, phi):
-    """Quadratic pressure remainder ``h(phi+rho_+) - h(rho_+) - h'(rho_+) phi``.
-
-    Zero at ``phi = 0`` and ``O(phi^2)``; identically zero for ``gamma = 2``
-    where ``h`` is affine.
-    """
-    pa = np.asarray(phi, dtype=float)
-    if np.any(pa + rho_plus <= 0.0):
-        raise PositivityError("phi + rho_plus must stay positive")
-    if gamma == 1.0:
-        out = np.log1p(pa / rho_plus) - pa / rho_plus
-    else:
-        out = (
-            enthalpy_h(gamma, pa + rho_plus)
-            - enthalpy_h(gamma, rho_plus)
-            - enthalpy_h_prime(gamma, rho_plus) * pa
-        )
-    return float(out) if np.ndim(phi) == 0 else out
-
-
 def source_term(n: int, u_minus: float, r):
     """``S(r) = u_-^2 / (2 r^{2(n-1)})``, the phi-independent forcing."""
     ra = np.asarray(r, dtype=float)
@@ -131,7 +110,7 @@ def forcing(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: np.nd
     constant ``phi`` with ``phi_r = 0``; for ``u_- = 0`` the forcing is the
     pressure remainder alone.
     """
-    pressure = pressure_remainder(params.gamma, params.rho_plus, phi)
+    pressure = params.law.remainder(phi)
     u = params.u_minus
     if u == 0.0:
         return pressure
@@ -179,7 +158,7 @@ def ode_residual(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: 
     phi_rr = hermite_second_derivative(r, phi, phi_r)
     res = (
         params.kappa * (phi_rr + (params.n - 1) / r * phi_r)
-        - enthalpy_h_prime(params.gamma, params.rho_plus) * phi
+        - params.law.h_prime(params.rho_plus) * phi
         - forcing(params, grid, phi, phi_r)
     )
     res[[0, -1]] = 0.0
@@ -235,7 +214,7 @@ def solve_stationary(
     if params.u_minus != 0.0 and rho_plus_sq * rho_plus_sq == 0.0:
         raise RangeError("rho_plus**4 underflows to 0: the flow terms divide by rho**4")
     op = GreenOperator(grid, kp, params.kappa)
-    phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, grid.nodes)
+    phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, op.factors)
 
     def step(phi, phi_r):
         a_rhs, adr_rhs = op.apply(forcing(params, grid, phi, phi_r))

@@ -14,15 +14,17 @@ from nsk.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_
 from nsk.cli import RunConfig
 from nsk.grid import ALGEBRAIC, H_MAX, RadialGrid, auto_r_max, build_grid
 from nsk.kernel import (
+    KernelFactors,
     KernelParams,
     ModelParams,
+    PressureLaw,
     green,
     green_dr_left,
     green_dr_right,
     kernel_params,
     lifting_phi_b,
 )
-from nsk.limit import integrate_profile, potential_w
+from nsk.limit import integrate_profile
 from nsk.oracle import cross_validate, fd_reference
 from nsk.rates import FIXED, SINGULAR, run_rate_study
 from nsk.stationary import decay_diagnostics, solve_stationary
@@ -77,10 +79,10 @@ def test_criterion_3_oracle_equivalence():
         kp = kernel_params(p)
         grid = build_grid(p.n, kp.alpha, points_per_unit_alpha=24.0, growth=1.04)
         field = solve_stationary(p, grid, tol=1e-12)
-        exact = lifting_phi_b(kp, p.rho_b, grid.nodes)[0]
+        exact = lifting_phi_b(kp, p.rho_b, KernelFactors(kp, grid.nodes))[0]
         closed_ok &= float(np.max(np.abs(field.phi - exact))) <= 1e-7
         nodes, rho_fd = fd_reference(p)
-        exact_fd = p.rho_plus + lifting_phi_b(kp, p.rho_b, nodes)[0]
+        exact_fd = p.rho_plus + lifting_phi_b(kp, p.rho_b, KernelFactors(kp, nodes))[0]
         closed_ok &= float(np.max(np.abs(rho_fd - exact_fd))) <= 1e-10
     detail = "max sup_diff=%.2e, closed-form clause %s" % (max(sups), closed_ok)
     _report(3, "oracle equivalence over 6 parameter sets", ok and closed_ok, detail)
@@ -161,7 +163,7 @@ def test_criterion_4_bessel_identities():
             worst_closed = max(worst_closed, abs(green(kp, r, s) / exact - 1.0))
         for r in (1.0, 2.0, 5.0):
             exact = 0.3 * math.exp(-a * (r - 1.0)) / ((a + 1.0) * r)
-            val, _ = lifting_phi_b(kp, -0.3, r)
+            val = lifting_phi_b(kp, -0.3, KernelFactors(kp, [1.0, r]))[0][1]
             if exact > 0.0:
                 worst_closed = max(worst_closed, abs(val / exact - 1.0))
     ok = worst_wron <= 1e-12 and worst_deriv <= 1e-6 and worst_closed <= 1e-12
@@ -255,13 +257,13 @@ def test_criterion_6_inflow_outflow_suite():
 def test_criterion_7_limit_profile_suite():
     worst_energy = 0.0
     for gamma, rho_b0 in ((1.0, -0.1), (1.4, -0.08), (2.0, -0.1)):
-        prof = integrate_profile(gamma, 1.0, rho_b0)
-        energy = 0.5 * prof.rho_bar_y**2 - potential_w(gamma, 1.0, prof.rho_bar)
+        prof = integrate_profile(PressureLaw(gamma, 1.0), rho_b0)
+        energy = 0.5 * prof.rho_bar_y**2 - PressureLaw(gamma, 1.0).w(prof.rho_bar)
         worst_energy = max(worst_energy, float(np.max(np.abs(energy))))
-    prof2 = integrate_profile(2.0, 1.0, -0.1)
+    prof2 = integrate_profile(PressureLaw(2.0, 1.0), -0.1)
     exact = 1.0 + (0.1 / math.sqrt(2.0)) * np.exp(-math.sqrt(2.0) * prof2.y_nodes)
     gamma2_err = float(np.max(np.abs(prof2.rho_bar - exact)))
-    prof1 = integrate_profile(1.0, 1.0, -0.1)
+    prof1 = integrate_profile(PressureLaw(1.0, 1.0), -0.1)
     m = (prof1.y_nodes >= 5.0) & (prof1.y_nodes <= 10.0)
     rate = -np.polyfit(prof1.y_nodes[m], np.log(prof1.rho_bar[m] - 1.0), 1)[0]
     ok = worst_energy <= 1e-10 and gamma2_err <= 1e-9 and abs(rate - 1.0) <= 0.02

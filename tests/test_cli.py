@@ -16,8 +16,7 @@ from nsk.bessel import BesselOrder, bessel_i
 import nsk.cli as cli_mod
 from nsk.cli import RunConfig, dispatch, parse_config
 from nsk.errors import ConfigError
-from nsk.kernel import ModelParams
-from nsk.limit import potential_w
+from nsk.kernel import ModelParams, PressureLaw
 from nsk.rates import RateRow, format_float
 
 VALID = {
@@ -534,7 +533,7 @@ class TestDispatch:
         assert np.all(np.isfinite(rows)) and np.all(np.diff(y) > 0.0)
         assert rho[0] == doc["rho_minus"] and np.all(np.diff(rho) <= 0.0) and np.all(rho >= 2.0)
         assert rho_y[0] == pytest.approx(float(rho_b0), rel=1e-6)
-        energy = 0.5 * rho_y**2 - potential_w(float(gamma), 2.0, rho)
+        energy = 0.5 * rho_y**2 - PressureLaw(float(gamma), 2.0).w(rho)
         assert np.max(np.abs(energy)) <= 1e-12 * float(rho_b0) ** 2
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):

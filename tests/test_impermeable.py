@@ -9,17 +9,17 @@ import math
 import numpy as np
 import pytest
 
+import nsk.kernel as kernel_mod
 import nsk.stationary as stationary_mod
 from nsk.errors import NonContractionError, PositivityError, WindowEmptyError
-from nsk.grid import build_grid
-from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
+from nsk.grid import ALGEBRAIC, EXPONENTIAL, build_grid
+from nsk.kernel import KernelFactors, ModelParams, PressureLaw, kernel_params, lifting_phi_b
 from nsk.operators import GreenOperator
 from nsk.stationary import (
     StationarySolution,
     decay_diagnostics,
     fixed_point,
     forcing,
-    pressure_remainder,
     solve_stationary,
     source_term,
 )
@@ -41,24 +41,24 @@ def wall_solution(grid, phi, phi_r):
 class TestNonlinearity:
     def test_zero_at_origin(self):
         for gamma in (1.0, 1.4, 2.0):
-            assert pressure_remainder(gamma, 0.7, 0.0) == 0.0
+            assert PressureLaw(gamma, 0.7).remainder(0.0) == 0.0
 
     def test_isothermal_value(self):
-        assert pressure_remainder(1.0, 1.0, 1.0) == pytest.approx(
+        assert PressureLaw(1.0, 1.0).remainder(1.0) == pytest.approx(
             math.log(2.0) - 1.0, rel=1e-14
         )
 
     def test_vanishes_for_affine_enthalpy(self):
         # gamma = 2 makes h affine, so the remainder is identically zero
-        assert pressure_remainder(2.0, 1.0, 0.5) == 0.0
+        assert PressureLaw(2.0, 1.0).remainder(0.5) == 0.0
 
     def test_quadratic_near_zero(self):
-        vals = [abs(pressure_remainder(1.4, 1.0, eps)) for eps in (1e-3, 5e-4)]
+        vals = [abs(PressureLaw(1.4, 1.0).remainder(eps)) for eps in (1e-3, 5e-4)]
         assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.05)
 
     def test_positivity_guard(self):
         with pytest.raises(PositivityError):
-            pressure_remainder(1.0, 1.0, -1.0)
+            PressureLaw(1.0, 1.0).remainder(-1.0)
 
 
 class TestSolve:
@@ -69,12 +69,38 @@ class TestSolve:
         assert field.iterations == 1
         assert np.all(field.phi == 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("u_minus, decay", [(0.0, EXPONENTIAL), (0.05, ALGEBRAIC), (-0.05, ALGEBRAIC)])
+    def test_one_bessel_evaluation_per_solve(self, monkeypatch, n, u_minus, decay):
+        # the operator's factor table serves the lifting and c2 as well, through its wall row
+        real = kernel_mod.bessel_ik_scaled
+        sizes = []
+
+        def counted(order, x):
+            sizes.append(np.size(x))
+            return real(order, x)
+
+        monkeypatch.setattr(kernel_mod, "bessel_ik_scaled", counted)
+        p = params_with(n=n, kappa=1e-2, rho_b=-0.02, u_minus=u_minus)
+        grid = build_grid(n, kernel_params(p).alpha, decay=decay)
+        solve_stationary(p, grid)
+        assert sizes == [grid.size]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_wall_row_of_a_grid_table_is_the_wall(self, n):
+        # what lets a solve read c2 and the lifting's denominator off the operator's table
+        for kappa in (1.0, 1e-2, 1e-4, 1e-6):
+            kp = kernel_params(params_with(n=n, kappa=kappa))
+            f = KernelFactors(kp, build_grid(n, kp.alpha).nodes)
+            for name in ("rp", "e2", "iv", "kv", "iv1", "kv1"):
+                assert getattr(f, name)[0].tobytes() == getattr(kp.wall, name).tobytes(), name
+
     def test_affine_enthalpy_solution_is_the_lifting(self):
         p = params_with(gamma=2.0, rho_b=-0.05)
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha)
         field = solve_stationary(p, grid)
-        phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, grid.nodes)
+        phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, KernelFactors(kp, grid.nodes))
         assert field.iterations == 1
         assert np.max(np.abs(field.phi - phi_b)) <= 1e-14
         assert np.max(np.abs(field.rho_r - phi_b_r)) <= 1e-14
@@ -86,8 +112,8 @@ class TestSolve:
         tol = 1e-10
         field = solve_stationary(p, grid, tol=tol)
         op = GreenOperator(grid, kp, p.kappa)
-        phi_b, _ = lifting_phi_b(kp, p.rho_b, grid.nodes)
-        t_phi = phi_b + op.apply(pressure_remainder(p.gamma, p.rho_plus, field.phi))[0]
+        phi_b, _ = lifting_phi_b(kp, p.rho_b, KernelFactors(kp, grid.nodes))
+        t_phi = phi_b + op.apply(p.law.remainder(field.phi))[0]
         assert np.max(np.abs(field.phi - t_phi)) <= tol
 
     def test_neumann_boundary_value(self):
@@ -157,7 +183,7 @@ class TestSolve:
         grid = build_grid(3, 1.0, points_per_unit_alpha=16.0)
         phi = -0.3 * np.exp(-(grid.nodes - 1.0)) * np.cos(grid.nodes)
         phi_r = np.gradient(phi, grid.nodes)
-        assert np.array_equal(forcing(p, grid, phi, phi_r), pressure_remainder(p.gamma, p.rho_plus, phi))
+        assert np.array_equal(forcing(p, grid, phi, phi_r), p.law.remainder(phi))
         assert np.all(source_term(p.n, 0.0, grid.nodes) == 0.0)
         sol = solve_stationary(p, grid)
         assert np.any(sol.phi != 0.0)
@@ -258,7 +284,7 @@ class TestDecayDiagnostics:
         p = params_with(kappa=1.0 / 400.0, rho_b=-0.1)
         kp = kernel_params(p)
         grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
-        phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, grid.nodes)
+        phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, KernelFactors(kp, grid.nodes))
         sigma, c_fit = decay_diagnostics(wall_solution(grid, phi_b, phi_b_r), kp)
         assert 0.95 * kp.alpha <= sigma <= 1.05 * kp.alpha
         assert np.isfinite(c_fit) and c_fit > 0.0

@@ -12,7 +12,7 @@ import nsk.stationary as stationary_mod
 from nsk.cli import RunConfig
 from nsk.errors import NonContractionError, PositivityError, RangeError
 from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
-from nsk.kernel import ModelParams, enthalpy_h, enthalpy_h_prime
+from nsk.kernel import ModelParams
 from nsk.stationary import forcing, solve_stationary, source_term
 
 
@@ -107,12 +107,12 @@ class TestNonlinearity:
         tail = g.reverse_cumulative(phi_r**2 / (rnm1 * rho**4))
         expect = (
             p.mu * rho1 * u_minus * phi_r / (rnm1 * rho**3)
-            + enthalpy_h(gamma, rho)
-            - enthalpy_h(gamma, p.rho_plus)
+            + p.law.h(rho)
+            - p.law.h(p.rho_plus)
             + rho1**2 * u_minus**2 / (2.0 * r ** (2 * (n - 1)) * rho**2)
             - p.mu * rho1 * u_minus * tail
         )
-        got = forcing(p, g, phi, phi_r) + enthalpy_h_prime(gamma, p.rho_plus) * phi
+        got = forcing(p, g, phi, phi_r) + p.law.h_prime(p.rho_plus) * phi
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_positivity_guard(self):

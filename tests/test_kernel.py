@@ -17,10 +17,10 @@ import pytest
 from nsk.bessel import BesselOrder
 from nsk.errors import ConfigError, DomainError, RangeError
 from nsk.kernel import (
+    KernelFactors,
     KernelParams,
     ModelParams,
-    enthalpy_h,
-    enthalpy_h_prime,
+    PressureLaw,
     green,
     green_dr,
     green_dr_left,
@@ -42,31 +42,37 @@ def green3_exact(a: float, r: float, s: float) -> float:
     ) * math.exp(-a * (r + s - 2.0)) / (r * s)
 
 
+def lifting_at(kp: KernelParams, rho_b: float, r: float) -> tuple:
+    """``lifting_phi_b`` at one radius, on a factor table that starts at the wall."""
+    val, der = lifting_phi_b(kp, rho_b, KernelFactors(kp, [1.0, r]))
+    return float(val[1]), float(der[1])
+
+
 def lifting3_exact(a: float, rho_b: float, r: float) -> float:
     return -rho_b * math.exp(-a * (r - 1.0)) / ((a + 1.0) * r)
 
 
 class TestEnthalpy:
     def test_isothermal_and_quadratic(self):
-        assert enthalpy_h(1.0, 1.0) == 0.0
-        assert enthalpy_h(2.0, 3.0) == pytest.approx(6.0, rel=1e-15)
+        assert PressureLaw(1.0, 1.0).h(1.0) == 0.0
+        assert PressureLaw(2.0, 1.0).h(3.0) == pytest.approx(6.0, rel=1e-15)
 
     def test_general_exponent(self):
         expected = float(mp.mpf("1.4") / mp.mpf("0.4") * mp.mpf("0.5") ** mp.mpf("0.4"))
         assert expected == pytest.approx(2.6525039913931966, rel=1e-14)
-        assert enthalpy_h(1.4, 0.5) == pytest.approx(expected, rel=1e-14)
+        assert PressureLaw(1.4, 1.0).h(0.5) == pytest.approx(expected, rel=1e-14)
 
     def test_strictly_increasing(self):
         for gamma in (1.0, 1.4, 2.0, 3.0):
             rhos = np.linspace(0.2, 4.0, 50)
-            assert np.all(np.diff(enthalpy_h(gamma, rhos)) > 0.0)
-            assert np.all(enthalpy_h_prime(gamma, rhos) > 0.0)
+            assert np.all(np.diff(PressureLaw(gamma, 1.0).h(rhos)) > 0.0)
+            assert np.all(PressureLaw(gamma, 1.0).h_prime(rhos) > 0.0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            enthalpy_h(1.4, 0.0)
+            PressureLaw(1.4, 1.0).h(0.0)
         with pytest.raises(DomainError):
-            enthalpy_h_prime(2.0, -1.0)
+            PressureLaw(2.0, 1.0).h_prime(-1.0)
 
 
 class TestModelParams:
@@ -115,39 +121,44 @@ class TestKernelParams:
                 for kappa in (1e-4, 1e-2, 1.0, 30.0):
                     p = ModelParams(n, gamma, kappa, 0.0, 0.8, 0.0, 0.0)
                     kp = kernel_params(p)
-                    hp = enthalpy_h_prime(gamma, 0.8)
+                    hp = PressureLaw(gamma, 0.8).h_prime(0.8)
                     assert abs(kp.alpha**2 * kappa - hp) <= 1e-14 * hp
 
 
 class TestLifting:
+    def test_table_must_start_at_the_wall(self):
+        kp = kp_from(3, 2.0)
+        with pytest.raises(DomainError, match="wall r = 1"):
+            lifting_phi_b(kp, -0.1, KernelFactors(kp, [1.5, 2.0]))
+
     def test_zero_data(self):
         kp = kp_from(3, 2.0)
-        assert lifting_phi_b(kp, 0.0, 5.0) == (0.0, 0.0)
+        assert lifting_at(kp, 0.0, 5.0) == (0.0, 0.0)
 
     def test_dimension3_closed_form(self):
         kp = kp_from(3, 1.0)
-        val, _ = lifting_phi_b(kp, -1.0, 2.0)
+        val, _ = lifting_at(kp, -1.0, 2.0)
         assert val == pytest.approx(math.exp(-1.0) / 4.0, rel=1e-13)
         for a in (0.5, 1.0, 7.0, 1000.0):
             kp = kp_from(3, a)
             for r in (1.0, 1.5, 4.0):
-                val, _ = lifting_phi_b(kp, -0.3, r)
+                val, _ = lifting_at(kp, -0.3, r)
                 assert val == pytest.approx(lifting3_exact(a, -0.3, r), rel=1e-12)
 
     def test_boundary_derivative_matches_data(self):
         for n in (2, 3, 4, 5):
             for a in (0.3, 1.0, 30.0, 1000.0):
                 kp = kp_from(n, a)
-                _, der = lifting_phi_b(kp, -0.7, 1.0)
+                _, der = lifting_at(kp, -0.7, 1.0)
                 assert der == pytest.approx(-0.7, rel=1e-12)
 
     def test_derivative_by_central_difference(self):
         kp = kp_from(4, 2.0)
         for r in (1.3, 2.0, 6.0):
             h = 1e-6
-            vp, _ = lifting_phi_b(kp, -0.2, r + h)
-            vm, _ = lifting_phi_b(kp, -0.2, r - h)
-            _, der = lifting_phi_b(kp, -0.2, r)
+            vp, _ = lifting_at(kp, -0.2, r + h)
+            vm, _ = lifting_at(kp, -0.2, r - h)
+            _, der = lifting_at(kp, -0.2, r)
             assert der == pytest.approx((vp - vm) / (2.0 * h), rel=1e-8)
 
 

@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 
 from nsk import oracle
 from nsk.errors import ConfigError, PositivityError
-from nsk.kernel import ModelParams, kernel_params, lifting_phi_b
+from nsk.kernel import KernelFactors, ModelParams, kernel_params, lifting_phi_b
 from nsk.oracle import (
     _interpolate_uniform,
     cross_validate,
@@ -37,7 +37,7 @@ class TestSolveFd:
         kp = kernel_params(p)
         R = 1.0 + max(40.0 / kp.alpha, 20.0)
         rho = solve_fd(p, 16001, R)
-        exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, np.linspace(1.0, R, 16001))[0]
+        exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, KernelFactors(kp, np.linspace(1.0, R, 16001)))[0]
         assert np.max(np.abs(rho - exact)) <= 1e-6
 
     def test_second_order_convergence(self):
@@ -47,7 +47,7 @@ class TestSolveFd:
         errs = []
         for count in (2001, 4001, 8001):
             r = np.linspace(1.0, R, count)
-            exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, r)[0]
+            exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, KernelFactors(kp, r))[0]
             errs.append(np.max(np.abs(solve_fd(p, count, R) - exact)))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
@@ -59,7 +59,7 @@ class TestSolveFd:
         R = 1.0 + max(40.0 / kp.alpha, 20.0)
         errs = []
         for count in (1001, 2001, 4001):
-            exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, np.linspace(1.0, R, count))[0]
+            exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, KernelFactors(kp, np.linspace(1.0, R, count)))[0]
             errs.append(np.max(np.abs(solve_fd_richardson(p, count, R) - exact)))
         assert 15.0 <= errs[0] / errs[1] <= 17.0
         assert 15.0 <= errs[1] / errs[2] <= 17.0

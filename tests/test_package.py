@@ -52,6 +52,32 @@ def test_no_module_imports_scipy():
     assert sorted(p.name for p in src.glob("*.py") if _imports_scipy(ast.parse(p.read_text()))) == []
 
 
+def _gamma_branches(tree: ast.AST) -> list:
+    """Lines outside ``class PressureLaw`` that compare ``gamma`` (a name or an attribute) with a constant."""
+    law = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "PressureLaw" for n in ast.walk(c)}
+
+    def is_gamma(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "gamma"
+
+    def is_constant(node):
+        return isinstance(node, ast.Constant) or isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in law:
+            operands = [node.left, *node.comparators]
+            if any(map(is_gamma, operands)) and any(map(is_constant, operands)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_pressure_law_branches_on_gamma():
+    # the gamma = 1 branches and the domain rule live in nsk.kernel.PressureLaw alone
+    src = Path(nsk.__file__).parent
+    found = {p.name: _gamma_branches(ast.parse(p.read_text())) for p in src.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_import_cli_loads_no_scipy():
     probe = "import sys, nsk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}
