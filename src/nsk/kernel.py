@@ -32,8 +32,10 @@ pulling the exponentials out gives the overflow-free representation
 
 with ``m = \min(r,s)``, ``M = \max(r,s)``.  :class:`KernelFactors` holds
 the per-radius factors (the four hat values, ``r^{-\nu}`` and
-``e^{-\alpha(r-1)}``), every Bessel value through :mod:`nsk.bessel`;
-:func:`_branches` combines them for the pointwise functions here;
+``e^{-\alpha(r-1)}``), every Bessel value through :mod:`nsk.bessel`.
+Every table starts at the wall ``r = 1``: its row 0 gives ``c_2`` and the
+lifting's ``\hat K_{\nu+1}(\alpha)``, so no value has a second source.
+:func:`_branches` combines the factors for the pointwise functions here;
 :mod:`nsk.operators` folds the same factors into its quadrature.  Both
 exponents ``-alpha|r-s|`` and ``-alpha(r+s-2)`` are nonpositive on
 ``r, s >= 1``, so nothing overflows even for ``alpha ~ 1e3``.
@@ -240,11 +242,6 @@ class KernelParams:
     nu: BesselOrder
     alpha: float
 
-    @cached_property
-    def wall(self) -> "KernelFactors":
-        """The kernel factors at ``r = 1``, for the pointwise ``green*``."""
-        return KernelFactors(self, 1.0)
-
 
 def kernel_params(params: ModelParams) -> KernelParams:
     """``alpha = sqrt(h'(rho_plus)/kappa)``, ``RangeError`` unless ``0 < alpha < inf``, and ``nu = (n-2)/2``."""
@@ -260,12 +257,15 @@ class KernelFactors:
     ``e^{-alpha(x-1)}`` and ``\\hat I_nu``, ``\\hat K_nu``, ``\\hat I_{nu+1}``,
     ``\\hat K_{nu+1}`` at ``alpha x``, from one Bessel evaluation, each checked
     finite in that order (``K_{nu+1} > K_nu``, so where both overflow the
-    error names the order nu)."""
+    error names the order nu).  ``x`` is 1-D and starts at the wall ``r = 1``,
+    whose row gives the reflection coefficient ``c2``."""
 
     def __init__(self, kp: KernelParams, x):
         x = np.asarray(x, dtype=float)
         if (x < 1.0).any():
             raise DomainError("radii must be >= 1")
+        if x.ndim != 1 or x.size == 0 or x[0] != 1.0:
+            raise DomainError("a factor table needs 1-D radii whose first is the wall r = 1")
         with np.errstate(over="ignore"):
             ax = kp.alpha * x
         if not np.isfinite(ax).all():
@@ -275,6 +275,7 @@ class KernelFactors:
         self.e2 = np.exp(-kp.alpha * (x - 1.0))
         names = ("scaled I_nu", "scaled K_nu", "scaled I_{nu+1}", "scaled K_{nu+1}")
         self.iv, self.kv, self.iv1, self.kv1 = map(check_finite, bessel_ik_scaled(kp.nu, ax), names)
+        self.c2 = self.iv1[0] / self.kv1[0]
 
 
 def _branches(kp: KernelParams, f: KernelFactors, i, j, lower):
@@ -283,8 +284,7 @@ def _branches(kp: KernelParams, f: KernelFactors, i, j, lower):
     Where ``lower`` the ``s <= r`` branch, else the ``r <= s`` one; ``lower``
     must hold where ``x_j < x_i`` and fail where ``x_j > x_i``.
     """
-    a = kp.alpha
-    c2 = kp.wall.iv1 / kp.wall.kv1
+    a, c2 = kp.alpha, f.c2
     mn, mx = np.where(lower, j, i), np.where(lower, i, j)
     e1 = np.exp(-a * (f.x[mx] - f.x[mn]))
     e12 = f.e2[i] * f.e2[j]
@@ -303,10 +303,8 @@ def lifting_phi_b(kp: KernelParams, rho_b: float, f: KernelFactors):
     Evaluated in scaled form:
     ``\phi_b = -(\rho_b/\alpha) r^{-\nu} (\hat K_\nu(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``
     and ``\phi_b' = \rho_b r^{-\nu} (\hat K_{\nu+1}(\alpha r)/\hat K_{\nu+1}(\alpha)) e^{-\alpha(r-1)}``,
-    the denominator from the table's first row, which must be the wall ``r = 1``.
+    the denominator from the table's wall row.
     """
-    if f.x.ndim != 1 or f.x[0] != 1.0:
-        raise DomainError("the lifting needs a factor table whose first radius is the wall r = 1")
     khat_den = f.kv1[0]
     val = -(rho_b / kp.alpha) * f.rp * (f.kv / khat_den) * f.e2
     der = rho_b * f.rp * (f.kv1 / khat_den) * f.e2
@@ -315,10 +313,10 @@ def lifting_phi_b(kp: KernelParams, rho_b: float, f: KernelFactors):
 
 def _at(kp: KernelParams, r, s, lower):
     """``(G, dG/dr)`` at broadcast ``(r, s)`` on the branch ``lower``, from one
-    factor table over the distinct radii; floats for scalar ``r`` and ``s``."""
+    factor table over the distinct radii of ``{1} u r u s``; floats for scalar ``r`` and ``s``."""
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
-    x, idx = np.unique(np.stack([r, s]), return_inverse=True)
-    i, j = idx.reshape((2,) + r.shape)
+    x, idx = np.unique(np.append(1.0, np.stack([r, s])), return_inverse=True)
+    i, j = idx[1:].reshape((2,) + r.shape)
     f = KernelFactors(kp, x)
     g, gdr = _branches(kp, f, i, j, lower)
     rp2 = f.rp[i] * f.rp[j]

@@ -172,8 +172,7 @@ class GreenOperator:
             raise ConfigError("kappa must be positive")
         a = kp.alpha
         self.factors = f = KernelFactors(kp, grid.nodes)
-        iv, kv, iv1, kv1, rp, e2 = f.iv, f.kv, f.iv1, f.kv1, f.rp, f.e2
-        c2 = iv1[0] / kv1[0]  # the reflection coefficient: node 0 is the wall r = 1
+        iv, kv, iv1, kv1, rp, e2, c2 = f.iv, f.kv, f.iv1, f.kv1, f.rp, f.e2, f.c2
         src = rp * grid.measure() / kappa
         decay = np.exp(-a * np.diff(grid.nodes))
         self._decay = np.stack([np.append(0.0, decay), np.append(0.0, decay[::-1])])

@@ -88,12 +88,19 @@ class TestSolve:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_wall_row_of_a_grid_table_is_the_wall(self, n):
-        # what lets a solve read c2 and the lifting's denominator off the operator's table
+        # what lets a solve and a pointwise call read c2 and the lifting's denominator
+        # off their one table: its row 0 is that of the wall alone, bit for bit, on the
+        # grid and on every {1, r, s} of the pointwise mesh of test_kernel.py
+        side = np.linspace(1.0, 12.0, 30)
+        pairs = [np.unique([1.0, r, s]) for k, r in enumerate(side) for s in side[k:]]
         for kappa in (1.0, 1e-2, 1e-4, 1e-6):
             kp = kernel_params(params_with(n=n, kappa=kappa))
-            f = KernelFactors(kp, build_grid(n, kp.alpha).nodes)
-            for name in ("rp", "e2", "iv", "kv", "iv1", "kv1"):
-                assert getattr(f, name)[0].tobytes() == getattr(kp.wall, name).tobytes(), name
+            wall = KernelFactors(kp, [1.0])
+            for radii in [build_grid(n, kp.alpha).nodes] + pairs:
+                f = KernelFactors(kp, radii)
+                for name in ("rp", "e2", "iv", "kv", "iv1", "kv1"):
+                    assert getattr(f, name)[0].tobytes() == getattr(wall, name).tobytes(), name
+                assert f.c2.tobytes() == wall.c2.tobytes()
 
     def test_affine_enthalpy_solution_is_the_lifting(self):
         p = params_with(gamma=2.0, rho_b=-0.05)

@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import nsk.kernel as kernel_mod
 from nsk.bessel import BesselOrder
 from nsk.errors import ConfigError, DomainError, RangeError
 from nsk.kernel import (
@@ -130,6 +131,11 @@ class TestLifting:
         kp = kp_from(3, 2.0)
         with pytest.raises(DomainError, match="wall r = 1"):
             lifting_phi_b(kp, -0.1, KernelFactors(kp, [1.5, 2.0]))
+        for radii in ([1.5, 2.0], [], 1.0, [[1.0, 2.0]]):
+            with pytest.raises(DomainError, match="wall r = 1"):
+                KernelFactors(kp, radii)
+        with pytest.raises(DomainError, match="wall r = 1"):
+            lifting_phi_b(kp, -0.1, KernelFactors(kp, []))
 
     def test_zero_data(self):
         kp = kp_from(3, 2.0)
@@ -266,6 +272,27 @@ class TestArrays:
             pick = (np.arange(rm.size) % 5 == 0) | (rm == sm)
             scalar = [fn(kp, x, y) for x, y in zip(rm[pick].tolist(), sm[pick].tolist())]
             np.testing.assert_allclose(fn(kp, rm, sm)[pick], scalar, rtol=4e-15, atol=0.0, err_msg=fn.__name__)
+
+    @pytest.mark.parametrize("mesh", [False, True], ids=["scalar", "mesh"])
+    @pytest.mark.parametrize("fn", [green, green_dr, green_dr_left, green_dr_right], ids=lambda fn: fn.__name__)
+    def test_one_bessel_evaluation_per_pointwise_call(self, monkeypatch, fn, mesh):
+        # c2 comes from the wall row of the call's own table over {1} u r u s, not from a second table
+        real = kernel_mod.bessel_ik_scaled
+        sizes = []
+
+        def counted(order, x):
+            sizes.append(np.size(x))
+            return real(order, x)
+
+        monkeypatch.setattr(kernel_mod, "bessel_ik_scaled", counted)
+        if mesh:
+            r, s = self.MESH[0] + 0.5, self.MESH[1]  # r never equals s; s takes the wall
+            keep = {green_dr_left: r < s, green_dr_right: r > s}.get(fn, r != s)
+            r, s = r[keep], s[keep]
+        else:
+            r, s = {green: (2.0, 2.0), green_dr: (3.5, 2.0), green_dr_left: (2.0, 2.0), green_dr_right: (3.0, 1.0)}[fn]
+        fn(kp_from(3, 1.7), r, s)
+        assert sizes == [len({1.0, *np.ravel(r), *np.ravel(s)})]
 
     @pytest.mark.parametrize(
         "fn, good, bad, message",

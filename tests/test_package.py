@@ -78,6 +78,29 @@ def test_only_the_pressure_law_branches_on_gamma():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _bessel_table_uses(tree: ast.AST) -> list:
+    """``Class.function`` (or ``function``) of every use of the name ``bessel_ik_scaled`` outside an import."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if getattr(node, "id", getattr(node, "attr", None)) == "bessel_ik_scaled":
+            uses.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return uses
+
+
+def test_only_kernel_factors_evaluates_the_bessel_table():
+    # one owner of the Bessel tables, so the wall row (c2, the lifting) has one source
+    src = Path(nsk.__file__).parent
+    found = {p.name: _bessel_table_uses(ast.parse(p.read_text())) for p in src.glob("*.py") if p.name != "bessel.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {"kernel.py": ["KernelFactors.__init__"]}
+
+
 def test_import_cli_loads_no_scipy():
     probe = "import sys, nsk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}
