@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .bessel import check_finite
-from .errors import ConfigError, GridSizeError
+from .errors import ConfigError, GridSizeError, RangeError
 
 __all__ = ["RadialGrid", "build_grid"]
 
@@ -183,6 +183,10 @@ def build_grid(
     if not R_max > 1.0:
         raise ConfigError("R_max must exceed 1")
     h0 = min(0.2, 1.0 / (points_per_unit_alpha * alpha))
+    if 1.0 + h0 == 1.0:
+        raise RangeError(
+            f"the wall spacing h0 = {h0:.3g} at alpha = {alpha:.3g} is below half the double spacing at r = 1"
+        )
 
     span = R_max - 1.0
     if span > H_MAX * MAX_NODES:  # steps are at most H_MAX, so this span takes more than MAX_NODES

@@ -8,7 +8,10 @@ Linearizing the stationary density equation about the far-field state
     \alpha = \sqrt{h'(\rho_+)/\kappa},
 
 with the enthalpy ``h`` of the polytropic pressure ``P(rho) = rho^gamma``
-(:class:`PressureLaw`).
+(:class:`PressureLaw`).  The law exposes ``h`` only through differences
+(``dh = h(rho) - h(rho_+)``, the pressure remainder and ``W``), built from one
+expm1/log1p form, ``_log_power``, whose ``log1p`` limit is the package's one
+``gamma = 1`` branch.
 Neumann data ``phi_r(1) = rho_b`` is absorbed by an explicit decaying
 homogeneous solution (the lifting function), and the remaining problem with
 homogeneous boundary data is inverted by the Green function
@@ -81,8 +84,9 @@ TAYLOR_TERMS = 20
 @dataclass(frozen=True)
 class PressureLaw:
     """The polytropic law ``P = rho^gamma`` about the far-field density ``rho_plus``: finite
-    ``gamma >= 1`` and ``rho_plus > 0``, else ``ConfigError``.  It owns the enthalpy ``h``,
-    ``h'``, the pressure remainder, the limit potential ``W`` and its existence bound."""
+    ``gamma >= 1`` and ``rho_plus > 0``, else ``ConfigError``.  It owns the enthalpy difference
+    ``dh``, ``h'``, the pressure remainder, the limit potential ``W`` and its existence bound;
+    the first, the remainder and ``W`` share one expm1/log1p form, :meth:`_log_power`."""
 
     gamma: float
     rho_plus: float
@@ -96,13 +100,28 @@ class PressureLaw:
         if not self.rho_plus > 0.0:
             raise ConfigError("rho_plus must be positive")
 
-    def h(self, rho) -> float | np.ndarray:
-        """Enthalpy ``h(rho)``: ``gamma/(gamma-1) * rho^(gamma-1)`` for ``gamma > 1``
-        and ``log rho`` for ``gamma = 1``; strictly increasing either way."""
+    def _log_power(self, d):
+        """``((1+d)^(gamma-1) - 1)/(gamma-1)`` as ``expm1((gamma-1) log1p(d))/(gamma-1)``, which
+        keeps full relative accuracy as gamma -> 1, and its limit ``log1p(d)`` at ``gamma = 1``:
+        the law's one gamma = 1 branch.  Every enthalpy difference is ``gamma rho_+^(gamma-1)``
+        times this at ``d = rho/rho_+ - 1``."""
+        if self.gamma == 1.0:
+            return np.log1p(d)
+        return np.expm1((self.gamma - 1.0) * np.log1p(d)) / (self.gamma - 1.0)
+
+    @cached_property
+    def _h_scale(self) -> float:
+        """``gamma rho_+^(gamma-1) = rho_+ h'(rho_+)``, the scale of ``dh`` and the remainder."""
+        with np.errstate(over="ignore"):
+            return float(self.gamma * np.float64(self.rho_plus) ** (self.gamma - 1.0))
+
+    def dh(self, rho) -> float | np.ndarray:
+        """Enthalpy difference ``h(rho) - h(rho_+)``, with ``h = gamma/(gamma-1) rho^(gamma-1)``
+        for ``gamma > 1`` and ``log rho`` for ``gamma = 1``; strictly increasing either way."""
         ra = np.asarray(rho, dtype=float)
         if np.any(ra <= 0.0):
             raise DomainError("rho must be positive")
-        out = np.log(ra) if self.gamma == 1.0 else (self.gamma / (self.gamma - 1.0)) * ra ** (self.gamma - 1.0)
+        out = self._h_scale * self._log_power(ra / self.rho_plus - 1.0)
         return float(out) if np.ndim(rho) == 0 else out
 
     def h_prime(self, rho) -> float | np.ndarray:
@@ -115,14 +134,13 @@ class PressureLaw:
 
     def remainder(self, phi) -> float | np.ndarray:
         """Pressure remainder ``h(phi+rho_+) - h(rho_+) - h'(rho_+) phi``: ``O(phi^2)``, and
-        identically zero for ``gamma = 2`` where ``h`` is affine."""
-        pa, rp = np.asarray(phi, dtype=float), self.rho_plus
-        if np.any(pa + rp <= 0.0):
+        identically zero for ``gamma = 2`` where ``h`` is affine.  With ``d = phi/rho_+`` it is
+        ``gamma rho_+^(gamma-1) (_log_power(d) - d)``, so no two ``O(1)`` enthalpies cancel."""
+        pa = np.asarray(phi, dtype=float)
+        if np.any(pa + self.rho_plus <= 0.0):
             raise PositivityError("phi + rho_plus must stay positive")
-        if self.gamma == 1.0:
-            out = np.log1p(pa / rp) - pa / rp
-        else:
-            out = self.h(pa + rp) - self.h(rp) - self.h_prime(rp) * pa
+        d = pa / self.rho_plus
+        out = self._h_scale * (self._log_power(d) - d)
         return float(out) if np.ndim(phi) == 0 else out
 
     @cached_property
@@ -153,8 +171,7 @@ class PressureLaw:
         r"""``W(x) = \int_{\rho_+}^x (h(t) - h(\rho_+)) dt`` in closed form.
 
         With ``d = x/rho_+ - 1`` it is ``rho_+^gamma [(1+d) e - d]``, where
-        ``e = expm1((gamma-1) log1p(d))/(gamma-1)``, or its limit ``log1p(d)`` at
-        ``gamma = 1``, so the cancellation does not grow as gamma -> 1.  The form
+        ``e = _log_power(d)``, so the cancellation does not grow as gamma -> 1.  The form
         subtracts O(d) terms to leave an O(d^2) result, so where ``|d| max(1,
         gamma) <= TAYLOR_MAX`` the Taylor series ``rho_+^gamma sum_k gamma
         (gamma-2)...(gamma-k+1) d^k/k!`` from ``k = 2`` replaces it and keeps full
@@ -172,14 +189,11 @@ class PressureLaw:
         near = np.abs(d) * g <= TAYLOR_MAX
         far = ~near
         out = np.empty_like(d)
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore"):
             scale = self._scale
             df = d[far]
-            if gamma == 1.0:
-                # (1 + d) e is 0 where d rounds to -1, not 0 * (-inf)
-                e = np.log1p(np.where(df > -1.0, df, 0.0))
-            else:
-                e = np.expm1((gamma - 1.0) * np.log1p(df)) / (gamma - 1.0)
+            # (1 + d) e is 0 where d rounds to -1, not 0 * (-inf)
+            e = self._log_power(np.where(df > -1.0, df, 0.0))
             out[far] = scale * ((1.0 + df) * e - df)
         # the closed forms cancel O(d) terms: next to rho_+ sum the Taylor series instead,
         # gamma d^2/2 sum_j b_j t^j in t = g d, with the coefficients b_j of _taylor

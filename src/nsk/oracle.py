@@ -19,7 +19,7 @@ Trans. R. Soc. A 210 (1911) 307) makes the reference O(h^4); 4-point cubic
 Lagrange interpolation on the uniform FD grid, also O(h^4) and with no global
 spline, carries it to the kernel grid.  The only code shared with the kernel
 solver is the parameter container and its :class:`~nsk.kernel.PressureLaw`
-(``h`` and ``h'``).
+(the enthalpy difference ``dh = h(rho) - h(rho_+)`` and ``h'``).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ def solve_fd(
     kappa = params.kappa
     law = params.law
     rp = params.rho_plus
-    h_plus = law.h(rp)
 
     beta = math.sqrt(law.h_prime(rp) / kappa)
     rho = rp - (params.rho_b / beta) * np.exp(-beta * (r - 1.0))
@@ -78,12 +77,12 @@ def solve_fd(
         F[1:-1] = kappa * (
             (rho[:-2] - 2.0 * rho[1:-1] + rho[2:]) * inv_h2
             + drift[1:-1] * (rho[2:] - rho[:-2]) / (2.0 * h)
-        ) - (law.h(rho[1:-1]) - h_plus)
+        ) - law.dh(rho[1:-1])
         # wall row: ghost node eliminated via rho_r(1) = rho_b
         F[0] = kappa * (
             (2.0 * rho[1] - 2.0 * rho[0] - 2.0 * h * params.rho_b) * inv_h2
             + drift[0] * params.rho_b
-        ) - (law.h(rho[0]) - h_plus)
+        ) - law.dh(rho[0])
         F[-1] = rho[-1] - rp
 
         res = float(np.max(np.abs(F)))

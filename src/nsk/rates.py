@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .limit import LimitProfile, integrate_profile
-from .stationary import solve_stationary
+from .stationary import fit_line, solve_stationary
 
 __all__ = [
     "FIXED",
@@ -73,17 +73,9 @@ class RateStudyResult:
 def fit_loglog(x, y):
     """OLS slope of ``log y`` vs ``log x`` with its standard error."""
     lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    m = lx.size
-    if m < 2:
+    if lx.size < 2:
         raise ConfigError("need at least two points for a slope fit")
-    lxc = lx - lx.mean()
-    slope = float(np.dot(lxc, ly) / np.dot(lxc, lxc))
-    intercept = float(ly.mean() - slope * lx.mean())
-    resid = ly - (intercept + slope * lx)
-    dof = max(m - 2, 1)
-    stderr = float(math.sqrt(np.dot(resid, resid) / dof / np.dot(lxc, lxc)))
-    return slope, stderr
+    return fit_line(lx, np.log(np.asarray(y, dtype=float)))
 
 
 def _solve_one(cfg, mode: str, kappa: float, profile: LimitProfile | None):

@@ -63,6 +63,7 @@ __all__ = [
     "hermite_second_derivative",
     "ode_residual",
     "solve_stationary",
+    "fit_line",
     "decay_diagnostics",
 ]
 
@@ -156,10 +157,12 @@ def ode_residual(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: 
     """
     r = grid.nodes
     phi_rr = hermite_second_derivative(r, phi, phi_r)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a sweep: an overflowed rho**4 divides to 0
+        rhs = forcing(params, grid, phi, phi_r)
     res = (
         params.kappa * (phi_rr + (params.n - 1) / r * phi_r)
         - params.law.h_prime(params.rho_plus) * phi
-        - forcing(params, grid, phi, phi_r)
+        - rhs
     )
     res[[0, -1]] = 0.0
     return res
@@ -213,6 +216,8 @@ def solve_stationary(
     rho_plus_sq = params.rho_plus * params.rho_plus  # not ``**``: a float power raises on overflow
     if params.u_minus != 0.0 and rho_plus_sq * rho_plus_sq == 0.0:
         raise RangeError("rho_plus**4 underflows to 0: the flow terms divide by rho**4")
+    if params.u_minus != 0.0 and rho_plus_sq == math.inf:
+        raise RangeError("rho_plus**2 overflows: the kinetic ratio divides rho(1)**2 by rho**2")
     op = GreenOperator(grid, kp, params.kappa)
     phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, op.factors)
 
@@ -235,6 +240,18 @@ def solve_stationary(
     )
 
 
+def fit_line(x, y):
+    """Least-squares slope of ``y`` on ``x`` in closed form, with its standard error."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xc = x - x.mean()
+    slope = float(np.dot(xc, y) / np.dot(xc, xc))
+    intercept = float(y.mean() - slope * x.mean())
+    resid = y - (intercept + slope * x)
+    stderr = float(math.sqrt(np.dot(resid, resid) / max(x.size - 2, 1) / np.dot(xc, xc)))
+    return slope, stderr
+
+
 def decay_diagnostics(solution: StationarySolution, kp: KernelParams):
     """Fit the exponential decay rate of ``|phi|`` over the interior window.
 
@@ -253,8 +270,9 @@ def decay_diagnostics(solution: StationarySolution, kp: KernelParams):
     mask = (r >= lo) & (r <= hi) & (absphi > 1e-13)
     if np.count_nonzero(mask) < 2:
         raise WindowEmptyError("no usable samples in the decay-fit window")
-    slope = np.polyfit(r[mask], np.log(absphi[mask]), 1)[0]
-    sigma = -float(slope)
+    # on the wall distance r - 1: at large alpha the window's r = 1 + O(1/alpha) carry few digits
+    # of it, and centring r alone leaves an offset that the sum of log|phi| amplifies
+    sigma = -fit_line(r[mask] - 1.0, np.log(absphi[mask]))[0]
     rho_b = solution.rho_r[0]
     if rho_b == 0.0:
         raise WindowEmptyError("zero boundary data; envelope constant undefined")

@@ -1,4 +1,4 @@
-"""Green kernel, lifting function, and enthalpy against closed-form oracles.
+"""Green kernel, lifting function, and enthalpy differences against closed-form oracles.
 
 The dimension-3 case has elementary closed forms (the basis solutions are
 e^{+-alpha r}/r), giving an independent cross-check of the general-order
@@ -55,25 +55,46 @@ def lifting3_exact(a: float, rho_b: float, r: float) -> float:
 
 class TestEnthalpy:
     def test_isothermal_and_quadratic(self):
-        assert PressureLaw(1.0, 1.0).h(1.0) == 0.0
-        assert PressureLaw(2.0, 1.0).h(3.0) == pytest.approx(6.0, rel=1e-15)
+        assert PressureLaw(1.0, 1.0).dh(1.0) == 0.0
+        assert PressureLaw(2.0, 1.0).dh(3.0) == pytest.approx(6.0 - 2.0, rel=1e-15)
 
     def test_general_exponent(self):
-        expected = float(mp.mpf("1.4") / mp.mpf("0.4") * mp.mpf("0.5") ** mp.mpf("0.4"))
-        assert expected == pytest.approx(2.6525039913931966, rel=1e-14)
-        assert PressureLaw(1.4, 1.0).h(0.5) == pytest.approx(expected, rel=1e-14)
+        expected = float(mp.mpf("1.4") / mp.mpf("0.4") * (mp.mpf("0.5") ** mp.mpf("0.4") - 1))
+        assert expected == pytest.approx(2.6525039913931966 - 3.5, rel=1e-14)
+        assert PressureLaw(1.4, 1.0).dh(0.5) == pytest.approx(expected, rel=1e-14)
 
     def test_strictly_increasing(self):
         for gamma in (1.0, 1.4, 2.0, 3.0):
             rhos = np.linspace(0.2, 4.0, 50)
-            assert np.all(np.diff(PressureLaw(gamma, 1.0).h(rhos)) > 0.0)
+            assert np.all(np.diff(PressureLaw(gamma, 1.0).dh(rhos)) > 0.0)
             assert np.all(PressureLaw(gamma, 1.0).h_prime(rhos) > 0.0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            PressureLaw(1.4, 1.0).h(0.0)
+            PressureLaw(1.4, 1.0).dh(0.0)
         with pytest.raises(DomainError):
             PressureLaw(2.0, 1.0).h_prime(-1.0)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.4, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("rho_plus", [0.8, 1.0, 3.0])
+    def test_differences_match_50_digits(self, gamma, rho_plus):
+        # h(rho) - h(rho_+) and the remainder keep their digits as gamma -> 1, where the
+        # absolute enthalpies gamma/(gamma-1) rho^(gamma-1) grow without bound
+        law = PressureLaw(gamma, rho_plus)
+        scale = gamma * rho_plus ** (gamma - 1.0)
+        with mp.workdps(50):
+            g, rp = mp.mpf(gamma), mp.mpf(rho_plus)
+
+            def h(x):
+                return mp.log(x) if gamma == 1.0 else g / (g - 1) * x ** (g - 1)
+
+            for ratio in (-0.05, -1e-6, 1e-3, 0.1, 0.5):
+                phi = ratio * rho_plus
+                rho = rho_plus + phi
+                dh = h(mp.mpf(rho)) - h(rp)
+                rem = h(rp + mp.mpf(phi)) - h(rp) - g * rp ** (g - 2) * mp.mpf(phi)
+                assert abs(law.dh(rho) - dh) <= 2e-15 * scale, (ratio, law.dh(rho), dh)
+                assert abs(law.remainder(phi) - rem) <= 1e-15 * scale, (ratio, law.remainder(phi), rem)
 
 
 class TestModelParams:

@@ -52,23 +52,25 @@ def test_no_module_imports_scipy():
     assert sorted(p.name for p in src.glob("*.py") if _imports_scipy(ast.parse(p.read_text()))) == []
 
 
+def _compares_gamma(node: ast.AST) -> bool:
+    """Whether ``node`` compares ``gamma`` (a name or an attribute) with a constant."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+
+    def is_gamma(o):
+        return getattr(o, "id", getattr(o, "attr", None)) == "gamma"
+
+    def is_constant(o):
+        return isinstance(o, ast.Constant) or isinstance(o, ast.UnaryOp) and isinstance(o.operand, ast.Constant)
+
+    return any(map(is_gamma, operands)) and any(map(is_constant, operands))
+
+
 def _gamma_branches(tree: ast.AST) -> list:
-    """Lines outside ``class PressureLaw`` that compare ``gamma`` (a name or an attribute) with a constant."""
+    """Lines outside ``class PressureLaw`` that compare ``gamma`` with a constant."""
     law = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "PressureLaw" for n in ast.walk(c)}
-
-    def is_gamma(node):
-        return getattr(node, "id", getattr(node, "attr", None)) == "gamma"
-
-    def is_constant(node):
-        return isinstance(node, ast.Constant) or isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant)
-
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Compare) and id(node) not in law:
-            operands = [node.left, *node.comparators]
-            if any(map(is_gamma, operands)) and any(map(is_constant, operands)):
-                lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in ast.walk(tree) if _compares_gamma(node) and id(node) not in law]
 
 
 def test_only_the_pressure_law_branches_on_gamma():
@@ -76,6 +78,20 @@ def test_only_the_pressure_law_branches_on_gamma():
     src = Path(nsk.__file__).parent
     found = {p.name: _gamma_branches(ast.parse(p.read_text())) for p in src.glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _law_gamma_comparisons(tree: ast.AST) -> list:
+    """``(method, operator)`` of every comparison of ``gamma`` with a constant inside ``class PressureLaw``."""
+    laws = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "PressureLaw"]
+    methods = [f for law in laws for f in law.body if isinstance(f, ast.FunctionDef)]
+    return [(f.name, *(type(op).__name__ for op in n.ops)) for f in methods for n in ast.walk(f) if _compares_gamma(n)]
+
+
+def test_the_pressure_law_has_one_gamma_one_branch():
+    # the enthalpy difference, the remainder and W share _log_power, whose gamma = 1 limit
+    # is the law's one special case; the other comparison is the gamma >= 1 domain rule
+    tree = ast.parse((Path(nsk.__file__).parent / "kernel.py").read_text())
+    assert sorted(_law_gamma_comparisons(tree)) == [("__post_init__", "GtE"), ("_log_power", "Eq")]
 
 
 def _bessel_table_uses(tree: ast.AST) -> list:
