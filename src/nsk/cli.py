@@ -35,7 +35,6 @@ from .kernel import (
     green_dr,
     green_dr_left,
     green_dr_right,
-    kernel_params,
 )
 from .limit import integrate_profile
 from .oracle import cross_validate
@@ -79,7 +78,7 @@ class RunConfig:
         """The solve grid for ``model``: exponential decay at the wall, algebraic under a flow."""
         return build_grid(
             model.n,
-            kernel_params(model).alpha,
+            model.alpha,
             points_per_unit_alpha=self.points_per_unit_alpha,
             R_max=self.R_max,
             decay=EXPONENTIAL if model.regime == IMPERMEABLE else ALGEBRAIC,
@@ -217,13 +216,13 @@ def _cmd_bessel(a):
 
 def _cmd_kernel(a):
     cfg = _read_config(a.config)
-    kp = kernel_params(cfg.model)
-    out = {"G": float(green(kp, a.r, a.s))}
+    n, alpha = cfg.model.n, cfg.model.alpha
+    out = {"G": float(green(n, alpha, a.r, a.s))}
     if a.r == a.s:
-        out["dG_dr_left"] = float(green_dr_left(kp, a.r, a.s))
-        out["dG_dr_right"] = float(green_dr_right(kp, a.r, a.s))
+        out["dG_dr_left"] = float(green_dr_left(n, alpha, a.r, a.s))
+        out["dG_dr_right"] = float(green_dr_right(n, alpha, a.r, a.s))
     else:
-        out["dG_dr"] = float(green_dr(kp, a.r, a.s))
+        out["dG_dr"] = float(green_dr(n, alpha, a.r, a.s))
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
@@ -251,7 +250,7 @@ def _cmd_solve(a):
         header = ["r", "rho", "rho_r", "phi"]
         columns = [grid.nodes, sol.rho, sol.rho_r, sol.phi]
         try:
-            decay_rate_fit = decay_diagnostics(sol, kernel_params(model))[0]
+            decay_rate_fit = decay_diagnostics(sol, model.alpha)[0]
         except WindowEmptyError:
             decay_rate_fit = None
         summary = {"sup_norm": float(np.max(np.abs(sol.phi))), "decay_rate_fit": decay_rate_fit}

@@ -11,7 +11,8 @@ with the enthalpy ``h`` of the polytropic pressure ``P(rho) = rho^gamma``
 (:class:`PressureLaw`).  The law exposes ``h`` only through differences
 (``dh = h(rho) - h(rho_+)``, the pressure remainder and ``W``), built from one
 expm1/log1p form, ``_log_power``, whose ``log1p`` limit is the package's one
-``gamma = 1`` branch.
+``gamma = 1`` branch.  ``alpha`` has one source, :attr:`ModelParams.alpha`;
+everything below the model depends on it only through ``n`` and ``alpha``.
 Neumann data ``phi_r(1) = rho_b`` is absorbed by an explicit decaying
 homogeneous solution (the lifting function), and the remaining problem with
 homogeneous boundary data is inverted by the Green function
@@ -62,8 +63,6 @@ from .errors import ConfigError, DomainError, PositivityError, RangeError
 __all__ = [
     "PressureLaw",
     "ModelParams",
-    "KernelParams",
-    "kernel_params",
     "KernelFactors",
     "lifting_phi_b",
     "green",
@@ -242,6 +241,16 @@ class ModelParams:
         """The pressure law ``P = rho^gamma`` about ``rho_plus``."""
         return PressureLaw(self.gamma, self.rho_plus)
 
+    @cached_property
+    def alpha(self) -> float:
+        """``alpha = sqrt(h'(rho_plus)/kappa)``, the decay rate of the linearised wall solution and
+        the inverse width of its boundary layer; ``RangeError`` unless ``0 < alpha < inf``."""
+        with np.errstate(over="ignore"):
+            alpha = math.sqrt(self.law.h_prime(self.rho_plus) / self.kappa)
+        if not 0.0 < alpha < math.inf:
+            raise RangeError(f"alpha = sqrt(h'(rho_plus)/kappa) = {alpha} is outside the double range")
+        return alpha
+
     @property
     def regime(self) -> str:
         if self.u_minus == 0.0:
@@ -249,56 +258,42 @@ class ModelParams:
         return INFLOW if self.u_minus > 0.0 else OUTFLOW
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Derived kernel data: order ``nu = (n-2)/2`` and ``alpha``."""
-
-    nu: BesselOrder
-    alpha: float
-
-
-def kernel_params(params: ModelParams) -> KernelParams:
-    """``alpha = sqrt(h'(rho_plus)/kappa)``, ``RangeError`` unless ``0 < alpha < inf``, and ``nu = (n-2)/2``."""
-    with np.errstate(over="ignore"):
-        alpha = math.sqrt(params.law.h_prime(params.rho_plus) / params.kappa)
-    if not 0.0 < alpha < math.inf:
-        raise RangeError(f"alpha = sqrt(h'(rho_plus)/kappa) = {alpha} is outside the double range")
-    return KernelParams(nu=BesselOrder.from_dimension(params.n), alpha=alpha)
-
-
 class KernelFactors:
-    """Per-radius factors of the scaled kernel at radii ``x >= 1``: ``x^{-nu}``,
-    ``e^{-alpha(x-1)}`` and ``\\hat I_nu``, ``\\hat K_nu``, ``\\hat I_{nu+1}``,
-    ``\\hat K_{nu+1}`` at ``alpha x``, from one Bessel evaluation, each checked
-    finite in that order (``K_{nu+1} > K_nu``, so where both overflow the
-    error names the order nu).  ``x`` is 1-D and starts at the wall ``r = 1``,
-    whose row gives the reflection coefficient ``c2``."""
+    """Per-radius factors of the scaled kernel in dimension ``n`` at the rate ``alpha``
+    (kept as ``alpha``), at radii ``x >= 1``: ``x^{-nu}``, ``e^{-alpha(x-1)}`` and
+    ``\\hat I_nu``, ``\\hat K_nu``, ``\\hat I_{nu+1}``, ``\\hat K_{nu+1}`` at
+    ``alpha x``, from one Bessel evaluation, each checked finite in that order
+    (``K_{nu+1} > K_nu``, so where both overflow the error names the order nu).
+    ``x`` is 1-D and starts at the wall ``r = 1``, whose row gives the
+    reflection coefficient ``c2``."""
 
-    def __init__(self, kp: KernelParams, x):
+    def __init__(self, n: int, alpha: float, x):
         x = np.asarray(x, dtype=float)
         if (x < 1.0).any():
             raise DomainError("radii must be >= 1")
         if x.ndim != 1 or x.size == 0 or x[0] != 1.0:
             raise DomainError("a factor table needs 1-D radii whose first is the wall r = 1")
         with np.errstate(over="ignore"):
-            ax = kp.alpha * x
+            ax = alpha * x
         if not np.isfinite(ax).all():
             raise RangeError("alpha * r is beyond the double range")
+        nu = BesselOrder.from_dimension(n)
+        self.alpha = alpha
         self.x = x
-        self.rp = x ** (-kp.nu.nu)
-        self.e2 = np.exp(-kp.alpha * (x - 1.0))
+        self.rp = x ** (-nu.nu)
+        self.e2 = np.exp(-alpha * (x - 1.0))
         names = ("scaled I_nu", "scaled K_nu", "scaled I_{nu+1}", "scaled K_{nu+1}")
-        self.iv, self.kv, self.iv1, self.kv1 = map(check_finite, bessel_ik_scaled(kp.nu, ax), names)
+        self.iv, self.kv, self.iv1, self.kv1 = map(check_finite, bessel_ik_scaled(nu, ax), names)
         self.c2 = self.iv1[0] / self.kv1[0]
 
 
-def _branches(kp: KernelParams, f: KernelFactors, i, j, lower):
+def _branches(f: KernelFactors, i, j, lower):
     """``(G, dG/dr) (x_i x_j)^nu`` at index pairs ``(i, j)`` of the table ``f``.
 
     Where ``lower`` the ``s <= r`` branch, else the ``r <= s`` one; ``lower``
     must hold where ``x_j < x_i`` and fail where ``x_j > x_i``.
     """
-    a, c2 = kp.alpha, f.c2
+    a, c2 = f.alpha, f.c2
     mn, mx = np.where(lower, j, i), np.where(lower, i, j)
     e1 = np.exp(-a * (f.x[mx] - f.x[mn]))
     e12 = f.e2[i] * f.e2[j]
@@ -307,7 +302,7 @@ def _branches(kp: KernelParams, f: KernelFactors, i, j, lower):
     return g, gdr
 
 
-def lifting_phi_b(kp: KernelParams, rho_b: float, f: KernelFactors):
+def lifting_phi_b(rho_b: float, f: KernelFactors):
     r"""Lifting function absorbing the Neumann data, and its r-derivative, at the radii of ``f``.
 
     .. math::
@@ -320,49 +315,49 @@ def lifting_phi_b(kp: KernelParams, rho_b: float, f: KernelFactors):
     the denominator from the table's wall row.
     """
     khat_den = f.kv1[0]
-    val = -(rho_b / kp.alpha) * f.rp * (f.kv / khat_den) * f.e2
+    val = -(rho_b / f.alpha) * f.rp * (f.kv / khat_den) * f.e2
     der = rho_b * f.rp * (f.kv1 / khat_den) * f.e2
     return val, der
 
 
-def _at(kp: KernelParams, r, s, lower):
+def _at(n: int, alpha: float, r, s, lower):
     """``(G, dG/dr)`` at broadcast ``(r, s)`` on the branch ``lower``, from one
     factor table over the distinct radii of ``{1} u r u s``; floats for scalar ``r`` and ``s``."""
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     x, idx = np.unique(np.append(1.0, np.stack([r, s])), return_inverse=True)
     i, j = idx[1:].reshape((2,) + r.shape)
-    f = KernelFactors(kp, x)
-    g, gdr = _branches(kp, f, i, j, lower)
+    f = KernelFactors(n, alpha, x)
+    g, gdr = _branches(f, i, j, lower)
     rp2 = f.rp[i] * f.rp[j]
     if r.ndim == 0:
         return float(g * rp2), float(gdr * rp2)
     return g * rp2, gdr * rp2
 
 
-def green(kp: KernelParams, r, s) -> float | np.ndarray:
-    """Green function ``G(r,s)`` of the radial modified Helmholtz operator.
+def green(n: int, alpha: float, r, s) -> float | np.ndarray:
+    """Green function ``G(r,s)`` of the radial modified Helmholtz operator in dimension ``n``, rate ``alpha``.
 
     Symmetric, strictly negative, with homogeneous Neumann data at ``r=1``.
     ``r`` and ``s`` broadcast; scalars give a float.
     """
-    return _at(kp, r, s, np.greater_equal(r, s))[0]
+    return _at(n, alpha, r, s, np.greater_equal(r, s))[0]
 
 
-def green_dr_right(kp: KernelParams, r, s) -> float | np.ndarray:
+def green_dr_right(n: int, alpha: float, r, s) -> float | np.ndarray:
     """One-sided ``d G/d r`` using the ``s <= r`` branch (limit from r > s)."""
     if np.any(np.greater(s, r)):
         raise DomainError("right-sided derivative requires s <= r")
-    return _at(kp, r, s, True)[1]
+    return _at(n, alpha, r, s, True)[1]
 
 
-def green_dr_left(kp: KernelParams, r, s) -> float | np.ndarray:
+def green_dr_left(n: int, alpha: float, r, s) -> float | np.ndarray:
     """One-sided ``d G/d r`` using the ``r <= s`` branch (limit from r < s)."""
     if np.any(np.greater(r, s)):
         raise DomainError("left-sided derivative requires r <= s")
-    return _at(kp, r, s, False)[1]
+    return _at(n, alpha, r, s, False)[1]
 
 
-def green_dr(kp: KernelParams, r, s) -> float | np.ndarray:
+def green_dr(n: int, alpha: float, r, s) -> float | np.ndarray:
     """``d G/d r`` away from the diagonal.
 
     The derivative jumps by ``1/r^{n-1}`` across ``s = r``; call
@@ -370,4 +365,4 @@ def green_dr(kp: KernelParams, r, s) -> float | np.ndarray:
     """
     if np.any(np.equal(r, s)):
         raise DomainError("dG/dr is discontinuous at r == s; use green_dr_left/right")
-    return _at(kp, r, s, np.greater(r, s))[1]
+    return _at(n, alpha, r, s, np.greater(r, s))[1]

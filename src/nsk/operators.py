@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import RadialGrid
-from .kernel import KernelFactors, KernelParams
+from .kernel import KernelFactors, ModelParams
 
 __all__ = ["GreenOperator", "backend_name", "piece_weights"]
 
@@ -164,16 +164,17 @@ def _sweep(decay: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class GreenOperator:
-    """``A`` and ``Adr`` on one grid as O(M) data; ``apply(f)`` gives ``(A f, Adr f)``.
-    ``factors``, the kernel factors at the nodes, also serves the solve's lifting."""
+    """``A`` and ``Adr`` of the model ``params`` on one grid as O(M) data; ``apply(f)`` gives
+    ``(A f, Adr f)``.  ``factors``, the kernel factors at the nodes, also serves the solve's
+    lifting.  The grid's ``n`` must be the model's, else ``ConfigError``."""
 
-    def __init__(self, grid: RadialGrid, kp: KernelParams, kappa: float):
-        if kappa <= 0.0:
-            raise ConfigError("kappa must be positive")
-        a = kp.alpha
-        self.factors = f = KernelFactors(kp, grid.nodes)
+    def __init__(self, grid: RadialGrid, params: ModelParams):
+        if grid.n != params.n:
+            raise ConfigError(f"the grid is built for n = {grid.n}, the model has n = {params.n}")
+        a = params.alpha
+        self.factors = f = KernelFactors(params.n, a, grid.nodes)
         iv, kv, iv1, kv1, rp, e2, c2 = f.iv, f.kv, f.iv1, f.kv1, f.rp, f.e2, f.c2
-        src = rp * grid.measure() / kappa
+        src = rp * grid.measure() / params.kappa
         decay = np.exp(-a * np.diff(grid.nodes))
         self._decay = np.stack([np.append(0.0, decay), np.append(0.0, decay[::-1])])
         self._idx = grid.interval_rule[0]

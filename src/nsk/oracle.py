@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
 from .grid import EXPONENTIAL, build_grid
-from .kernel import ModelParams, kernel_params
+from .kernel import ModelParams
 from .stationary import solve_stationary
 
 __all__ = ["solve_fd", "solve_tridiagonal", "solve_fd_richardson", "fd_reference", "cross_validate"]
@@ -178,7 +178,7 @@ def fd_reference(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     about ``max(16000/alpha, 1600) + 1`` nodes (capped at ``MAX_COARSE_NODES``, which
     binds only at ``alpha < 0.032``) and stops growing as kappa falls.
     """
-    alpha = kernel_params(params).alpha
+    alpha = params.alpha
     R_max = 1.0 + 40.0 / alpha
     node_count = min(int(math.ceil((R_max - 1.0) * max(400.0, 40.0 * alpha))) + 1, MAX_COARSE_NODES)
     return np.linspace(1.0, R_max, node_count), solve_fd_richardson(params, node_count, R_max)
@@ -199,8 +199,7 @@ def cross_validate(params: ModelParams, tol: float):
     """
     if tol <= 0.0:
         raise ConfigError("tol must be positive")
-    alpha = kernel_params(params).alpha
-    grid = build_grid(params.n, alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
+    grid = build_grid(params.n, params.alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
     nodes, rho_fd = fd_reference(params)
     sol = solve_stationary(params, grid, tol=1e-12, max_iter=400)
     inside = grid.nodes <= nodes[-1]

@@ -52,7 +52,7 @@ import numpy as np
 from .bessel import check_finite
 from .errors import NonContractionError, PositivityError, RangeError, WindowEmptyError
 from .grid import RadialGrid
-from .kernel import KernelParams, ModelParams, kernel_params, lifting_phi_b
+from .kernel import ModelParams, lifting_phi_b
 from .operators import GreenOperator
 
 __all__ = [
@@ -212,14 +212,13 @@ def solve_stationary(
     max_iter: int = 200,
 ):
     """Fixed-point solve in any regime; returns its :class:`StationarySolution`."""
-    kp = kernel_params(params)
     rho_plus_sq = params.rho_plus * params.rho_plus  # not ``**``: a float power raises on overflow
     if params.u_minus != 0.0 and rho_plus_sq * rho_plus_sq == 0.0:
         raise RangeError("rho_plus**4 underflows to 0: the flow terms divide by rho**4")
     if params.u_minus != 0.0 and rho_plus_sq == math.inf:
         raise RangeError("rho_plus**2 overflows: the kinetic ratio divides rho(1)**2 by rho**2")
-    op = GreenOperator(grid, kp, params.kappa)
-    phi_b, phi_b_r = lifting_phi_b(kp, params.rho_b, op.factors)
+    op = GreenOperator(grid, params)
+    phi_b, phi_b_r = lifting_phi_b(params.rho_b, op.factors)
 
     def step(phi, phi_r):
         a_rhs, adr_rhs = op.apply(forcing(params, grid, phi, phi_r))
@@ -252,7 +251,7 @@ def fit_line(x, y):
     return slope, stderr
 
 
-def decay_diagnostics(solution: StationarySolution, kp: KernelParams):
+def decay_diagnostics(solution: StationarySolution, alpha: float):
     """Fit the exponential decay rate of ``|phi|`` over the interior window.
 
     Least-squares slope of ``log|phi|`` on ``r`` in
@@ -265,8 +264,8 @@ def decay_diagnostics(solution: StationarySolution, kp: KernelParams):
     """
     r = solution.grid.nodes
     absphi = np.abs(solution.phi)
-    lo = 1.0 + 2.0 / kp.alpha
-    hi = solution.grid.R_max - 5.0 / kp.alpha
+    lo = 1.0 + 2.0 / alpha
+    hi = solution.grid.R_max - 5.0 / alpha
     mask = (r >= lo) & (r <= hi) & (absphi > 1e-13)
     if np.count_nonzero(mask) < 2:
         raise WindowEmptyError("no usable samples in the decay-fit window")

@@ -1,6 +1,6 @@
 """Dense O(M^2) Nystrom matrices: the reference the O(M) operator is tested against.
 
-``dense_operators(grid, kp, kappa)`` returns ``(A, Adr)`` built row by row
+``dense_operators(grid, params)`` returns ``(A, Adr)`` built row by row
 from the definition of the rule.  Every row integrates over the same
 partition: each interval ``[r_k, r_{k+1}]`` on the quadratic of its Simpson
 panel (panels paired from node 0), an odd last interval on the quadratic
@@ -63,18 +63,18 @@ def _piece_weights(nodes: np.ndarray, lo, hi, tri, anchor, alpha: float) -> np.n
     return out
 
 
-def dense_operators(grid, kp, kappa):
-    """``(A, Adr)`` as dense ``M x M`` arrays."""
+def dense_operators(grid, params):
+    """``(A, Adr)`` of the model ``params`` as dense ``M x M`` arrays."""
     r = grid.nodes
     M = r.size
-    alpha = kp.alpha
-    v = kp.nu.nu
+    alpha = params.alpha
+    v = (params.n - 2) / 2.0
     x = alpha * r
     iv, kv = _sp.ive(v, x), _sp.kve(v, x)
     iv1, kv1 = _sp.ive(v + 1.0, x), _sp.kve(v + 1.0, x)
     c2 = _sp.ive(v + 1.0, alpha) / _sp.kve(v + 1.0, alpha)
     e2 = np.exp(-alpha * (r - 1.0))
-    col = r ** (-v) * r ** (grid.n - 1) / kappa  # source side: s^{-nu} s^{n-1} / kappa
+    col = r ** (-v) * r ** (grid.n - 1) / params.kappa  # source side: s^{-nu} s^{n-1} / kappa
     A = np.zeros((M, M))
     Adr = np.zeros((M, M))
     for i in range(M):

@@ -15,13 +15,11 @@ from nsk.cli import RunConfig
 from nsk.grid import ALGEBRAIC, H_MAX, RadialGrid, auto_r_max, build_grid
 from nsk.kernel import (
     KernelFactors,
-    KernelParams,
     ModelParams,
     PressureLaw,
     green,
     green_dr_left,
     green_dr_right,
-    kernel_params,
     lifting_phi_b,
 )
 from nsk.limit import integrate_profile
@@ -76,13 +74,12 @@ def test_criterion_3_oracle_equivalence():
     # affine-enthalpy cases: both solvers against the closed-form solution
     closed_ok = True
     for p in ORACLE_CASES[3:5]:
-        kp = kernel_params(p)
-        grid = build_grid(p.n, kp.alpha, points_per_unit_alpha=24.0, growth=1.04)
+        grid = build_grid(p.n, p.alpha, points_per_unit_alpha=24.0, growth=1.04)
         field = solve_stationary(p, grid, tol=1e-12)
-        exact = lifting_phi_b(kp, p.rho_b, KernelFactors(kp, grid.nodes))[0]
+        exact = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))[0]
         closed_ok &= float(np.max(np.abs(field.phi - exact))) <= 1e-7
         nodes, rho_fd = fd_reference(p)
-        exact_fd = p.rho_plus + lifting_phi_b(kp, p.rho_b, KernelFactors(kp, nodes))[0]
+        exact_fd = p.rho_plus + lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, nodes))[0]
         closed_ok &= float(np.max(np.abs(rho_fd - exact_fd))) <= 1e-10
     detail = "max sup_diff=%.2e, closed-form clause %s" % (max(sups), closed_ok)
     _report(3, "oracle equivalence over 6 parameter sets", ok and closed_ok, detail)
@@ -153,17 +150,16 @@ def test_criterion_4_bessel_identities():
         worst_closed = max(worst_closed, abs(bessel_i(BesselOrder(1), x) / i_half - 1.0))
     # dimension-3 kernel closed forms built on the half-integer functions
     for a in (0.5, 1.0, 40.0, 1000.0):
-        kp = KernelParams(nu=BesselOrder(1), alpha=a)
         for r, s in ((1.0, 1.0), (2.0, 1.3), (1.5, 4.0)):
             exact = -math.exp(-a * abs(r - s)) / (2.0 * a * r * s) - (a - 1.0) / (
                 2.0 * a * (a + 1.0)
             ) * math.exp(-a * (r + s - 2.0)) / (r * s)
             if exact == 0.0:  # kernel underflows for a|r-s| >> 1; nothing to compare
                 continue
-            worst_closed = max(worst_closed, abs(green(kp, r, s) / exact - 1.0))
+            worst_closed = max(worst_closed, abs(green(3, a, r, s) / exact - 1.0))
         for r in (1.0, 2.0, 5.0):
             exact = 0.3 * math.exp(-a * (r - 1.0)) / ((a + 1.0) * r)
-            val = lifting_phi_b(kp, -0.3, KernelFactors(kp, [1.0, r]))[0][1]
+            val = lifting_phi_b(-0.3, KernelFactors(3, a, [1.0, r]))[0][1]
             if exact > 0.0:
                 worst_closed = max(worst_closed, abs(val / exact - 1.0))
     ok = worst_wron <= 1e-12 and worst_deriv <= 1e-6 and worst_closed <= 1e-12
@@ -178,23 +174,22 @@ def test_criterion_5_green_properties():
     below, above = r > s, r < s
     for n in (2, 3, 4, 5):
         p = ModelParams(n=n, gamma=1.0, kappa=0.25, mu=0.0, rho_plus=1.0, rho_b=0.0, u_minus=0.0)
-        kp = kernel_params(p)
-        a = kp.alpha
-        g = green(kp, r, s)
-        worst_sym = max(worst_sym, np.max(np.abs(g - green(kp, s, r)) / np.abs(g)))
+        a = p.alpha
+        g = green(n, a, r, s)
+        worst_sym = max(worst_sym, np.max(np.abs(g - green(n, a, s, r)) / np.abs(g)))
         env = np.exp(-a * np.abs(r - s)) / (r * s) ** ((n - 1) / 2.0)
         c_star[n] = max(
             np.max(np.abs(g) * a / env),
-            np.max(np.abs(green_dr_right(kp, r[below], s[below])) / env[below]),
-            np.max(np.abs(green_dr_left(kp, r[above], s[above])) / env[above]),
+            np.max(np.abs(green_dr_right(n, a, r[below], s[below])) / env[below]),
+            np.max(np.abs(green_dr_left(n, a, r[above], s[above])) / env[above]),
         )
         wall = np.array([1.5, 3.0, 8.0])
-        worst_neu = max(worst_neu, np.max(np.abs(green_dr_left(kp, 1.0, wall)) / np.abs(green(kp, 1.0, wall))))
+        worst_neu = max(worst_neu, np.max(np.abs(green_dr_left(n, a, 1.0, wall)) / np.abs(green(n, a, 1.0, wall))))
         h = 0.01 / a
         for sj in (2.0, 5.0):
             rs = np.linspace(1.3, 9.0, 17)
             rs = rs[np.abs(rs - sj) >= 6.0 * h]
-            f = green(kp, rs + h * np.arange(-2, 3)[:, None], sj)
+            f = green(n, a, rs + h * np.arange(-2, 3)[:, None], sj)
             d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
             d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
             worst_hom = max(worst_hom, np.max(np.abs(d2 + (n - 1) / rs * d1 - a * a * f[2]) / np.abs(f[2])))
@@ -273,12 +268,11 @@ def test_criterion_7_limit_profile_suite():
 
 def test_criterion_8_impermeable_decay_envelope():
     p = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
-    kp = kernel_params(p)
-    grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
+    grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0)
     field = solve_stationary(p, grid)
-    sigma, c_fit = decay_diagnostics(field, kp)
-    ok = sigma >= 0.9 * kp.alpha and np.isfinite(c_fit) and c_fit > 0.0
-    detail = f"sigma_fit={sigma:.4f} (>= {0.9 * kp.alpha}), C_fit={c_fit:.3f}"
+    sigma, c_fit = decay_diagnostics(field, p.alpha)
+    ok = sigma >= 0.9 * p.alpha and np.isfinite(c_fit) and c_fit > 0.0
+    detail = f"sigma_fit={sigma:.4f} (>= {0.9 * p.alpha}), C_fit={c_fit:.3f}"
     _report(8, "exponential decay envelope", ok, detail)
 
 
@@ -324,7 +318,7 @@ def test_criterion_9_flow_grids_do_not_scale_with_alpha():
     for kappa, capped_size in ((3e-3, 2567), (1e-3, 4439), (1e-4, 14011)):
         for u_minus in (0.05, -0.05):
             p = ModelParams(n=3, gamma=1.0, kappa=kappa, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=u_minus)
-            alpha = kernel_params(p).alpha
+            alpha = p.alpha
             grid, capped = RunConfig(model=p).grid(p), _capped_flow_grid(3, alpha)
             ok &= capped.size == capped_size and capped.size >= 10 * grid.size
             lines.append(f"kappa={kappa:g} u={u_minus:+}: M {capped.size} -> {grid.size}")

@@ -13,7 +13,7 @@ import nsk.kernel as kernel_mod
 import nsk.stationary as stationary_mod
 from nsk.errors import NonContractionError, PositivityError, WindowEmptyError
 from nsk.grid import ALGEBRAIC, EXPONENTIAL, build_grid
-from nsk.kernel import KernelFactors, ModelParams, PressureLaw, kernel_params, lifting_phi_b
+from nsk.kernel import KernelFactors, ModelParams, PressureLaw, lifting_phi_b
 from nsk.operators import GreenOperator
 from nsk.stationary import (
     StationarySolution,
@@ -64,7 +64,7 @@ class TestNonlinearity:
 class TestSolve:
     def test_zero_data_converges_immediately(self):
         p = params_with(rho_b=0.0)
-        grid = build_grid(3, kernel_params(p).alpha)
+        grid = build_grid(3, p.alpha)
         field = solve_stationary(p, grid)
         assert field.iterations == 1
         assert np.all(field.phi == 0.0)
@@ -82,7 +82,7 @@ class TestSolve:
 
         monkeypatch.setattr(kernel_mod, "bessel_ik_scaled", counted)
         p = params_with(n=n, kappa=1e-2, rho_b=-0.02, u_minus=u_minus)
-        grid = build_grid(n, kernel_params(p).alpha, decay=decay)
+        grid = build_grid(n, p.alpha, decay=decay)
         solve_stationary(p, grid)
         assert sizes == [grid.size]
 
@@ -94,45 +94,43 @@ class TestSolve:
         side = np.linspace(1.0, 12.0, 30)
         pairs = [np.unique([1.0, r, s]) for k, r in enumerate(side) for s in side[k:]]
         for kappa in (1.0, 1e-2, 1e-4, 1e-6):
-            kp = kernel_params(params_with(n=n, kappa=kappa))
-            wall = KernelFactors(kp, [1.0])
-            for radii in [build_grid(n, kp.alpha).nodes] + pairs:
-                f = KernelFactors(kp, radii)
+            p = params_with(n=n, kappa=kappa)
+            wall = KernelFactors(p.n, p.alpha, [1.0])
+            for radii in [build_grid(n, p.alpha).nodes] + pairs:
+                f = KernelFactors(p.n, p.alpha, radii)
                 for name in ("rp", "e2", "iv", "kv", "iv1", "kv1"):
                     assert getattr(f, name)[0].tobytes() == getattr(wall, name).tobytes(), name
                 assert f.c2.tobytes() == wall.c2.tobytes()
 
     def test_affine_enthalpy_solution_is_the_lifting(self):
         p = params_with(gamma=2.0, rho_b=-0.05)
-        kp = kernel_params(p)
-        grid = build_grid(3, kp.alpha)
+        grid = build_grid(3, p.alpha)
         field = solve_stationary(p, grid)
-        phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, KernelFactors(kp, grid.nodes))
+        phi_b, phi_b_r = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))
         assert field.iterations == 1
         assert np.max(np.abs(field.phi - phi_b)) <= 1e-14
         assert np.max(np.abs(field.rho_r - phi_b_r)) <= 1e-14
 
     def test_fixed_point_defect_below_tolerance(self):
         p = params_with()
-        kp = kernel_params(p)
-        grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
+        grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0)
         tol = 1e-10
         field = solve_stationary(p, grid, tol=tol)
-        op = GreenOperator(grid, kp, p.kappa)
-        phi_b, _ = lifting_phi_b(kp, p.rho_b, KernelFactors(kp, grid.nodes))
+        op = GreenOperator(grid, p)
+        phi_b, _ = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))
         t_phi = phi_b + op.apply(p.law.remainder(field.phi))[0]
         assert np.max(np.abs(field.phi - t_phi)) <= tol
 
     def test_neumann_boundary_value(self):
         for p in (params_with(), params_with(n=2, gamma=1.4, kappa=0.2, rho_b=-0.03)):
-            grid = build_grid(p.n, kernel_params(p).alpha, points_per_unit_alpha=16.0)
+            grid = build_grid(p.n, p.alpha, points_per_unit_alpha=16.0)
             tol = 1e-10
             field = solve_stationary(p, grid, tol=tol)
             assert abs(field.rho_r[0] - p.rho_b) <= 10.0 * tol
 
     def test_ode_residual(self):
         p = params_with()
-        grid = build_grid(3, kernel_params(p).alpha, points_per_unit_alpha=40.0, growth=1.03)
+        grid = build_grid(3, p.alpha, points_per_unit_alpha=40.0, growth=1.03)
         tol = 1e-6
         field = solve_stationary(p, grid, tol=tol)
         assert field.ode_residual_sup <= 10.0 * tol * max(1.0, float(np.max(np.abs(field.phi))))
@@ -164,7 +162,7 @@ class TestSolve:
     def test_stalled_solve_fails_within_ten_sweeps(self, monkeypatch):
         # kappa = 1 row of a rate study whose update stalls near 4.9 (q about 0.97)
         p = params_with(gamma=3.0, rho_b=-20.0)
-        grid = build_grid(3, kernel_params(p).alpha, points_per_unit_alpha=16.0, growth=1.05)
+        grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0, growth=1.05)
         sweeps = []
         real_forcing = stationary_mod.forcing
 
@@ -280,35 +278,31 @@ class TestFixedPoint:
 class TestDecayDiagnostics:
     def test_pure_exponential(self):
         p = params_with(kappa=0.25)  # alpha = 2
-        kp = kernel_params(p)
-        grid = build_grid(3, kp.alpha)
+        grid = build_grid(3, p.alpha)
         phi = np.exp(-2.0 * grid.nodes)
-        sigma, _ = decay_diagnostics(wall_solution(grid, phi, -2.0 * phi), kp)
+        sigma, _ = decay_diagnostics(wall_solution(grid, phi, -2.0 * phi), p.alpha)
         assert sigma == pytest.approx(2.0, rel=1e-6)
 
     def test_lifting_tail_rate(self):
         # e^{-alpha r}/r tail fits slightly above alpha; window at alpha=20
         p = params_with(kappa=1.0 / 400.0, rho_b=-0.1)
-        kp = kernel_params(p)
-        grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
-        phi_b, phi_b_r = lifting_phi_b(kp, p.rho_b, KernelFactors(kp, grid.nodes))
-        sigma, c_fit = decay_diagnostics(wall_solution(grid, phi_b, phi_b_r), kp)
-        assert 0.95 * kp.alpha <= sigma <= 1.05 * kp.alpha
+        grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0)
+        phi_b, phi_b_r = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))
+        sigma, c_fit = decay_diagnostics(wall_solution(grid, phi_b, phi_b_r), p.alpha)
+        assert 0.95 * p.alpha <= sigma <= 1.05 * p.alpha
         assert np.isfinite(c_fit) and c_fit > 0.0
 
     def test_solved_field_rate_bound(self):
         p = params_with()
-        kp = kernel_params(p)
-        grid = build_grid(3, kp.alpha, points_per_unit_alpha=16.0)
+        grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0)
         field = solve_stationary(p, grid)
-        sigma, c_fit = decay_diagnostics(field, kp)
-        assert sigma >= 0.9 * kp.alpha
+        sigma, c_fit = decay_diagnostics(field, p.alpha)
+        assert sigma >= 0.9 * p.alpha
         assert np.isfinite(c_fit)
 
     def test_empty_window(self):
         p = params_with(rho_b=0.0)
-        kp = kernel_params(p)
-        grid = build_grid(3, kp.alpha)
+        grid = build_grid(3, p.alpha)
         field = solve_stationary(p, grid)
         with pytest.raises(WindowEmptyError):
-            decay_diagnostics(field, kp)
+            decay_diagnostics(field, p.alpha)

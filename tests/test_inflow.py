@@ -1,8 +1,10 @@
 """Inflow and outflow, the ``u_minus != 0`` cases of ``nsk.stationary``.
 
-Mass flux, weighted decay, and a term-level oracle of the one forcing.
+Mass flux, weighted decay, a term-level oracle of the one forcing, and the
+scaling symmetry of the polytropic law, checked in every regime.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -214,3 +216,25 @@ class TestSolve:
             prev = diff
         # sup-difference ~ C u: the per-u constants agree within a factor 2
         assert max(ratios) / min(ratios) <= 2.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    @pytest.mark.parametrize("u_minus", [0.0, 0.05, -0.05], ids=["wall", "inflow", "outflow"])
+    def test_scaling_symmetry(self, u_minus, gamma):
+        # for P = rho^gamma, (rho_+, rho_b, kappa, u_-, mu) -> (lam rho_+, lam rho_b,
+        # lam^(gamma-2) kappa, lam^((gamma-1)/2) u_-, lam^((gamma+1)/2) mu) maps phi to
+        # lam phi and leaves alpha, so the grid, unchanged: each term of the forcing
+        # carries its own power of rho
+        p = params_with(gamma=gamma, kappa=1e-2, rho_b=-0.02, u_minus=u_minus)
+        grid = RunConfig(model=p).grid(p)
+        phi = solve_stationary(p, grid, tol=1e-14).phi
+        for lam in (0.5, 3.0):
+            q = dataclasses.replace(
+                p,
+                rho_plus=lam * p.rho_plus,
+                rho_b=lam * p.rho_b,
+                kappa=lam ** (gamma - 2.0) * p.kappa,
+                u_minus=lam ** ((gamma - 1.0) / 2.0) * p.u_minus,
+                mu=lam ** ((gamma + 1.0) / 2.0) * p.mu,
+            )
+            scaled = solve_stationary(q, grid, tol=1e-14).phi
+            assert np.max(np.abs(scaled - lam * phi)) <= 1e-12 * np.max(np.abs(lam * phi)), lam

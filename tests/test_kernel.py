@@ -19,22 +19,16 @@ from nsk.bessel import BesselOrder
 from nsk.errors import ConfigError, DomainError, RangeError
 from nsk.kernel import (
     KernelFactors,
-    KernelParams,
     ModelParams,
     PressureLaw,
     green,
     green_dr,
     green_dr_left,
     green_dr_right,
-    kernel_params,
     lifting_phi_b,
 )
 
 mp.mp.dps = 40
-
-
-def kp_from(n: int, alpha: float) -> KernelParams:
-    return KernelParams(nu=BesselOrder.from_dimension(n), alpha=alpha)
 
 
 def green3_exact(a: float, r: float, s: float) -> float:
@@ -43,9 +37,9 @@ def green3_exact(a: float, r: float, s: float) -> float:
     ) * math.exp(-a * (r + s - 2.0)) / (r * s)
 
 
-def lifting_at(kp: KernelParams, rho_b: float, r: float) -> tuple:
+def lifting_at(n: int, alpha: float, rho_b: float, r: float) -> tuple:
     """``lifting_phi_b`` at one radius, on a factor table that starts at the wall."""
-    val, der = lifting_phi_b(kp, rho_b, KernelFactors(kp, [1.0, r]))
+    val, der = lifting_phi_b(rho_b, KernelFactors(n, alpha, [1.0, r]))
     return float(val[1]), float(der[1])
 
 
@@ -125,108 +119,102 @@ class TestModelParams:
             ModelParams(**base)
 
 
-class TestKernelParams:
+class TestAlpha:
     def test_examples(self):
-        kp = kernel_params(ModelParams(3, 1.0, 0.01, 1.0, 1.0, 0.0, 0.0))
-        assert kp.alpha == pytest.approx(10.0, rel=1e-15)
-        assert kp.nu.nu == 0.5
-        kp = kernel_params(ModelParams(2, 2.0, 0.5, 1.0, 2.0, 0.0, 0.0))
-        assert kp.alpha == pytest.approx(2.0, rel=1e-15)
-        assert kp.nu.nu == 0.0
-        kp = kernel_params(ModelParams(4, 1.4, 0.1, 1.0, 0.8, 0.0, 0.0))
-        assert kp.alpha == pytest.approx(math.sqrt(1.4 * 0.8**-0.6 / 0.1), rel=1e-14)
-        assert kp.nu.nu == 1.0
+        for p, alpha, rel, nu in (
+            (ModelParams(3, 1.0, 0.01, 1.0, 1.0, 0.0, 0.0), 10.0, 1e-15, 0.5),
+            (ModelParams(2, 2.0, 0.5, 1.0, 2.0, 0.0, 0.0), 2.0, 1e-15, 0.0),
+            (ModelParams(4, 1.4, 0.1, 1.0, 0.8, 0.0, 0.0), math.sqrt(1.4 * 0.8**-0.6 / 0.1), 1e-14, 1.0),
+        ):
+            assert p.alpha == pytest.approx(alpha, rel=rel)
+            # the kernel's order is nu = (n - 2)/2: its r^{-nu} factor at r = 2
+            assert KernelFactors(p.n, p.alpha, [1.0, 2.0]).rp[1] == pytest.approx(2.0**-nu, rel=1e-15)
 
     def test_alpha_consistency_invariant(self):
         for n in (2, 3, 4):
             for gamma in (1.0, 1.4, 2.0):
                 for kappa in (1e-4, 1e-2, 1.0, 30.0):
                     p = ModelParams(n, gamma, kappa, 0.0, 0.8, 0.0, 0.0)
-                    kp = kernel_params(p)
                     hp = PressureLaw(gamma, 0.8).h_prime(0.8)
-                    assert abs(kp.alpha**2 * kappa - hp) <= 1e-14 * hp
+                    assert abs(p.alpha**2 * kappa - hp) <= 1e-14 * hp
+
+    def test_out_of_range_is_refused_when_read(self):
+        # a model is valid with any kappa > 0; alpha beyond the doubles is refused by the solves that read it
+        p = ModelParams(3, 1.0, 5e-324, 0.0, 1.0, -0.1, 0.0)
+        with pytest.raises(RangeError, match=r"alpha = sqrt\(h'\(rho_plus\)/kappa\) = inf is outside the double range"):
+            p.alpha
 
 
 class TestLifting:
     def test_table_must_start_at_the_wall(self):
-        kp = kp_from(3, 2.0)
         with pytest.raises(DomainError, match="wall r = 1"):
-            lifting_phi_b(kp, -0.1, KernelFactors(kp, [1.5, 2.0]))
+            lifting_phi_b(-0.1, KernelFactors(3, 2.0, [1.5, 2.0]))
         for radii in ([1.5, 2.0], [], 1.0, [[1.0, 2.0]]):
             with pytest.raises(DomainError, match="wall r = 1"):
-                KernelFactors(kp, radii)
+                KernelFactors(3, 2.0, radii)
         with pytest.raises(DomainError, match="wall r = 1"):
-            lifting_phi_b(kp, -0.1, KernelFactors(kp, []))
+            lifting_phi_b(-0.1, KernelFactors(3, 2.0, []))
 
     def test_zero_data(self):
-        kp = kp_from(3, 2.0)
-        assert lifting_at(kp, 0.0, 5.0) == (0.0, 0.0)
+        assert lifting_at(3, 2.0, 0.0, 5.0) == (0.0, 0.0)
 
     def test_dimension3_closed_form(self):
-        kp = kp_from(3, 1.0)
-        val, _ = lifting_at(kp, -1.0, 2.0)
+        val, _ = lifting_at(3, 1.0, -1.0, 2.0)
         assert val == pytest.approx(math.exp(-1.0) / 4.0, rel=1e-13)
         for a in (0.5, 1.0, 7.0, 1000.0):
-            kp = kp_from(3, a)
             for r in (1.0, 1.5, 4.0):
-                val, _ = lifting_at(kp, -0.3, r)
+                val, _ = lifting_at(3, a, -0.3, r)
                 assert val == pytest.approx(lifting3_exact(a, -0.3, r), rel=1e-12)
 
     def test_boundary_derivative_matches_data(self):
         for n in (2, 3, 4, 5):
             for a in (0.3, 1.0, 30.0, 1000.0):
-                kp = kp_from(n, a)
-                _, der = lifting_at(kp, -0.7, 1.0)
+                _, der = lifting_at(n, a, -0.7, 1.0)
                 assert der == pytest.approx(-0.7, rel=1e-12)
 
     def test_derivative_by_central_difference(self):
-        kp = kp_from(4, 2.0)
         for r in (1.3, 2.0, 6.0):
             h = 1e-6
-            vp, _ = lifting_at(kp, -0.2, r + h)
-            vm, _ = lifting_at(kp, -0.2, r - h)
-            _, der = lifting_at(kp, -0.2, r)
+            vp, _ = lifting_at(4, 2.0, -0.2, r + h)
+            vm, _ = lifting_at(4, 2.0, -0.2, r - h)
+            _, der = lifting_at(4, 2.0, -0.2, r)
             assert der == pytest.approx((vp - vm) / (2.0 * h), rel=1e-8)
 
 
 class TestGreen:
     def test_dimension3_point_values(self):
-        kp = kp_from(3, 1.0)
-        assert green(kp, 1.0, 1.0) == pytest.approx(-0.5, rel=1e-13)
-        assert green(kp, 2.0, 1.0) == pytest.approx(-math.exp(-1.0) / 4.0, rel=1e-13)
+        assert green(3, 1.0, 1.0, 1.0) == pytest.approx(-0.5, rel=1e-13)
+        assert green(3, 1.0, 2.0, 1.0) == pytest.approx(-math.exp(-1.0) / 4.0, rel=1e-13)
 
     def test_dimension3_closed_form_grid(self):
         r, s = np.meshgrid([1.0, 1.2, 2.5, 8.0], [1.0, 1.7, 6.0], indexing="ij")
         for a in (0.5, 1.0, 3.0, 40.0, 1000.0):
             exact = np.vectorize(green3_exact)(a, r, s)
             used = exact != 0.0
-            g = green(kp_from(3, a), r, s)
+            g = green(3, a, r, s)
             assert g[used] == pytest.approx(exact[used], rel=1e-12), a
 
     def test_symmetry_and_sign(self):
         r, s = np.meshgrid([1.0, 1.4, 3.0, 9.0], [1.1, 2.6, 7.5], indexing="ij")
         for n in (2, 3, 4, 5):
-            kp = kp_from(n, 1.7)
-            g = green(kp, r, s)
+            g = green(n, 1.7, r, s)
             assert np.all(g < 0.0)
-            assert g == pytest.approx(green(kp, s, r), rel=1e-12)
+            assert g == pytest.approx(green(n, 1.7, s, r), rel=1e-12)
 
     def test_neumann_condition_at_wall(self):
         s = np.array([1.5, 3.0, 10.0])
         for n in (2, 3, 4, 5):
-            kp = kp_from(n, 2.2)
-            g = green(kp, 1.0, s)
-            assert np.all(np.abs(green_dr_left(kp, 1.0, s)) <= 1e-12 * np.abs(g))
+            g = green(n, 2.2, 1.0, s)
+            assert np.all(np.abs(green_dr_left(n, 2.2, 1.0, s)) <= 1e-12 * np.abs(g))
 
     def test_homogeneous_equation_away_from_diagonal(self):
         # 4th-order central stencils in r; residual relative to |G|
         for n, a in ((2, 0.7), (3, 2.0), (5, 5.0)):
-            kp = kp_from(n, a)
             h = 0.01 / a
             for s in (2.0, 5.0):
                 r = np.linspace(1.2, 8.0, 19)
                 r = r[np.abs(r - s) >= 6.0 * h]
-                f = green(kp, r + h * np.arange(-2, 3)[:, None], s)
+                f = green(n, a, r + h * np.arange(-2, 3)[:, None], s)
                 d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
                 d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
                 res = d2 + (n - 1) / r * d1 - a * a * f[2]
@@ -239,13 +227,12 @@ class TestGreen:
         for n in (2, 3, 4, 5):
             c_star = 0.0
             for a in (1.0, 3.0):
-                kp = kp_from(n, a)
                 env = np.exp(-a * np.abs(r - s)) / (r * s) ** ((n - 1) / 2.0)
                 c_star = max(
                     c_star,
-                    np.max(np.abs(green(kp, r, s)) * a / env),
-                    np.max(np.abs(green_dr_right(kp, r[below], s[below])) / env[below]),
-                    np.max(np.abs(green_dr_left(kp, r[above], s[above])) / env[above]),
+                    np.max(np.abs(green(n, a, r, s)) * a / env),
+                    np.max(np.abs(green_dr_right(n, a, r[below], s[below])) / env[below]),
+                    np.max(np.abs(green_dr_left(n, a, r[above], s[above])) / env[above]),
                 )
             assert c_star <= 10.0, n
 
@@ -281,7 +268,6 @@ class TestArrays:
         # last bits may differ from a two-radius table: agreement, not equality.
         # The whole mesh is one batch; the scalar reference (each call builds its
         # own table) is taken at every 5th point and on the diagonal r == s
-        kp = kp_from(n, 1.7)
         r, s = self.MESH
         for fn, mask in (
             (green, np.full(r.shape, True)),
@@ -291,8 +277,8 @@ class TestArrays:
         ):
             rm, sm = r[mask], s[mask]
             pick = (np.arange(rm.size) % 5 == 0) | (rm == sm)
-            scalar = [fn(kp, x, y) for x, y in zip(rm[pick].tolist(), sm[pick].tolist())]
-            np.testing.assert_allclose(fn(kp, rm, sm)[pick], scalar, rtol=4e-15, atol=0.0, err_msg=fn.__name__)
+            scalar = [fn(n, 1.7, x, y) for x, y in zip(rm[pick].tolist(), sm[pick].tolist())]
+            np.testing.assert_allclose(fn(n, 1.7, rm, sm)[pick], scalar, rtol=4e-15, atol=0.0, err_msg=fn.__name__)
 
     @pytest.mark.parametrize("mesh", [False, True], ids=["scalar", "mesh"])
     @pytest.mark.parametrize("fn", [green, green_dr, green_dr_left, green_dr_right], ids=lambda fn: fn.__name__)
@@ -312,7 +298,7 @@ class TestArrays:
             r, s = r[keep], s[keep]
         else:
             r, s = {green: (2.0, 2.0), green_dr: (3.5, 2.0), green_dr_left: (2.0, 2.0), green_dr_right: (3.0, 1.0)}[fn]
-        fn(kp_from(3, 1.7), r, s)
+        fn(3, 1.7, r, s)
         assert sizes == [len({1.0, *np.ravel(r), *np.ravel(s)})]
 
     @pytest.mark.parametrize(
@@ -325,66 +311,57 @@ class TestArrays:
         ],
     )
     def test_one_bad_pair_refuses_the_mesh(self, fn, good, bad, message):
-        kp = kp_from(3, 2.0)
         ramp = np.arange(12.0).reshape(3, 4)
         r, s = good[0] + ramp, good[1] + ramp
-        assert np.all(np.isfinite(fn(kp, r, s)))
+        assert np.all(np.isfinite(fn(3, 2.0, r, s)))
         r[1, 2], s[1, 2] = bad
         with pytest.raises(DomainError, match=message):
-            fn(kp, r, s)
+            fn(3, 2.0, r, s)
 
     def test_scalars_give_floats_and_arrays_keep_shape(self):
-        kp = kp_from(4, 1.3)
         for fn, r, s in ((green, 2.0, 3.0), (green_dr, 3.0, 2.0), (green_dr_right, 3.0, 3.0), (green_dr_left, 2.0, 2.0)):
-            assert type(fn(kp, r, s)) is float
-            assert fn(kp, np.full((2, 3), r), s).shape == (2, 3)
+            assert type(fn(4, 1.3, r, s)) is float
+            assert fn(4, 1.3, np.full((2, 3), r), s).shape == (2, 3)
 
 
 class TestGreenDerivative:
     def test_dimension3_point_value(self):
-        kp = kp_from(3, 1.0)
-        assert green_dr(kp, 2.0, 1.0) == pytest.approx(3.0 * math.exp(-1.0) / 8.0, rel=1e-13)
+        assert green_dr(3, 1.0, 2.0, 1.0) == pytest.approx(3.0 * math.exp(-1.0) / 8.0, rel=1e-13)
 
     def test_matches_central_difference(self):
-        kp = kp_from(4, 1.3)
         r, s = np.array([2.0, 1.5, 6.0]), np.array([1.2, 4.0, 2.0])
         h = 1e-6
-        fd = (green(kp, r + h, s) - green(kp, r - h, s)) / (2.0 * h)
-        assert green_dr(kp, r, s) == pytest.approx(fd, rel=1e-8)
+        fd = (green(4, 1.3, r + h, s) - green(4, 1.3, r - h, s)) / (2.0 * h)
+        assert green_dr(4, 1.3, r, s) == pytest.approx(fd, rel=1e-8)
 
     def test_diagonal_requires_side(self):
-        kp = kp_from(3, 1.0)
         with pytest.raises(DomainError):
-            green_dr(kp, 2.0, 2.0)
+            green_dr(3, 1.0, 2.0, 2.0)
 
     def test_diagonal_jump(self):
         # right minus left one-sided derivative equals r^{1-n}
         for n in (2, 3, 4, 5):
             for a in (0.6, 2.0, 50.0):
-                kp = kp_from(n, a)
                 r = np.array([1.0, 1.7, 5.0])
-                jump = green_dr_right(kp, r, r) - green_dr_left(kp, r, r)
+                jump = green_dr_right(n, a, r, r) - green_dr_left(n, a, r, r)
                 assert jump == pytest.approx(r ** (1 - n), rel=1e-12)
 
     def test_far_field_decay(self):
-        kp = kp_from(3, 2.0)
         s = 1.5
         r = np.array([5.0, 8.0, 12.0])
         bound = 2.0 * np.exp(-2.0 * (r - s)) / (r * s)
-        assert np.all(np.abs(green_dr(kp, r, s)) <= bound)
+        assert np.all(np.abs(green_dr(3, 2.0, r, s)) <= bound)
 
     def test_non_finite_values_refused(self):
         # K_nu(alpha) beyond the double range (n = 1000 at alpha = 10) is refused, not used
-        kp = kp_from(1000, 10.0)
         for fn, r, s in ((green, 1.5, 2.0), (green_dr_right, 2.0, 1.5), (green_dr_left, 1.5, 2.0)):
             with pytest.raises(RangeError, match="scaled K_nu is not finite"):
-                fn(kp, r, s)
+                fn(1000, 10.0, r, s)
 
     def test_far_arguments_match_closed_form(self):
         # alpha r = 1e9 and beyond, where scipy's scaled factors were NaN, keeps full accuracy
         for a, r in ((1.0, 1e9), (10.0, 1e9), (1.0, 1e12)):
-            kp = kp_from(3, a)
             s = r + 1.0
-            assert green(kp, r, s) == pytest.approx(green3_exact(a, r, s), rel=1e-12)
+            assert green(3, a, r, s) == pytest.approx(green3_exact(a, r, s), rel=1e-12)
             g_dr = math.exp(-a) * (1.0 - a * r) / (2.0 * a * r * r * s)  # d/dr of the first term, r < s
-            assert green_dr_left(kp, r, s) == pytest.approx(g_dr, rel=1e-12)
+            assert green_dr_left(3, a, r, s) == pytest.approx(g_dr, rel=1e-12)

@@ -8,21 +8,19 @@ from dense_operators import dense_operators
 
 from nsk.errors import ConfigError
 from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
-from nsk.kernel import ModelParams, green, green_dr_left, green_dr_right, kernel_params
+from nsk.kernel import ModelParams, green, green_dr_left, green_dr_right
 from nsk.operators import _M2_TAYLOR, TAYLOR_Z, GreenOperator, _moments, _sweep, piece_weights
 
 
 @pytest.fixture(scope="module")
 def setup():
     params = ModelParams(n=3, gamma=1.0, kappa=0.04, mu=0.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
-    kp = kernel_params(params)
-    grid = build_grid(params.n, kp.alpha, points_per_unit_alpha=12.0)
-    return params, kp, grid
+    grid = build_grid(params.n, params.alpha, points_per_unit_alpha=12.0)
+    return params, grid
 
 
-def _kernel(n, kappa):
-    params = ModelParams(n=n, gamma=1.0, kappa=kappa, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
-    return kernel_params(params)
+def _model(n, kappa):
+    return ModelParams(n=n, gamma=1.0, kappa=kappa, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
 
 
 def _tiny(M):
@@ -47,10 +45,10 @@ CASES.update({f"n={n} M={M}": (n, 0.3, lambda a, M=M: _tiny(M)) for n in (2, 4) 
 @pytest.mark.parametrize("case", CASES)
 def test_apply_matches_dense_reference(case):
     n, kappa, nodes = CASES[case]
-    kp = _kernel(n, kappa)
-    grid = RadialGrid.from_nodes(nodes(kp.alpha), n)
-    A, Adr = dense_operators(grid, kp, kappa)
-    op = GreenOperator(grid, kp, kappa)
+    params = _model(n, kappa)
+    grid = RadialGrid.from_nodes(nodes(params.alpha), n)
+    A, Adr = dense_operators(grid, params)
+    op = GreenOperator(grid, params)
     rng = np.random.default_rng(7)
     for _ in range(3):
         f = rng.standard_normal(grid.size)
@@ -91,18 +89,18 @@ def test_rows_match_scalar_kernel(setup):
     # rows of A f and Adr f are (1/kappa) int G(r_i, s) f(s) s^{n-1} ds of the scalar kernel
     # up to the rule's own error (at most 2e-7 of the largest row here): the reference is
     # 40-point Gauss-Legendre on every interval of the thrice-refined grid, split at r_i
-    params, kp, grid = setup
+    params, grid = setup
     grid = grid.refined().refined().refined()
     r = grid.nodes
-    af, adrf = GreenOperator(grid, kp, params.kappa).apply(np.cos(r) / r**2)
+    af, adrf = GreenOperator(grid, params).apply(np.cos(r) / r**2)
     xi, wq = np.polynomial.legendre.leggauss(40)
     s = (0.5 * (r[:-1] + r[1:])[:, None] + 0.5 * np.diff(r)[:, None] * xi).ravel()
     ws = (0.5 * np.diff(r)[:, None] * wq).ravel() * np.cos(s) * s ** (params.n - 3) / params.kappa
     for i in (1, 2, 3, 50, grid.size // 2, grid.size - 3, grid.size - 2):
         left = s < r[i]
-        a_ref = np.dot(ws, green(kp, r[i], s))
-        adr_ref = np.dot(ws[left], green_dr_right(kp, r[i], s[left])) + np.dot(
-            ws[~left], green_dr_left(kp, r[i], s[~left])
+        a_ref = np.dot(ws, green(params.n, params.alpha, r[i], s))
+        adr_ref = np.dot(ws[left], green_dr_right(params.n, params.alpha, r[i], s[left])) + np.dot(
+            ws[~left], green_dr_left(params.n, params.alpha, r[i], s[~left])
         )
         assert abs(af[i] - a_ref) <= 1e-6 * np.max(np.abs(af))
         assert abs(adrf[i] - adr_ref) <= 1e-6 * np.max(np.abs(adrf))
@@ -110,10 +108,10 @@ def test_rows_match_scalar_kernel(setup):
 
 def test_operator_inverts_helmholtz(setup):
     # for f with f'(1)=0, A applied to (rhs of the Helmholtz ODE) returns f
-    params, kp, grid = setup
-    op = GreenOperator(grid, kp, params.kappa)
+    params, grid = setup
+    op = GreenOperator(grid, params)
     r = grid.nodes
-    a = kp.alpha
+    a = params.alpha
     # manufacture f with zero slope at the wall and fast decay
     f = np.exp(-2.0 * a * (r - 1.0)) * (1.0 + 2.0 * a * (r - 1.0))
     fp = -4.0 * a**2 * (r - 1.0) * np.exp(-2.0 * a * (r - 1.0))
@@ -125,8 +123,8 @@ def test_operator_inverts_helmholtz(setup):
 
 
 def test_quadrature_convergence_of_operator(setup):
-    params, kp, grid = setup
-    a = kp.alpha
+    params, grid = setup
+    a = params.alpha
 
     def err(g):
         rr = g.nodes
@@ -134,7 +132,7 @@ def test_quadrature_convergence_of_operator(setup):
         fp = -4.0 * a**2 * (rr - 1.0) * np.exp(-2.0 * a * (rr - 1.0))
         fpp = (-4.0 * a**2 + 8.0 * a**3 * (rr - 1.0)) * np.exp(-2.0 * a * (rr - 1.0))
         rhs = params.kappa * (fpp + (params.n - 1) / rr * fp - a**2 * ff)
-        af, _ = GreenOperator(g, kp, params.kappa).apply(rhs)
+        af, _ = GreenOperator(g, params).apply(rhs)
         return np.max(np.abs(af - ff))
 
     # the first halving gains less than fourth order (5.3x), because the coarse error is
@@ -149,12 +147,12 @@ def test_quadrature_convergence_of_operator(setup):
 
 def test_memory_is_linear_in_grid_size():
     # dense A and Adr would take 16 M^2 bytes: about 50 GB here
-    kp = _kernel(2, 2.5e-5)
+    params = _model(2, 2.5e-5)
     grid = RadialGrid.from_nodes(np.linspace(1.0, 100.0, 50_001), 2)  # alpha h = 0.4
     f = np.cos(grid.nodes)
     tracemalloc.start()
     try:
-        af, adrf = GreenOperator(grid, kp, 2.5e-5).apply(f)
+        af, adrf = GreenOperator(grid, params).apply(f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -225,17 +223,20 @@ def test_piece_weights_tend_to_simpson():
 
 def test_huge_alpha_h_apply_is_finite_and_quiet():
     # kappa = 1e-8 on the flow grid: alpha h reaches 5e3 and every decay underflows to 0
-    kappa = 1e-8
-    kp = _kernel(3, kappa)
-    grid = build_grid(3, kp.alpha, decay=ALGEBRAIC)
-    assert kp.alpha * np.max(np.diff(grid.nodes)) > 4e3
+    params = _model(3, 1e-8)
+    grid = build_grid(3, params.alpha, decay=ALGEBRAIC)
+    assert params.alpha * np.max(np.diff(grid.nodes)) > 4e3
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        op = GreenOperator(grid, kp, kappa)
+        op = GreenOperator(grid, params)
         af, adrf = op.apply(grid.nodes ** -4.0)
     assert np.all(np.isfinite(af)) and np.all(np.isfinite(adrf))
 
 
-def test_nonpositive_kappa_refused(setup):
-    _, kp, grid = setup
-    with pytest.raises(ConfigError, match="^kappa must be positive$"):
-        GreenOperator(grid, kp, 0.0)
+@pytest.mark.parametrize("grid_n", (2, 4))
+def test_grid_of_another_dimension_refused(setup, grid_n):
+    # the grid's n sets its measure r^{n-1}, the model's n the kernel: a mismatch solved
+    # silently to a wrong profile with a small residual
+    params, grid = setup
+    other = RadialGrid.from_nodes(grid.nodes, grid_n)
+    with pytest.raises(ConfigError, match=f"^the grid is built for n = {grid_n}, the model has n = 3$"):
+        GreenOperator(other, params)

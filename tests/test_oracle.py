@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 
 from nsk import oracle
 from nsk.errors import ConfigError, PositivityError
-from nsk.kernel import KernelFactors, ModelParams, kernel_params, lifting_phi_b
+from nsk.kernel import KernelFactors, ModelParams, lifting_phi_b
 from nsk.oracle import (
     _interpolate_uniform,
     cross_validate,
@@ -34,20 +34,18 @@ class TestSolveFd:
         # gamma=2 linearizes the BVP; the decaying homogeneous solution with
         # the right wall slope is then the exact solution
         p = params_with(gamma=2.0)
-        kp = kernel_params(p)
-        R = 1.0 + max(40.0 / kp.alpha, 20.0)
+        R = 1.0 + max(40.0 / p.alpha, 20.0)
         rho = solve_fd(p, 16001, R)
-        exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, KernelFactors(kp, np.linspace(1.0, R, 16001)))[0]
+        exact = p.rho_plus + lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, np.linspace(1.0, R, 16001)))[0]
         assert np.max(np.abs(rho - exact)) <= 1e-6
 
     def test_second_order_convergence(self):
         p = params_with(gamma=2.0)
-        kp = kernel_params(p)
-        R = 1.0 + max(40.0 / kp.alpha, 20.0)
+        R = 1.0 + max(40.0 / p.alpha, 20.0)
         errs = []
         for count in (2001, 4001, 8001):
             r = np.linspace(1.0, R, count)
-            exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, KernelFactors(kp, r))[0]
+            exact = p.rho_plus + lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, r))[0]
             errs.append(np.max(np.abs(solve_fd(p, count, R) - exact)))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
@@ -55,11 +53,10 @@ class TestSolveFd:
     def test_richardson_fourth_order_convergence(self):
         # (4 rho_{h/2} - rho_h)/3 cancels the h^2 term: the error falls 16-fold per halving
         p = params_with(gamma=2.0)
-        kp = kernel_params(p)
-        R = 1.0 + max(40.0 / kp.alpha, 20.0)
+        R = 1.0 + max(40.0 / p.alpha, 20.0)
         errs = []
         for count in (1001, 2001, 4001):
-            exact = p.rho_plus + lifting_phi_b(kp, p.rho_b, KernelFactors(kp, np.linspace(1.0, R, count)))[0]
+            exact = p.rho_plus + lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, np.linspace(1.0, R, count)))[0]
             errs.append(np.max(np.abs(solve_fd_richardson(p, count, R) - exact)))
         assert 15.0 <= errs[0] / errs[1] <= 17.0
         assert 15.0 <= errs[1] / errs[2] <= 17.0
@@ -126,7 +123,7 @@ class TestCrossValidate:
     def test_far_field_is_checked(self, monkeypatch):
         # kernel nodes beyond the oracle's span 1 + 40/alpha are compared against rho_+
         p = params_with(kappa=1e-3, rho_b=-0.02)
-        span_end = 1.0 + 40.0 / kernel_params(p).alpha
+        span_end = 1.0 + 40.0 / p.alpha
         solve = oracle.solve_stationary
 
         def shifted(params, grid, **kw):

@@ -94,14 +94,14 @@ def test_the_pressure_law_has_one_gamma_one_branch():
     assert sorted(_law_gamma_comparisons(tree)) == [("__post_init__", "GtE"), ("_log_power", "Eq")]
 
 
-def _bessel_table_uses(tree: ast.AST) -> list:
-    """``Class.function`` (or ``function``) of every use of the name ``bessel_ik_scaled`` outside an import."""
+def _scopes_of(tree: ast.AST, matches) -> list:
+    """``Class.function`` (or ``function``) of every node of ``tree`` for which ``matches`` holds."""
     uses = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
-        if getattr(node, "id", getattr(node, "attr", None)) == "bessel_ik_scaled":
+        if matches(node):
             uses.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -110,11 +110,43 @@ def _bessel_table_uses(tree: ast.AST) -> list:
     return uses
 
 
+def _names_bessel_table(node: ast.AST) -> bool:
+    """A use of the name ``bessel_ik_scaled`` outside an import."""
+    return getattr(node, "id", getattr(node, "attr", None)) == "bessel_ik_scaled"
+
+
 def test_only_kernel_factors_evaluates_the_bessel_table():
     # one owner of the Bessel tables, so the wall row (c2, the lifting) has one source
     src = Path(nsk.__file__).parent
-    found = {p.name: _bessel_table_uses(ast.parse(p.read_text())) for p in src.glob("*.py") if p.name != "bessel.py"}
+    modules = [p for p in src.glob("*.py") if p.name != "bessel.py"]
+    found = {p.name: _scopes_of(ast.parse(p.read_text()), _names_bessel_table) for p in modules}
     assert {name: uses for name, uses in found.items() if uses} == {"kernel.py": ["KernelFactors.__init__"]}
+
+
+def _is_root_of_quotient_by_kappa(node: ast.AST) -> bool:
+    """``sqrt(x / kappa)`` (any ``sqrt``) or ``(x / kappa) ** 0.5``, ``kappa`` a name or an attribute."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "sqrt":
+        arg = node.args[0]
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and getattr(node.right, "value", None) == 0.5:
+        arg = node.left
+    else:
+        return False
+    return (
+        isinstance(arg, ast.BinOp)
+        and isinstance(arg.op, ast.Div)
+        and getattr(arg.right, "id", getattr(arg.right, "attr", None)) == "kappa"
+    )
+
+
+def test_only_the_model_derives_alpha():
+    # alpha = sqrt(h'(rho_+)/kappa) has one source, ModelParams.alpha; the FD oracle's
+    # initial-guess rate beta is the same number, kept inline so the oracle stays independent
+    src = Path(nsk.__file__).parent
+    found = {p.name: _scopes_of(ast.parse(p.read_text()), _is_root_of_quotient_by_kappa) for p in src.glob("*.py")}
+    assert {name: uses for name, uses in found.items() if uses} == {
+        "kernel.py": ["ModelParams.alpha"],
+        "oracle.py": ["solve_fd"],
+    }
 
 
 def test_import_cli_loads_no_scipy():
