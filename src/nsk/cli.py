@@ -23,8 +23,8 @@ import numpy as np
 
 from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
-from .errors import ConfigError, RangeError, SolverError, WindowEmptyError
-from .grid import ALGEBRAIC, EXPONENTIAL, RadialGrid, build_grid
+from .errors import ConfigError, SolverError, WindowEmptyError
+from .grid import RadialGrid, auto_r_max, build_grid
 from .kernel import (
     IMPERMEABLE,
     INFLOW,
@@ -73,15 +73,15 @@ class RunConfig:
             raise ConfigError("max_iter must be at least 1")
         if self.points_per_unit_alpha <= 0.0:
             raise ConfigError("grid.points_per_unit_alpha must be positive")
+        if not 1.0 < self.growth < 2.0:
+            raise ConfigError("grid.growth must be > 1 and < 2")
 
     def grid(self, model: ModelParams) -> RadialGrid:
-        """The solve grid for ``model``: exponential decay at the wall, algebraic under a flow."""
+        """The solve grid for ``model``, truncated at ``R_max`` or else by the model's regime."""
         return build_grid(
-            model.n,
             model.alpha,
+            auto_r_max(model) if self.R_max is None else self.R_max,
             points_per_unit_alpha=self.points_per_unit_alpha,
-            R_max=self.R_max,
-            decay=EXPONENTIAL if model.regime == IMPERMEABLE else ALGEBRAIC,
             growth=self.growth,
         )
 
@@ -229,12 +229,8 @@ def _cmd_kernel(a):
 
 def _weighted_sup(grid, k: int, values: np.ndarray) -> float | None:
     """``max r^k |values|`` over the grid, or ``None`` where it is beyond the double range."""
-    try:
-        weight = grid.power(k)
-    except RangeError:
-        return None
-    with np.errstate(over="ignore"):
-        sup = float(np.max(weight * np.abs(values)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed r**k times 0 is NaN
+        sup = float(np.max(grid.nodes**k * np.abs(values)))
     return sup if math.isfinite(sup) else None
 
 

@@ -1,8 +1,11 @@
 """Graded radial grids with composite-Simpson quadrature.
 
 The truncated domain ``[1, R_max]`` replaces the far-field condition
-``phi -> 0`` by ``phi(R_max) = 0``.  The auto truncation policies put the
-neglected mass below 1e-8 of the solution scale:
+``phi -> 0`` by ``phi(R_max) = 0``.  A grid is geometry alone: the
+dimension ``n`` enters only through the measure ``r^{n-1}``, which its
+callers pass in.  :func:`auto_r_max` reads the truncation off the model,
+whose regime decides the decay, and puts the neglected mass below 1e-8 of
+the solution scale:
 
 * exponential decay (impermeable problem): ``R_max = 1 + max(40/alpha, 20)``
 * algebraic decay (inflow/outflow): ``R_max = max(10^(4/(2(n-1))), 50)``
@@ -37,11 +40,9 @@ import numpy as np
 
 from .bessel import check_finite
 from .errors import ConfigError, GridSizeError, RangeError
+from .kernel import IMPERMEABLE, ModelParams
 
-__all__ = ["RadialGrid", "build_grid"]
-
-EXPONENTIAL = "exponential"
-ALGEBRAIC = "algebraic"
+__all__ = ["RadialGrid", "auto_r_max", "build_grid"]
 
 MAX_NODES = 2_000_000
 H_MAX = 0.5  # spacing cap far from the wall
@@ -63,22 +64,21 @@ class RadialGrid:
     """Sorted nodes on ``[1, R_max]`` with quadrature weights for ``dr``.
 
     The quadrature integrates against plain ``dr``; the ``r^{n-1}`` measure
-    is applied by the norm/integral helpers so the same grid serves both.
+    of a dimension ``n`` is applied by the norm helpers, so one grid serves every ``n``.
     """
 
     nodes: np.ndarray
-    n: int
     R_max: float
 
     @classmethod
-    def from_nodes(cls, nodes, n: int) -> "RadialGrid":
+    def from_nodes(cls, nodes) -> "RadialGrid":
         """The grid on ``nodes``; every grid is built here, so its rules live here."""
         nodes = np.ascontiguousarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ConfigError("grid needs at least 3 nodes")
         if nodes[0] != 1.0 or np.any(np.diff(nodes) <= 0.0):
             raise ConfigError("grid nodes must start at 1 and increase strictly")
-        grid = cls(nodes=nodes, n=int(n), R_max=float(nodes[-1]))
+        grid = cls(nodes=nodes, R_max=float(nodes[-1]))
         if np.any(grid.weights <= 0.0):
             raise ConfigError("quadrature weights must be positive")
         return grid
@@ -87,19 +87,15 @@ class RadialGrid:
     def size(self) -> int:
         return self.nodes.size
 
-    def power(self, k: int) -> np.ndarray:
-        """``r^k`` at the nodes; ``RangeError`` once it leaves the double range."""
+    def measure(self, n: int) -> np.ndarray:
+        """``r^{n-1}`` at the nodes; ``RangeError`` once it leaves the double range."""
         with np.errstate(over="ignore"):
-            return check_finite(self.nodes**k, f"r**{k} (n = {self.n})")
+            return check_finite(self.nodes ** (n - 1), f"r**{n - 1} (n = {n})")
 
-    def measure(self) -> np.ndarray:
-        """``r^{n-1}`` at the nodes."""
-        return self.power(self.n - 1)
-
-    def weighted_l2_norm(self, f: np.ndarray) -> float:
-        """``(integral |f|^2 r^{n-1} dr)^(1/2)``, the natural radial norm."""
+    def weighted_l2_norm(self, f: np.ndarray, n: int) -> float:
+        """``(integral |f|^2 r^{n-1} dr)^(1/2)``, the natural radial norm in dimension ``n``."""
         self._check_len(f)
-        return float(np.sqrt(np.dot(self.weights, np.asarray(f) ** 2 * self.measure())))
+        return float(np.sqrt(np.dot(self.weights, np.asarray(f) ** 2 * self.measure(n))))
 
     def reverse_cumulative(self, g: np.ndarray) -> np.ndarray:
         """``T_i ~ integral_{r_i}^{R_max} g(s) ds`` by the interval rule; ``T[-1] = 0`` exactly."""
@@ -148,38 +144,28 @@ class RadialGrid:
         nodes = np.empty(self.nodes.size + mids.size)
         nodes[0::2] = self.nodes
         nodes[1::2] = mids
-        return RadialGrid.from_nodes(nodes, self.n)
+        return RadialGrid.from_nodes(nodes)
 
     def _check_len(self, f) -> None:
         if np.asarray(f).shape != self.nodes.shape:
             raise ConfigError("field samples must match grid nodes in length")
 
 
-def auto_r_max(n: int, alpha: float, decay: str) -> float:
-    if decay == EXPONENTIAL:
-        return 1.0 + max(40.0 / alpha, 20.0)
-    if decay == ALGEBRAIC:
-        return max(10.0 ** (4.0 / (2.0 * (n - 1))), 50.0)
-    raise ConfigError("decay must be 'exponential' or 'algebraic'")
+def auto_r_max(params: ModelParams) -> float:
+    """The truncation of the model's regime: exponential decay at the wall, algebraic under a flow."""
+    if params.regime == IMPERMEABLE:
+        return 1.0 + max(40.0 / params.alpha, 20.0)
+    return max(10.0 ** (4.0 / (2.0 * (params.n - 1))), 50.0)
 
 
-def build_grid(
-    n: int,
-    alpha: float,
-    points_per_unit_alpha: float = 10.0,
-    R_max: float | None = None,
-    decay: str = EXPONENTIAL,
-    growth: float = 1.06,
-) -> RadialGrid:
-    """Graded grid for a problem with decay scale ``1/alpha`` at the wall."""
+def build_grid(alpha: float, R_max: float, points_per_unit_alpha: float = 10.0, growth: float = 1.06) -> RadialGrid:
+    """Graded grid on ``[1, R_max]`` for a problem with decay scale ``1/alpha`` at the wall."""
     if not alpha > 0.0:  # also NaN
         raise ConfigError("alpha must be positive")
     if not 1.0 < growth < 2.0:  # at a spacing ratio of 2 a panel's first Simpson weight is 0
         raise ConfigError("growth must be > 1 and < 2")
     if not points_per_unit_alpha > 0.0:
         raise ConfigError("points_per_unit_alpha must be positive")
-    if R_max is None:
-        R_max = auto_r_max(n, alpha, decay)
     if not R_max > 1.0:
         raise ConfigError("R_max must exceed 1")
     h0 = min(0.2, 1.0 / (points_per_unit_alpha * alpha))
@@ -209,4 +195,4 @@ def build_grid(
     nodes[0] = 1.0
     nodes[1:] = 1.0 + np.cumsum(hs)
     nodes[-1] = R_max
-    return RadialGrid.from_nodes(nodes, n)
+    return RadialGrid.from_nodes(nodes)

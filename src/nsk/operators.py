@@ -73,7 +73,6 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
 from .grid import RadialGrid
 from .kernel import KernelFactors, ModelParams
 
@@ -165,16 +164,15 @@ def _sweep(decay: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class GreenOperator:
     """``A`` and ``Adr`` of the model ``params`` on one grid as O(M) data; ``apply(f)`` gives
-    ``(A f, Adr f)``.  ``factors``, the kernel factors at the nodes, also serves the solve's
-    lifting.  The grid's ``n`` must be the model's, else ``ConfigError``."""
+    ``(A f, Adr f)``.  ``n``, ``alpha`` and ``kappa`` are the model's; the grid gives only the
+    nodes and their quadrature.  ``factors``, the kernel factors at the nodes, also serves the
+    solve's lifting."""
 
     def __init__(self, grid: RadialGrid, params: ModelParams):
-        if grid.n != params.n:
-            raise ConfigError(f"the grid is built for n = {grid.n}, the model has n = {params.n}")
         a = params.alpha
         self.factors = f = KernelFactors(params.n, a, grid.nodes)
         iv, kv, iv1, kv1, rp, e2, c2 = f.iv, f.kv, f.iv1, f.kv1, f.rp, f.e2, f.c2
-        src = rp * grid.measure() / params.kappa
+        src = rp * grid.measure(params.n) / params.kappa
         decay = np.exp(-a * np.diff(grid.nodes))
         self._decay = np.stack([np.append(0.0, decay), np.append(0.0, decay[::-1])])
         self._idx = grid.interval_rule[0]

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
-from .grid import EXPONENTIAL, build_grid
+from .grid import auto_r_max, build_grid
 from .kernel import ModelParams
 from .stationary import solve_stationary
 
@@ -199,7 +199,7 @@ def cross_validate(params: ModelParams, tol: float):
     """
     if tol <= 0.0:
         raise ConfigError("tol must be positive")
-    grid = build_grid(params.n, params.alpha, points_per_unit_alpha=24.0, decay=EXPONENTIAL, growth=1.04)
+    grid = build_grid(params.alpha, auto_r_max(params), points_per_unit_alpha=24.0, growth=1.04)
     nodes, rho_fd = fd_reference(params)
     sol = solve_stationary(params, grid, tol=1e-12, max_iter=400)
     inside = grid.nodes <= nodes[-1]

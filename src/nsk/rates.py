@@ -92,8 +92,8 @@ def _solve_one(cfg, mode: str, kappa: float, profile: LimitProfile | None):
         diff = sol.rho - profile.evaluate(y)
         diff_r = sol.rho_r - profile.slope(y) / math.sqrt(kappa)
     errors = {
-        "l2_value": grid.weighted_l2_norm(diff),
-        "l2_derivative": grid.weighted_l2_norm(diff_r),
+        "l2_value": grid.weighted_l2_norm(diff, params.n),
+        "l2_derivative": grid.weighted_l2_norm(diff_r, params.n),
         "sup": float(np.max(np.abs(diff))),
     }
     for key, err in errors.items():

@@ -118,7 +118,7 @@ def forcing(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: np.nd
     source = source_term(params.n, u, grid.nodes)
     rho = params.rho_plus + np.asarray(phi, dtype=float)
     rho1 = rho[0]
-    rnm1 = grid.measure()
+    rnm1 = grid.measure(params.n)
     transport = params.mu * rho1 * u * phi_r / (rnm1 * rho**3)
     kinetic = source * (rho1**2 / rho**2 - 1.0)
     tail = grid.reverse_cumulative(phi_r**2 / (rnm1 * rho**4))
@@ -230,7 +230,7 @@ def solve_stationary(
     rho = params.rho_plus + phi
     rho_minus = float(rho[0])
     mass_flux = rho_minus * params.u_minus
-    u = mass_flux / (rho * grid.measure())
+    u = mass_flux / (rho * grid.measure(params.n))
     res = ode_residual(params, grid, phi, phi_r)
     return StationarySolution(
         grid=grid, phi=phi, rho=rho, rho_r=phi_r, u=u, mass_flux=mass_flux, rho_minus=rho_minus,

@@ -74,7 +74,7 @@ def dense_operators(grid, params):
     iv1, kv1 = _sp.ive(v + 1.0, x), _sp.kve(v + 1.0, x)
     c2 = _sp.ive(v + 1.0, alpha) / _sp.kve(v + 1.0, alpha)
     e2 = np.exp(-alpha * (r - 1.0))
-    col = r ** (-v) * r ** (grid.n - 1) / params.kappa  # source side: s^{-nu} s^{n-1} / kappa
+    col = r ** (-v) * r ** (params.n - 1) / params.kappa  # source side: s^{-nu} s^{n-1} / kappa
     A = np.zeros((M, M))
     Adr = np.zeros((M, M))
     for i in range(M):

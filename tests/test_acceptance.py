@@ -12,7 +12,7 @@ import pytest
 from nsk import oracle
 from nsk.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
 from nsk.cli import RunConfig
-from nsk.grid import ALGEBRAIC, H_MAX, RadialGrid, auto_r_max, build_grid
+from nsk.grid import H_MAX, RadialGrid, auto_r_max, build_grid
 from nsk.kernel import (
     KernelFactors,
     ModelParams,
@@ -74,7 +74,7 @@ def test_criterion_3_oracle_equivalence():
     # affine-enthalpy cases: both solvers against the closed-form solution
     closed_ok = True
     for p in ORACLE_CASES[3:5]:
-        grid = build_grid(p.n, p.alpha, points_per_unit_alpha=24.0, growth=1.04)
+        grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=24.0, growth=1.04)
         field = solve_stationary(p, grid, tol=1e-12)
         exact = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))[0]
         closed_ok &= float(np.max(np.abs(field.phi - exact))) <= 1e-7
@@ -208,10 +208,10 @@ def test_criterion_5_green_properties():
 
 def test_criterion_6_inflow_outflow_suite():
     tol = 1e-6
-    grid = build_grid(3, 1.0, points_per_unit_alpha=40.0, decay=ALGEBRAIC, growth=1.03)
     p = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=0.05)
+    grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=40.0, growth=1.03)
     sol = solve_stationary(p, grid, tol=tol)
-    flux = sol.rho * sol.u * grid.measure()
+    flux = sol.rho * sol.u * grid.measure(p.n)
     flux_err = float(np.max(np.abs(flux - sol.mass_flux)) / abs(sol.mass_flux))
     scale = max(1.0, float(np.max(np.abs(sol.rho - p.rho_plus))))
     residual_ok = sol.ode_residual_sup <= 10.0 * tol * scale
@@ -268,7 +268,7 @@ def test_criterion_7_limit_profile_suite():
 
 def test_criterion_8_impermeable_decay_envelope():
     p = ModelParams(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
-    grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0)
+    grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0)
     field = solve_stationary(p, grid)
     sigma, c_fit = decay_diagnostics(field, p.alpha)
     ok = sigma >= 0.9 * p.alpha and np.isfinite(c_fit) and c_fit > 0.0
@@ -276,10 +276,12 @@ def test_criterion_8_impermeable_decay_envelope():
     _report(8, "exponential decay envelope", ok, detail)
 
 
-def _capped_flow_grid(n: int, alpha: float) -> RadialGrid:
-    """The flow grid with the far-field spacing capped at ``0.35/alpha``, as ``build_grid``
-    made it before product integration: the same wall spacing, growth and truncation."""
-    span = auto_r_max(n, alpha, ALGEBRAIC) - 1.0
+def _capped_flow_grid(p: ModelParams) -> RadialGrid:
+    """The flow grid of ``p`` with the far-field spacing capped at ``0.35/alpha``, as
+    ``build_grid`` made it before product integration: the same wall spacing, growth and
+    truncation."""
+    alpha = p.alpha
+    span = auto_r_max(p) - 1.0
     h, h_max = min(0.2, 1.0 / (10.0 * alpha)), min(H_MAX, 0.35 / alpha)
     steps, total = [], 0.0
     while total < span:
@@ -291,7 +293,7 @@ def _capped_flow_grid(n: int, alpha: float) -> RadialGrid:
         hs = np.concatenate([hs[:-1], [0.5 * hs[-1], 0.5 * hs[-1]]])
     nodes = 1.0 + np.concatenate([[0.0], np.cumsum(hs)])
     nodes[-1] = 1.0 + span
-    return RadialGrid.from_nodes(nodes, n)
+    return RadialGrid.from_nodes(nodes)
 
 
 def _far_field(sol, at):
@@ -318,8 +320,7 @@ def test_criterion_9_flow_grids_do_not_scale_with_alpha():
     for kappa, capped_size in ((3e-3, 2567), (1e-3, 4439), (1e-4, 14011)):
         for u_minus in (0.05, -0.05):
             p = ModelParams(n=3, gamma=1.0, kappa=kappa, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=u_minus)
-            alpha = p.alpha
-            grid, capped = RunConfig(model=p).grid(p), _capped_flow_grid(3, alpha)
+            grid, capped = RunConfig(model=p).grid(p), _capped_flow_grid(p)
             ok &= capped.size == capped_size and capped.size >= 10 * grid.size
             lines.append(f"kappa={kappa:g} u={u_minus:+}: M {capped.size} -> {grid.size}")
             if kappa < 1e-3:  # Picard does not contract there

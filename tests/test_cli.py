@@ -221,6 +221,18 @@ _MALFORMED = [
         ["solve", "impermeable", "--config", "@"], {"grid": {"growth": 2}}, "growth must be > 1 and < 2",
         id="growth=2",
     ),
+] + [
+    # the config gate refuses growth for every subcommand that reads a config, whether or
+    # not it builds its grid from it
+    pytest.param(argv + ["--config", "@"], {"grid": {"growth": growth}}, "growth must be > 1 and < 2",
+                 id=f"{argv[0]}-growth={growth}")
+    for argv in (
+        ["rate-study", "--mode", "fixed", "--out", "o"],
+        ["verify", "impermeable"],
+        ["kernel", "--r", "2", "--s", "1"],
+    )
+    for growth in (5, 1)
+] + [
     pytest.param(
         ["kernel", "--config", "@", "--r", "1e308", "--s", "1"], {}, "alpha * r is beyond the double range",
         id="--r=1e308",

@@ -10,36 +10,50 @@ from hypothesis import strategies as st
 
 import nsk.grid as grid_mod
 from nsk.errors import ConfigError, GridSizeError
-from nsk.grid import (
-    ALGEBRAIC,
-    EXPONENTIAL,
-    RadialGrid,
-    auto_r_max,
-    build_grid,
-)
+from nsk.grid import RadialGrid, auto_r_max, build_grid
+from nsk.kernel import ModelParams
+
+
+def _model(alpha, n=3, u_minus=0.0):
+    """A model with the wall rate ``alpha``: at gamma = 1 and rho_+ = 1, h'(rho_+) = 1."""
+    return ModelParams(n=n, gamma=1.0, kappa=alpha**-2, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=u_minus)
+
+
+def _wall_r_max(alpha):
+    """The wall's truncation at ``alpha``, for grids built without a model."""
+    return 1.0 + max(40.0 / alpha, 20.0)
 
 
 class TestBuild:
     def test_exponential_truncation_policy(self):
-        assert build_grid(3, 1.0).R_max == 41.0
-        assert build_grid(3, 100.0).R_max == 21.0
-        assert auto_r_max(3, 2.0, EXPONENTIAL) == 21.0
+        # the wall: 40 decay lengths 1/alpha, but never a span below 20 (from alpha = 2 on)
+        for n in (2, 3, 4):
+            assert auto_r_max(_model(0.5, n)) == 81.0
+            assert auto_r_max(_model(1.0, n)) == 41.0
+            assert auto_r_max(_model(2.0, n)) == 21.0
+            assert auto_r_max(_model(4.0, n)) == 21.0
+            assert auto_r_max(_model(100.0, n)) == 21.0
+        assert build_grid(1.0, auto_r_max(_model(1.0))).R_max == 41.0
 
     def test_algebraic_truncation_policy(self):
-        assert auto_r_max(3, 1.0, ALGEBRAIC) == 50.0
-        assert auto_r_max(2, 1.0, ALGEBRAIC) == 100.0
-        assert build_grid(2, 1.0, decay=ALGEBRAIC).R_max == 100.0
+        # inflow and outflow: max(10^(4/(2(n-1))), 50), whatever alpha
+        for u_minus in (0.05, -0.05):
+            for alpha in (1.0, 100.0):
+                assert auto_r_max(_model(alpha, 2, u_minus)) == 100.0
+                assert auto_r_max(_model(alpha, 3, u_minus)) == 50.0
+                assert auto_r_max(_model(alpha, 4, u_minus)) == 50.0
+        assert build_grid(1.0, auto_r_max(_model(1.0, 2, 0.05))).R_max == 100.0
 
     def test_wall_spacing(self):
-        g = build_grid(3, 1.0, points_per_unit_alpha=10.0)
+        g = build_grid(1.0, 41.0, points_per_unit_alpha=10.0)
         assert g.nodes[1] - g.nodes[0] <= 0.1
-        g = build_grid(3, 50.0, points_per_unit_alpha=10.0)
+        g = build_grid(50.0, 21.0, points_per_unit_alpha=10.0)
         assert g.nodes[1] - g.nodes[0] <= 1.0 / 500.0
-        g = build_grid(3, 1e-3, points_per_unit_alpha=10.0)
+        g = build_grid(1e-3, 40001.0, points_per_unit_alpha=10.0)
         assert g.nodes[1] - g.nodes[0] <= 0.2
 
     def test_geometric_coarsening(self):
-        g = build_grid(3, 10.0)
+        g = build_grid(10.0, 21.0)
         hs = np.diff(g.nodes)
         assert hs[-1] > 10.0 * hs[0]
         # consecutive ratios stay panel-safe
@@ -48,30 +62,30 @@ class TestBuild:
 
     def test_node_cap(self, monkeypatch):
         with pytest.raises(GridSizeError, match="exceed 2000000 nodes"):
-            build_grid(3, 1.0, R_max=1e300)
+            build_grid(1.0, 1e300)
         monkeypatch.setattr(grid_mod, "MAX_NODES", 50)
         with pytest.raises(GridSizeError, match="exceed 50 nodes"):
-            build_grid(3, 1000.0, points_per_unit_alpha=100.0)
+            build_grid(1000.0, 21.0, points_per_unit_alpha=100.0)
 
     def test_node_cap_counts_final_nodes(self, monkeypatch):
-        cases = [dict(alpha=1.0, R_max=3.0), dict(alpha=1.0), dict(alpha=3.0, decay=ALGEBRAIC), dict(alpha=40.0)]
-        sizes = [build_grid(3, **case).size for case in cases]
+        cases = [dict(alpha=1.0, R_max=3.0), dict(alpha=1.0, R_max=41.0), dict(alpha=3.0, R_max=50.0), dict(alpha=40.0, R_max=21.0)]
+        sizes = [build_grid(**case).size for case in cases]
         assert sizes[0] == 15  # 14 steps, and the odd-interval split makes the last one two
         for case, size in zip(cases, sizes):
             monkeypatch.setattr(grid_mod, "MAX_NODES", size)
-            assert build_grid(3, **case).size == size
+            assert build_grid(**case).size == size
             monkeypatch.setattr(grid_mod, "MAX_NODES", size - 1)
             with pytest.raises(GridSizeError):
-                build_grid(3, **case)
+                build_grid(**case)
 
     @settings(max_examples=60, deadline=None)
     @given(R_max=st.floats(min_value=1.05, max_value=30.0), max_nodes=st.integers(3, 400))
     def test_node_cap_is_never_exceeded(self, R_max, max_nodes):
         # patched in the body: a function-scoped fixture would span every example
-        size = build_grid(3, 2.0, R_max=R_max).size
+        size = build_grid(2.0, R_max).size
         with mock.patch.object(grid_mod, "MAX_NODES", max_nodes):
             try:
-                grid = build_grid(3, 2.0, R_max=R_max)
+                grid = build_grid(2.0, R_max)
             except GridSizeError:
                 assert size > max_nodes
             else:
@@ -79,51 +93,47 @@ class TestBuild:
 
     def test_invariants_enforced(self):
         with pytest.raises(ConfigError):
-            RadialGrid.from_nodes(np.array([1.5, 2.0, 3.0]), 3)  # must start at 1
+            RadialGrid.from_nodes(np.array([1.5, 2.0, 3.0]))  # must start at 1
         with pytest.raises(ConfigError):
-            RadialGrid.from_nodes(np.array([1.0, 1.0, 2.0]), 3)  # strictly increasing
+            RadialGrid.from_nodes(np.array([1.0, 1.0, 2.0]))  # strictly increasing
         with pytest.raises(ConfigError):
-            build_grid(3, -1.0)
+            build_grid(-1.0, 41.0)
         for growth in (1.0, 2.0):
             with pytest.raises(ConfigError, match="growth must be > 1 and < 2"):
-                build_grid(3, 1.0, growth=growth)
+                build_grid(1.0, 41.0, growth=growth)
 
     @pytest.mark.parametrize("density", [0.0, -1.0, math.nan])
     def test_nonpositive_density_refused(self, density):
         # refused before the step loop: 0 divided by zero, -1 spun to the node cap
         with pytest.raises(ConfigError, match="^points_per_unit_alpha must be positive$"):
-            build_grid(3, 1.0, points_per_unit_alpha=density)
+            build_grid(1.0, 41.0, points_per_unit_alpha=density)
 
     def test_nan_scale_and_span_refused(self):
         # a NaN alpha or R_max ended the step loop at once and divided by zero
         with pytest.raises(ConfigError, match="^alpha must be positive$"):
-            build_grid(3, math.nan)
+            build_grid(math.nan, 41.0)
         with pytest.raises(ConfigError, match="^R_max must exceed 1$"):
-            build_grid(3, 1.0, R_max=math.nan)
+            build_grid(1.0, math.nan)
 
     def test_from_nodes_refusals(self):
         with pytest.raises(ConfigError, match="^grid needs at least 3 nodes$"):
-            RadialGrid.from_nodes(np.array([1.0, 2.0]), 3)
+            RadialGrid.from_nodes(np.array([1.0, 2.0]))
         # spacing ratio 3 within a Simpson panel: its first weight is negative
         with pytest.raises(ConfigError, match="^quadrature weights must be positive$"):
-            RadialGrid.from_nodes(np.array([1.0, 1.1, 1.4]), 3)
-
-    def test_unknown_decay_refused(self):
-        with pytest.raises(ConfigError, match="^decay must be 'exponential' or 'algebraic'$"):
-            auto_r_max(3, 1.0, "linear")
+            RadialGrid.from_nodes(np.array([1.0, 1.1, 1.4]))
 
     def test_weights_positive(self):
         # in-panel spacing ratios stay <= growth, and (h0+h1)(2h0-h1)/(6h0) > 0 needs h1 < 2h0
         for alpha in (0.3, 1.0, 25.0):
-            for decay in (EXPONENTIAL, ALGEBRAIC):
+            for R_max in (_wall_r_max(alpha), 50.0):  # the wall's and a flow's at n = 3
                 for growth in (1.06, 1.99):
-                    g = build_grid(3, alpha, decay=decay, growth=growth)
+                    g = build_grid(alpha, R_max, growth=growth)
                     assert np.all(g.weights > 0.0)
 
 
 class TestQuadrature:
     def test_polynomial_exactness(self):
-        g = build_grid(3, 1.0)
+        g = build_grid(1.0, 41.0)
         r = g.nodes
         R = g.R_max
         for k in (0, 1, 2):
@@ -132,41 +142,41 @@ class TestQuadrature:
 
     def test_exponential_moment(self):
         # int_1^inf r^2 e^{-2r} dr = 1.25 e^{-2}
-        g = build_grid(3, 1.0).refined().refined()
+        g = build_grid(1.0, 41.0).refined().refined()
         val = np.dot(g.weights, g.nodes**2 * np.exp(-2.0 * g.nodes))
         assert val == pytest.approx(1.25 * math.exp(-2.0), abs=1e-8)
 
     def test_weighted_norm_zero(self):
-        g = build_grid(3, 1.0)
-        assert g.weighted_l2_norm(np.zeros(g.size)) == 0.0
+        g = build_grid(1.0, 41.0)
+        assert g.weighted_l2_norm(np.zeros(g.size), 3) == 0.0
 
     def test_weighted_norm_exponential(self):
-        g = build_grid(3, 1.0).refined().refined()
-        val = g.weighted_l2_norm(np.exp(-g.nodes))
+        g = build_grid(1.0, 41.0).refined().refined()
+        val = g.weighted_l2_norm(np.exp(-g.nodes), 3)
         assert val == pytest.approx(math.sqrt(1.25) * math.exp(-1.0), abs=1e-8)
 
     def test_weighted_norm_algebraic_truncation_corrected(self):
-        g = build_grid(2, 1.0, points_per_unit_alpha=20.0, R_max=300.0).refined().refined()
-        val = g.weighted_l2_norm(1.0 / g.nodes**2)
+        g = build_grid(1.0, 300.0, points_per_unit_alpha=20.0).refined().refined()
+        val = g.weighted_l2_norm(1.0 / g.nodes**2, 2)
         exact = math.sqrt(0.5 * (1.0 - g.R_max**-2))
         assert val == pytest.approx(exact, abs=1e-7)
         assert val == pytest.approx(math.sqrt(0.5), abs=1e-5)
 
     def test_refinement_convergence_order(self):
         # halving the mesh cuts the norm error by >= 8 until the floor
-        g = build_grid(3, 1.0)
+        g = build_grid(1.0, 41.0)
         exact = math.sqrt(1.25) * math.exp(-1.0)
         errs = []
         for _ in range(3):
-            errs.append(abs(g.weighted_l2_norm(np.exp(-g.nodes)) - exact))
+            errs.append(abs(g.weighted_l2_norm(np.exp(-g.nodes), 3) - exact))
             g = g.refined()
         assert errs[0] / errs[1] >= 8.0
         assert errs[1] / errs[2] >= 8.0
 
     def test_length_mismatch(self):
-        g = build_grid(3, 1.0)
+        g = build_grid(1.0, 41.0)
         with pytest.raises(ConfigError):
-            g.weighted_l2_norm(np.zeros(g.size - 1))
+            g.weighted_l2_norm(np.zeros(g.size - 1), 3)
         with pytest.raises(ConfigError):
             g.reverse_cumulative(np.zeros(g.size + 2))
 
@@ -194,7 +204,7 @@ def _composite_weights_by_panel(nodes):
 def _grid_and_panel_loop(nodes):
     # the grid is made directly, past from_nodes' checks, so that nodes off 1 and spacings
     # that give negative weights reach the rule too
-    return RadialGrid(nodes=nodes, n=3, R_max=float(nodes[-1])), _composite_weights_by_panel(nodes)
+    return RadialGrid(nodes=nodes, R_max=float(nodes[-1])), _composite_weights_by_panel(nodes)
 
 
 @pytest.mark.parametrize("size", range(3, 81))
@@ -209,10 +219,11 @@ def test_composite_weights_match_panel_loop_on_graded_nodes(size):
     assert np.all(np.abs(grid.weights - ref) <= 1e-15 * scale)
 
 
-@pytest.mark.parametrize("decay", (EXPONENTIAL, ALGEBRAIC))
+@pytest.mark.parametrize("decay", ("exponential", "algebraic"))
 @pytest.mark.parametrize("alpha", (0.5, 2.0, 10.0, 100.0, 1000.0))
 def test_composite_weights_match_panel_loop_on_grids(alpha, decay):
-    nodes = build_grid(3, alpha, decay=decay).nodes
+    p = _model(alpha, u_minus=0.0 if decay == "exponential" else 0.05)
+    nodes = build_grid(p.alpha, auto_r_max(p)).nodes
     for nodes in (nodes, nodes[1:]):  # nodes[1:]: an odd interval count, the tail stub
         grid, ref = _grid_and_panel_loop(nodes)
         assert np.all(np.abs(grid.weights - ref) <= 1e-15 * np.abs(ref))
@@ -220,23 +231,23 @@ def test_composite_weights_match_panel_loop_on_grids(alpha, decay):
 
 class TestReverseCumulative:
     def test_zero(self):
-        g = build_grid(3, 1.0)
+        g = build_grid(1.0, 41.0)
         assert np.all(g.reverse_cumulative(np.zeros(g.size)) == 0.0)
 
     def test_exponential_tail(self):
-        g = build_grid(3, 1.0, points_per_unit_alpha=20.0).refined().refined()
+        g = build_grid(1.0, 41.0, points_per_unit_alpha=20.0).refined().refined()
         T = g.reverse_cumulative(np.exp(-g.nodes))
         exact = np.exp(-g.nodes) - math.exp(-g.R_max)
         assert np.max(np.abs(T - exact)) <= 1e-8
 
     def test_algebraic_tail(self):
-        g = build_grid(3, 1.0, points_per_unit_alpha=40.0).refined().refined().refined()
+        g = build_grid(1.0, 41.0, points_per_unit_alpha=40.0).refined().refined().refined()
         T = g.reverse_cumulative(g.nodes**-5.0)
         exact = (g.nodes**-4.0 - g.R_max**-4.0) / 4.0
         assert np.max(np.abs(T - exact)) <= 1e-8
 
     def test_last_entry_zero_and_monotone(self):
-        g = build_grid(3, 2.0)
+        g = build_grid(2.0, 21.0)
         T = g.reverse_cumulative(np.exp(-0.5 * g.nodes) * (2.0 + np.sin(g.nodes)))
         assert T[-1] == 0.0
         assert np.all(np.diff(T) <= 0.0)
@@ -246,7 +257,7 @@ class TestReverseCumulative:
         # every interval, on both parities and with the odd tail stub, integrates a
         # quadratic exactly, and the cached rule gives the same bytes on a second call
         nodes = 1.0 + np.cumsum(np.r_[0.0, 0.1 * 1.3 ** np.arange(size - 1)])
-        g = RadialGrid.from_nodes(nodes, 3)
+        g = RadialGrid.from_nodes(nodes)
         q = 2.0 - 3.0 * g.nodes + 0.7 * g.nodes**2
         Q = 2.0 * g.nodes - 1.5 * g.nodes**2 + 0.7 / 3.0 * g.nodes**3
         T = g.reverse_cumulative(q)
@@ -255,7 +266,7 @@ class TestReverseCumulative:
 
     def test_adjoint_consistency(self):
         # the suffix dot with the global weights matches T up to one panel's error
-        g = build_grid(3, 1.0, points_per_unit_alpha=20.0)
+        g = build_grid(1.0, 41.0, points_per_unit_alpha=20.0)
         gvals = np.exp(-g.nodes)
         T = g.reverse_cumulative(gvals)
         for i in (0, 11, 25, g.size - 3):
@@ -270,6 +281,6 @@ class TestReverseCumulative:
     rate=st.floats(min_value=0.1, max_value=2.0),
 )
 def test_smooth_nonnegative_tail_is_monotone(alpha, rate):
-    g = build_grid(3, alpha)
+    g = build_grid(alpha, _wall_r_max(alpha))
     T = g.reverse_cumulative(np.exp(-rate * (g.nodes - 1.0)))
     assert np.all(np.diff(T) <= 1e-15)

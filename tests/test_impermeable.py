@@ -12,7 +12,7 @@ import pytest
 import nsk.kernel as kernel_mod
 import nsk.stationary as stationary_mod
 from nsk.errors import NonContractionError, PositivityError, WindowEmptyError
-from nsk.grid import ALGEBRAIC, EXPONENTIAL, build_grid
+from nsk.grid import auto_r_max, build_grid
 from nsk.kernel import KernelFactors, ModelParams, PressureLaw, lifting_phi_b
 from nsk.operators import GreenOperator
 from nsk.stationary import (
@@ -29,6 +29,9 @@ def params_with(**kw):
     base = dict(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
     base.update(kw)
     return ModelParams(**base)
+
+
+TRUNCATIONS = ((0.0, "exponential"), (0.05, "algebraic"), (-0.05, "algebraic"))
 
 
 def wall_solution(grid, phi, phi_r):
@@ -64,14 +67,15 @@ class TestNonlinearity:
 class TestSolve:
     def test_zero_data_converges_immediately(self):
         p = params_with(rho_b=0.0)
-        grid = build_grid(3, p.alpha)
+        grid = build_grid(p.alpha, auto_r_max(p))
         field = solve_stationary(p, grid)
         assert field.iterations == 1
         assert np.all(field.phi == 0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("u_minus, decay", [(0.0, EXPONENTIAL), (0.05, ALGEBRAIC), (-0.05, ALGEBRAIC)])
-    def test_one_bessel_evaluation_per_solve(self, monkeypatch, n, u_minus, decay):
+    # the id names the truncation the regime picks: exponential at the wall, algebraic under a flow
+    @pytest.mark.parametrize("u_minus", [pytest.param(u, id=f"{u}-{decay}") for u, decay in TRUNCATIONS])
+    def test_one_bessel_evaluation_per_solve(self, monkeypatch, n, u_minus):
         # the operator's factor table serves the lifting and c2 as well, through its wall row
         real = kernel_mod.bessel_ik_scaled
         sizes = []
@@ -82,7 +86,7 @@ class TestSolve:
 
         monkeypatch.setattr(kernel_mod, "bessel_ik_scaled", counted)
         p = params_with(n=n, kappa=1e-2, rho_b=-0.02, u_minus=u_minus)
-        grid = build_grid(n, p.alpha, decay=decay)
+        grid = build_grid(p.alpha, auto_r_max(p))
         solve_stationary(p, grid)
         assert sizes == [grid.size]
 
@@ -96,7 +100,7 @@ class TestSolve:
         for kappa in (1.0, 1e-2, 1e-4, 1e-6):
             p = params_with(n=n, kappa=kappa)
             wall = KernelFactors(p.n, p.alpha, [1.0])
-            for radii in [build_grid(n, p.alpha).nodes] + pairs:
+            for radii in [build_grid(p.alpha, auto_r_max(p)).nodes] + pairs:
                 f = KernelFactors(p.n, p.alpha, radii)
                 for name in ("rp", "e2", "iv", "kv", "iv1", "kv1"):
                     assert getattr(f, name)[0].tobytes() == getattr(wall, name).tobytes(), name
@@ -104,7 +108,7 @@ class TestSolve:
 
     def test_affine_enthalpy_solution_is_the_lifting(self):
         p = params_with(gamma=2.0, rho_b=-0.05)
-        grid = build_grid(3, p.alpha)
+        grid = build_grid(p.alpha, auto_r_max(p))
         field = solve_stationary(p, grid)
         phi_b, phi_b_r = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))
         assert field.iterations == 1
@@ -113,7 +117,7 @@ class TestSolve:
 
     def test_fixed_point_defect_below_tolerance(self):
         p = params_with()
-        grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0)
+        grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0)
         tol = 1e-10
         field = solve_stationary(p, grid, tol=tol)
         op = GreenOperator(grid, p)
@@ -123,20 +127,20 @@ class TestSolve:
 
     def test_neumann_boundary_value(self):
         for p in (params_with(), params_with(n=2, gamma=1.4, kappa=0.2, rho_b=-0.03)):
-            grid = build_grid(p.n, p.alpha, points_per_unit_alpha=16.0)
+            grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0)
             tol = 1e-10
             field = solve_stationary(p, grid, tol=tol)
             assert abs(field.rho_r[0] - p.rho_b) <= 10.0 * tol
 
     def test_ode_residual(self):
         p = params_with()
-        grid = build_grid(3, p.alpha, points_per_unit_alpha=40.0, growth=1.03)
+        grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=40.0, growth=1.03)
         tol = 1e-6
         field = solve_stationary(p, grid, tol=tol)
         assert field.ode_residual_sup <= 10.0 * tol * max(1.0, float(np.max(np.abs(field.phi))))
 
     def test_linear_response_to_small_data(self):
-        grid = build_grid(3, 1.0, points_per_unit_alpha=16.0)
+        grid = build_grid(1.0, 41.0, points_per_unit_alpha=16.0)
         f1 = solve_stationary(params_with(rho_b=-0.1), grid)
         f2 = solve_stationary(params_with(rho_b=-0.05), grid)
         assert 1.8 <= np.max(np.abs(f1.phi)) / np.max(np.abs(f2.phi)) <= 2.2
@@ -144,7 +148,7 @@ class TestSolve:
     def test_positive_density_enforced(self):
         # rho_b > 0 pulls the profile toward vacuum; large data must fail loudly
         p = params_with(rho_b=5.0)
-        grid = build_grid(3, 1.0)
+        grid = build_grid(1.0, 41.0)
         with pytest.raises(PositivityError):
             solve_stationary(p, grid)
 
@@ -155,14 +159,14 @@ class TestSolve:
 
         monkeypatch.setattr(stationary_mod, "forcing", amplifier)
         p = params_with()
-        grid = build_grid(3, 1.0)
+        grid = build_grid(1.0, 41.0)
         with pytest.raises(NonContractionError):
             solve_stationary(p, grid, max_iter=100)
 
     def test_stalled_solve_fails_within_ten_sweeps(self, monkeypatch):
         # kappa = 1 row of a rate study whose update stalls near 4.9 (q about 0.97)
         p = params_with(gamma=3.0, rho_b=-20.0)
-        grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0, growth=1.05)
+        grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0, growth=1.05)
         sweeps = []
         real_forcing = stationary_mod.forcing
 
@@ -177,7 +181,7 @@ class TestSolve:
 
     def test_max_iter_reports_unconverged(self):
         p = params_with(rho_b=-0.5)
-        grid = build_grid(3, 1.0)
+        grid = build_grid(1.0, 41.0)
         with pytest.raises(NonContractionError, match="no convergence in 2 iterations"):
             solve_stationary(p, grid, tol=1e-14, max_iter=2)
 
@@ -185,7 +189,7 @@ class TestSolve:
         # every flow term carries u_minus: at u_minus = 0 the one forcing is the
         # pressure remainder bit for bit, the source vanishes and nothing flows
         p = params_with(mu=2.0, gamma=1.4)
-        grid = build_grid(3, 1.0, points_per_unit_alpha=16.0)
+        grid = build_grid(1.0, 41.0, points_per_unit_alpha=16.0)
         phi = -0.3 * np.exp(-(grid.nodes - 1.0)) * np.cos(grid.nodes)
         phi_r = np.gradient(phi, grid.nodes)
         assert np.array_equal(forcing(p, grid, phi, phi_r), p.law.remainder(phi))
@@ -278,7 +282,7 @@ class TestFixedPoint:
 class TestDecayDiagnostics:
     def test_pure_exponential(self):
         p = params_with(kappa=0.25)  # alpha = 2
-        grid = build_grid(3, p.alpha)
+        grid = build_grid(p.alpha, auto_r_max(p))
         phi = np.exp(-2.0 * grid.nodes)
         sigma, _ = decay_diagnostics(wall_solution(grid, phi, -2.0 * phi), p.alpha)
         assert sigma == pytest.approx(2.0, rel=1e-6)
@@ -286,7 +290,7 @@ class TestDecayDiagnostics:
     def test_lifting_tail_rate(self):
         # e^{-alpha r}/r tail fits slightly above alpha; window at alpha=20
         p = params_with(kappa=1.0 / 400.0, rho_b=-0.1)
-        grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0)
+        grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0)
         phi_b, phi_b_r = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))
         sigma, c_fit = decay_diagnostics(wall_solution(grid, phi_b, phi_b_r), p.alpha)
         assert 0.95 * p.alpha <= sigma <= 1.05 * p.alpha
@@ -294,7 +298,7 @@ class TestDecayDiagnostics:
 
     def test_solved_field_rate_bound(self):
         p = params_with()
-        grid = build_grid(3, p.alpha, points_per_unit_alpha=16.0)
+        grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0)
         field = solve_stationary(p, grid)
         sigma, c_fit = decay_diagnostics(field, p.alpha)
         assert sigma >= 0.9 * p.alpha
@@ -302,7 +306,7 @@ class TestDecayDiagnostics:
 
     def test_empty_window(self):
         p = params_with(rho_b=0.0)
-        grid = build_grid(3, p.alpha)
+        grid = build_grid(p.alpha, auto_r_max(p))
         field = solve_stationary(p, grid)
         with pytest.raises(WindowEmptyError):
             decay_diagnostics(field, p.alpha)

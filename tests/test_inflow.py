@@ -13,7 +13,7 @@ import pytest
 import nsk.stationary as stationary_mod
 from nsk.cli import RunConfig
 from nsk.errors import NonContractionError, PositivityError, RangeError
-from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
+from nsk.grid import RadialGrid, auto_r_max, build_grid
 from nsk.kernel import ModelParams
 from nsk.stationary import forcing, solve_stationary, source_term
 
@@ -24,8 +24,10 @@ def params_with(**kw):
     return ModelParams(**base)
 
 
-def flow_grid(n=3, alpha=1.0, ppua=20.0):
-    return build_grid(n, alpha, points_per_unit_alpha=ppua, decay=ALGEBRAIC, growth=1.04)
+def flow_grid(n=3, ppua=20.0):
+    """The grid of a flow in dimension ``n`` at ``alpha = 1``, truncated algebraically."""
+    p = params_with(n=n)
+    return build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=ppua, growth=1.04)
 
 
 class TestSourceTerm:
@@ -83,7 +85,7 @@ class TestNonlinearity:
             5.0: -2.148492191499057e-07,
         }
         nodes = np.linspace(1.0, 41.0, 8001)
-        g = RadialGrid.from_nodes(nodes, 3)
+        g = RadialGrid.from_nodes(nodes)
         phi = 0.01 * np.exp(-g.nodes)
         p = params_with(u_minus=0.1)
         nvals = nonlinear_part(p, g, phi, -phi)
@@ -109,7 +111,7 @@ class TestNonlinearity:
         r = g.nodes
         rho = p.rho_plus + phi
         rho1 = rho[0]
-        rnm1 = g.measure()
+        rnm1 = g.measure(n)
         tail = g.reverse_cumulative(phi_r**2 / (rnm1 * rho**4))
         expect = (
             p.mu * rho1 * u_minus * phi_r / (rnm1 * rho**3)
@@ -137,13 +139,13 @@ class TestSolve:
 
         monkeypatch.setattr(stationary_mod, "forcing", amplifier)
         with pytest.raises(NonContractionError, match="at iteration 6"):
-            solve_stationary(params_with(rho_b=-0.1), build_grid(3, 1.0), max_iter=100)
+            solve_stationary(params_with(rho_b=-0.1), build_grid(1.0, 41.0), max_iter=100)
 
     def test_mass_flux_identity(self):
         for u in (0.05, -0.05):
             p = params_with(u_minus=u, rho_b=-0.02)
             sol = solve_stationary(p, flow_grid())
-            flux = sol.rho * sol.u * sol.grid.measure()
+            flux = sol.rho * sol.u * sol.grid.measure(p.n)
             assert np.max(np.abs(flux - sol.mass_flux)) <= 1e-12 * abs(sol.mass_flux)
             assert sol.rho_minus == sol.rho[0]
 
@@ -171,7 +173,7 @@ class TestSolve:
     def test_outflow_velocity_bounds(self):
         p = params_with(u_minus=-0.05)
         sol = solve_stationary(p, flow_grid())
-        scaled = np.abs(sol.u) * sol.grid.measure() / abs(p.u_minus)
+        scaled = np.abs(sol.u) * sol.grid.measure(p.n) / abs(p.u_minus)
         assert np.all(scaled >= 0.5)
         assert np.all(scaled <= 2.0)
 

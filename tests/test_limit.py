@@ -414,19 +414,19 @@ class TestProfileReferences:
 class TestRescale:
     def test_identity_scaling(self):
         prof = integrate_profile(PressureLaw(2.0, 1.0), -0.1)
-        grid = build_grid(3, 2.0, R_max=9.0)
+        grid = build_grid(2.0, 9.0)
         vals = prof.evaluate((grid.nodes - 1.0) / math.sqrt(1.0))
         assert vals == pytest.approx(gamma2_exact(-0.1, grid.nodes - 1.0), abs=1e-9)
 
     def test_wall_value_is_rho_minus(self):
         prof = integrate_profile(PressureLaw(1.4, 1.0), -0.07)
-        grid = build_grid(3, 5.0, R_max=3.0)
+        grid = build_grid(5.0, 3.0)
         vals = prof.evaluate((grid.nodes - 1.0) / math.sqrt(0.25))
         assert vals[0] == pytest.approx(prof.rho_minus_limit, abs=1e-12)
 
     def test_layer_compression(self):
         prof = integrate_profile(PressureLaw(2.0, 1.0), -0.1)
-        grid = build_grid(3, 5.0, R_max=3.0)
+        grid = build_grid(5.0, 3.0)
         vals = prof.evaluate((grid.nodes - 1.0) / math.sqrt(0.04))
         i = int(np.argmin(np.abs(grid.nodes - 1.2)))
         expect = gamma2_exact(-0.1, (grid.nodes[i] - 1.0) / 0.2)
@@ -434,7 +434,7 @@ class TestRescale:
 
     def test_tail_extension_beyond_samples(self):
         prof = integrate_profile(PressureLaw(2.0, 1.0), -0.1)
-        grid = build_grid(3, 1.0, R_max=41.0)
+        grid = build_grid(1.0, 41.0)
         vals = prof.evaluate((grid.nodes - 1.0) / math.sqrt(1e-4))  # y up to 4e3, far past the samples
         assert vals[-1] == pytest.approx(1.0, abs=1e-13)
         assert np.all(np.isfinite(vals))

@@ -1,13 +1,13 @@
 """Discrete integral operators: the O(M) apply matches the dense reference and quadratures the kernel."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from dense_operators import dense_operators
 
-from nsk.errors import ConfigError
-from nsk.grid import ALGEBRAIC, RadialGrid, build_grid
+from nsk.grid import RadialGrid, auto_r_max, build_grid
 from nsk.kernel import ModelParams, green, green_dr_left, green_dr_right
 from nsk.operators import _M2_TAYLOR, TAYLOR_Z, GreenOperator, _moments, _sweep, piece_weights
 
@@ -15,12 +15,19 @@ from nsk.operators import _M2_TAYLOR, TAYLOR_Z, GreenOperator, _moments, _sweep,
 @pytest.fixture(scope="module")
 def setup():
     params = ModelParams(n=3, gamma=1.0, kappa=0.04, mu=0.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
-    grid = build_grid(params.n, params.alpha, points_per_unit_alpha=12.0)
-    return params, grid
+    return params, _wall_grid(params, points_per_unit_alpha=12.0)
 
 
 def _model(n, kappa):
     return ModelParams(n=n, gamma=1.0, kappa=kappa, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
+
+
+def _wall_grid(params, **kw):
+    return build_grid(params.alpha, auto_r_max(params), **kw)
+
+
+def _flow_grid(params, **kw):
+    return build_grid(params.alpha, auto_r_max(replace(params, u_minus=0.05)), **kw)
 
 
 def _tiny(M):
@@ -28,25 +35,25 @@ def _tiny(M):
     return np.concatenate([[1.0], 1.0 + np.cumsum(spacing)])
 
 
-# id -> (n, kappa, nodes as a function of alpha); build_grid always gives odd M
+# id -> (n, kappa, nodes as a function of the model); build_grid always gives odd M
 CASES = {
-    "test_operators grid": (3, 0.04, lambda a: build_grid(3, a, points_per_unit_alpha=12.0).nodes),
-    "even M": (3, 0.04, lambda a: build_grid(3, a, points_per_unit_alpha=12.0).nodes[:-1]),
-    "algebraic n=2": (2, 0.2, lambda a: build_grid(2, a, decay=ALGEBRAIC).nodes),
-    "algebraic n=3": (3, 0.05, lambda a: build_grid(3, a, decay=ALGEBRAIC).nodes),
-    "algebraic n=4": (4, 0.2, lambda a: build_grid(4, a, decay=ALGEBRAIC).nodes),
-    "algebraic alpha h = 50": (3, 1e-4, lambda a: build_grid(3, a, decay=ALGEBRAIC).nodes),
-    "exponential n=2": (2, 0.01, lambda a: build_grid(2, a, points_per_unit_alpha=16.0).nodes),
-    "exponential n=4": (4, 0.01, lambda a: build_grid(4, a, points_per_unit_alpha=16.0).nodes),
+    "test_operators grid": (3, 0.04, lambda p: _wall_grid(p, points_per_unit_alpha=12.0).nodes),
+    "even M": (3, 0.04, lambda p: _wall_grid(p, points_per_unit_alpha=12.0).nodes[:-1]),
+    "algebraic n=2": (2, 0.2, lambda p: _flow_grid(p).nodes),
+    "algebraic n=3": (3, 0.05, lambda p: _flow_grid(p).nodes),
+    "algebraic n=4": (4, 0.2, lambda p: _flow_grid(p).nodes),
+    "algebraic alpha h = 50": (3, 1e-4, lambda p: _flow_grid(p).nodes),
+    "exponential n=2": (2, 0.01, lambda p: _wall_grid(p, points_per_unit_alpha=16.0).nodes),
+    "exponential n=4": (4, 0.01, lambda p: _wall_grid(p, points_per_unit_alpha=16.0).nodes),
 }
-CASES.update({f"n={n} M={M}": (n, 0.3, lambda a, M=M: _tiny(M)) for n in (2, 4) for M in (3, 4, 5, 6)})
+CASES.update({f"n={n} M={M}": (n, 0.3, lambda p, M=M: _tiny(M)) for n in (2, 4) for M in (3, 4, 5, 6)})
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_apply_matches_dense_reference(case):
     n, kappa, nodes = CASES[case]
     params = _model(n, kappa)
-    grid = RadialGrid.from_nodes(nodes(params.alpha), n)
+    grid = RadialGrid.from_nodes(nodes(params))
     A, Adr = dense_operators(grid, params)
     op = GreenOperator(grid, params)
     rng = np.random.default_rng(7)
@@ -148,7 +155,7 @@ def test_quadrature_convergence_of_operator(setup):
 def test_memory_is_linear_in_grid_size():
     # dense A and Adr would take 16 M^2 bytes: about 50 GB here
     params = _model(2, 2.5e-5)
-    grid = RadialGrid.from_nodes(np.linspace(1.0, 100.0, 50_001), 2)  # alpha h = 0.4
+    grid = RadialGrid.from_nodes(np.linspace(1.0, 100.0, 50_001))  # alpha h = 0.4
     f = np.cos(grid.nodes)
     tracemalloc.start()
     try:
@@ -163,7 +170,7 @@ def test_memory_is_linear_in_grid_size():
 def _panel(h0, h1):
     """The grid on nodes ``1, 1 + h0, 1 + h0 + h1, 1 + h0 + 2 h1``: one panel, whose two
     intervals are the two stencil positions, and the tail stub, the second position again."""
-    return RadialGrid.from_nodes(1.0 + np.array([0.0, h0, h0 + h1, h0 + 2.0 * h1]), 3)
+    return RadialGrid.from_nodes(1.0 + np.array([0.0, h0, h0 + h1, h0 + 2.0 * h1]))
 
 
 def _exp_moment(k, lo, hi, anchor, sign, alpha):
@@ -214,7 +221,7 @@ def test_taylor_moments_match_polyval():
 def test_piece_weights_tend_to_simpson():
     # as alpha -> 0 both weight sets tend to the grid's interval weights, on a grid with
     # both stencil positions and an odd last interval
-    grid = RadialGrid.from_nodes(1.0 + np.cumsum([0.0, 0.3, 0.45, 0.5, 0.6, 0.4]), 3)
+    grid = RadialGrid.from_nodes(1.0 + np.cumsum([0.0, 0.3, 0.45, 0.5, 0.6, 0.4]))
     _, simpson = grid.interval_rule
     for alpha in (0.0, 1e-12):
         for got in piece_weights(grid, alpha):
@@ -224,19 +231,10 @@ def test_piece_weights_tend_to_simpson():
 def test_huge_alpha_h_apply_is_finite_and_quiet():
     # kappa = 1e-8 on the flow grid: alpha h reaches 5e3 and every decay underflows to 0
     params = _model(3, 1e-8)
-    grid = build_grid(3, params.alpha, decay=ALGEBRAIC)
+    grid = _flow_grid(params)
     assert params.alpha * np.max(np.diff(grid.nodes)) > 4e3
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         op = GreenOperator(grid, params)
         af, adrf = op.apply(grid.nodes ** -4.0)
     assert np.all(np.isfinite(af)) and np.all(np.isfinite(adrf))
 
-
-@pytest.mark.parametrize("grid_n", (2, 4))
-def test_grid_of_another_dimension_refused(setup, grid_n):
-    # the grid's n sets its measure r^{n-1}, the model's n the kernel: a mismatch solved
-    # silently to a wrong profile with a small residual
-    params, grid = setup
-    other = RadialGrid.from_nodes(grid.nodes, grid_n)
-    with pytest.raises(ConfigError, match=f"^the grid is built for n = {grid_n}, the model has n = 3$"):
-        GreenOperator(other, params)

@@ -149,6 +149,33 @@ def test_only_the_model_derives_alpha():
     }
 
 
+def _grid_n_reads(tree: ast.AST) -> list:
+    """Scopes that read ``n`` off a grid: ``grid.n`` (any name ending in ``grid``), or
+    ``self.n`` inside ``class RadialGrid``."""
+
+    def reads_n_of(node, owner) -> bool:
+        if not (isinstance(node, ast.Attribute) and node.attr == "n"):
+            return False
+        return owner(getattr(node.value, "id", getattr(node.value, "attr", None)) or "")
+
+    off_grid = _scopes_of(tree, lambda node: reads_n_of(node, lambda name: name.endswith("grid")))
+    off_self = _scopes_of(tree, lambda node: reads_n_of(node, lambda name: name == "self"))
+    return off_grid + [scope for scope in off_self if scope.split(".")[0] == "RadialGrid"]
+
+
+def test_only_the_model_carries_n():
+    # the dimension enters through r^{n-1} and the Bessel order, both read off the model:
+    # a grid is geometry alone, so no grid and no model can disagree on n
+    from dataclasses import fields
+
+    from nsk.grid import RadialGrid
+
+    src = Path(nsk.__file__).parent
+    found = {p.name: _grid_n_reads(ast.parse(p.read_text())) for p in src.glob("*.py")}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    assert [f.name for f in fields(RadialGrid)] == ["nodes", "R_max"]
+
+
 def test_import_cli_loads_no_scipy():
     probe = "import sys, nsk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}

@@ -8,7 +8,7 @@ from nsk.stationary import hermite_second_derivative
 
 def graded_grid():
     """A ``build_grid`` grid whose odd step count halves its last interval."""
-    grid = build_grid(3, 3.0, R_max=3.0)
+    grid = build_grid(3.0, 3.0)
     h = np.diff(grid.nodes)
     assert abs(h[-1] - h[-2]) <= 1e-12 and h[-1] < 0.6 * h[-3] and h[0] < 0.3 * h[-3]
     return grid
