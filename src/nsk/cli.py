@@ -4,10 +4,10 @@ Subcommands: ``bessel``, ``kernel``, ``solve``, ``limit-profile``,
 ``rate-study``, ``verify``.  Exit codes: ``dispatch`` maps the two error
 families, ``ConfigError`` to 2 (a malformed command line among them) and
 ``SolverError`` to 3; 0 success, 1 a failed verify.  Every config number and
-float flag passes ``_number`` once; range rules live in the types that own
-them.  Files are written here and, for ``rate-study``, by
-``nsk.rates.emit_outputs``, with 17 significant digits throughout, so
-identical inputs yield byte-identical files.
+float flag passes ``_number`` once, and every range rule of a config key runs
+when the file is read, by every subcommand.  Files are written here and, for
+``rate-study``, by ``nsk.rates.emit_outputs``, with 17 significant digits
+throughout, so identical inputs yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
 from .errors import ConfigError, SolverError, WindowEmptyError
-from .grid import RadialGrid, auto_r_max, build_grid
+from .grid import RadialGrid, auto_r_max, build_grid, check_grid_keys
 from .kernel import (
     IMPERMEABLE,
     INFLOW,
@@ -47,7 +47,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-_MODEL_KEYS = ("n", "gamma", "kappa", "mu", "rho_plus", "rho_b", "u_minus")
+_MODEL_KEYS = tuple(f.name for f in fields(ModelParams))
 _GRID_KEYS = ("points_per_unit_alpha", "R_max", "growth")
 _TOP_KEYS = _MODEL_KEYS + ("tol", "max_iter", "grid", "kappas")
 _INTEGER_KEYS = ("n", "max_iter")
@@ -56,7 +56,7 @@ _REGIME_RULE = {IMPERMEABLE: "u_minus = 0", INFLOW: "u_minus > 0", OUTFLOW: "u_m
 
 @dataclass
 class RunConfig:
-    """Solver settings around the model; the rules of knobs no other type owns."""
+    """Solver settings around the model; building one checks every key the model does not own."""
 
     model: ModelParams
     tol: float = 1e-10
@@ -71,10 +71,13 @@ class RunConfig:
             raise ConfigError("tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.points_per_unit_alpha <= 0.0:
-            raise ConfigError("grid.points_per_unit_alpha must be positive")
-        if not 1.0 < self.growth < 2.0:
-            raise ConfigError("grid.growth must be > 1 and < 2")
+        check_grid_keys(self.points_per_unit_alpha, self.growth, self.R_max)
+        if len(self.kappas) < 4:
+            raise ConfigError("need at least 4 kappa values for a slope fit")
+        if any(k <= 0.0 for k in self.kappas):
+            raise ConfigError("kappa values must be positive")
+        if any(a <= b for a, b in zip(self.kappas, self.kappas[1:])):
+            raise ConfigError("kappa values must be strictly decreasing")
 
     def grid(self, model: ModelParams) -> RadialGrid:
         """The solve grid for ``model``, truncated at ``R_max`` or else by the model's regime."""

@@ -42,7 +42,7 @@ from .bessel import check_finite
 from .errors import ConfigError, GridSizeError, RangeError
 from .kernel import IMPERMEABLE, ModelParams
 
-__all__ = ["RadialGrid", "auto_r_max", "build_grid"]
+__all__ = ["RadialGrid", "auto_r_max", "build_grid", "check_grid_keys"]
 
 MAX_NODES = 2_000_000
 H_MAX = 0.5  # spacing cap far from the wall
@@ -158,16 +158,21 @@ def auto_r_max(params: ModelParams) -> float:
     return max(10.0 ** (4.0 / (2.0 * (params.n - 1))), 50.0)
 
 
+def check_grid_keys(points_per_unit_alpha: float, growth: float, R_max: float | None) -> None:
+    """The rules of the three ``grid`` keys (``R_max = None`` is the automatic truncation); NaN fails each."""
+    if not points_per_unit_alpha > 0.0:
+        raise ConfigError("grid.points_per_unit_alpha must be positive")
+    if not 1.0 < growth < 2.0:  # at a spacing ratio of 2 a panel's first Simpson weight is 0
+        raise ConfigError("grid.growth must be > 1 and < 2")
+    if R_max is not None and not R_max > 1.0:
+        raise ConfigError("grid.R_max must exceed 1")
+
+
 def build_grid(alpha: float, R_max: float, points_per_unit_alpha: float = 10.0, growth: float = 1.06) -> RadialGrid:
     """Graded grid on ``[1, R_max]`` for a problem with decay scale ``1/alpha`` at the wall."""
     if not alpha > 0.0:  # also NaN
         raise ConfigError("alpha must be positive")
-    if not 1.0 < growth < 2.0:  # at a spacing ratio of 2 a panel's first Simpson weight is 0
-        raise ConfigError("growth must be > 1 and < 2")
-    if not points_per_unit_alpha > 0.0:
-        raise ConfigError("points_per_unit_alpha must be positive")
-    if not R_max > 1.0:
-        raise ConfigError("R_max must exceed 1")
+    check_grid_keys(points_per_unit_alpha, growth, R_max)
     h0 = min(0.2, 1.0 / (points_per_unit_alpha * alpha))
     if 1.0 + h0 == 1.0:
         raise RangeError(

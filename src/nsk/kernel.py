@@ -52,7 +52,7 @@ parameters normalization, verified in the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -225,9 +225,9 @@ class ModelParams:
     u_minus: float
 
     def __post_init__(self) -> None:
-        for name in ("n", "gamma", "kappa", "mu", "rho_plus", "rho_b", "u_minus"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.n < 2:
             raise ConfigError("n must be >= 2")
         self.law  # the law's constructor checks gamma and rho_plus
@@ -321,15 +321,14 @@ def lifting_phi_b(rho_b: float, f: KernelFactors):
 
 
 def _at(n: int, alpha: float, r, s, lower):
-    """``(G, dG/dr)`` at broadcast ``(r, s)`` on the branch ``lower``, from one
-    factor table over the distinct radii of ``{1} u r u s``; floats for scalar ``r`` and ``s``."""
-    r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
-    x, idx = np.unique(np.append(1.0, np.stack([r, s])), return_inverse=True)
-    i, j = idx[1:].reshape((2,) + r.shape)
-    f = KernelFactors(n, alpha, x)
+    """``(G, dG/dr)`` at broadcast ``(r, s)`` on the branch ``lower``, from one factor
+    table over ``[1, *r, *s]``, ``r`` and ``s`` unbroadcast; floats for scalar ``r`` and ``s``."""
+    f = KernelFactors(n, alpha, np.concatenate([[1.0], np.ravel(r), np.ravel(s)]))
+    k = np.arange(1, f.x.size)  # the rows of r, then of s
+    i, j = np.broadcast_arrays(k[: np.size(r)].reshape(np.shape(r)), k[np.size(r) :].reshape(np.shape(s)))
     g, gdr = _branches(f, i, j, lower)
     rp2 = f.rp[i] * f.rp[j]
-    if r.ndim == 0:
+    if i.ndim == 0:
         return float(g * rp2), float(gdr * rp2)
     return g * rp2, gdr * rp2
 

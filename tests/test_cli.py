@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import signal
 import time
 
@@ -16,6 +17,7 @@ from nsk.bessel import BesselOrder, bessel_i
 import nsk.cli as cli_mod
 from nsk.cli import RunConfig, dispatch, parse_config
 from nsk.errors import ConfigError
+from nsk.grid import build_grid
 from nsk.kernel import ModelParams, PressureLaw
 from nsk.rates import RateRow, format_float
 
@@ -28,6 +30,7 @@ VALID = {
     "rho_b": -1,
     "u_minus": 0,
 }
+MODEL = ModelParams(**VALID)
 # gamma = 3, rho_b = -20: the solves at kappa = 1, 0.5, 0.3 stall and cannot converge in 400 iterations
 UNCONVERGED = dict(VALID, gamma=3, kappa=1, rho_b=-20, kappas=[1, 0.5, 0.3, 0.2, 0.1])
 
@@ -124,13 +127,37 @@ class TestParseConfig:
                 parse_config(json.dumps(doc))
 
     def test_rate_keys(self, tmp_path, capsys):
-        doc = dict(VALID, kappas=[0.1, 0.01])
-        cfg = parse_config(json.dumps(doc))
-        assert cfg.kappas == (0.1, 0.01)
-        # the rate study owns this rule; the subcommand that reads the key refuses it
+        cfg = parse_config(json.dumps(dict(VALID, kappas=[0.1, 0.01, 0.001, 0.0001])))
+        assert cfg.kappas == (0.1, 0.01, 0.001, 0.0001)
+        # the kappas rules run when the file is read, not only when a study sweeps them
+        with pytest.raises(ConfigError, match="^need at least 4 kappa values for a slope fit$"):
+            parse_config(json.dumps(dict(VALID, kappas=[0.1, 0.01])))
         argv = ["rate-study", "--mode", "fixed", "--out", str(tmp_path / "o"), "--config"]
         assert dispatch(argv + [write_config(tmp_path, dict(VALID, kappas=[]))]) == 2
         assert "at least 4 kappa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: RunConfig(MODEL, R_max=0.5), "grid.R_max must exceed 1", id="RunConfig-R_max"),
+            pytest.param(
+                lambda: dataclasses.replace(RunConfig(MODEL), kappas=(0.1, 0.01)),
+                "need at least 4 kappa values for a slope fit", id="replace-kappas",
+            ),
+            pytest.param(
+                lambda: build_grid(1.0, 41.0, points_per_unit_alpha=0.0),
+                "grid.points_per_unit_alpha must be positive", id="build_grid-points_per_unit_alpha",
+            ),
+            pytest.param(
+                lambda: build_grid(1.0, 41.0, growth=5.0), "grid.growth must be > 1 and < 2", id="build_grid-growth"
+            ),
+            pytest.param(lambda: build_grid(1.0, 0.5), "grid.R_max must exceed 1", id="build_grid-R_max"),
+        ],
+    )
+    def test_the_library_keeps_every_refusal(self, build, message):
+        # the rules run where the CLI applies them and also for callers that skip the CLI
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 _KEYS = list(VALID) + ["tol", "max_iter", "grid", "kappas", "x"]
@@ -375,6 +402,28 @@ _MALFORMED = [
     )
 ]
 
+# every rule on a config key runs when the file is read, so each subcommand that reads a
+# config refuses the same file with the same line, whether or not it uses the key
+_CONFIG_READERS = {
+    "solve": ["solve", "impermeable"],
+    "rate-study": ["rate-study", "--mode", "fixed", "--out", "o"],
+    "verify": ["verify", "impermeable"],
+    "kernel": ["kernel", "--r", "2", "--s", "1"],
+}
+_BAD_KEYS = [
+    pytest.param(extra, message, id=tag)
+    for tag, extra, message in (
+        ("R_max=0.5", {"grid": {"R_max": 0.5}}, "grid.R_max must exceed 1"),
+        ("R_max=1", {"grid": {"R_max": 1}}, "grid.R_max must exceed 1"),
+        ("growth=5", {"grid": {"growth": 5}}, "grid.growth must be > 1 and < 2"),
+        ("points_per_unit_alpha=0", {"grid": {"points_per_unit_alpha": 0}}, "grid.points_per_unit_alpha must be positive"),
+        ("kappas=[-1]", {"kappas": [-1]}, "need at least 4 kappa values for a slope fit"),
+        ("kappas=[0.1,0.01]", {"kappas": [0.1, 0.01]}, "need at least 4 kappa values for a slope fit"),
+        ("kappas-rising", {"kappas": [0.1, 0.01, 0.001, 0.01]}, "kappa values must be strictly decreasing"),
+        ("kappas-negative", {"kappas": [0.1, 0.01, 0.001, -1]}, "kappa values must be positive"),
+    )
+]
+
 _LARGE_ARGUMENTS = [
     pytest.param(_FLAG_ARGV["--x"] + ["--x=1e10", "--scaled"], {}, id="--x=1e10"),
     pytest.param(_FLAG_ARGV["--r"] + ["--r=1e9"], {}, id="--r=1e9"),
@@ -397,6 +446,13 @@ class TestDispatch:
         assert dispatch([cfg if a == "@" else a for a in argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", list(_CONFIG_READERS))
+    @pytest.mark.parametrize("extra, message", _BAD_KEYS)
+    def test_every_config_reader_refuses_the_same_file(self, command, extra, message, tmp_path, capsys):
+        argv = [str(tmp_path / "o") if a == "o" else a for a in _CONFIG_READERS[command]]
+        assert dispatch(argv + ["--config", write_config(tmp_path, dict(VALID, **extra))]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag", list(_FLAG_ARGV))
     def test_float_flag_takes_a_spaced_exponent(self, flag, tmp_path, capsys):

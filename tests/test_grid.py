@@ -105,14 +105,14 @@ class TestBuild:
     @pytest.mark.parametrize("density", [0.0, -1.0, math.nan])
     def test_nonpositive_density_refused(self, density):
         # refused before the step loop: 0 divided by zero, -1 spun to the node cap
-        with pytest.raises(ConfigError, match="^points_per_unit_alpha must be positive$"):
+        with pytest.raises(ConfigError, match=r"^grid\.points_per_unit_alpha must be positive$"):
             build_grid(1.0, 41.0, points_per_unit_alpha=density)
 
     def test_nan_scale_and_span_refused(self):
         # a NaN alpha or R_max ended the step loop at once and divided by zero
         with pytest.raises(ConfigError, match="^alpha must be positive$"):
             build_grid(math.nan, 41.0)
-        with pytest.raises(ConfigError, match="^R_max must exceed 1$"):
+        with pytest.raises(ConfigError, match=r"^grid\.R_max must exceed 1$"):
             build_grid(1.0, math.nan)
 
     def test_from_nodes_refusals(self):

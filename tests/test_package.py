@@ -176,6 +176,53 @@ def test_only_the_model_carries_n():
     assert [f.name for f in fields(RadialGrid)] == ["nodes", "R_max"]
 
 
+def _raised_text(node: ast.AST) -> str:
+    """The message of ``raise E("literal")``, else ``""``."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        return ""
+    arg = node.exc.args[0]
+    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
+
+
+_CONFIG_RULE_WORDS = ("points_per_unit_alpha must", "growth must", "R_max must", "kappa values")
+
+
+def test_every_config_rule_has_one_site():
+    # each rule on a config key is raised at one site, which every subcommand and library
+    # caller reaches: the grid keys' in nsk.grid's rule function (build_grid and RunConfig
+    # both call it), the kappas rules where a RunConfig is built; and the model keys are
+    # listed once, as the fields of ModelParams
+    from dataclasses import fields
+
+    from nsk.kernel import ModelParams
+
+    src = Path(nsk.__file__).parent
+    sites = []
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        texts = {_raised_text(node) for node in ast.walk(tree)}
+        for text in [t for t in texts if any(word in t for word in _CONFIG_RULE_WORDS)]:
+            sites += [(f"{path.stem}.{scope}", text) for scope in _scopes_of(tree, lambda n: _raised_text(n) == text)]
+    grid_rules = ["grid.points_per_unit_alpha must be positive", "grid.growth must be > 1 and < 2", "grid.R_max must exceed 1"]
+    kappa_rules = [
+        "need at least 4 kappa values for a slope fit",
+        "kappa values must be positive",
+        "kappa values must be strictly decreasing",
+    ]
+    assert sorted(sites) == sorted(
+        [("grid.check_grid_keys", text) for text in grid_rules]
+        + [("cli.RunConfig.__post_init__", text) for text in kappa_rules]
+    )
+
+    model_keys = {f.name for f in fields(ModelParams)}
+
+    def lists_model_keys(node) -> bool:
+        return isinstance(node, (ast.Tuple, ast.List)) and model_keys <= {getattr(e, "value", None) for e in node.elts}
+
+    found = {p.name: _scopes_of(ast.parse(p.read_text()), lists_model_keys) for p in src.glob("*.py")}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
 def test_import_cli_loads_no_scipy():
     probe = "import sys, nsk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(nsk.__file__).parents[1])}
