@@ -25,21 +25,11 @@ from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
 from .errors import ConfigError, SolverError, WindowEmptyError
 from .grid import RadialGrid, auto_r_max, build_grid, check_grid_keys
-from .kernel import (
-    IMPERMEABLE,
-    INFLOW,
-    ModelParams,
-    OUTFLOW,
-    PressureLaw,
-    green,
-    green_dr,
-    green_dr_left,
-    green_dr_right,
-)
+from .kernel import IMPERMEABLE, INFLOW, ModelParams, OUTFLOW, PressureLaw, green
 from .limit import integrate_profile
 from .oracle import cross_validate
 from .rates import format_float, write_rows
-from .stationary import decay_diagnostics, solve_stationary
+from .stationary import check_solver_keys, decay_diagnostics, solve_stationary
 
 __all__ = ["RunConfig", "parse_config", "dispatch", "main"]
 
@@ -67,10 +57,7 @@ class RunConfig:
     kappas: tuple = tuple(10.0 ** (-1.0 - 0.5 * k) for k in range(7))
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
+        check_solver_keys(self.tol, self.max_iter)
         check_grid_keys(self.points_per_unit_alpha, self.growth, self.R_max)
         if len(self.kappas) < 4:
             raise ConfigError("need at least 4 kappa values for a slope fit")
@@ -220,12 +207,12 @@ def _cmd_bessel(a):
 def _cmd_kernel(a):
     cfg = _read_config(a.config)
     n, alpha = cfg.model.n, cfg.model.alpha
-    out = {"G": float(green(n, alpha, a.r, a.s))}
+    g, left, right = green(n, alpha, a.r, a.s)
+    out = {"G": g}
     if a.r == a.s:
-        out["dG_dr_left"] = float(green_dr_left(n, alpha, a.r, a.s))
-        out["dG_dr_right"] = float(green_dr_right(n, alpha, a.r, a.s))
+        out.update(dG_dr_left=left, dG_dr_right=right)
     else:
-        out["dG_dr"] = float(green_dr(n, alpha, a.r, a.s))
+        out["dG_dr"] = left
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 

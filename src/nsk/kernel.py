@@ -39,14 +39,15 @@ the per-radius factors (the four hat values, ``r^{-\nu}`` and
 ``e^{-\alpha(r-1)}``), every Bessel value through :mod:`nsk.bessel`.
 Every table starts at the wall ``r = 1``: its row 0 gives ``c_2`` and the
 lifting's ``\hat K_{\nu+1}(\alpha)``, so no value has a second source.
-:func:`_branches` combines the factors for the pointwise functions here;
+:func:`green` combines the factors at points ``(r, s)``;
 :mod:`nsk.operators` folds the same factors into its quadrature.  Both
 exponents ``-alpha|r-s|`` and ``-alpha(r+s-2)`` are nonpositive on
 ``r, s >= 1``, so nothing overflows even for ``alpha ~ 1e3``.
 
-``\partial_r G`` is discontinuous across the diagonal; the one-sided values
-are exposed separately and their jump is ``1/r^{n-1}`` (the variation-of-
-parameters normalization, verified in the test suite).
+``\partial_r G`` is discontinuous across the diagonal: :func:`green` returns
+both one-sided values, equal off the diagonal, and their jump at ``r = s`` is
+``1/r^{n-1}`` (the variation-of-parameters normalization, verified in the
+test suite).
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ __all__ = [
     "KernelFactors",
     "lifting_phi_b",
     "green",
-    "green_dr",
-    "green_dr_left",
-    "green_dr_right",
 ]
 
 IMPERMEABLE = "impermeable"
@@ -287,21 +285,6 @@ class KernelFactors:
         self.c2 = self.iv1[0] / self.kv1[0]
 
 
-def _branches(f: KernelFactors, i, j, lower):
-    """``(G, dG/dr) (x_i x_j)^nu`` at index pairs ``(i, j)`` of the table ``f``.
-
-    Where ``lower`` the ``s <= r`` branch, else the ``r <= s`` one; ``lower``
-    must hold where ``x_j < x_i`` and fail where ``x_j > x_i``.
-    """
-    a, c2 = f.alpha, f.c2
-    mn, mx = np.where(lower, j, i), np.where(lower, i, j)
-    e1 = np.exp(-a * (f.x[mx] - f.x[mn]))
-    e12 = f.e2[i] * f.e2[j]
-    g = -(f.iv[mn] * f.kv[mx] * e1 + c2 * f.kv[i] * f.kv[j] * e12)
-    gdr = a * (np.where(lower, f.kv1[i] * f.iv[j], -f.iv1[i] * f.kv[j]) * e1 + c2 * f.kv1[i] * f.kv[j] * e12)
-    return g, gdr
-
-
 def lifting_phi_b(rho_b: float, f: KernelFactors):
     r"""Lifting function absorbing the Neumann data, and its r-derivative, at the radii of ``f``.
 
@@ -320,48 +303,30 @@ def lifting_phi_b(rho_b: float, f: KernelFactors):
     return val, der
 
 
-def _at(n: int, alpha: float, r, s, lower):
-    """``(G, dG/dr)`` at broadcast ``(r, s)`` on the branch ``lower``, from one factor
-    table over ``[1, *r, *s]``, ``r`` and ``s`` unbroadcast; floats for scalar ``r`` and ``s``."""
+def green(n: int, alpha: float, r, s) -> tuple:
+    """Green function ``G(r,s)`` of the radial modified Helmholtz operator in dimension ``n``,
+    rate ``alpha``, with its one-sided r-derivatives: ``(G, dG_left, dG_right)``.
+
+    ``G`` is symmetric, strictly negative, with homogeneous Neumann data at ``r=1``.
+    ``dG_left`` is the limit of ``dG/dr`` from below ``r`` and ``dG_right`` from above;
+    they agree off the diagonal, and at ``r = s`` right minus left is ``r^{1-n}``.
+    ``r`` and ``s`` broadcast over one factor table of the radii ``[1, *r, *s]``,
+    ``r`` and ``s`` unbroadcast; scalars give three floats.
+    """
     f = KernelFactors(n, alpha, np.concatenate([[1.0], np.ravel(r), np.ravel(s)]))
     k = np.arange(1, f.x.size)  # the rows of r, then of s
     i, j = np.broadcast_arrays(k[: np.size(r)].reshape(np.shape(r)), k[np.size(r) :].reshape(np.shape(s)))
-    g, gdr = _branches(f, i, j, lower)
+    a, c2 = f.alpha, f.c2
+    lower = f.x[i] >= f.x[j]  # the s <= r branch; on the diagonal both branches give G
+    mn, mx = np.where(lower, j, i), np.where(lower, i, j)
+    e1 = np.exp(-a * (f.x[mx] - f.x[mn]))
+    e12 = f.e2[i] * f.e2[j]
+    g = -(f.iv[mn] * f.kv[mx] * e1 + c2 * f.kv[i] * f.kv[j] * e12)
+    dr_lower = f.kv1[i] * f.iv[j] * e1  # dG/dr on the s <= r branch, less the reflected term
+    dr_upper = -f.iv1[i] * f.kv[j] * e1  # and on the r <= s branch
+    reflected = c2 * f.kv1[i] * f.kv[j] * e12
+    left = a * (np.where(f.x[i] > f.x[j], dr_lower, dr_upper) + reflected)
+    right = a * (np.where(lower, dr_lower, dr_upper) + reflected)
     rp2 = f.rp[i] * f.rp[j]
-    if i.ndim == 0:
-        return float(g * rp2), float(gdr * rp2)
-    return g * rp2, gdr * rp2
-
-
-def green(n: int, alpha: float, r, s) -> float | np.ndarray:
-    """Green function ``G(r,s)`` of the radial modified Helmholtz operator in dimension ``n``, rate ``alpha``.
-
-    Symmetric, strictly negative, with homogeneous Neumann data at ``r=1``.
-    ``r`` and ``s`` broadcast; scalars give a float.
-    """
-    return _at(n, alpha, r, s, np.greater_equal(r, s))[0]
-
-
-def green_dr_right(n: int, alpha: float, r, s) -> float | np.ndarray:
-    """One-sided ``d G/d r`` using the ``s <= r`` branch (limit from r > s)."""
-    if np.any(np.greater(s, r)):
-        raise DomainError("right-sided derivative requires s <= r")
-    return _at(n, alpha, r, s, True)[1]
-
-
-def green_dr_left(n: int, alpha: float, r, s) -> float | np.ndarray:
-    """One-sided ``d G/d r`` using the ``r <= s`` branch (limit from r < s)."""
-    if np.any(np.greater(r, s)):
-        raise DomainError("left-sided derivative requires r <= s")
-    return _at(n, alpha, r, s, False)[1]
-
-
-def green_dr(n: int, alpha: float, r, s) -> float | np.ndarray:
-    """``d G/d r`` away from the diagonal.
-
-    The derivative jumps by ``1/r^{n-1}`` across ``s = r``; call
-    ``green_dr_right`` / ``green_dr_left`` for the one-sided values there.
-    """
-    if np.any(np.equal(r, s)):
-        raise DomainError("dG/dr is discontinuous at r == s; use green_dr_left/right")
-    return _at(n, alpha, r, s, np.greater(r, s))[1]
+    out = g * rp2, left * rp2, right * rp2
+    return tuple(map(float, out)) if i.ndim == 0 else out

@@ -197,7 +197,7 @@ def cross_validate(params: ModelParams, tol: float):
     Returns ``(sup_diff, passed)`` with ``passed = sup_diff <= tol``; ``tol``
     is only the pass threshold and must be positive.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ConfigError("tol must be positive")
     grid = build_grid(params.alpha, auto_r_max(params), points_per_unit_alpha=24.0, growth=1.04)
     nodes, rho_fd = fd_reference(params)

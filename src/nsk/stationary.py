@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import check_finite
-from .errors import NonContractionError, PositivityError, RangeError, WindowEmptyError
+from .errors import ConfigError, NonContractionError, PositivityError, RangeError, WindowEmptyError
 from .grid import RadialGrid
 from .kernel import ModelParams, lifting_phi_b
 from .operators import GreenOperator
@@ -59,6 +59,7 @@ __all__ = [
     "StationarySolution",
     "source_term",
     "forcing",
+    "check_solver_keys",
     "fixed_point",
     "hermite_second_derivative",
     "ode_residual",
@@ -168,6 +169,14 @@ def ode_residual(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: 
     return res
 
 
+def check_solver_keys(tol: float, max_iter: int) -> None:
+    """The rules of the ``tol`` and ``max_iter`` keys; a NaN ``tol`` fails."""
+    if not tol > 0.0:
+        raise ConfigError("tol must be positive")
+    if max_iter < 1:
+        raise ConfigError("max_iter must be at least 1")
+
+
 def fixed_point(step, state: tuple, rho_plus: float, tol: float, max_iter: int):
     """Picard iteration ``state <- step(*state)`` on a tuple of arrays.
 
@@ -212,6 +221,7 @@ def solve_stationary(
     max_iter: int = 200,
 ):
     """Fixed-point solve in any regime; returns its :class:`StationarySolution`."""
+    check_solver_keys(tol, max_iter)
     rho_plus_sq = params.rho_plus * params.rho_plus  # not ``**``: a float power raises on overflow
     if params.u_minus != 0.0 and rho_plus_sq * rho_plus_sq == 0.0:
         raise RangeError("rho_plus**4 underflows to 0: the flow terms divide by rho**4")

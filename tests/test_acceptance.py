@@ -18,8 +18,6 @@ from nsk.kernel import (
     ModelParams,
     PressureLaw,
     green,
-    green_dr_left,
-    green_dr_right,
     lifting_phi_b,
 )
 from nsk.limit import integrate_profile
@@ -156,7 +154,7 @@ def test_criterion_4_bessel_identities():
             ) * math.exp(-a * (r + s - 2.0)) / (r * s)
             if exact == 0.0:  # kernel underflows for a|r-s| >> 1; nothing to compare
                 continue
-            worst_closed = max(worst_closed, abs(green(3, a, r, s) / exact - 1.0))
+            worst_closed = max(worst_closed, abs(green(3, a, r, s)[0] / exact - 1.0))
         for r in (1.0, 2.0, 5.0):
             exact = 0.3 * math.exp(-a * (r - 1.0)) / ((a + 1.0) * r)
             val = lifting_phi_b(-0.3, KernelFactors(3, a, [1.0, r]))[0][1]
@@ -175,21 +173,21 @@ def test_criterion_5_green_properties():
     for n in (2, 3, 4, 5):
         p = ModelParams(n=n, gamma=1.0, kappa=0.25, mu=0.0, rho_plus=1.0, rho_b=0.0, u_minus=0.0)
         a = p.alpha
-        g = green(n, a, r, s)
-        worst_sym = max(worst_sym, np.max(np.abs(g - green(n, a, s, r)) / np.abs(g)))
+        g, left, right = green(n, a, r, s)
+        worst_sym = max(worst_sym, np.max(np.abs(g - green(n, a, s, r)[0]) / np.abs(g)))
         env = np.exp(-a * np.abs(r - s)) / (r * s) ** ((n - 1) / 2.0)
         c_star[n] = max(
             np.max(np.abs(g) * a / env),
-            np.max(np.abs(green_dr_right(n, a, r[below], s[below])) / env[below]),
-            np.max(np.abs(green_dr_left(n, a, r[above], s[above])) / env[above]),
+            np.max(np.abs(right[below]) / env[below]),
+            np.max(np.abs(left[above]) / env[above]),
         )
-        wall = np.array([1.5, 3.0, 8.0])
-        worst_neu = max(worst_neu, np.max(np.abs(green_dr_left(n, a, 1.0, wall)) / np.abs(green(n, a, 1.0, wall))))
+        g_wall, left_wall, _ = green(n, a, 1.0, np.array([1.5, 3.0, 8.0]))
+        worst_neu = max(worst_neu, np.max(np.abs(left_wall) / np.abs(g_wall)))
         h = 0.01 / a
         for sj in (2.0, 5.0):
             rs = np.linspace(1.3, 9.0, 17)
             rs = rs[np.abs(rs - sj) >= 6.0 * h]
-            f = green(n, a, rs + h * np.arange(-2, 3)[:, None], sj)
+            f = green(n, a, rs + h * np.arange(-2, 3)[:, None], sj)[0]
             d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
             d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
             worst_hom = max(worst_hom, np.max(np.abs(d2 + (n - 1) / rs * d1 - a * a * f[2]) / np.abs(f[2])))

@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from nsk.bessel import BesselOrder, bessel_i
 import nsk.cli as cli_mod
+import nsk.kernel as kernel_mod
 from nsk.cli import RunConfig, dispatch, parse_config
 from nsk.errors import ConfigError
 from nsk.grid import build_grid
 from nsk.kernel import ModelParams, PressureLaw
 from nsk.rates import RateRow, format_float
+from nsk.stationary import solve_stationary
 
 VALID = {
     "n": 3,
@@ -152,6 +154,18 @@ class TestParseConfig:
                 lambda: build_grid(1.0, 41.0, growth=5.0), "grid.growth must be > 1 and < 2", id="build_grid-growth"
             ),
             pytest.param(lambda: build_grid(1.0, 0.5), "grid.R_max must exceed 1", id="build_grid-R_max"),
+            pytest.param(lambda: RunConfig(MODEL, tol=math.nan), "tol must be positive", id="RunConfig-tol-nan"),
+            *(
+                pytest.param(
+                    lambda tol=tol: solve_stationary(MODEL, build_grid(MODEL.alpha, 41.0), tol=tol),
+                    "tol must be positive", id=f"solve_stationary-tol-{tol}",
+                )
+                for tol in (math.nan, 0.0, -1.0)
+            ),
+            pytest.param(
+                lambda: solve_stationary(MODEL, build_grid(MODEL.alpha, 41.0), max_iter=0),
+                "max_iter must be at least 1", id="solve_stationary-max_iter-0",
+            ),
         ],
     )
     def test_the_library_keeps_every_refusal(self, build, message):
@@ -550,6 +564,21 @@ class TestDispatch:
         assert dispatch(["kernel", "--config", cfg, "--r", "2.0", "--s", "2.0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["dG_dr_right"] - doc["dG_dr_left"] == pytest.approx(0.25, rel=1e-10)
+
+    @pytest.mark.parametrize("r, s", [("2", "1"), ("2", "2"), ("1", "1")])
+    def test_kernel_makes_one_bessel_evaluation(self, tmp_path, capsys, monkeypatch, r, s):
+        # G and both one-sided derivatives come from one factor table over [1, r, s]
+        real = kernel_mod.bessel_ik_scaled
+        sizes = []
+
+        def counted(order, x):
+            sizes.append(np.size(x))
+            return real(order, x)
+
+        monkeypatch.setattr(kernel_mod, "bessel_ik_scaled", counted)
+        cfg = write_config(tmp_path, VALID)
+        assert cli_mod.main(["kernel", "--config", cfg, "--r", r, "--s", s]) == 0
+        assert sizes == [3]
 
     def test_solve_impermeable_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, VALID)

@@ -22,9 +22,6 @@ from nsk.kernel import (
     ModelParams,
     PressureLaw,
     green,
-    green_dr,
-    green_dr_left,
-    green_dr_right,
     lifting_phi_b,
 )
 
@@ -183,29 +180,29 @@ class TestLifting:
 
 class TestGreen:
     def test_dimension3_point_values(self):
-        assert green(3, 1.0, 1.0, 1.0) == pytest.approx(-0.5, rel=1e-13)
-        assert green(3, 1.0, 2.0, 1.0) == pytest.approx(-math.exp(-1.0) / 4.0, rel=1e-13)
+        assert green(3, 1.0, 1.0, 1.0)[0] == pytest.approx(-0.5, rel=1e-13)
+        assert green(3, 1.0, 2.0, 1.0)[0] == pytest.approx(-math.exp(-1.0) / 4.0, rel=1e-13)
 
     def test_dimension3_closed_form_grid(self):
         r, s = np.meshgrid([1.0, 1.2, 2.5, 8.0], [1.0, 1.7, 6.0], indexing="ij")
         for a in (0.5, 1.0, 3.0, 40.0, 1000.0):
             exact = np.vectorize(green3_exact)(a, r, s)
             used = exact != 0.0
-            g = green(3, a, r, s)
+            g = green(3, a, r, s)[0]
             assert g[used] == pytest.approx(exact[used], rel=1e-12), a
 
     def test_symmetry_and_sign(self):
         r, s = np.meshgrid([1.0, 1.4, 3.0, 9.0], [1.1, 2.6, 7.5], indexing="ij")
         for n in (2, 3, 4, 5):
-            g = green(n, 1.7, r, s)
+            g = green(n, 1.7, r, s)[0]
             assert np.all(g < 0.0)
-            assert g == pytest.approx(green(n, 1.7, s, r), rel=1e-12)
+            assert g == pytest.approx(green(n, 1.7, s, r)[0], rel=1e-12)
 
     def test_neumann_condition_at_wall(self):
         s = np.array([1.5, 3.0, 10.0])
         for n in (2, 3, 4, 5):
-            g = green(n, 2.2, 1.0, s)
-            assert np.all(np.abs(green_dr_left(n, 2.2, 1.0, s)) <= 1e-12 * np.abs(g))
+            g, left, _ = green(n, 2.2, 1.0, s)
+            assert np.all(np.abs(left) <= 1e-12 * np.abs(g))
 
     def test_homogeneous_equation_away_from_diagonal(self):
         # 4th-order central stencils in r; residual relative to |G|
@@ -214,7 +211,7 @@ class TestGreen:
             for s in (2.0, 5.0):
                 r = np.linspace(1.2, 8.0, 19)
                 r = r[np.abs(r - s) >= 6.0 * h]
-                f = green(n, a, r + h * np.arange(-2, 3)[:, None], s)
+                f = green(n, a, r + h * np.arange(-2, 3)[:, None], s)[0]
                 d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
                 d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
                 res = d2 + (n - 1) / r * d1 - a * a * f[2]
@@ -228,11 +225,12 @@ class TestGreen:
             c_star = 0.0
             for a in (1.0, 3.0):
                 env = np.exp(-a * np.abs(r - s)) / (r * s) ** ((n - 1) / 2.0)
+                g, left, right = green(n, a, r, s)
                 c_star = max(
                     c_star,
-                    np.max(np.abs(green(n, a, r, s)) * a / env),
-                    np.max(np.abs(green_dr_right(n, a, r[below], s[below])) / env[below]),
-                    np.max(np.abs(green_dr_left(n, a, r[above], s[above])) / env[above]),
+                    np.max(np.abs(g) * a / env),
+                    np.max(np.abs(right[below]) / env[below]),
+                    np.max(np.abs(left[above]) / env[above]),
                 )
             assert c_star <= 10.0, n
 
@@ -258,31 +256,24 @@ class TestGreen:
 
 
 class TestArrays:
-    """The pointwise functions broadcast ``(r, s)`` over one factor table of the distinct radii."""
+    """``green`` broadcasts ``(r, s)`` over one factor table of the radii ``[1, *r, *s]``."""
 
     MESH = np.meshgrid(np.linspace(1.0, 12.0, 30), np.linspace(1.0, 12.0, 30), indexing="ij")
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_mesh_matches_scalar_calls(self, n):
         # a batch runs its Bessel loops until every entry converges, so the
-        # last bits may differ from a two-radius table: agreement, not equality.
+        # last bits may differ from a three-radius table: agreement, not equality.
         # The whole mesh is one batch; the scalar reference (each call builds its
         # own table) is taken at every 5th point and on the diagonal r == s
         r, s = self.MESH
-        for fn, mask in (
-            (green, np.full(r.shape, True)),
-            (green_dr, r != s),
-            (green_dr_right, r >= s),
-            (green_dr_left, r <= s),
-        ):
-            rm, sm = r[mask], s[mask]
-            pick = (np.arange(rm.size) % 5 == 0) | (rm == sm)
-            scalar = [fn(n, 1.7, x, y) for x, y in zip(rm[pick].tolist(), sm[pick].tolist())]
-            np.testing.assert_allclose(fn(n, 1.7, rm, sm)[pick], scalar, rtol=4e-15, atol=0.0, err_msg=fn.__name__)
+        pick = (np.arange(r.size).reshape(r.shape) % 5 == 0) | (r == s)
+        scalar = np.array([green(n, 1.7, x, y) for x, y in zip(r[pick].tolist(), s[pick].tolist())])
+        for name, mesh, ref in zip(("G", "dG_left", "dG_right"), green(n, 1.7, r, s), scalar.T):
+            np.testing.assert_allclose(mesh[pick], ref, rtol=4e-15, atol=0.0, err_msg=name)
 
     @pytest.mark.parametrize("mesh", [False, True], ids=["scalar", "mesh"])
-    @pytest.mark.parametrize("fn", [green, green_dr, green_dr_left, green_dr_right], ids=lambda fn: fn.__name__)
-    def test_one_bessel_evaluation_per_pointwise_call(self, monkeypatch, fn, mesh):
+    def test_one_bessel_evaluation_per_pointwise_call(self, monkeypatch, mesh):
         # c2 comes from the wall row of the call's own table over [1, *r, *s], not from a second table
         real = kernel_mod.bessel_ik_scaled
         sizes = []
@@ -292,76 +283,62 @@ class TestArrays:
             return real(order, x)
 
         monkeypatch.setattr(kernel_mod, "bessel_ik_scaled", counted)
-        if mesh:
-            r, s = self.MESH[0] + 0.5, self.MESH[1]  # r never equals s; s takes the wall
-            keep = {green_dr_left: r < s, green_dr_right: r > s}.get(fn, r != s)
-            r, s = r[keep], s[keep]
-        else:
-            r, s = {green: (2.0, 2.0), green_dr: (3.5, 2.0), green_dr_left: (2.0, 2.0), green_dr_right: (3.0, 1.0)}[fn]
-        fn(3, 1.7, r, s)
+        r, s = self.MESH if mesh else (2.0, 2.0)
+        green(3, 1.7, r, s)
         assert sizes == [1 + np.size(r) + np.size(s)]
 
-    @pytest.mark.parametrize(
-        "fn, good, bad, message",
-        [
-            (green, (3.0, 2.0), (0.5, 2.0), "radii must be >= 1"),
-            (green_dr, (3.0, 2.0), (4.0, 4.0), "discontinuous at r == s"),
-            (green_dr_right, (3.0, 2.0), (2.0, 4.0), "requires s <= r"),
-            (green_dr_left, (2.0, 3.0), (4.0, 2.0), "requires r <= s"),
-        ],
-    )
-    def test_one_bad_pair_refuses_the_mesh(self, fn, good, bad, message):
+    def test_one_bad_pair_refuses_the_mesh(self):
         ramp = np.arange(12.0).reshape(3, 4)
-        r, s = good[0] + ramp, good[1] + ramp
-        assert np.all(np.isfinite(fn(3, 2.0, r, s)))
-        r[1, 2], s[1, 2] = bad
-        with pytest.raises(DomainError, match=message):
-            fn(3, 2.0, r, s)
+        r, s = 3.0 + ramp, 2.0 + ramp
+        assert all(np.all(np.isfinite(v)) for v in green(3, 2.0, r, s))
+        r[1, 2] = 0.5
+        with pytest.raises(DomainError, match="radii must be >= 1"):
+            green(3, 2.0, r, s)
 
     def test_scalars_give_floats_and_arrays_keep_shape(self):
-        for fn, r, s in ((green, 2.0, 3.0), (green_dr, 3.0, 2.0), (green_dr_right, 3.0, 3.0), (green_dr_left, 2.0, 2.0)):
-            assert type(fn(4, 1.3, r, s)) is float
-            assert fn(4, 1.3, np.full((2, 3), r), s).shape == (2, 3)
+        for r, s in ((2.0, 3.0), (3.0, 2.0), (3.0, 3.0)):
+            assert all(type(v) is float for v in green(4, 1.3, r, s))
+            assert all(v.shape == (2, 3) for v in green(4, 1.3, np.full((2, 3), r), s))
 
 
 class TestGreenDerivative:
     def test_dimension3_point_value(self):
-        assert green_dr(3, 1.0, 2.0, 1.0) == pytest.approx(3.0 * math.exp(-1.0) / 8.0, rel=1e-13)
+        _, left, right = green(3, 1.0, 2.0, 1.0)
+        assert left == right == pytest.approx(3.0 * math.exp(-1.0) / 8.0, rel=1e-13)
 
     def test_matches_central_difference(self):
         r, s = np.array([2.0, 1.5, 6.0]), np.array([1.2, 4.0, 2.0])
         h = 1e-6
-        fd = (green(4, 1.3, r + h, s) - green(4, 1.3, r - h, s)) / (2.0 * h)
-        assert green_dr(4, 1.3, r, s) == pytest.approx(fd, rel=1e-8)
-
-    def test_diagonal_requires_side(self):
-        with pytest.raises(DomainError):
-            green_dr(3, 1.0, 2.0, 2.0)
+        fd = (green(4, 1.3, r + h, s)[0] - green(4, 1.3, r - h, s)[0]) / (2.0 * h)
+        _, left, right = green(4, 1.3, r, s)
+        assert left == pytest.approx(fd, rel=1e-8)
+        assert np.array_equal(left, right)
 
     def test_diagonal_jump(self):
         # right minus left one-sided derivative equals r^{1-n}
         for n in (2, 3, 4, 5):
             for a in (0.6, 2.0, 50.0):
                 r = np.array([1.0, 1.7, 5.0])
-                jump = green_dr_right(n, a, r, r) - green_dr_left(n, a, r, r)
-                assert jump == pytest.approx(r ** (1 - n), rel=1e-12)
+                _, left, right = green(n, a, r, r)
+                assert right - left == pytest.approx(r ** (1 - n), rel=1e-12)
 
     def test_far_field_decay(self):
         s = 1.5
         r = np.array([5.0, 8.0, 12.0])
         bound = 2.0 * np.exp(-2.0 * (r - s)) / (r * s)
-        assert np.all(np.abs(green_dr(3, 2.0, r, s)) <= bound)
+        assert np.all(np.abs(green(3, 2.0, r, s)[1]) <= bound)
 
     def test_non_finite_values_refused(self):
         # K_nu(alpha) beyond the double range (n = 1000 at alpha = 10) is refused, not used
-        for fn, r, s in ((green, 1.5, 2.0), (green_dr_right, 2.0, 1.5), (green_dr_left, 1.5, 2.0)):
+        for r, s in ((1.5, 2.0), (2.0, 1.5), (2.0, 2.0)):
             with pytest.raises(RangeError, match="scaled K_nu is not finite"):
-                fn(1000, 10.0, r, s)
+                green(1000, 10.0, r, s)
 
     def test_far_arguments_match_closed_form(self):
         # alpha r = 1e9 and beyond, where scipy's scaled factors were NaN, keeps full accuracy
         for a, r in ((1.0, 1e9), (10.0, 1e9), (1.0, 1e12)):
             s = r + 1.0
-            assert green(3, a, r, s) == pytest.approx(green3_exact(a, r, s), rel=1e-12)
+            g, left, _ = green(3, a, r, s)
+            assert g == pytest.approx(green3_exact(a, r, s), rel=1e-12)
             g_dr = math.exp(-a) * (1.0 - a * r) / (2.0 * a * r * r * s)  # d/dr of the first term, r < s
-            assert green_dr_left(3, a, r, s) == pytest.approx(g_dr, rel=1e-12)
+            assert left == pytest.approx(g_dr, rel=1e-12)

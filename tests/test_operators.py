@@ -8,7 +8,7 @@ import pytest
 from dense_operators import dense_operators
 
 from nsk.grid import RadialGrid, auto_r_max, build_grid
-from nsk.kernel import ModelParams, green, green_dr_left, green_dr_right
+from nsk.kernel import ModelParams, green
 from nsk.operators import _M2_TAYLOR, TAYLOR_Z, GreenOperator, _moments, _sweep, piece_weights
 
 
@@ -104,11 +104,8 @@ def test_rows_match_scalar_kernel(setup):
     s = (0.5 * (r[:-1] + r[1:])[:, None] + 0.5 * np.diff(r)[:, None] * xi).ravel()
     ws = (0.5 * np.diff(r)[:, None] * wq).ravel() * np.cos(s) * s ** (params.n - 3) / params.kappa
     for i in (1, 2, 3, 50, grid.size // 2, grid.size - 3, grid.size - 2):
-        left = s < r[i]
-        a_ref = np.dot(ws, green(params.n, params.alpha, r[i], s))
-        adr_ref = np.dot(ws[left], green_dr_right(params.n, params.alpha, r[i], s[left])) + np.dot(
-            ws[~left], green_dr_left(params.n, params.alpha, r[i], s[~left])
-        )
+        g, g_dr, _ = green(params.n, params.alpha, r[i], s)
+        a_ref, adr_ref = np.dot(ws, g), np.dot(ws, g_dr)
         assert abs(af[i] - a_ref) <= 1e-6 * np.max(np.abs(af))
         assert abs(adrf[i] - adr_ref) <= 1e-6 * np.max(np.abs(adrf))
 

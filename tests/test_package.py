@@ -184,14 +184,16 @@ def _raised_text(node: ast.AST) -> str:
     return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
 
 
-_CONFIG_RULE_WORDS = ("points_per_unit_alpha must", "growth must", "R_max must", "kappa values")
+_CONFIG_RULE_WORDS = ("points_per_unit_alpha must", "growth must", "R_max must", "kappa values", "tol must", "max_iter must")
 
 
 def test_every_config_rule_has_one_site():
     # each rule on a config key is raised at one site, which every subcommand and library
     # caller reaches: the grid keys' in nsk.grid's rule function (build_grid and RunConfig
+    # both call it), the solver keys' in nsk.stationary's (solve_stationary and RunConfig
     # both call it), the kappas rules where a RunConfig is built; and the model keys are
-    # listed once, as the fields of ModelParams
+    # listed once, as the fields of ModelParams.  verify's --tol is a pass threshold, not
+    # the solver's tol, and keeps its own rule in cross_validate
     from dataclasses import fields
 
     from nsk.kernel import ModelParams
@@ -212,6 +214,8 @@ def test_every_config_rule_has_one_site():
     assert sorted(sites) == sorted(
         [("grid.check_grid_keys", text) for text in grid_rules]
         + [("cli.RunConfig.__post_init__", text) for text in kappa_rules]
+        + [("stationary.check_solver_keys", "tol must be positive"), ("oracle.cross_validate", "tol must be positive")]
+        + [("stationary.check_solver_keys", "max_iter must be at least 1")]
     )
 
     model_keys = {f.name for f in fields(ModelParams)}
