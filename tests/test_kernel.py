@@ -273,8 +273,11 @@ class TestArrays:
             np.testing.assert_allclose(mesh[pick], ref, rtol=4e-15, atol=0.0, err_msg=name)
 
     @pytest.mark.parametrize("mesh", [False, True], ids=["scalar", "mesh"])
-    def test_one_bessel_evaluation_per_pointwise_call(self, monkeypatch, mesh):
-        # c2 comes from the wall row of the call's own table over [1, *r, *s], not from a second table
+    @pytest.mark.parametrize("quantity", ["green", "green_dr", "green_dr_left", "green_dr_right"])
+    def test_one_bessel_evaluation_per_pointwise_call(self, monkeypatch, quantity, mesh):
+        # each quantity (G; dG/dr off the diagonal; its left and right limits, on
+        # the side where each is defined alone) costs one green call, whose c2
+        # comes from the wall row of its own table over [1, *r, *s], not from a second table
         real = kernel_mod.bessel_ik_scaled
         sizes = []
 
@@ -283,8 +286,18 @@ class TestArrays:
             return real(order, x)
 
         monkeypatch.setattr(kernel_mod, "bessel_ik_scaled", counted)
-        r, s = self.MESH if mesh else (2.0, 2.0)
-        green(3, 1.7, r, s)
+        if mesh:
+            r, s = self.MESH[0] + 0.5, self.MESH[1]  # r never equals s; s takes the wall
+            keep = {"green_dr_left": r < s, "green_dr_right": r > s}.get(quantity, r != s)
+            r, s = r[keep], s[keep]
+        else:
+            points = {"green": (2.0, 2.0), "green_dr": (3.5, 2.0), "green_dr_left": (2.0, 2.0), "green_dr_right": (3.0, 1.0)}
+            r, s = points[quantity]
+        g, left, right = green(3, 1.7, r, s)
+        value = {"green": g, "green_dr": left, "green_dr_left": left, "green_dr_right": right}[quantity]
+        assert np.all(np.isfinite(value))
+        if quantity == "green_dr":
+            assert np.array_equal(left, right)
         assert sizes == [1 + np.size(r) + np.size(s)]
 
     def test_one_bad_pair_refuses_the_mesh(self):
