@@ -106,17 +106,6 @@ class BesselOrder:
     def nu(self) -> float:
         return 0.5 * self.two_nu
 
-    @classmethod
-    def from_dimension(cls, n: int) -> "BesselOrder":
-        return cls(n - 2)
-
-    def shifted(self, k: int = 1) -> "BesselOrder":
-        """Order ``nu + k`` (used for the derivative identities)."""
-        return BesselOrder(self.two_nu + 2 * k)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BesselOrder({self.two_nu}/2)"
-
 
 def _check_positive(x):
     x = np.asarray(x, dtype=float)

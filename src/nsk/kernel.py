@@ -226,6 +226,8 @@ class ModelParams:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
+        if not isinstance(self.n, (int, np.integer)):  # also 3.0: the Bessel order is stored as the int n - 2
+            raise ConfigError("n must be an integer")
         if self.n < 2:
             raise ConfigError("n must be >= 2")
         self.law  # the law's constructor checks gamma and rho_plus
@@ -275,7 +277,7 @@ class KernelFactors:
             ax = alpha * x
         if not np.isfinite(ax).all():
             raise RangeError("alpha * r is beyond the double range")
-        nu = BesselOrder.from_dimension(n)
+        nu = BesselOrder(n - 2)
         self.alpha = alpha
         self.x = x
         self.rp = x ** (-nu.nu)

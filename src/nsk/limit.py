@@ -271,7 +271,7 @@ def integrate_profile(
     that needs more than ``MAX_SAMPLES`` samples below ``y_max`` raises
     ``ConfigError``, and a tail rate ``sqrt(h'(rho_plus))`` outside ``(0, inf)`` ``RangeError``.
     """
-    if y_max <= 0.0:
+    if not y_max > 0.0:  # also NaN
         raise DomainError("y_max must be positive")
     rho_plus = law.rho_plus
     rho_minus = solve_rho_minus(law, rho_b0)

@@ -36,7 +36,6 @@ __all__ = [
     "NORM_KEYS",
     "RateRow",
     "RateStudyResult",
-    "fit_loglog",
     "run_rate_study",
     "emit_outputs",
     "FLOAT_FORMAT",
@@ -68,14 +67,6 @@ class RateStudyResult:
     slopes: dict = field(default_factory=dict)  # norm -> {"value": slope, "stderr": stderr}
     profiles: list = field(default_factory=list)  # (kappa, nodes, rho) kept for emit
     limit: LimitProfile | None = None
-
-
-def fit_loglog(x, y):
-    """OLS slope of ``log y`` vs ``log x`` with its standard error."""
-    lx = np.log(np.asarray(x, dtype=float))
-    if lx.size < 2:
-        raise ConfigError("need at least two points for a slope fit")
-    return fit_line(lx, np.log(np.asarray(y, dtype=float)))
 
 
 def _solve_one(cfg, mode: str, kappa: float, profile: LimitProfile | None):
@@ -147,9 +138,9 @@ def run_rate_study(cfg, mode: str) -> RateStudyResult:
             f"only {len(good)} of {len(result.rows)} kappa rows solved; "
             "a slope fit needs at least 4"
         )
-    ks = np.array([row.kappa for row in good])
+    log_ks = np.log([row.kappa for row in good])
     for key in norm_keys:
-        slope, stderr = fit_loglog(ks, [row.errors[key] for row in good])
+        slope, stderr = fit_line(log_ks, np.log([row.errors[key] for row in good]))
         result.slopes[key] = {"value": slope, "stderr": stderr}
     return result
 

@@ -170,7 +170,10 @@ def ode_residual(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: 
 
 
 def check_solver_keys(tol: float, max_iter: int) -> None:
-    """The rules of the ``tol`` and ``max_iter`` keys; a NaN ``tol`` fails."""
+    """The rules of the ``tol`` and ``max_iter`` keys; a NaN ``tol`` fails, and so does a
+    ``max_iter`` that is not an int (2.5, NaN, inf, and also 3.0)."""
+    if not isinstance(max_iter, (int, np.integer)):
+        raise ConfigError("max_iter must be an integer")
     if not tol > 0.0:
         raise ConfigError("tol must be positive")
     if max_iter < 1:

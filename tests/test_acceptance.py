@@ -66,9 +66,9 @@ def test_criterion_3_oracle_equivalence():
     sups = []
     ok = True
     for p in ORACLE_CASES:
-        sup, passed = cross_validate(p, 1e-6)
+        sup = cross_validate(p)
         sups.append(sup)
-        ok = ok and passed
+        ok = ok and sup <= 1e-6
     # affine-enthalpy cases: both solvers against the closed-form solution
     closed_ok = True
     for p in ORACLE_CASES[3:5]:
@@ -109,16 +109,16 @@ def test_oracle_nodes_do_not_grow_as_kappa_falls(monkeypatch, kappa):
     # nodes however small kappa is, and its spacing stays 1/(40 alpha)
     counts = _count_fd_nodes(monkeypatch)
     p = ModelParams(n=3, gamma=1.0, kappa=kappa, mu=1.0, rho_plus=1.0, rho_b=-0.02, u_minus=0.0)
-    sup, passed = cross_validate(p, 1e-10)
+    sup = cross_validate(p)
     assert len(counts) == 2 and max(counts) <= 3_203, counts
-    assert passed, sup
+    assert sup <= 1e-10, sup
 
 
 def test_criterion_4_bessel_identities():
     orders = [BesselOrder(k) for k in (0, 1, 2, 3, 4)]
     worst_wron = 0.0
     for order in orders:
-        up = order.shifted()
+        up = BesselOrder(order.two_nu + 2)
         for x in np.geomspace(0.5, 100.0, 61):
             lhs = (
                 bessel_i_scaled(order, x) * bessel_k_scaled(up, x)
@@ -127,7 +127,7 @@ def test_criterion_4_bessel_identities():
             worst_wron = max(worst_wron, abs(lhs * x - 1.0))
     worst_deriv = 0.0
     for order in orders:
-        up = order.shifted()
+        up = BesselOrder(order.two_nu + 2)
         for z in np.geomspace(0.1, 50.0, 31):
             h = 1e-5 * max(z, 1.0)
             wi = lambda t: t ** (-order.nu) * bessel_i(order, t)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from nsk.bessel import BesselOrder, bessel_i
 import nsk.cli as cli_mod
 import nsk.kernel as kernel_mod
-from nsk.cli import RunConfig, dispatch, parse_config
+from nsk.cli import RunConfig, main, parse_config
 from nsk.errors import ConfigError
 from nsk.grid import build_grid
 from nsk.kernel import ModelParams, PressureLaw
@@ -73,7 +73,7 @@ class TestParseConfig:
             doc = dict(VALID, **extra)
             with pytest.raises(ConfigError, match=f"^unknown config key: {key}$"):
                 parse_config(json.dumps(doc))
-            assert dispatch(["solve", "impermeable", "--config", write_config(tmp_path, doc)]) == 2
+            assert main(["solve", "impermeable", "--config", write_config(tmp_path, doc)]) == 2
             assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
 
     def test_config_keys_are_the_type_fields(self):
@@ -102,7 +102,7 @@ class TestParseConfig:
     )
     def test_non_finite_number_exits_2(self, key, value, tmp_path, capsys):
         # json.loads accepts NaN and +-Infinity; each must end as a config error, not an
-        # exception out of dispatch (a traceback) or a solver failure
+        # exception out of main (a traceback) or a solver failure
         doc = dict(VALID)
         if key.startswith("grid."):
             doc["grid"] = {key[5:]: "@"}
@@ -113,7 +113,7 @@ class TestParseConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc).replace('"@"', value))
         for argv in (["solve", "impermeable"], ["rate-study", "--mode", "fixed", "--out", str(tmp_path)]):
-            assert dispatch(argv + ["--config", str(path)]) == 2
+            assert main(argv + ["--config", str(path)]) == 2
             assert "must be finite" in capsys.readouterr().err
 
     def test_integer_keys(self):
@@ -121,6 +121,7 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(doc))
         assert [cfg.model.n, cfg.max_iter] == [3, 7]
         assert all(type(v) is int for v in (cfg.model.n, cfg.max_iter))
+        assert dataclasses.replace(MODEL, n=np.int64(3)).n == 3  # a numpy integer is an integer
         for key, doc in (
             ("n", dict(VALID, n=2.5)),
             ("max_iter", dict(VALID, max_iter=1.5)),
@@ -135,7 +136,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^need at least 4 kappa values for a slope fit$"):
             parse_config(json.dumps(dict(VALID, kappas=[0.1, 0.01])))
         argv = ["rate-study", "--mode", "fixed", "--out", str(tmp_path / "o"), "--config"]
-        assert dispatch(argv + [write_config(tmp_path, dict(VALID, kappas=[]))]) == 2
+        assert main(argv + [write_config(tmp_path, dict(VALID, kappas=[]))]) == 2
         assert "at least 4 kappa" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -165,6 +166,22 @@ class TestParseConfig:
             pytest.param(
                 lambda: solve_stationary(MODEL, build_grid(MODEL.alpha, 41.0), max_iter=0),
                 "max_iter must be at least 1", id="solve_stationary-max_iter-0",
+            ),
+            # max_iter counts sweeps: 2.5, NaN and inf were a TypeError from range(), and an
+            # integral float is refused as well, since the CLI turns integral numbers into ints
+            *(
+                pytest.param(
+                    lambda max_iter=max_iter: solve_stationary(MODEL, build_grid(MODEL.alpha, 41.0), max_iter=max_iter),
+                    "max_iter must be an integer", id=f"solve_stationary-max_iter-{max_iter}",
+                )
+                for max_iter in (2.5, math.nan, math.inf, 3.0)
+            ),
+            # a non-integer n constructed and then failed in the Bessel order; 3.0 is refused too
+            *(
+                pytest.param(
+                    lambda n=n: dataclasses.replace(MODEL, n=n), "n must be an integer", id=f"ModelParams-n-{n}"
+                )
+                for n in (2.5, 3.0, np.float64(3.0))
             ),
         ],
     )
@@ -254,6 +271,7 @@ _MALFORMED = [
         ["solve", "impermeable", "--config", "@"], {"max_iter": 1.5}, "max_iter must be an integer",
         id="max_iter=1.5",
     ),
+    pytest.param(["solve", "impermeable", "--config", "@"], {"n": 2.5}, "error: n must be an integer\n", id="n=2.5"),
     pytest.param(
         ["solve", "inflow", "--config", "@"], {"u_minus": 1e300}, "source term", id="u_minus=1e300"
     ),
@@ -457,7 +475,7 @@ class TestDispatch:
         # every malformed flag or key ends in exit 2 naming it: no traceback, no hang,
         # no NaN printed with exit 0
         cfg = write_config(tmp_path, dict(VALID, **extra))
-        assert dispatch([cfg if a == "@" else a for a in argv]) == 2
+        assert main([cfg if a == "@" else a for a in argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
@@ -465,7 +483,7 @@ class TestDispatch:
     @pytest.mark.parametrize("extra, message", _BAD_KEYS)
     def test_every_config_reader_refuses_the_same_file(self, command, extra, message, tmp_path, capsys):
         argv = [str(tmp_path / "o") if a == "o" else a for a in _CONFIG_READERS[command]]
-        assert dispatch(argv + ["--config", write_config(tmp_path, dict(VALID, **extra))]) == 2
+        assert main(argv + ["--config", write_config(tmp_path, dict(VALID, **extra))]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag", list(_FLAG_ARGV))
@@ -476,7 +494,7 @@ class TestDispatch:
         argv = [cfg if a == "@" else a for a in _FLAG_ARGV[flag]]
         results = []
         for tail in ([flag, "-1e-3"], [f"{flag}=-1e-3"]):
-            code = dispatch(argv + tail)
+            code = main(argv + tail)
             captured = capsys.readouterr()
             results.append((code, captured.out, captured.err))
         assert results[0] == results[1]
@@ -486,7 +504,7 @@ class TestDispatch:
     def test_large_arguments_resolve(self, argv, extra, tmp_path, capsys, deadline):
         # Bessel arguments of 1e9 and more (alpha r >= 3.2e8 at kappa = 1e-17) give verified results
         cfg = write_config(tmp_path, dict(VALID, **extra))
-        assert dispatch([cfg if a == "@" else a for a in argv]) == 0
+        assert main([cfg if a == "@" else a for a in argv]) == 0
         out = capsys.readouterr().out
         if argv[0] == "bessel":
             with mp.workdps(40):  # e^{-x} I_{1/2}(x) at x = 1e10
@@ -504,25 +522,25 @@ class TestDispatch:
 
     @pytest.mark.parametrize("text", ["3/2", "1.5", " 3/2 ", "6/4", "15e-1"])
     def test_bessel_order_forms(self, text, capsys):
-        assert dispatch(["bessel", "--nu", text, "--x", "2.0"]) == 0
+        assert main(["bessel", "--nu", text, "--x", "2.0"]) == 0
         assert float(capsys.readouterr().out) == bessel_i(BesselOrder(3), 2.0)
 
     @pytest.mark.parametrize("text", ["3/4", "-1/2", "1/0", "1.5/1", "nan", "1e400", "1e308"])
     def test_bessel_order_refused(self, text, capsys):
-        assert dispatch(["bessel", f"--nu={text}", "--x", "2.0"]) == 2
+        assert main(["bessel", f"--nu={text}", "--x", "2.0"]) == 2
         assert "--nu must be" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
-        assert dispatch(["frobnicate"]) == 2
+        assert main(["frobnicate"]) == 2
         assert "argument command: invalid choice: 'frobnicate' (choose from 'bessel'," in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
-        assert dispatch([]) == 2
+        assert main([]) == 2
         assert capsys.readouterr().err == "error: the following arguments are required: command\n"
 
     def test_help_lists_the_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            dispatch(["-h"])
+            main(["-h"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for name in ("bessel", "kernel", "solve", "limit-profile", "rate-study", "verify"):
@@ -532,36 +550,36 @@ class TestDispatch:
         argv = ["limit-profile", "--gamma", "1", "--rho-plus", "1"]
         results = []
         for tail in (["--rho-b", "-1e-3"], ["--rho-b0=-1e-3"]):
-            results.append((dispatch(argv + tail), capsys.readouterr()))
+            results.append((main(argv + tail), capsys.readouterr()))
         assert results[0] == results[1] and results[0][0] == 0
-        assert dispatch(argv + ["--rho", "-1e-3"]) == 2
+        assert main(argv + ["--rho", "-1e-3"]) == 2
         assert "ambiguous option: --rho=-1e-3" in capsys.readouterr().err
 
     def test_bessel_value(self, capsys):
-        assert dispatch(["bessel", "--nu", "1/2", "--x", "1.0", "--kind", "k"]) == 0
+        assert main(["bessel", "--nu", "1/2", "--x", "1.0", "--kind", "k"]) == 0
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-13)
 
     def test_bessel_scaled_and_integer_order(self, capsys):
-        assert dispatch(["bessel", "--nu", "2", "--x", "700", "--kind", "k", "--scaled"]) == 0
+        assert main(["bessel", "--nu", "2", "--x", "700", "--kind", "k", "--scaled"]) == 0
         out = float(capsys.readouterr().out)
         # asymptotically K_2(x) e^x ~ sqrt(pi/(2x)) (1 + 15/(8x) + ...)
         lead = math.sqrt(math.pi / 1400.0)
         assert out == pytest.approx(lead * (1.0 + 15.0 / 5600.0), rel=1e-5)
-        assert dispatch(["bessel", "--nu", "1", "--x", "2.5"]) == 0
+        assert main(["bessel", "--nu", "1", "--x", "2.5"]) == 0
         out = float(capsys.readouterr().out)
         assert out == pytest.approx(bessel_i(BesselOrder(2), 2.5), rel=1e-13)
 
     def test_bessel_bad_order(self, capsys):
-        assert dispatch(["bessel", "--nu", "0.3", "--x", "1.0"]) == 2
+        assert main(["bessel", "--nu", "0.3", "--x", "1.0"]) == 2
 
     def test_kernel_values(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(VALID, kappa=1.0))
-        assert dispatch(["kernel", "--config", cfg, "--r", "2.0", "--s", "1.0"]) == 0
+        assert main(["kernel", "--config", cfg, "--r", "2.0", "--s", "1.0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["G"] == pytest.approx(-math.exp(-1.0) / 4.0, rel=1e-12)
         assert doc["dG_dr"] == pytest.approx(3.0 * math.exp(-1.0) / 8.0, rel=1e-12)
-        assert dispatch(["kernel", "--config", cfg, "--r", "2.0", "--s", "2.0"]) == 0
+        assert main(["kernel", "--config", cfg, "--r", "2.0", "--s", "2.0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["dG_dr_right"] - doc["dG_dr_left"] == pytest.approx(0.25, rel=1e-10)
 
@@ -583,7 +601,7 @@ class TestDispatch:
     def test_solve_impermeable_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, VALID)
         out = tmp_path / "sol.csv"
-        assert dispatch(["solve", "impermeable", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["solve", "impermeable", "--config", cfg, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "r,rho,rho_r,phi,residual"
         first = lines[1].split(",")
@@ -595,24 +613,24 @@ class TestDispatch:
     def test_solve_impermeable_zero_wall_data(self, tmp_path, capsys):
         # rho_b = 0: phi vanishes, so no decay rate can be fitted and the summary says null
         cfg = write_config(tmp_path, dict(VALID, rho_b=0))
-        assert dispatch(["solve", "impermeable", "--config", cfg]) == 0
+        assert main(["solve", "impermeable", "--config", cfg]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["decay_rate_fit"] is None and summary["sup_norm"] == 0.0
 
     def test_solve_regime_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, VALID)
-        assert dispatch(["solve", "inflow", "--config", cfg]) == 2
+        assert main(["solve", "inflow", "--config", cfg]) == 2
         assert "inflow requires u_minus > 0" in capsys.readouterr().err
-        assert dispatch(["solve", "outflow", "--config", cfg]) == 2
+        assert main(["solve", "outflow", "--config", cfg]) == 2
         assert "outflow requires u_minus < 0" in capsys.readouterr().err
         cfg2 = write_config(tmp_path, dict(VALID, u_minus=0.05), "c2.json")
-        assert dispatch(["solve", "impermeable", "--config", cfg2]) == 2
+        assert main(["solve", "impermeable", "--config", cfg2]) == 2
         assert "impermeable requires u_minus = 0" in capsys.readouterr().err
-        assert dispatch(["verify", "impermeable", "--config", cfg2]) == 2
+        assert main(["verify", "impermeable", "--config", cfg2]) == 2
         assert "requires u_minus = 0" in capsys.readouterr().err
         for mode in ("fixed", "singular"):
             argv = ["rate-study", "--mode", mode, "--config", cfg2, "--out", str(tmp_path / "o")]
-            assert dispatch(argv) == 2
+            assert main(argv) == 2
             assert "covers the impermeable wall only: it requires u_minus = 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -620,7 +638,7 @@ class TestDispatch:
         doc = dict(VALID, kappa=1.0, u_minus=0.05, rho_b=0.0)
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "sol.csv"
-        assert dispatch(["solve", "inflow", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["solve", "inflow", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert "rho_minus" in summary and "weighted_sup_value" in summary
         lines = out.read_text().splitlines()
@@ -634,7 +652,7 @@ class TestDispatch:
         doc = dict(VALID, n=150, kappa=0.1, rho_b=-0.01, u_minus=0.01)
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "sol.csv"
-        assert dispatch(["solve", "inflow", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["solve", "inflow", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["weighted_sup_value"] is None and summary["weighted_sup_derivative"] is None
         assert summary["converged"] is True and math.isfinite(summary["rho_minus"])
@@ -648,7 +666,7 @@ class TestDispatch:
         # every sample is finite and on the stable manifold, and the wall slope is the requested one
         out = tmp_path / "lp.csv"
         argv = ["limit-profile", "--gamma", gamma, "--rho-plus", "2", f"--rho-b0={rho_b0}", "--out", str(out)]
-        assert dispatch(argv) == 0
+        assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["rho_minus"] > 2.0 and math.isfinite(doc["rho_minus"])
         rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
@@ -663,13 +681,13 @@ class TestDispatch:
         # boundary slope large enough to drive the density negative
         doc = dict(VALID, kappa=1.0, rho_b=5.0)
         cfg = write_config(tmp_path, doc)
-        assert dispatch(["solve", "impermeable", "--config", cfg]) == 3
+        assert main(["solve", "impermeable", "--config", cfg]) == 3
         assert "solver error" in capsys.readouterr().err
 
     def test_unconverged_solve_writes_no_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(VALID, max_iter=1))
         out = tmp_path / "sol.csv"
-        assert dispatch(["solve", "impermeable", "--config", cfg, "--out", str(out)]) == 3
+        assert main(["solve", "impermeable", "--config", cfg, "--out", str(out)]) == 3
         assert "no convergence in 1 iterations" in capsys.readouterr().err
         assert not out.exists()
 
@@ -681,7 +699,7 @@ class TestDispatch:
         # negative far out, where alpha h reaches 5 and the grid does not resolve the
         # forcing's e^{-alpha r} part, so the positivity check stops the loop first
         cfg = write_config(tmp_path, dict(VALID, kappa=0.3, mu=1e300, u_minus=0.05))
-        assert dispatch(["solve", "inflow", "--config", cfg]) == 3
+        assert main(["solve", "inflow", "--config", cfg]) == 3
         assert capsys.readouterr().err == "solver error: non-finite update at iteration 2\n"
 
     def test_huge_rho_plus_flow_passes_the_vacuum_gate(self, tmp_path, capsys):
@@ -689,7 +707,7 @@ class TestDispatch:
         # At gamma = 2 the remainder is 0 to roundoff and alpha does not depend on rho_plus,
         # so the solve converges; the overflowed rho**4 of the residual divides to 0, silently
         doc = dict(VALID, gamma=2.0, kappa=1.0, mu=1.0, rho_plus=1e100, rho_b=-0.02, u_minus=-0.05)
-        assert dispatch(["solve", "outflow", "--config", write_config(tmp_path, doc)]) == 0
+        assert main(["solve", "outflow", "--config", write_config(tmp_path, doc)]) == 0
         out, err = capsys.readouterr()
         summary = json.loads(out)
         assert summary["converged"] and err == ""
@@ -701,7 +719,7 @@ class TestDispatch:
         # few hundred, and the solve either converges or stops with a typed solver error
         cfg = write_config(tmp_path, dict(VALID, kappa=1e-9, rho_b=-0.02, u_minus=0.05))
         start = time.perf_counter()
-        code = dispatch(["solve", "inflow", "--config", cfg])
+        code = main(["solve", "inflow", "--config", cfg])
         assert time.perf_counter() - start < 5.0
         out, err = capsys.readouterr()
         if code == 0:
@@ -714,21 +732,21 @@ class TestDispatch:
     def test_tiny_kappa_wall_solve_is_warning_free(self, tmp_path, capsys):
         # alpha ~ 3e7: the decay envelope constant leaves the double range quietly
         cfg = write_config(tmp_path, dict(VALID, kappa=1e-15, rho_b=-0.1))
-        assert dispatch(["solve", "impermeable", "--config", cfg]) == 0
+        assert main(["solve", "impermeable", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["converged"] is True
 
     @pytest.mark.parametrize("rho_b, solved", [(20.0, 3), (60.0, 1)])
     def test_rate_study_too_few_rows_exits_3(self, rho_b, solved, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(VALID, kappa=1.0, rho_b=rho_b))
         argv = ["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]
-        assert dispatch(argv) == 3
+        assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"only {solved} of 7 kappa rows solved" in err
 
     def test_rate_study_reports_failed_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(VALID, kappa=1.0, rho_b=8.0))
         argv = ["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]
-        assert dispatch(argv) == 0
+        assert main(argv) == 0
         captured = capsys.readouterr()
         assert "2 of 7 kappa rows failed" in captured.err
         slopes = json.loads(captured.out)
@@ -744,7 +762,7 @@ class TestDispatch:
         # the three unconverged rows fail instead of being fitted
         cfg = write_config(tmp_path, UNCONVERGED)
         argv = ["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]
-        assert dispatch(argv) == 3
+        assert main(argv) == 3
         assert "only 2 of 5 kappa rows solved" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, rho_b", [("fixed", 0.0), ("singular", 0.0), ("fixed", -1e-300)])
@@ -752,7 +770,7 @@ class TestDispatch:
         # log 0 has no slope: the study stops at the first row whose error is not positive
         cfg = write_config(tmp_path, dict(VALID, kappa=1.0, rho_b=rho_b))
         out = tmp_path / "o"
-        assert dispatch(["rate-study", "--mode", mode, "--config", cfg, "--out", str(out)]) == 2
+        assert main(["rate-study", "--mode", mode, "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert "the l2_value error at kappa = 0.1 is 0.0" in captured.err
@@ -766,7 +784,7 @@ class TestDispatch:
         for tag, extra in configs.items():
             cfg = write_config(tmp_path, dict(VALID, kappa=1.0, **extra), f"{tag}.json")
             out = tmp_path / tag
-            assert dispatch(["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(out)]) == 0
+            assert main(["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(out)]) == 0
             names = ("rates.csv", "profiles.csv", "summary.json", "plot.gp")
             blobs.append([capsys.readouterr().out] + [(out / n).read_bytes() for n in names])
         assert blobs[0] == blobs[1] == blobs[2]
@@ -774,13 +792,13 @@ class TestDispatch:
     def test_verify_unconverged_solve_exits_3(self, tmp_path, capsys):
         # a solver that ran out of iterations is a solver failure, not a failed comparison
         cfg = write_config(tmp_path, UNCONVERGED)
-        assert dispatch(["verify", "impermeable", "--config", cfg]) == 3
+        assert main(["verify", "impermeable", "--config", cfg]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "cannot reach 1.0e-12 within 400 iterations" in captured.err
 
     def test_limit_profile(self, tmp_path, capsys):
         out = tmp_path / "lp.csv"
-        rc = dispatch(
+        rc = main(
             ["limit-profile", "--gamma", "2", "--rho-plus", "1", "--rho-b0", "-0.1",
              "--out", str(out)]
         )
@@ -793,7 +811,7 @@ class TestDispatch:
         doc = dict(VALID, kappa=1.0, kappas=[10.0 ** (-1.0 - 0.5 * k) for k in range(4)])
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "study"
-        assert dispatch(["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(out)]) == 0
         for name in ("rates.csv", "profiles.csv", "summary.json", "plot.gp"):
             assert (out / name).exists()
         slopes = json.loads(capsys.readouterr().out)
@@ -803,13 +821,23 @@ class TestDispatch:
         # alpha at kappa = 5e-324 is beyond the doubles, but the study solves at its own kappas
         doc = dict(VALID, kappa=5e-324, kappas=[10.0 ** (-1.0 - 0.5 * k) for k in range(4)])
         cfg = write_config(tmp_path, doc)
-        assert dispatch(["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert main(["rate-study", "--mode", "fixed", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert "l2_value" in json.loads(capsys.readouterr().out)
+
+    def test_failed_verify_exits_1(self, tmp_path, capsys):
+        # the benchmark's n = 2 case measures a difference above 1e-15 and below 1e-8: the
+        # same stdout but for "pass", and only --tol decides the exit code
+        cfg = write_config(tmp_path, dict(VALID, n=2, gamma=1.4, kappa=0.3, rho_b=-0.05))
+        argv = ["verify", "impermeable", "--config", cfg, "--tol"]
+        assert main(argv + ["1e-8"]) == 0
+        sup_diff = json.loads(capsys.readouterr().out)["sup_diff"]
+        assert main(argv + ["1e-15"]) == 1
+        assert capsys.readouterr() == (json.dumps({"sup_diff": sup_diff, "pass": False}) + "\n", "")
 
     def test_verify_impermeable(self, tmp_path, capsys):
         doc = dict(VALID, kappa=1.0, rho_b=-0.1)
         cfg = write_config(tmp_path, doc)
-        assert dispatch(["verify", "impermeable", "--config", cfg]) == 0
+        assert main(["verify", "impermeable", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] is True and doc["sup_diff"] <= 1e-6
 
@@ -818,12 +846,12 @@ class TestDispatch:
         outs = []
         for name in ("a.csv", "b.csv"):
             path = tmp_path / name
-            assert dispatch(["solve", "impermeable", "--config", cfg, "--out", str(path)]) == 0
+            assert main(["solve", "impermeable", "--config", cfg, "--out", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
     def test_missing_config_file(self, capsys):
-        assert dispatch(["solve", "impermeable", "--config", "/nonexistent.json"]) == 2
+        assert main(["solve", "impermeable", "--config", "/nonexistent.json"]) == 2
 
     @pytest.mark.parametrize(
         "content, message",
@@ -835,7 +863,7 @@ class TestDispatch:
     def test_undecodable_config_exits_2(self, content, message, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_bytes(content)
-        assert dispatch(["solve", "impermeable", "--config", str(path)]) == 2
+        assert main(["solve", "impermeable", "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}: ") and captured.out == ""
 
@@ -855,7 +883,7 @@ class TestDispatch:
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = str(blocker / "out.csv")
-        assert dispatch([cfg if a == "@" else a for a in argv] + ["--out", out]) == 2
+        assert main([cfg if a == "@" else a for a in argv] + ["--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot write output: ") and out in captured.err
 
@@ -871,7 +899,7 @@ class TestGammaNearOne:
 
     @staticmethod
     def run(argv, doc, tmp_path, capsys):
-        code = dispatch(argv + ["--config", write_config(tmp_path, doc)])
+        code = main(argv + ["--config", write_config(tmp_path, doc)])
         out, err = capsys.readouterr()
         assert (code, err) == (0, "")
         return json.loads(out)

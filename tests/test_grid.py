@@ -122,6 +122,16 @@ class TestBuild:
         with pytest.raises(ConfigError, match="^quadrature weights must be positive$"):
             RadialGrid.from_nodes(np.array([1.0, 1.1, 1.4]))
 
+    def test_from_nodes_refuses_nan_inf_and_nan_weights(self):
+        # each rule fails a NaN: a NaN node gave all-NaN weights, an infinite one a divide warning
+        with pytest.raises(ConfigError, match="^grid nodes must start at 1 and increase strictly$"):
+            RadialGrid.from_nodes([1.0, math.nan, 3.0, 4.0])
+        with pytest.raises(ConfigError, match="^grid nodes must be finite$"):
+            RadialGrid.from_nodes([1.0, 2.0, math.inf])
+        # finite spacings whose cubes overflow: NaN weights, refused without a warning
+        with pytest.raises(ConfigError, match="^quadrature weights must be positive$"):
+            RadialGrid.from_nodes([1.0, 1e150, 1e200])
+
     def test_weights_positive(self):
         # in-panel spacing ratios stay <= growth, and (h0+h1)(2h0-h1)/(6h0) > 0 needs h1 < 2h0
         for alpha in (0.3, 1.0, 25.0):
@@ -204,7 +214,7 @@ def _composite_weights_by_panel(nodes):
 def _grid_and_panel_loop(nodes):
     # the grid is made directly, past from_nodes' checks, so that nodes off 1 and spacings
     # that give negative weights reach the rule too
-    return RadialGrid(nodes=nodes, R_max=float(nodes[-1])), _composite_weights_by_panel(nodes)
+    return RadialGrid(nodes=nodes), _composite_weights_by_panel(nodes)
 
 
 @pytest.mark.parametrize("size", range(3, 81))

@@ -239,8 +239,8 @@ class TestGreen:
         from nsk.bessel import bessel_i, bessel_k
 
         for n, a in ((2, 0.5), (3, 2.0), (4, 1.0)):
-            nu = BesselOrder.from_dimension(n)
-            up = nu.shifted()
+            nu = BesselOrder(n - 2)
+            up = BesselOrder(nu.two_nu + 2)
             k1a = bessel_k(up, a)
             i1a = bessel_i(up, a)
             for r in np.linspace(1.0, 40.0, 25):

@@ -269,6 +269,11 @@ class TestProfile:
             prof = integrate_profile(PressureLaw(1.4, 1.0), rho_b0)
             assert abs(prof.slope(0.0) - rho_b0) <= 1e-12
 
+    def test_nan_y_max_refused(self):
+        # NaN passed a "y_max <= 0" rule and sampled thousands of points
+        with pytest.raises(DomainError, match="^y_max must be positive$"):
+            integrate_profile(PressureLaw(1.0, 1.0), -0.1, y_max=math.nan)
+
     def test_short_y_max(self):
         # y_max before the handover to the linearized tail: the samples stop at y_max
         for y_max in (1e-3, 1.0, 5.0):

@@ -173,7 +173,7 @@ def test_only_the_model_carries_n():
     src = Path(nsk.__file__).parent
     found = {p.name: _grid_n_reads(ast.parse(p.read_text())) for p in src.glob("*.py")}
     assert {name: uses for name, uses in found.items() if uses} == {}
-    assert [f.name for f in fields(RadialGrid)] == ["nodes", "R_max"]
+    assert [f.name for f in fields(RadialGrid)] == ["nodes"]
 
 
 def _raised_text(node: ast.AST) -> str:
@@ -184,7 +184,9 @@ def _raised_text(node: ast.AST) -> str:
     return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
 
 
-_CONFIG_RULE_WORDS = ("points_per_unit_alpha must", "growth must", "R_max must", "kappa values", "tol must", "max_iter must")
+_CONFIG_RULE_WORDS = (
+    "points_per_unit_alpha must", "growth must", "R_max must", "kappa values", "tol must", "max_iter must", "n must be an"
+)
 
 
 def test_every_config_rule_has_one_site():
@@ -192,8 +194,9 @@ def test_every_config_rule_has_one_site():
     # caller reaches: the grid keys' in nsk.grid's rule function (build_grid and RunConfig
     # both call it), the solver keys' in nsk.stationary's (solve_stationary and RunConfig
     # both call it), the kappas rules where a RunConfig is built; and the model keys are
-    # listed once, as the fields of ModelParams.  verify's --tol is a pass threshold, not
-    # the solver's tol, and keeps its own rule in cross_validate
+    # listed once, as the fields of ModelParams, whose integer rule on n is the model's own
+    # (the CLI only turns an integral float into an int).  verify's --tol is a pass
+    # threshold, not the solver's tol, and keeps its own rule where verify judges it
     from dataclasses import fields
 
     from nsk.kernel import ModelParams
@@ -214,8 +217,9 @@ def test_every_config_rule_has_one_site():
     assert sorted(sites) == sorted(
         [("grid.check_grid_keys", text) for text in grid_rules]
         + [("cli.RunConfig.__post_init__", text) for text in kappa_rules]
-        + [("stationary.check_solver_keys", "tol must be positive"), ("oracle.cross_validate", "tol must be positive")]
-        + [("stationary.check_solver_keys", "max_iter must be at least 1")]
+        + [("stationary.check_solver_keys", "tol must be positive"), ("cli._cmd_verify", "tol must be positive")]
+        + [("stationary.check_solver_keys", text) for text in ("max_iter must be at least 1", "max_iter must be an integer")]
+        + [("kernel.ModelParams.__post_init__", "n must be an integer")]
     )
 
     model_keys = {f.name for f in fields(ModelParams)}
@@ -293,7 +297,7 @@ def test_no_module_imports_cli():
 
 
 def test_every_error_is_in_one_exit_code_family():
-    # dispatch handles ConfigError (exit 2) and SolverError (exit 3) only, so those two must cover every error
+    # main handles ConfigError (exit 2) and SolverError (exit 3) only, so those two must cover every error
     from nsk import errors
     from nsk.errors import ConfigError, NskError, SolverError
 
