@@ -121,10 +121,6 @@ def check_finite(val, what: str):
     return val
 
 
-def _scalarize(x, val):
-    return float(val) if np.isscalar(x) or np.ndim(x) == 0 else val
-
-
 def _k0_series(x):
     """``(\\hat K_0, x K_1/K_0)`` at ``x <= SERIES_MAX_X``: Temme's series at ``mu = 0``."""
     d = math.log(2.0) - np.log(x)  # -log(x/2): no cancellation below 1, ...
@@ -248,9 +244,10 @@ def _hankel(nu: float, x):
 def bessel_ik_scaled(order: BesselOrder, x):
     r"""``(\hat I_nu, \hat K_nu, \hat I_{nu+1}, \hat K_{nu+1})`` at positive finite ``x``.
 
-    Arrays of the shape of ``x``.  Not checked: a ``\hat K`` beyond the double
-    range is ``inf`` (its ``\hat I`` is then 0), and an ``\hat I`` whose CF1
-    does not converge is NaN; the single-value evaluators refuse both.
+    Arrays of the shape of ``x``, numpy scalars for a scalar.  Not checked: a
+    ``\hat K`` beyond the double range is ``inf`` (its ``\hat I`` is then 0),
+    and an ``\hat I`` whose CF1 does not converge is NaN; the single-value
+    evaluators refuse both.
     """
     xa = _check_positive(x)
     flat = xa.ravel()
@@ -263,7 +260,7 @@ def bessel_ik_scaled(order: BesselOrder, x):
         out[2 * j, far] = i_sum / norm
         out[2 * j + 1, far] = k_sum * (math.pi / norm)
     out[:, ~far] = _temme(order, flat[~far])
-    return tuple(v.reshape(xa.shape) for v in out)
+    return tuple(v.reshape(xa.shape)[()] for v in out)
 
 
 def bessel_i(order: BesselOrder, x) -> float | np.ndarray:
@@ -277,7 +274,7 @@ def bessel_i(order: BesselOrder, x) -> float | np.ndarray:
         val = scaled * np.exp(np.asarray(x, dtype=float))
     if not np.isfinite(val).all():
         raise RangeError("I_nu overflow: argument beyond exponential range; use the scaled form")
-    return _scalarize(x, val)
+    return val
 
 
 def bessel_k(order: BesselOrder, x) -> float | np.ndarray:
@@ -290,14 +287,14 @@ def bessel_k(order: BesselOrder, x) -> float | np.ndarray:
     val = scaled * np.exp(-np.asarray(x, dtype=float))
     if np.any(val == 0.0):
         raise RangeError("K_nu underflow: argument beyond exponential range; use the scaled form")
-    return _scalarize(x, val)
+    return val
 
 
 def bessel_i_scaled(order: BesselOrder, x) -> float | np.ndarray:
     """Exponentially scaled ``e^{-x} I_nu(x)``; O(1), or ``RangeError`` where it is not finite."""
-    return _scalarize(x, check_finite(bessel_ik_scaled(order, x)[0], "scaled I_nu"))
+    return check_finite(bessel_ik_scaled(order, x)[0], "scaled I_nu")
 
 
 def bessel_k_scaled(order: BesselOrder, x) -> float | np.ndarray:
     """Exponentially scaled ``e^{x} K_nu(x)``; ``RangeError`` where it overflows."""
-    return _scalarize(x, check_finite(bessel_ik_scaled(order, x)[1], "scaled K_nu"))
+    return check_finite(bessel_ik_scaled(order, x)[1], "scaled K_nu")

@@ -118,16 +118,14 @@ class PressureLaw:
         ra = np.asarray(rho, dtype=float)
         if np.any(ra <= 0.0):
             raise DomainError("rho must be positive")
-        out = self._h_scale * self._log_power(ra / self.rho_plus - 1.0)
-        return float(out) if np.ndim(rho) == 0 else out
+        return self._h_scale * self._log_power(ra / self.rho_plus - 1.0)
 
     def h_prime(self, rho) -> float | np.ndarray:
         """``h'(rho) = gamma * rho^(gamma-2)``."""
         ra = np.asarray(rho, dtype=float)
         if np.any(ra <= 0.0):
             raise DomainError("rho must be positive")
-        out = self.gamma * ra ** (self.gamma - 2.0)
-        return float(out) if np.ndim(rho) == 0 else out
+        return self.gamma * ra ** (self.gamma - 2.0)
 
     def remainder(self, phi) -> float | np.ndarray:
         """Pressure remainder ``h(phi+rho_+) - h(rho_+) - h'(rho_+) phi``: ``O(phi^2)``, and
@@ -137,8 +135,7 @@ class PressureLaw:
         if np.any(pa + self.rho_plus <= 0.0):
             raise PositivityError("phi + rho_plus must stay positive")
         d = pa / self.rho_plus
-        out = self._h_scale * (self._log_power(d) - d)
-        return float(out) if np.ndim(phi) == 0 else out
+        return self._h_scale * (self._log_power(d) - d)
 
     @cached_property
     def _scale(self) -> float:
@@ -181,7 +178,7 @@ class PressureLaw:
         xa = np.asarray(x, dtype=float)
         if np.any(xa <= 0.0):
             raise DomainError("x must be positive")
-        d = np.atleast_1d(xa / self.rho_plus - 1.0)
+        d = xa / self.rho_plus - 1.0
         g = max(1.0, gamma)
         near = np.abs(d) * g <= TAYLOR_MAX
         far = ~near
@@ -203,7 +200,7 @@ class PressureLaw:
                 acc += b
             with np.errstate(over="ignore", invalid="ignore"):  # W beyond the doubles, as above
                 out[near] = scale * (0.5 * gamma) * dn * dn * acc
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
+        return out[()]
 
 
 @dataclass(frozen=True)
@@ -313,7 +310,7 @@ def green(n: int, alpha: float, r, s) -> tuple:
     ``dG_left`` is the limit of ``dG/dr`` from below ``r`` and ``dG_right`` from above;
     they agree off the diagonal, and at ``r = s`` right minus left is ``r^{1-n}``.
     ``r`` and ``s`` broadcast over one factor table of the radii ``[1, *r, *s]``,
-    ``r`` and ``s`` unbroadcast; scalars give three floats.
+    ``r`` and ``s`` unbroadcast.
     """
     f = KernelFactors(n, alpha, np.concatenate([[1.0], np.ravel(r), np.ravel(s)]))
     k = np.arange(1, f.x.size)  # the rows of r, then of s
@@ -330,5 +327,4 @@ def green(n: int, alpha: float, r, s) -> tuple:
     left = a * (np.where(f.x[i] > f.x[j], dr_lower, dr_upper) + reflected)
     right = a * (np.where(lower, dr_lower, dr_upper) + reflected)
     rp2 = f.rp[i] * f.rp[j]
-    out = g * rp2, left * rp2, right * rp2
-    return tuple(map(float, out)) if i.ndim == 0 else out
+    return g * rp2, left * rp2, right * rp2

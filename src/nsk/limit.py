@@ -238,7 +238,7 @@ class LimitProfile:
 
     def evaluate(self, y) -> np.ndarray:
         """``rho_bar(y)`` for any ``y >= 0`` (tail formula beyond the samples)."""
-        ya = np.atleast_1d(np.asarray(y, dtype=float))
+        ya = np.asarray(y, dtype=float)
         out = np.full(ya.shape, self.law.rho_plus)
         inside = ya <= self.tail_start
         if np.any(inside) and self.y_nodes.size >= 2:
@@ -248,12 +248,11 @@ class LimitProfile:
             out[beyond] = self.law.rho_plus + self.tail_amplitude * np.exp(
                 -self.tail_rate * (ya[beyond] - self.tail_start)
             )
-        return out if np.ndim(y) else float(out[0])
+        return out[()]
 
     def slope(self, y) -> np.ndarray:
         """``rho_bar_y(y)`` from the stable-manifold relation at ``rho_bar(y)``."""
-        out = _manifold_slope(self.law, np.atleast_1d(self.evaluate(y)))
-        return out if np.ndim(y) else float(out[0])
+        return _manifold_slope(self.law, self.evaluate(y))
 
 
 def integrate_profile(

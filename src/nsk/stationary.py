@@ -97,8 +97,7 @@ def source_term(n: int, u_minus: float, r):
     ra = np.asarray(r, dtype=float)
     with np.errstate(over="ignore"):
         out = np.float64(u_minus) ** 2 / (2.0 * ra ** (2 * (n - 1)))
-    check_finite(out, "source term u_minus**2/2")
-    return float(out) if np.ndim(r) == 0 else out
+    return check_finite(out, "source term u_minus**2/2")
 
 
 def forcing(params: ModelParams, grid: RadialGrid, phi: np.ndarray, phi_r: np.ndarray) -> np.ndarray:

@@ -309,9 +309,37 @@ class TestArrays:
             green(3, 2.0, r, s)
 
     def test_scalars_give_floats_and_arrays_keep_shape(self):
-        for r, s in ((2.0, 3.0), (3.0, 2.0), (3.0, 3.0)):
-            assert all(type(v) is float for v in green(4, 1.3, r, s))
-            assert all(v.shape == (2, 3) for v in green(4, 1.3, np.full((2, 3), r), s))
+        # every evaluator returns what its numpy expression returns: a numpy scalar (a float, as
+        # json, math and format_float need) for a scalar argument, an array of its shape for an array
+        from nsk.bessel import bessel_i, bessel_i_scaled, bessel_ik_scaled, bessel_k, bessel_k_scaled
+        from nsk.limit import integrate_profile
+        from nsk.stationary import source_term
+
+        order, law = BesselOrder(3), PressureLaw(1.4, 1.0)
+        profile = integrate_profile(law, 0.3)
+        evaluators = {
+            "bessel_i": lambda x: (bessel_i(order, x),),
+            "bessel_k": lambda x: (bessel_k(order, x),),
+            "bessel_i_scaled": lambda x: (bessel_i_scaled(order, x),),
+            "bessel_k_scaled": lambda x: (bessel_k_scaled(order, x),),
+            "bessel_ik_scaled": lambda x: bessel_ik_scaled(order, x),
+            "PressureLaw.dh": lambda x: (law.dh(x),),
+            "PressureLaw.h_prime": lambda x: (law.h_prime(x),),
+            "PressureLaw.remainder": lambda x: (law.remainder(x),),
+            "PressureLaw.w": lambda x: (law.w(x),),
+            "green below": lambda x: green(4, 1.3, x, 1.2),
+            "green above": lambda x: green(4, 1.3, x, 150.0),
+            "green diagonal": lambda x: green(4, 1.3, x, x),
+            "source_term": lambda x: (source_term(3, 0.1, x),),
+            "LimitProfile.evaluate": lambda x: (profile.evaluate(x),),
+            "LimitProfile.slope": lambda x: (profile.slope(x),),
+        }
+        # 1.05 takes W's Taylor branch and 100 the profile's exponential tail
+        for x in (1.05, 1.5, 100.0):
+            for name, fn in evaluators.items():
+                for scalar in (x, np.float64(x), np.array(x)):
+                    assert all(isinstance(v, float) and type(v) is np.float64 for v in fn(scalar)), name
+                assert all(v.shape == (2, 3) for v in fn(np.full((2, 3), x))), name
 
 
 class TestGreenDerivative:

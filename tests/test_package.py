@@ -149,6 +149,23 @@ def test_only_the_model_derives_alpha():
     }
 
 
+def _branches_on_scalar_input(node: ast.AST) -> bool:
+    """A call of ``np.ndim`` or ``np.isscalar`` (by any name), or ``a if c else b`` whose test reads an ``.ndim``."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None)) in ("ndim", "isscalar")
+    return isinstance(node, ast.IfExp) and any(
+        isinstance(sub, ast.Attribute) and sub.attr == "ndim" for sub in ast.walk(node.test)
+    )
+
+
+def test_no_module_branches_on_scalar_input():
+    # one scalar rule, numpy's: a scalar argument gives a numpy scalar and an array one an array
+    # of its shape, so no function inspects its argument to convert its own result
+    src = Path(nsk.__file__).parent
+    found = {p.name: _scopes_of(ast.parse(p.read_text()), _branches_on_scalar_input) for p in src.glob("*.py")}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
 def _grid_n_reads(tree: ast.AST) -> list:
     """Scopes that read ``n`` off a grid: ``grid.n`` (any name ending in ``grid``), or
     ``self.n`` inside ``class RadialGrid``."""
