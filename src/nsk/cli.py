@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rates as rates_mod
 from .bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled
-from .errors import ConfigError, SolverError, WindowEmptyError
+from .errors import ConfigError, SolverError
 from .grid import RadialGrid, auto_r_max, build_grid, check_grid_keys
 from .kernel import IMPERMEABLE, INFLOW, ModelParams, OUTFLOW, PressureLaw, green
 from .limit import integrate_profile
@@ -236,11 +236,10 @@ def _cmd_solve(a):
     if a.regime == IMPERMEABLE:
         header = ["r", "rho", "rho_r", "phi"]
         columns = [grid.nodes, sol.rho, sol.rho_r, sol.phi]
-        try:
-            decay_rate_fit = decay_diagnostics(sol, model.alpha)[0]
-        except WindowEmptyError:
-            decay_rate_fit = None
-        summary = {"sup_norm": float(np.max(np.abs(sol.phi))), "decay_rate_fit": decay_rate_fit}
+        summary = {
+            "sup_norm": float(np.max(np.abs(sol.phi))),
+            "decay_rate_fit": decay_diagnostics(sol, model.alpha)[0],
+        }
     else:
         header = ["r", "rho", "rho_r", "u", "phi"]
         columns = [grid.nodes, sol.rho, sol.rho_r, sol.u, sol.phi]

@@ -43,7 +43,3 @@ class PositivityError(SolverError):
 
 class NewtonDivergenceError(SolverError):
     """Newton iteration failed to converge."""
-
-
-class WindowEmptyError(SolverError):
-    """Decay-fit window contains no usable samples."""

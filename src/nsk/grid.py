@@ -33,6 +33,7 @@ exponential.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -184,20 +185,22 @@ def build_grid(alpha: float, R_max: float, points_per_unit_alpha: float = 10.0, 
         )
 
     span = R_max - 1.0
-    if span > H_MAX * MAX_NODES:  # steps are at most H_MAX, so this span takes more than MAX_NODES
+    # steps grow from h0 by `growth` to H_MAX and stay there, so at most `bound` reach the span
+    # (+3: the step crossing H_MAX, the last one, rounding); MAX_NODES + 1 steps exceed the cap
+    bound = math.log(H_MAX / h0) / math.log(growth) + span / H_MAX + 3.0
+    steps = np.full(int(min(bound, MAX_NODES + 1)), growth)
+    steps[0] = h0
+    with np.errstate(over="ignore"):  # a product past H_MAX may overflow; the minimum caps it
+        np.minimum(np.multiply.accumulate(steps, out=steps), H_MAX, out=steps)
+    totals = np.cumsum(steps)  # summed in order, as the steps are taken
+    # the steps up to the first total >= span.  Not np.searchsorted, nor math.log1p above: each
+    # pages in 56-64 KiB of code that no other step of a CLI run uses, and peak RSS counts it
+    count = int(np.count_nonzero(totals < span)) + 1
+    if count + 1 + count % 2 > MAX_NODES:  # nodes, with the odd-interval split
         raise GridSizeError(f"grid would exceed {MAX_NODES} nodes")
-    steps = []
-    h = h0
-    total = 0.0
-    while total < span:
-        steps.append(h)
-        total += h
-        if len(steps) + 1 + len(steps) % 2 > MAX_NODES:  # nodes, with the odd-interval split
-            raise GridSizeError(f"grid would exceed {MAX_NODES} nodes")
-        h = min(h * growth, H_MAX)
     # uniform rescale onto [1, R_max]: preserves consecutive-spacing ratios,
     # which keeps every generalized-Simpson panel weight positive
-    hs = np.array(steps) * (span / total)
+    hs = steps[:count] * (span / totals[count - 1])
     if hs.size % 2 == 1:
         hs = np.concatenate([hs[:-1], [0.5 * hs[-1], 0.5 * hs[-1]]])
     nodes = np.empty(hs.size + 1)

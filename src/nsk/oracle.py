@@ -18,8 +18,8 @@ extrapolation of the solves at ``h`` and ``h/2`` (L. F. Richardson, Phil.
 Trans. R. Soc. A 210 (1911) 307) makes the reference O(h^4); 4-point cubic
 Lagrange interpolation on the uniform FD grid, also O(h^4) and with no global
 spline, carries it to the kernel grid.  The only code shared with the kernel
-solver is the parameter container and its :class:`~nsk.kernel.PressureLaw`
-(the enthalpy difference ``dh = h(rho) - h(rho_+)`` and ``h'``).
+solver is the parameter container: its decay rate ``alpha`` and its
+:class:`~nsk.kernel.PressureLaw` (``dh = h(rho) - h(rho_+)`` and ``h'``).
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ def solve_fd(
     """Density samples on the uniform grid ``np.linspace(1, R_max, node_count)``.
 
     Newton on the central-difference discretization; the initial guess is
-    the flat-space lifting ``rho_+ - (rho_b/beta) e^{-beta(r-1)}`` with
-    ``beta = sqrt(h'(rho_+)/kappa)``, computed inline to keep this solver
-    independent of the kernel module.
+    the flat-space lifting ``rho_+ - (rho_b/alpha) e^{-alpha(r-1)}``, with the
+    model's decay rate ``alpha``.
     """
     if params.u_minus != 0.0:
         raise ConfigError("the FD oracle covers the impermeable wall only: it requires u_minus = 0")
@@ -62,8 +61,7 @@ def solve_fd(
     law = params.law
     rp = params.rho_plus
 
-    beta = math.sqrt(law.h_prime(rp) / kappa)
-    rho = rp - (params.rho_b / beta) * np.exp(-beta * (r - 1.0))
+    rho = rp - (params.rho_b / params.alpha) * np.exp(-params.alpha * (r - 1.0))
     if np.any(rho <= 0.0):
         raise PositivityError("initial guess not positive; boundary data too large")
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import check_finite
-from .errors import ConfigError, NonContractionError, PositivityError, RangeError, WindowEmptyError
+from .errors import ConfigError, NonContractionError, PositivityError, RangeError
 from .grid import RadialGrid
 from .kernel import ModelParams, lifting_phi_b
 from .operators import GreenOperator
@@ -269,8 +269,10 @@ def decay_diagnostics(solution: StationarySolution, alpha: float):
     Least-squares slope of ``log|phi|`` on ``r`` in
     ``[1 + 2/alpha, R_max - 5/alpha]`` restricted to ``|phi| > 1e-13``;
     returns ``(sigma_fit, envelope_constant)`` with
-    ``C = max |phi| e^{sigma r} / |rho_b|`` (``inf`` once it exceeds the
-    double range) and ``rho_b`` read off ``phi_r(1)``.  Meant for the wall, whose profile carries an algebraic
+    ``C = max |phi| e^{sigma r} / |rho_b|`` and ``rho_b`` read off ``phi_r(1)``.
+    An entry that cannot be made is ``None``: both with fewer than two samples in
+    the window, and ``C`` alone when ``phi_r(1) = 0`` or ``C`` leaves the double range.
+    Meant for the wall, whose profile carries an algebraic
     prefactor (``e^{-alpha r} r^{-(n-1)/2}``), so the fitted rate sits
     slightly above ``alpha``; the theory guarantees any rate below ``alpha``.
     """
@@ -280,15 +282,12 @@ def decay_diagnostics(solution: StationarySolution, alpha: float):
     hi = solution.grid.R_max - 5.0 / alpha
     mask = (r >= lo) & (r <= hi) & (absphi > 1e-13)
     if np.count_nonzero(mask) < 2:
-        raise WindowEmptyError("no usable samples in the decay-fit window")
+        return None, None
     # on the wall distance r - 1: at large alpha the window's r = 1 + O(1/alpha) carry few digits
     # of it, and centring r alone leaves an offset that the sum of log|phi| amplifies
     sigma = -fit_line(r[mask] - 1.0, np.log(absphi[mask]))[0]
-    rho_b = solution.rho_r[0]
-    if rho_b == 0.0:
-        raise WindowEmptyError("zero boundary data; envelope constant undefined")
     # in logs, so e^{sigma r} cannot overflow where the product does not; past
-    # alpha ~ 700 the constant itself leaves the double range and is inf
-    with np.errstate(over="ignore"):
-        c_fit = float(np.exp(np.max(np.log(absphi[mask]) + sigma * r[mask])) / abs(rho_b))
-    return sigma, c_fit
+    # alpha ~ 700 the constant itself leaves the double range
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # phi_r(1) = 0 gives inf or NaN
+        c_fit = float(np.exp(np.max(np.log(absphi[mask]) + sigma * r[mask])) / abs(solution.rho_r[0]))
+    return sigma, c_fit if math.isfinite(c_fit) else None

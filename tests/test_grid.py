@@ -1,6 +1,7 @@
 """Radial grids: truncation policies, quadrature accuracy, cumulative tails."""
 
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import nsk.grid as grid_mod
 from nsk.errors import ConfigError, GridSizeError
-from nsk.grid import RadialGrid, auto_r_max, build_grid
+from nsk.grid import H_MAX, RadialGrid, auto_r_max, build_grid
 from nsk.kernel import ModelParams
 
 
@@ -91,6 +92,31 @@ class TestBuild:
             else:
                 assert grid.size <= max_nodes
 
+    def test_steps_match_the_loop(self):
+        # seeded alpha, R_max, density, growth and node cap: the same nodes bit for bit, or the same refusal
+        rng = np.random.default_rng(20261022)
+        refused = 0
+        for _ in range(300):
+            alpha, span, density = 10.0 ** rng.uniform([-2.0, -2.0, 0.0], [4.0, 3.0, 2.0])
+            growth = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(0.99))
+            with mock.patch.object(grid_mod, "MAX_NODES", int(10.0 ** rng.uniform(1.0, 4.0))):
+                try:
+                    ref = _build_grid_by_loop(alpha, 1.0 + span, density, growth)
+                except GridSizeError as exc:
+                    refused += 1
+                    with pytest.raises(GridSizeError, match=f"^{exc}$"):
+                        build_grid(alpha, 1.0 + span, density, growth)
+                else:
+                    assert build_grid(alpha, 1.0 + span, density, growth).nodes.tobytes() == ref.tobytes()
+        assert 30 <= refused <= 270
+
+    def test_a_grid_past_the_cap_is_refused_quickly(self):
+        # 2.7e8 steps grow from 1e-12 to H_MAX: the refusal reads MAX_NODES + 1 of them, not more
+        start = time.process_time()
+        with pytest.raises(GridSizeError, match="^grid would exceed 2000000 nodes$"):
+            build_grid(1.0, 41.0, points_per_unit_alpha=1e12, growth=1.0000001)
+        assert time.process_time() - start <= 0.3
+
     def test_invariants_enforced(self):
         with pytest.raises(ConfigError):
             RadialGrid.from_nodes(np.array([1.5, 2.0, 3.0]))  # must start at 1
@@ -104,7 +130,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("density", [0.0, -1.0, math.nan])
     def test_nonpositive_density_refused(self, density):
-        # refused before the step loop: 0 divided by zero, -1 spun to the node cap
+        # refused before any step is built: 0 divides by zero, and -1 makes a negative wall spacing
         with pytest.raises(ConfigError, match=r"^grid\.points_per_unit_alpha must be positive$"):
             build_grid(1.0, 41.0, points_per_unit_alpha=density)
 
@@ -189,6 +215,31 @@ class TestQuadrature:
             g.weighted_l2_norm(np.zeros(g.size - 1), 3)
         with pytest.raises(ConfigError):
             g.reverse_cumulative(np.zeros(g.size + 2))
+
+
+def _build_grid_by_loop(alpha, R_max, points_per_unit_alpha, growth):
+    """``build_grid``'s nodes with the steps taken one at a time, as a reference."""
+    h0 = min(0.2, 1.0 / (points_per_unit_alpha * alpha))
+    span = R_max - 1.0
+    if span > H_MAX * grid_mod.MAX_NODES:
+        raise GridSizeError(f"grid would exceed {grid_mod.MAX_NODES} nodes")
+    steps = []
+    h = h0
+    total = 0.0
+    while total < span:
+        steps.append(h)
+        total += h
+        if len(steps) + 1 + len(steps) % 2 > grid_mod.MAX_NODES:
+            raise GridSizeError(f"grid would exceed {grid_mod.MAX_NODES} nodes")
+        h = min(h * growth, H_MAX)
+    hs = np.array(steps) * (span / total)
+    if hs.size % 2 == 1:
+        hs = np.concatenate([hs[:-1], [0.5 * hs[-1], 0.5 * hs[-1]]])
+    nodes = np.empty(hs.size + 1)
+    nodes[0] = 1.0
+    nodes[1:] = 1.0 + np.cumsum(hs)
+    nodes[-1] = R_max
+    return nodes
 
 
 def _composite_weights_by_panel(nodes):

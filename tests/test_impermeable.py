@@ -11,7 +11,7 @@ import pytest
 
 import nsk.kernel as kernel_mod
 import nsk.stationary as stationary_mod
-from nsk.errors import NonContractionError, PositivityError, WindowEmptyError
+from nsk.errors import NonContractionError, PositivityError
 from nsk.grid import auto_r_max, build_grid
 from nsk.kernel import KernelFactors, ModelParams, PressureLaw, lifting_phi_b
 from nsk.operators import GreenOperator
@@ -305,8 +305,28 @@ class TestDecayDiagnostics:
         assert np.isfinite(c_fit)
 
     def test_empty_window(self):
+        # rho_b = 0: phi vanishes, so the window holds no sample and neither value can be made
         p = params_with(rho_b=0.0)
         grid = build_grid(p.alpha, auto_r_max(p))
         field = solve_stationary(p, grid)
-        with pytest.raises(WindowEmptyError):
-            decay_diagnostics(field, p.alpha)
+        assert decay_diagnostics(field, p.alpha) == (None, None)
+
+    def test_zero_wall_slope_keeps_the_rate(self):
+        # phi_r(1) = 0 leaves the envelope constant undefined, but not the fitted rate
+        p = params_with(kappa=0.25)  # alpha = 2
+        grid = build_grid(p.alpha, auto_r_max(p))
+        phi = np.exp(-2.0 * grid.nodes)
+        phi_r = -2.0 * phi
+        phi_r[0] = 0.0
+        sigma, c_fit = decay_diagnostics(wall_solution(grid, phi, phi_r), p.alpha)
+        assert sigma == pytest.approx(2.0, rel=1e-6)
+        assert c_fit is None
+
+    def test_envelope_constant_past_the_double_range(self):
+        # alpha = 800: e^{sigma r} near the wall already exceeds the double range
+        p = params_with(kappa=1.0 / 800.0**2)
+        grid = build_grid(p.alpha, auto_r_max(p))
+        phi_b, phi_b_r = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))
+        sigma, c_fit = decay_diagnostics(wall_solution(grid, phi_b, phi_b_r), p.alpha)
+        assert 0.95 * p.alpha <= sigma <= 1.05 * p.alpha
+        assert c_fit is None

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from nsk import oracle
-from nsk.errors import ConfigError, PositivityError
+from nsk.errors import ConfigError, NewtonDivergenceError, PositivityError
 from nsk.kernel import KernelFactors, ModelParams, lifting_phi_b
 from nsk.oracle import (
     _interpolate_uniform,
@@ -68,9 +68,28 @@ class TestSolveFd:
             solve_fd(params_with(u_minus=0.1), 500, 21.0)
 
     def test_wall_data_beyond_the_initial_guess_refused(self):
-        # the guess rho_plus - (rho_b / beta) e^{-beta (r - 1)} is -9 at the wall
+        # the guess rho_plus - (rho_b / alpha) e^{-alpha (r - 1)} is -9 at the wall
         with pytest.raises(PositivityError, match="^initial guess not positive; boundary data too large$"):
             solve_fd(params_with(rho_b=10.0), 500, 21.0)
+
+    def test_growing_residual_refused(self):
+        # gamma = 20: the first step from the lifting overshoots, and the residual grows from 0.70 to 10.4
+        p = params_with(n=5, gamma=20.0, kappa=1e-2, rho_b=5.0)
+        with pytest.raises(NewtonDivergenceError, match=r"^Newton residual grew to 1\.038e\+01$"):
+            solve_fd(p, 101, 21.0)
+
+    def test_iterate_losing_positivity_refused(self):
+        # the guess is positive (0.11 at the wall), a Newton step takes the density below 0
+        p = params_with(n=2, gamma=5.0, rho_b=2.0)
+        with pytest.raises(PositivityError, match="^Newton iterate lost positivity$"):
+            solve_fd(p, 501, 21.0)
+
+    def test_newton_step_cap(self):
+        # rho ~ 2e3 at the wall under P = rho^20: a step takes off about 1/19 of the density, so the
+        # residual, which grows as rho^19, falls only e-fold per step, from 4.6e63
+        p = params_with(n=2, gamma=20.0, rho_b=-1e4)
+        with pytest.raises(NewtonDivergenceError, match=r"^no convergence in 60 Newton steps \(residual 2\.207e\+37\)$"):
+            solve_fd(p, 101, 21.0)
 
 
 class TestInterpolation:

@@ -139,14 +139,10 @@ def _is_root_of_quotient_by_kappa(node: ast.AST) -> bool:
 
 
 def test_only_the_model_derives_alpha():
-    # alpha = sqrt(h'(rho_+)/kappa) has one source, ModelParams.alpha; the FD oracle's
-    # initial-guess rate beta is the same number, kept inline so the oracle stays independent
+    # alpha = sqrt(h'(rho_+)/kappa) has one source, ModelParams.alpha, which the FD oracle reads too
     src = Path(nsk.__file__).parent
     found = {p.name: _scopes_of(ast.parse(p.read_text()), _is_root_of_quotient_by_kappa) for p in src.glob("*.py")}
-    assert {name: uses for name, uses in found.items() if uses} == {
-        "kernel.py": ["ModelParams.alpha"],
-        "oracle.py": ["solve_fd"],
-    }
+    assert {name: uses for name, uses in found.items() if uses} == {"kernel.py": ["ModelParams.alpha"]}
 
 
 def _branches_on_scalar_input(node: ast.AST) -> bool:
@@ -322,6 +318,31 @@ def test_every_error_is_in_one_exit_code_family():
     classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, NskError)}
     for cls in classes - {NskError, ConfigError, SolverError}:
         assert issubclass(cls, ConfigError) != issubclass(cls, SolverError), cls.__name__
+    # SolverError is a failed solve and nothing else
+    solver = {c.__name__ for c in classes if issubclass(c, SolverError)} - {"SolverError"}
+    assert solver == {"NonContractionError", "PositivityError", "NewtonDivergenceError"}
+
+
+def _catches_package_error(node: ast.AST) -> bool:
+    """An ``except`` clause that names ``NskError`` or one of its subclasses, alone or in a tuple."""
+    from nsk import errors
+
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    names = [getattr(sub, "id", getattr(sub, "attr", "")) for sub in ast.walk(node.type)]
+    caught = [getattr(errors, name, None) for name in names]
+    return any(isinstance(c, type) and issubclass(c, errors.NskError) for c in caught)
+
+
+def test_only_main_and_the_rate_study_catch_package_errors():
+    # a package error is a refused input or a failed solve: main turns it into its exit code and
+    # the rate study records the failed row; no other code catches one and carries on
+    src = Path(nsk.__file__).parent
+    found = {p.name: _scopes_of(ast.parse(p.read_text()), _catches_package_error) for p in src.glob("*.py")}
+    assert {name: uses for name, uses in found.items() if uses} == {
+        "cli.py": ["main", "main"],
+        "rates.py": ["run_rate_study"],
+    }
 
 
 # the bindings the benchmark tracer cannot find: names the package no longer has
