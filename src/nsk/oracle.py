@@ -36,15 +36,11 @@ from .stationary import solve_stationary
 __all__ = ["solve_fd", "solve_tridiagonal", "solve_fd_richardson", "fd_reference", "cross_validate"]
 
 MAX_NEWTON = 60
+NEWTON_TOL = 1e-10  # sup of the FD residual at which a Newton solve stops
 MAX_COARSE_NODES = 500_000  # of the reference's coarse level, so its fine level stays below 1e6
 
 
-def solve_fd(
-    params: ModelParams,
-    node_count: int,
-    R_max: float,
-    newton_tol: float = 1e-12,
-) -> np.ndarray:
+def solve_fd(params: ModelParams, node_count: int, R_max: float) -> np.ndarray:
     """Density samples on the uniform grid ``np.linspace(1, R_max, node_count)``.
 
     Newton on the central-difference discretization; the initial guess is
@@ -84,11 +80,11 @@ def solve_fd(
         F[-1] = rho[-1] - rp
 
         res = float(np.max(np.abs(F)))
-        if res <= newton_tol:
+        if res <= NEWTON_TOL:
             return rho
-        if not np.isfinite(res) or res > 10.0 * last_res + newton_tol:
+        if not np.isfinite(res) or res > 10.0 * last_res + NEWTON_TOL:
             raise NewtonDivergenceError(f"Newton residual grew to {res:.3e}")
-        last_res = max(res, newton_tol)
+        last_res = max(res, NEWTON_TOL)
 
         # tridiagonal Jacobian, row i: lower[i], diag[i], upper[i]
         lower = np.zeros(M)
@@ -163,8 +159,8 @@ def _interpolate_uniform(nodes: np.ndarray, values: np.ndarray, points: np.ndarr
 
 def solve_fd_richardson(params: ModelParams, node_count: int, R_max: float) -> np.ndarray:
     """The Richardson extrapolation ``(4 rho_{h/2} - rho_h)/3`` on the grid of ``solve_fd``."""
-    coarse = solve_fd(params, node_count, R_max, newton_tol=1e-10)
-    fine = solve_fd(params, 2 * node_count - 1, R_max, newton_tol=1e-10)
+    coarse = solve_fd(params, node_count, R_max)
+    fine = solve_fd(params, 2 * node_count - 1, R_max)
     return (4.0 * fine[::2] - coarse) / 3.0
 
 

@@ -97,7 +97,7 @@ def _solve_one(cfg, mode: str, kappa: float, profile: LimitProfile | None):
         # exact change of variables r = 1 + sqrt(kappa) y
         errors[L2Y_KEY] = errors["l2_value"] * kappa ** (-0.25)
     row = RateRow(kappa=kappa, errors=errors, nodes=grid.size, iterations=sol.iterations)
-    return row, (kappa, grid.nodes.copy(), sol.rho)
+    return row, (kappa, grid.nodes, sol.rho)
 
 
 def run_rate_study(cfg, mode: str) -> RateStudyResult:

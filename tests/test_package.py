@@ -30,6 +30,15 @@ def test_every_module_name_resolves(module):
     assert len(set(names)) == len(names)
 
 
+def test_every_test_module_names_a_package_module():
+    # tests/test_<x>.py tests nsk.<x>; acceptance, manufactured and package test across modules.
+    # inflow tests nsk.stationary's flow regimes until it is merged into test_stationary.py.
+    cross = {"acceptance", "manufactured", "package", "inflow"}
+    names = {m.name for m in pkgutil.iter_modules(nsk.__path__)} | cross
+    stems = [p.stem.removeprefix("test_") for p in Path(__file__).parent.glob("test_*.py")]
+    assert sorted(stem for stem in stems if stem not in names) == []
+
+
 def _imports_scipy(tree: ast.AST) -> bool:
     """Whether a module imports scipy or any of its submodules, in any form."""
     for node in ast.walk(tree):

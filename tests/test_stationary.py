@@ -1,7 +1,9 @@
 """The impermeable wall, the ``u_minus = 0`` case of ``nsk.stationary``.
 
-Fixed point, boundary data, decay diagnostics, the wall invariants of the
-one forcing, and the shared Picard driver on synthetic maps.
+Fixed point, boundary data, decay diagnostics and the wall invariants of the
+one forcing; the Picard driver on synthetic maps; and the Hermite
+second-derivative reconstruction used by the residual checks.  The inflow and
+outflow regimes are tested in ``tests/test_inflow.py``.
 """
 
 import math
@@ -20,12 +22,13 @@ from nsk.stationary import (
     decay_diagnostics,
     fixed_point,
     forcing,
+    hermite_second_derivative,
     solve_stationary,
     source_term,
 )
 
 
-def params_with(**kw):
+def wall_params(**kw):
     base = dict(n=3, gamma=1.0, kappa=1.0, mu=1.0, rho_plus=1.0, rho_b=-0.1, u_minus=0.0)
     base.update(kw)
     return ModelParams(**base)
@@ -41,7 +44,15 @@ def wall_solution(grid, phi, phi_r):
     return StationarySolution(grid, phi, rho, phi_r, zeros, 0.0, float(rho[0]), 0, 0.0, zeros, 0.0)
 
 
-class TestNonlinearity:
+def graded_grid():
+    """A ``build_grid`` grid whose odd step count halves its last interval."""
+    grid = build_grid(3.0, 3.0)
+    h = np.diff(grid.nodes)
+    assert abs(h[-1] - h[-2]) <= 1e-12 and h[-1] < 0.6 * h[-3] and h[0] < 0.3 * h[-3]
+    return grid
+
+
+class TestWallForcing:
     def test_zero_at_origin(self):
         for gamma in (1.0, 1.4, 2.0):
             assert PressureLaw(gamma, 0.7).remainder(0.0) == 0.0
@@ -64,9 +75,9 @@ class TestNonlinearity:
             PressureLaw(1.0, 1.0).remainder(-1.0)
 
 
-class TestSolve:
+class TestWallSolve:
     def test_zero_data_converges_immediately(self):
-        p = params_with(rho_b=0.0)
+        p = wall_params(rho_b=0.0)
         grid = build_grid(p.alpha, auto_r_max(p))
         field = solve_stationary(p, grid)
         assert field.iterations == 1
@@ -85,7 +96,7 @@ class TestSolve:
             return real(order, x)
 
         monkeypatch.setattr(kernel_mod, "bessel_ik_scaled", counted)
-        p = params_with(n=n, kappa=1e-2, rho_b=-0.02, u_minus=u_minus)
+        p = wall_params(n=n, kappa=1e-2, rho_b=-0.02, u_minus=u_minus)
         grid = build_grid(p.alpha, auto_r_max(p))
         solve_stationary(p, grid)
         assert sizes == [grid.size]
@@ -98,7 +109,7 @@ class TestSolve:
         side = np.linspace(1.0, 12.0, 30)
         pairs = [np.unique([1.0, r, s]) for k, r in enumerate(side) for s in side[k:]]
         for kappa in (1.0, 1e-2, 1e-4, 1e-6):
-            p = params_with(n=n, kappa=kappa)
+            p = wall_params(n=n, kappa=kappa)
             wall = KernelFactors(p.n, p.alpha, [1.0])
             for radii in [build_grid(p.alpha, auto_r_max(p)).nodes] + pairs:
                 f = KernelFactors(p.n, p.alpha, radii)
@@ -107,7 +118,7 @@ class TestSolve:
                 assert f.c2.tobytes() == wall.c2.tobytes()
 
     def test_affine_enthalpy_solution_is_the_lifting(self):
-        p = params_with(gamma=2.0, rho_b=-0.05)
+        p = wall_params(gamma=2.0, rho_b=-0.05)
         grid = build_grid(p.alpha, auto_r_max(p))
         field = solve_stationary(p, grid)
         phi_b, phi_b_r = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))
@@ -116,7 +127,7 @@ class TestSolve:
         assert np.max(np.abs(field.rho_r - phi_b_r)) <= 1e-14
 
     def test_fixed_point_defect_below_tolerance(self):
-        p = params_with()
+        p = wall_params()
         grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0)
         tol = 1e-10
         field = solve_stationary(p, grid, tol=tol)
@@ -126,14 +137,14 @@ class TestSolve:
         assert np.max(np.abs(field.phi - t_phi)) <= tol
 
     def test_neumann_boundary_value(self):
-        for p in (params_with(), params_with(n=2, gamma=1.4, kappa=0.2, rho_b=-0.03)):
+        for p in (wall_params(), wall_params(n=2, gamma=1.4, kappa=0.2, rho_b=-0.03)):
             grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0)
             tol = 1e-10
             field = solve_stationary(p, grid, tol=tol)
             assert abs(field.rho_r[0] - p.rho_b) <= 10.0 * tol
 
     def test_ode_residual(self):
-        p = params_with()
+        p = wall_params()
         grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=40.0, growth=1.03)
         tol = 1e-6
         field = solve_stationary(p, grid, tol=tol)
@@ -141,13 +152,13 @@ class TestSolve:
 
     def test_linear_response_to_small_data(self):
         grid = build_grid(1.0, 41.0, points_per_unit_alpha=16.0)
-        f1 = solve_stationary(params_with(rho_b=-0.1), grid)
-        f2 = solve_stationary(params_with(rho_b=-0.05), grid)
+        f1 = solve_stationary(wall_params(rho_b=-0.1), grid)
+        f2 = solve_stationary(wall_params(rho_b=-0.05), grid)
         assert 1.8 <= np.max(np.abs(f1.phi)) / np.max(np.abs(f2.phi)) <= 2.2
 
     def test_positive_density_enforced(self):
         # rho_b > 0 pulls the profile toward vacuum; large data must fail loudly
-        p = params_with(rho_b=5.0)
+        p = wall_params(rho_b=5.0)
         grid = build_grid(1.0, 41.0)
         with pytest.raises(PositivityError):
             solve_stationary(p, grid)
@@ -158,14 +169,14 @@ class TestSolve:
             return -4.0 * np.asarray(phi)
 
         monkeypatch.setattr(stationary_mod, "forcing", amplifier)
-        p = params_with()
+        p = wall_params()
         grid = build_grid(1.0, 41.0)
         with pytest.raises(NonContractionError):
             solve_stationary(p, grid, max_iter=100)
 
     def test_stalled_solve_fails_within_ten_sweeps(self, monkeypatch):
         # kappa = 1 row of a rate study whose update stalls near 4.9 (q about 0.97)
-        p = params_with(gamma=3.0, rho_b=-20.0)
+        p = wall_params(gamma=3.0, rho_b=-20.0)
         grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0, growth=1.05)
         sweeps = []
         real_forcing = stationary_mod.forcing
@@ -180,7 +191,7 @@ class TestSolve:
         assert len(sweeps) <= 10
 
     def test_max_iter_reports_unconverged(self):
-        p = params_with(rho_b=-0.5)
+        p = wall_params(rho_b=-0.5)
         grid = build_grid(1.0, 41.0)
         with pytest.raises(NonContractionError, match="no convergence in 2 iterations"):
             solve_stationary(p, grid, tol=1e-14, max_iter=2)
@@ -188,7 +199,7 @@ class TestSolve:
     def test_wall_is_the_zero_velocity_case(self):
         # every flow term carries u_minus: at u_minus = 0 the one forcing is the
         # pressure remainder bit for bit, the source vanishes and nothing flows
-        p = params_with(mu=2.0, gamma=1.4)
+        p = wall_params(mu=2.0, gamma=1.4)
         grid = build_grid(1.0, 41.0, points_per_unit_alpha=16.0)
         phi = -0.3 * np.exp(-(grid.nodes - 1.0)) * np.cos(grid.nodes)
         phi_r = np.gradient(phi, grid.nodes)
@@ -281,7 +292,7 @@ class TestFixedPoint:
 
 class TestDecayDiagnostics:
     def test_pure_exponential(self):
-        p = params_with(kappa=0.25)  # alpha = 2
+        p = wall_params(kappa=0.25)  # alpha = 2
         grid = build_grid(p.alpha, auto_r_max(p))
         phi = np.exp(-2.0 * grid.nodes)
         sigma, _ = decay_diagnostics(wall_solution(grid, phi, -2.0 * phi), p.alpha)
@@ -289,7 +300,7 @@ class TestDecayDiagnostics:
 
     def test_lifting_tail_rate(self):
         # e^{-alpha r}/r tail fits slightly above alpha; window at alpha=20
-        p = params_with(kappa=1.0 / 400.0, rho_b=-0.1)
+        p = wall_params(kappa=1.0 / 400.0, rho_b=-0.1)
         grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0)
         phi_b, phi_b_r = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))
         sigma, c_fit = decay_diagnostics(wall_solution(grid, phi_b, phi_b_r), p.alpha)
@@ -297,7 +308,7 @@ class TestDecayDiagnostics:
         assert np.isfinite(c_fit) and c_fit > 0.0
 
     def test_solved_field_rate_bound(self):
-        p = params_with()
+        p = wall_params()
         grid = build_grid(p.alpha, auto_r_max(p), points_per_unit_alpha=16.0)
         field = solve_stationary(p, grid)
         sigma, c_fit = decay_diagnostics(field, p.alpha)
@@ -306,14 +317,14 @@ class TestDecayDiagnostics:
 
     def test_empty_window(self):
         # rho_b = 0: phi vanishes, so the window holds no sample and neither value can be made
-        p = params_with(rho_b=0.0)
+        p = wall_params(rho_b=0.0)
         grid = build_grid(p.alpha, auto_r_max(p))
         field = solve_stationary(p, grid)
         assert decay_diagnostics(field, p.alpha) == (None, None)
 
     def test_zero_wall_slope_keeps_the_rate(self):
         # phi_r(1) = 0 leaves the envelope constant undefined, but not the fitted rate
-        p = params_with(kappa=0.25)  # alpha = 2
+        p = wall_params(kappa=0.25)  # alpha = 2
         grid = build_grid(p.alpha, auto_r_max(p))
         phi = np.exp(-2.0 * grid.nodes)
         phi_r = -2.0 * phi
@@ -324,9 +335,43 @@ class TestDecayDiagnostics:
 
     def test_envelope_constant_past_the_double_range(self):
         # alpha = 800: e^{sigma r} near the wall already exceeds the double range
-        p = params_with(kappa=1.0 / 800.0**2)
+        p = wall_params(kappa=1.0 / 800.0**2)
         grid = build_grid(p.alpha, auto_r_max(p))
         phi_b, phi_b_r = lifting_phi_b(p.rho_b, KernelFactors(p.n, p.alpha, grid.nodes))
         sigma, c_fit = decay_diagnostics(wall_solution(grid, phi_b, phi_b_r), p.alpha)
         assert 0.95 * p.alpha <= sigma <= 1.05 * p.alpha
         assert c_fit is None
+
+
+class TestHermite:
+    """The Hermite second-derivative reconstruction used by the residual checks."""
+
+    def test_exact_on_quintics(self):
+        mixed = np.concatenate([np.linspace(1.0, 2.0, 11), np.geomspace(2.2, 6.0, 9)])
+        c = np.array([0.3, -1.2, 0.7, 0.05, -0.02, 0.004])
+        for label, nodes in (("mixed", mixed), ("graded", graded_grid().nodes)):
+            f = sum(ck * nodes**k for k, ck in enumerate(c))
+            fp = sum(k * ck * nodes ** (k - 1) for k, ck in enumerate(c) if k > 0)
+            fpp = sum(k * (k - 1) * ck * nodes ** (k - 2) for k, ck in enumerate(c) if k > 1)
+            rec = hermite_second_derivative(nodes, f, fp)
+            assert np.isnan(rec[0]) and np.isnan(rec[-1]), label
+            assert np.max(np.abs(rec[1:-1] - fpp[1:-1])) <= 1e-10 * np.max(np.abs(fpp)), label
+        # below three nodes there is no interior entry: all NaN, and no warning
+        for size in (0, 1, 2):
+            nodes = mixed[:size]
+            rec = hermite_second_derivative(nodes, nodes**2, 2.0 * nodes)
+            assert rec.shape == (size,) and np.isnan(rec).all(), size
+
+    def test_fourth_order_on_smooth_function(self):
+        def err(nodes):
+            f = np.sin(2.0 * nodes)
+            fp = 2.0 * np.cos(2.0 * nodes)
+            rec = hermite_second_derivative(nodes, f, fp)
+            return np.nanmax(np.abs(rec + 4.0 * np.sin(2.0 * nodes)))
+
+        graded = graded_grid()
+        for label, coarse, fine in (
+            ("uniform", np.linspace(1.0, 3.0, 41), np.linspace(1.0, 3.0, 81)),
+            ("graded", graded.nodes, graded.refined().nodes),
+        ):
+            assert err(coarse) / err(fine) >= 12.0, label
